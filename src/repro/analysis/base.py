@@ -280,11 +280,17 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "relational.buffer.CircularTupleBuffer.release",
     # Fused single-pass kernels.
     "core.fusion.FusedKernel.process_batch",
-    "core.fusion.FusedKernel.merge_partials",
-    "core.fusion.FusedKernel.finalize_window",
-    # Result stage (in-order drain, per-window finalisation, emit).
+    "core.fusion.FusedKernel.assemble_windows",
+    # Segmented GROUP-BY kernel and the batched assembly functions.
+    "operators.groupby.GroupedAggregation.process_batch",
+    "operators.groupby.GroupedAggregation._fragment_tables",
+    "operators.groupby.GroupedAggregation._fold",
+    "operators.groupby.GroupedAggregation.assemble_windows",
+    "operators.aggregation.Aggregation.assemble_windows",
+    # Result stage (in-order drain, one batched assembly per task, emit).
     "core.result_stage.ResultStage.submit",
     "core.result_stage.ResultStage._process",
+    "core.result_stage.ResultStage._assemble",
     "core.result_stage.ResultStage._emit",
     # Per-task metrics hooks fire once per task/emit on the hot path.
     "serve.metrics.SessionInstruments._on_task",

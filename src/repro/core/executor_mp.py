@@ -23,10 +23,12 @@ coordination state exactly where the paper puts it:
   identically in parent and child) against the shared buffers and send
   the :class:`~repro.operators.base.BatchResult` back over a
   **completion queue** — window partials cross it as compact columnar
-  numpy payloads (see
-  :class:`~repro.operators.groupby.GroupedWindowAccumulator`), which is
-  what keeps slide-1 grouped windows from drowning in per-window pickle
-  costs; the parent's **result stage** re-orders completions and
+  numpy payloads: a grouped task's boundary windows are
+  :class:`~repro.operators.groupby.GroupedWindowAccumulator` row
+  references into one :class:`~repro.operators.groupby.GroupBlock`,
+  which pickle's memo serialises once per task — what keeps slide-1
+  grouped windows from drowning in per-window pickle costs; the
+  parent's **result stage** re-orders completions and
   frees buffer space strictly in task order, exactly as the other
   backends do — which is why outputs are byte-identical across
   sim/threads/processes — and throughput feedback flows into the HLS

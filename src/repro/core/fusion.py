@@ -216,6 +216,9 @@ class FusedKernel(Operator):
     def finalize_window(self, window_id: int, payload: Any) -> Any:
         return self.terminal.finalize_window(window_id, payload)
 
+    def assemble_windows(self, ready: "list[tuple[int, list[Any]]]") -> Any:
+        return self.terminal.assemble_windows(ready)
+
     def window_ready(self, payload: Any) -> "bool | None":
         return self.terminal.window_ready(payload)
 

@@ -6,9 +6,12 @@ slot count, with more slots than workers so a slot is always consumed
 before its reuse), then processes results *in task-id order*:
 
 1. **assembly** — the window-fragment payloads of boundary windows are
-   merged pairwise with the operator's assembly function; a window is
-   finalised when its closing fragment's task has been processed (or,
-   for multi-input operators, when the merged payload reports ready);
+   kept per window in task order; a window is ready when its closing
+   fragment's task has been processed (or, for multi-input operators,
+   when the merged payload reports ready), and every window a task
+   makes ready is merged and finalised by **one** call of the
+   operator's batched assembly function
+   (:meth:`~repro.operators.base.Operator.assemble_windows`);
 2. **output construction** — finalised window results are appended to the
    query's output stream in window order, followed by the task's locally
    complete results, preserving the total order the stream function
@@ -75,7 +78,9 @@ class ResultStage:
         self._buffer: dict[int, _Slot] = {}
         self._next_task = 0
         self._lock = make_lock("core.result_stage.ResultStage._lock")
-        self._pending: dict[int, Any] = {}  # window id -> merged payload
+        #: window id -> fragment payloads in task order (multi-input
+        #: operators keep the list merged down to one payload).
+        self._pending: dict[int, list[Any]] = {}
         self._closed_flags: set[int] = set()  # windows whose close was seen
         self.emitted: list[EmittedResult] = []
         self.output_rows = 0
@@ -124,40 +129,24 @@ class ResultStage:
         operator = self.query.execution_operator
         ready: list[int] = []
         self._closed_flags.update(result.closed_ids)
-        if operator.requires_merged_ready:
-            # Multi-input operators decide closure from the merged state,
-            # so each task's payload is merged in immediately.
-            for wid in sorted(result.partials):
-                payload = result.partials[wid]
-                if wid in self._pending:
-                    payload = operator.merge_partials(self._pending.pop(wid), payload)
-                self._pending[wid] = payload
-                if operator.window_ready(payload):
+        for wid in sorted(result.partials):
+            payloads = self._pending.setdefault(wid, [])
+            payloads.append(result.partials[wid])
+            if operator.requires_merged_ready:
+                # Multi-input operators decide closure from the merged
+                # state, so each task's payload is merged in immediately.
+                if len(payloads) > 1:
+                    payloads[:] = [operator.merge_partials(*payloads)]
+                if operator.window_ready(payloads[0]):
                     ready.append(wid)
-        else:
-            # Closure comes from closed_ids: defer the merge chain until a
-            # window finalises, so long-lived (small-slide) windows cost
-            # O(1) per task instead of a dictionary merge per task.
-            for wid in sorted(result.partials):
-                self._pending.setdefault(wid, []).append(result.partials[wid])
-                if wid in self._closed_flags:
-                    ready.append(wid)
-        chunks: list[TupleBatch] = []
-        for wid in sorted(ready):
-            payload = self._pending.pop(wid)
-            self._closed_flags.discard(wid)
-            if isinstance(payload, list):
-                merged = payload[0]
-                for part in payload[1:]:
-                    merged = operator.merge_partials(merged, part)
-                payload = merged
-            rows = operator.finalize_window(wid, payload)
-            if rows is not None and len(rows):
-                if self.on_window is not None:
-                    self.on_window(wid, rows)
-                chunks.append(rows)
-        if result.complete is not None and len(result.complete):
-            chunks.append(result.complete)
+            elif wid in self._closed_flags:
+                # Closure comes from closed_ids: the fragments stay a list
+                # until the window finalises, so long-lived (small-slide)
+                # windows cost O(1) per task instead of a merge per task.
+                ready.append(wid)
+        self._closed_flags.difference_update(ready)
+        assembled = self._assemble([(wid, self._pending.pop(wid)) for wid in ready])
+        chunks = [rows for rows in (assembled, result.complete) if rows is not None and len(rows)]
         emitted: list[EmittedResult] = []
         if chunks:
             rows = TupleBatch.concat(chunks) if len(chunks) > 1 else chunks[0]
@@ -165,6 +154,17 @@ class ResultStage:
         if self.on_release is not None:
             self.on_release(task)
         return emitted
+
+    def _assemble(self, ready: "list[tuple[int, list[Any]]]") -> "TupleBatch | None":
+        """Result rows of ``ready`` windows (ascending id), via the batched f_a."""
+        if not ready:
+            return None
+        rows, offsets = self.query.execution_operator.assemble_windows(ready)
+        if self.on_window is not None and rows is not None:
+            for (wid, __), lo, hi in zip(ready, offsets[:-1], offsets[1:]):
+                if hi > lo:
+                    self.on_window(wid, rows.slice(lo, hi))
+        return rows
 
     def _emit(
         self, rows: TupleBatch, task_id: int, emit_time: float, data_time: float
@@ -199,25 +199,12 @@ class ResultStage:
         Streaming semantics never emit incomplete windows; examples over
         finite inputs call this to drain the tail.
         """
-        operator = self.query.execution_operator
-        chunks: list[TupleBatch] = []
         with self._lock:
             pending = sorted(self._pending.items())
             self._pending.clear()
-        for wid, payload in pending:
-            if isinstance(payload, list):
-                merged = payload[0]
-                for part in payload[1:]:
-                    merged = operator.merge_partials(merged, part)
-                payload = merged
-            rows = operator.finalize_window(wid, payload)
-            if rows is not None and len(rows):
-                if self.on_window is not None:
-                    self.on_window(wid, rows)
-                chunks.append(rows)
-        if not chunks:
+        rows = self._assemble(pending)
+        if rows is None:
             return []
-        rows = TupleBatch.concat(chunks) if len(chunks) > 1 else chunks[0]
         return [self._emit(rows, self._next_task, now, now)]
 
     def output(self) -> "TupleBatch | None":

@@ -17,6 +17,7 @@ payloads which the result stage combines across consecutive query tasks
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -177,14 +178,29 @@ class Aggregation(Operator):
         return first.merge(second)
 
     def finalize_window(self, window_id: int, payload: WindowAccumulator) -> "TupleBatch | None":
-        if payload.count == 0:
-            return None
-        row = {TIMESTAMP_ATTRIBUTE: np.array([payload.last_timestamp], dtype=np.int64)}
+        return self.assemble_windows([(window_id, [payload])])[0]
+
+    def assemble_windows(
+        self, ready: "list[tuple[int, list[WindowAccumulator]]]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        """Merge chain per window, then one vectorised finalise and emit."""
+        merged = [reduce(WindowAccumulator.merge, payloads) for __, payloads in ready]
+        offsets = np.concatenate(([0], np.cumsum([w.count != 0 for w in merged], dtype=np.int64)))
+        merged = [w for w in merged if w.count != 0]
+        if not merged:
+            return None, offsets
+        counts = np.array([w.count for w in merged], dtype=np.float64)
+        columns = {
+            TIMESTAMP_ATTRIBUTE: np.array([w.last_timestamp for w in merged], dtype=np.int64)
+        }
+        blank = Accumulator()
         for spec in self.specs:
-            acc = payload.columns.get(spec.column) if spec.column else None
-            if acc is None:
-                acc = Accumulator(count=payload.count)
-            else:
-                acc = Accumulator(acc.total, payload.count, acc.minimum, acc.maximum)
-            row[spec.alias] = np.array([spec.finalize(acc)], dtype=np.float64)
-        return TupleBatch.from_columns(self._output_schema, **row)
+            cells = [w.columns.get(spec.column, blank) for w in merged]
+            columns[spec.alias] = finalize(
+                spec.function,
+                np.array([c.total for c in cells], dtype=np.float64),
+                counts,
+                np.array([c.minimum for c in cells], dtype=np.float64),
+                np.array([c.maximum for c in cells], dtype=np.float64),
+            )
+        return TupleBatch.from_columns(self._output_schema, **columns), offsets

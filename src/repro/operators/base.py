@@ -5,9 +5,13 @@ A query's operator function ``f^q`` is decomposed into
 * a **batch operator function** ``f_b`` (:meth:`Operator.process_batch`)
   that processes all window fragments of a stream batch at once, using
   incremental computation where possible;
-* an **assembly operator function** ``f_a`` (:meth:`Operator.merge_partials`
-  + :meth:`Operator.finalize_window`) that combines the fragment results of
-  windows spanning several query tasks.
+* an **assembly operator function** ``f_a`` that combines the fragment
+  results of windows spanning several query tasks.  Its pairwise form is
+  :meth:`Operator.merge_partials` + :meth:`Operator.finalize_window`; the
+  result stage calls the batched form, :meth:`Operator.assemble_windows`,
+  once per task with every window that became ready.  The default
+  batched form is the pairwise chain; operators whose payloads are
+  columnar override it with one vectorised fold and a single emit.
 
 ``process_batch`` returns a :class:`BatchResult`:
 
@@ -24,6 +28,7 @@ A query's operator function ``f^q`` is decomposed into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -152,6 +157,29 @@ class Operator:
     def finalize_window(self, window_id: int, payload: Any) -> "TupleBatch | None":
         """Turn a fully merged payload into the window's result rows."""
         raise NotImplementedError
+
+    def assemble_windows(
+        self, ready: "list[tuple[int, list[Any]]]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        """Batched f_a: merge and finalise every ready window of a task.
+
+        ``ready`` holds ``(window id, fragment payloads in task order)``
+        in ascending window id.  Returns the windows' result rows
+        concatenated in that order (``None`` when there are none) and
+        ``len(ready) + 1`` row offsets — window ``i`` owns rows
+        ``[offsets[i], offsets[i + 1])``.
+        """
+        chunks: list[TupleBatch] = []
+        offsets = np.zeros(len(ready) + 1, dtype=np.int64)
+        for i, (window_id, payloads) in enumerate(ready):
+            rows = self.finalize_window(window_id, reduce(self.merge_partials, payloads))
+            if rows is not None and len(rows):
+                chunks.append(rows)
+                offsets[i + 1] = len(rows)
+        if not chunks:
+            return None, offsets
+        np.cumsum(offsets, out=offsets)
+        return (TupleBatch.concat(chunks) if len(chunks) > 1 else chunks[0]), offsets
 
     def window_ready(self, payload: Any) -> "bool | None":
         """Whether a merged payload can be finalised.

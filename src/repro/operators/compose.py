@@ -93,6 +93,11 @@ class FilteredWindows(Operator):
     def finalize_window(self, window_id: int, payload: Any) -> "TupleBatch | None":
         return self.inner.finalize_window(window_id, payload)
 
+    def assemble_windows(
+        self, ready: "list[tuple[int, list[Any]]]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        return self.inner.assemble_windows(ready)
+
     def window_ready(self, payload: Any) -> "bool | None":
         return self.inner.window_ready(payload)
 
@@ -153,6 +158,11 @@ class ProjectedWindows(Operator):
 
     def finalize_window(self, window_id: int, payload: Any) -> "TupleBatch | None":
         return self.inner.finalize_window(window_id, payload)
+
+    def assemble_windows(
+        self, ready: "list[tuple[int, list[Any]]]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        return self.inner.assemble_windows(ready)
 
     def window_ready(self, payload: Any) -> "bool | None":
         return self.inner.window_ready(payload)

@@ -1,15 +1,34 @@
 """GROUP-BY aggregation γ with optional HAVING (§5.3).
 
-The batch operator function maintains one group table per window fragment.
-On the CPU this is modelled with vectorised grouping (``np.unique`` +
-scatter-adds — the dense equivalent of the paper's pooled hash tables);
-the GPGPU path uses the open-addressing table in :mod:`repro.gpu.hashtable`.
-Fragment group tables are mergeable *columnar* payloads — sorted key
-rows plus (groups × 4) accumulator blocks — so windows spanning several
-query tasks are assembled exactly like plain aggregates, and the
-processes backend ships them over its completion queue as a handful of
-numpy arrays instead of per-group Python objects (the PR 4
-result-serialisation tax).
+The batch operator function computes the group tables of *all* window
+fragments of a query task in **one segmented pass**: the task's group
+keys are encoded once (``np.unique`` over the task's key rows), every
+distinct fragment range is laid out fragment-major in tuple order, and
+the flat sequence is reduced on ``bin = fragment · G + code`` with
+``np.bincount`` (count / sum) and ``ufunc.at`` (min / max, only for
+columns an aggregate needs) — the dense equivalent of the paper's
+pooled hash tables, without a Python step per window.  ``bincount``
+adds sequentially in input order, so every (fragment, group) cell
+performs exactly the float additions a per-fragment scan from 0.0
+would, in the same order: results are bitwise those of the naive
+per-window algorithm (kept as the test oracle in ``tests/reference.py``).
+A prefix-sum / pane *difference* would not be — it changes rounding.
+
+The memory shape of the pass is decided from the input: fragments are
+processed in blocks of about :data:`_BLOCK_ELEMENTS` flat elements so
+transient arrays stay under a megabyte however large ``range / slide``
+is; fragments sharing a ``(start, stop)`` range (every PENDING window
+of a task) are computed once; a dense ``fragments × groups`` table is
+only allocated when it is no larger than the block it reduces (high
+key cardinalities rank-compact the occupied cells instead); and
+fragments that tile the batch (tumbling windows) skip the gather.
+
+Boundary fragments (OPENING / CLOSING / PENDING) leave the task as
+:class:`GroupedWindowAccumulator` payloads — row references into one
+columnar :class:`GroupBlock` per task — which the assembly operator
+function folds across tasks for all ready windows at once
+(:meth:`GroupedAggregation.assemble_windows`).  The GPGPU path uses the
+open-addressing table in :mod:`repro.gpu.hashtable`.
 
 HAVING re-uses the selection machinery: the predicate is evaluated over
 the emitted (timestamp, groups, aggregates) rows.
@@ -17,7 +36,8 @@ the emitted (timestamp, groups, aggregates) rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,84 +46,126 @@ from ..relational.expressions import Predicate
 from ..relational.schema import Attribute, Schema, TIMESTAMP_ATTRIBUTE
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState
-from .aggregate_functions import AggregateSpec
+from .aggregate_functions import AggregateSpec, finalize
 from .base import BatchResult, CostProfile, Operator, StreamSlice
 
+#: flat (fragment, tuple) elements one pass of the segmented kernel
+#: reduces.  Bounds the transient arrays at ~5 live × 128 KiB, which also
+#: keeps a block inside a core's L2: measured 10–30 % faster than 32 Ki
+#: on slide-1 and tumbling tasks, 5 % slower at range / slide = 2048.
+_BLOCK_ELEMENTS = 1 << 14
 
-def _empty_keys() -> np.ndarray:
-    return np.zeros((0, 0), dtype=np.int64)
+#: partial aggregates kept per (window, group) cell besides the tuple
+#: count, and the aggregate functions that need each.
+_ACCUMULATOR_OF = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}
+_FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 
 
-def _empty_counts() -> np.ndarray:
-    return np.zeros(0, dtype=np.float64)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for every ``(s, n)`` pair."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _encode_keys(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Distinct rows of ``keys`` in lexicographic order, and every row's rank."""
+    if keys.shape[1] == 1:
+        distinct, codes = np.unique(keys[:, 0], return_inverse=True)
+        return distinct[:, None], codes
+    distinct, codes = np.unique(keys, axis=0, return_inverse=True)
+    return distinct, codes.ravel()
+
+
+class _Cells:
+    """The occupied (segment, code) cells of a row set, in (segment, code) order.
+
+    Reductions run over a dense ``segments × codes`` table while that is
+    no larger than the row set; past it the occupied cells are
+    rank-compacted first.  Either way each cell folds its rows
+    sequentially in row order, which is what keeps sums bitwise.
+    """
+
+    def __init__(
+        self, segments: np.ndarray, codes: np.ndarray, n_segments: int, n_codes: int
+    ) -> None:
+        bins = segments * n_codes + codes
+        if n_segments * n_codes <= len(bins):
+            self._index, self._size = bins, n_segments * n_codes
+            rows = np.bincount(bins, minlength=self._size)
+            self._occupied = occupied = np.flatnonzero(rows)
+            self.rows = rows[occupied]
+        else:
+            occupied, self._index = np.unique(bins, return_inverse=True)
+            self._size, self._occupied = len(occupied), slice(None)
+            self.rows = np.bincount(self._index, minlength=self._size)
+        self.segments, self.codes = np.divmod(occupied, n_codes)
+
+    def reduce(self, kind: str, values: np.ndarray) -> np.ndarray:
+        """Per-cell ``sum`` / ``min`` / ``max`` of ``values`` (one per row)."""
+        if kind == "sum":
+            table = np.bincount(self._index, weights=values, minlength=self._size)
+        else:
+            ufunc, identity = _FOLDS[kind]
+            table = np.full(self._size, identity)
+            ufunc.at(table, self._index, values)
+        return table[self._occupied]
+
+
+@dataclass
+class GroupBlock:
+    """Columnar group-table rows: one row per (fragment or window, group).
+
+    ``keys`` is (rows × key columns) int64, ``counts`` the per-row tuple
+    counts and ``partials`` maps ``(kind, column)`` — kind one of
+    ``sum`` / ``min`` / ``max`` — to one float64 partial per row.  A
+    task's boundary fragments share one block (rows fragment-major,
+    keys ascending within a fragment), so the processes backend ships
+    a handful of arrays per task over its completion queue.
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    partials: "dict[tuple[str, str], np.ndarray]"
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def take(self, rows: np.ndarray) -> "GroupBlock":
+        return GroupBlock(
+            self.keys[rows],
+            self.counts[rows],
+            {name: column[rows] for name, column in self.partials.items()},
+        )
+
+    @classmethod
+    def concat(cls, blocks: "list[GroupBlock]") -> "GroupBlock":
+        if len(blocks) == 1:
+            return blocks[0]
+        return cls(
+            np.concatenate([b.keys for b in blocks]),
+            np.concatenate([b.counts for b in blocks]),
+            {
+                name: np.concatenate([b.partials[name] for b in blocks])
+                for name in blocks[0].partials
+            },
+        )
 
 
 @dataclass
 class GroupedWindowAccumulator:
-    """Partial per-group aggregates of one window across fragments.
+    """Partial group table of one window: rows ``[start, stop)`` of a block.
 
-    The payload is **columnar** — plain numpy arrays, exactly the shape
-    :meth:`GroupedAggregation._fragment_table` computes:
-
-    * ``keys`` — (groups × key columns) int64, lexicographically sorted
-      (``np.unique`` order);
-    * ``tables`` — per value column, a (groups × 4) float64 block of
-      ``(sum, count, min, max)`` partial aggregates;
-    * ``counts`` — per-group tuple counts.
-
-    Columnar payloads matter beyond locality: the processes backend
-    ships every partial over the completion queue, and a slide-1 query
-    carries one payload per open window per task.  Arrays pickle in
-    O(bytes); the former ``dict[key, dict[column, Accumulator]]`` shape
-    serialised thousands of tiny Python objects per task — the
-    result-serialisation tax PR 4 documented.  Merging is vectorised
-    and never mutates either operand (payloads are shared across
-    windows whose fragments coincide).
+    Payloads are immutable references — windows whose fragments coincide
+    share one payload object, and all boundary payloads of a task share
+    one :class:`GroupBlock`, which pickle's memo serialises once.  The
+    default instance is the empty table.
     """
 
-    keys: np.ndarray = field(default_factory=_empty_keys)
-    tables: dict[str, np.ndarray] = field(default_factory=dict)
-    counts: np.ndarray = field(default_factory=_empty_counts)
+    block: "GroupBlock | None" = None
+    start: int = 0
+    stop: int = 0
     last_timestamp: int = 0
-
-    def merge(self, other: "GroupedWindowAccumulator") -> "GroupedWindowAccumulator":
-        last = max(self.last_timestamp, other.last_timestamp)
-        if len(self.keys) == 0:
-            return GroupedWindowAccumulator(other.keys, other.tables, other.counts, last)
-        if len(other.keys) == 0:
-            return GroupedWindowAccumulator(self.keys, self.tables, self.counts, last)
-        stacked_keys = np.concatenate([self.keys, other.keys])
-        merged_keys, inverse = np.unique(stacked_keys, axis=0, return_inverse=True)
-        n_groups = len(merged_keys)
-        counts = np.bincount(
-            inverse,
-            weights=np.concatenate([self.counts, other.counts]),
-            minlength=n_groups,
-        )
-        tables: dict[str, np.ndarray] = {}
-        for name in {*self.tables, *other.tables}:
-            mine = self._table(name)
-            theirs = other._table(name)
-            stacked = np.concatenate([mine, theirs])
-            acc = np.empty((n_groups, 4), dtype=np.float64)
-            acc[:, 0] = np.bincount(inverse, weights=stacked[:, 0], minlength=n_groups)
-            acc[:, 1] = np.bincount(inverse, weights=stacked[:, 1], minlength=n_groups)
-            acc[:, 2] = np.full(n_groups, np.inf)
-            np.minimum.at(acc[:, 2], inverse, stacked[:, 2])
-            acc[:, 3] = np.full(n_groups, -np.inf)
-            np.maximum.at(acc[:, 3], inverse, stacked[:, 3])
-            tables[name] = acc
-        return GroupedWindowAccumulator(merged_keys, tables, counts, last)
-
-    def _table(self, name: str) -> np.ndarray:
-        block = self.tables.get(name)
-        if block is None:
-            block = np.empty((len(self.keys), 4), dtype=np.float64)
-            block[:, 0] = 0.0
-            block[:, 1] = 0.0
-            block[:, 2] = np.inf
-            block[:, 3] = -np.inf
-        return block
 
 
 class GroupedAggregation(Operator):
@@ -140,6 +202,14 @@ class GroupedAggregation(Operator):
         self.group_columns = list(group_columns)
         self.specs = list(specs)
         self.having = having
+        #: the (kind, column) partials a cell carries — only what a spec needs.
+        self._partials = sorted(
+            {
+                (_ACCUMULATOR_OF[s.function], s.column)
+                for s in self.specs
+                if s.column is not None and s.function in _ACCUMULATOR_OF
+            }
+        )
         attributes = [Attribute(TIMESTAMP_ATTRIBUTE, "long")]
         attributes += [
             Attribute(
@@ -175,90 +245,90 @@ class GroupedAggregation(Operator):
 
     # -- grouping helpers ----------------------------------------------------
 
-    def _value_columns(self) -> "list[str]":
-        return sorted({s.column for s in self.specs if s.column is not None})
+    def _key_rows(self, batch: TupleBatch) -> np.ndarray:
+        """The batch's (tuples × key columns) int64 group keys."""
+        keys = np.empty((len(batch), len(self.group_columns)), dtype=np.int64)
+        if len(batch):
+            for j, name in enumerate(self.group_columns):
+                if name in self.derived_columns:
+                    keys[:, j] = np.asarray(self.derived_columns[name][0].evaluate(batch))
+                else:
+                    keys[:, j] = batch.column(name)
+        return keys
 
-    def _key_arrays(self, batch: TupleBatch) -> "dict[str, np.ndarray]":
-        """Per-batch group-key columns, evaluating derived keys once."""
-        arrays: dict[str, np.ndarray] = {}
-        for name in self.group_columns:
-            if name in self.derived_columns:
-                expr, __ = self.derived_columns[name]
-                arrays[name] = np.asarray(expr.evaluate(batch)).astype(np.int64)
-            else:
-                arrays[name] = np.asarray(batch.column(name)).astype(np.int64)
-        return arrays
+    def _empty_block(self) -> GroupBlock:
+        return GroupBlock(
+            np.zeros((0, len(self.group_columns)), dtype=np.int64),
+            np.zeros(0, dtype=np.float64),
+            {partial: np.zeros(0, dtype=np.float64) for partial in self._partials},
+        )
 
-    def _fragment_table(
-        self,
-        batch: TupleBatch,
-        start: int,
-        stop: int,
-        key_arrays: "dict[str, np.ndarray] | None" = None,
-    ) -> "tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]":
-        """Per-group accumulators over batch rows ``[start, stop)``.
+    def _fragment_tables(
+        self, batch: TupleBatch, starts: np.ndarray, stops: np.ndarray
+    ) -> "tuple[GroupBlock, np.ndarray]":
+        """Group tables of batch ranges ``[starts[i], stops[i])`` in one pass.
 
-        Returns (group-key rows, per-column stacked accumulator arrays,
-        counts) where keys are a (groups × key columns) int64 array in
-        ``np.unique`` order and each value column maps to a (groups × 4)
-        array of (sum, count, min, max) — the columnar payload shape.
+        Returns the tables as one block — rows fragment-major, keys
+        ascending within a fragment — and the row count per fragment.
         """
-        if key_arrays is None:
-            key_arrays = self._key_arrays(batch)
-        keys = np.empty((stop - start, len(self.group_columns)), dtype=np.int64)
-        for j, name in enumerate(self.group_columns):
-            keys[:, j] = key_arrays[name][start:stop]
-        unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-        n_groups = len(unique_keys)
-        counts = np.bincount(inverse, minlength=n_groups).astype(np.float64)
-        tables: dict[str, np.ndarray] = {}
-        for name in self._value_columns():
-            values = np.asarray(batch.column(name)[start:stop], dtype=np.float64)
-            acc = np.empty((n_groups, 4), dtype=np.float64)
-            acc[:, 0] = np.bincount(inverse, weights=values, minlength=n_groups)
-            acc[:, 1] = counts
-            acc[:, 2] = np.full(n_groups, np.inf)
-            np.minimum.at(acc[:, 2], inverse, values)
-            acc[:, 3] = np.full(n_groups, -np.inf)
-            np.maximum.at(acc[:, 3], inverse, values)
-            tables[name] = acc
-        return unique_keys, tables, counts
+        lengths = np.maximum(stops - starts, 0)
+        offsets = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        if total == 0:
+            return self._empty_block(), np.zeros(len(lengths), dtype=np.int64)
+        distinct, codes = _encode_keys(self._key_rows(batch))
+        values = {
+            column: np.asarray(batch.column(column), dtype=np.float64)
+            for column in {column for __, column in self._partials}
+        }
+        cuts = np.searchsorted(offsets, np.arange(0, total, _BLOCK_ELEMENTS))
+        cuts = np.append(cuts, len(lengths))
+        fragments, group_codes, counts = [], [], []
+        partials = {partial: [] for partial in self._partials}
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo == hi:
+                continue
+            first, last = starts[lo:hi], stops[lo:hi]
+            if np.array_equal(first[1:], last[:-1]):
+                # The fragments tile a batch range: no gather needed.
+                rows = slice(first[0], last[-1])
+            else:
+                rows = _ranges(first, lengths[lo:hi])
+            segments = np.repeat(np.arange(hi - lo), lengths[lo:hi])
+            cells = _Cells(segments, codes[rows], hi - lo, len(distinct))
+            fragments.append(cells.segments + lo)
+            group_codes.append(cells.codes)
+            counts.append(cells.rows)
+            for kind, column in self._partials:
+                partials[kind, column].append(cells.reduce(kind, values[column][rows]))
+        block = GroupBlock(
+            distinct[np.concatenate(group_codes)],
+            np.concatenate(counts).astype(np.float64),
+            {partial: np.concatenate(chunks) for partial, chunks in partials.items()},
+        )
+        return block, np.bincount(np.concatenate(fragments), minlength=len(lengths))
 
     def _emit_rows(
-        self,
-        window_ts: "list[int]",
-        window_groups: "list[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]",
-    ) -> TupleBatch:
-        """Rows for a sequence of windows' final group tables."""
-        ts_out: list[np.ndarray] = []
-        key_out: list[np.ndarray] = []
-        agg_out: dict[str, list[np.ndarray]] = {s.alias: [] for s in self.specs}
-        for ts, (keys, tables, counts) in zip(window_ts, window_groups):
-            n = len(keys)
-            if n == 0:
-                continue
-            order = np.lexsort(np.asarray(keys, dtype=np.int64).T[::-1])
-            ts_out.append(np.full(n, ts, dtype=np.int64))
-            key_out.append(np.asarray(keys, dtype=np.int64)[order])
-            for spec in self.specs:
-                if spec.column is None:
-                    values = counts[order]
-                else:
-                    acc = tables[spec.column][order]
-                    values = _finalize_array(spec.function, acc)
-                agg_out[spec.alias].append(values)
-        if not ts_out:
-            return TupleBatch.empty(self._output_schema)
-        columns = {TIMESTAMP_ATTRIBUTE: np.concatenate(ts_out)}
-        keys = np.concatenate(key_out)
+        self, timestamps: np.ndarray, groups: GroupBlock
+    ) -> "tuple[TupleBatch, np.ndarray | None]":
+        """Output rows of finished group-table rows, and the HAVING mask."""
+        columns = {TIMESTAMP_ATTRIBUTE: timestamps}
         for j, name in enumerate(self.group_columns):
-            columns[name] = keys[:, j]
-        for alias, chunks in agg_out.items():
-            columns[alias] = np.concatenate(chunks)
+            columns[name] = groups.keys[:, j]
+        partial = groups.partials.get
+        for spec in self.specs:
+            columns[spec.alias] = finalize(
+                spec.function,
+                partial(("sum", spec.column)),
+                groups.counts,
+                partial(("min", spec.column)),
+                partial(("max", spec.column)),
+            )
         out = TupleBatch.from_columns(self._output_schema, **columns)
-        if self.having is not None:
-            out = out.filter(self.having.evaluate(out))
-        return out
+        if self.having is None:
+            return out, None
+        keep = self.having.evaluate(out)
+        return out.filter(keep), keep
 
     # -- batch operator function ----------------------------------------------
 
@@ -267,78 +337,119 @@ class GroupedAggregation(Operator):
         batch, windows = slice_.batch, slice_.windows
         if len(windows) == 0:
             return BatchResult(complete=TupleBatch.empty(self._output_schema))
-        ts = batch.timestamps if len(batch) else np.zeros(0, dtype=np.int64)
-        key_arrays = self._key_arrays(batch) if len(batch) else None
-        complete_ts: list[int] = []
-        complete_groups = []
+        # One table per distinct fragment range: the PENDING windows of a
+        # task all span the whole batch, and share one table and payload.
+        span = len(batch) + 1
+        ranges, fragment = np.unique(windows.starts * span + windows.ends, return_inverse=True)
+        starts, stops = np.divmod(ranges, span)
+        tables, groups = self._fragment_tables(batch, starts, stops)
+        first_row = np.cumsum(groups) - groups
+        nonempty = stops > starts
+        last_ts = np.zeros(len(ranges), dtype=np.int64)
+        if nonempty.any():
+            last_ts[nonempty] = np.asarray(batch.timestamps)[stops[nonempty] - 1]
+
+        boundary = windows.states != int(FragmentState.COMPLETE)
+        emitted = fragment[~boundary & nonempty[fragment]]
+        complete, __ = self._emit_rows(
+            np.repeat(last_ts[emitted], groups[emitted]),
+            tables.take(_ranges(first_row[emitted], groups[emitted])),
+        )
+
         partials: dict[int, GroupedWindowAccumulator] = {}
-        closed: list[int] = []
-        total_groups = 0.0
-        # Boundary windows sharing a fragment range share one payload
-        # object (merging never mutates), like the plain aggregation path.
-        shared: dict[tuple[int, int], GroupedWindowAccumulator] = {}
-        for idx in range(len(windows)):
-            start, stop = int(windows.starts[idx]), int(windows.ends[idx])
-            state = int(windows.states[idx])
-            wid = int(windows.window_ids[idx])
-            if stop <= start and state == int(FragmentState.COMPLETE):
-                continue
-            if state != int(FragmentState.COMPLETE):
-                payload = shared.get((start, stop))
-                if payload is not None:
-                    partials[wid] = payload
-                    if state == int(FragmentState.CLOSING):
-                        closed.append(wid)
-                    continue
-            keys, tables, counts = self._fragment_table(
-                batch, start, stop, key_arrays
-            )
-            total_groups += len(keys)
-            last_ts = int(ts[stop - 1]) if stop > start else 0
-            if state == int(FragmentState.COMPLETE):
-                complete_ts.append(last_ts)
-                complete_groups.append((keys, tables, counts))
-            else:
-                # The fragment table already *is* the columnar payload.
-                payload = GroupedWindowAccumulator(
-                    keys=keys, tables=tables, counts=counts, last_timestamp=last_ts
-                )
-                shared[(start, stop)] = payload
-                partials[wid] = payload
-                if state == int(FragmentState.CLOSING):
-                    closed.append(wid)
-        complete = self._emit_rows(complete_ts, complete_groups)
+        shipped = np.unique(fragment[boundary])
+        if len(shipped):
+            # COMPLETE rows are emitted and dropped; the boundary rows
+            # leave as one block that every payload references.
+            block = tables.take(_ranges(first_row[shipped], groups[shipped]))
+            bounds = np.concatenate(([0], np.cumsum(groups[shipped])))
+            payloads = [
+                GroupedWindowAccumulator(block, int(lo), int(hi), int(ts))
+                for lo, hi, ts in zip(bounds[:-1], bounds[1:], last_ts[shipped])
+            ]
+            slots = np.searchsorted(shipped, fragment[boundary])
+            partials = {
+                int(wid): payloads[slot]
+                for wid, slot in zip(windows.window_ids[boundary], slots)
+            }
+        closing = windows.window_ids[windows.states == int(FragmentState.CLOSING)]
         stats = {
             "selectivity": 1.0,
             "fragments": float(len(windows)),
-            "groups": total_groups / max(1, len(windows)),
+            # Tables built, per fragment: a shared payload counts once.
+            "groups": float(groups[emitted].sum() + groups[shipped].sum())
+            / max(1, len(windows)),
             "tuples": float(len(batch)),
         }
-        return BatchResult(complete=complete, partials=partials, closed_ids=closed, stats=stats)
+        return BatchResult(
+            complete=complete,
+            partials=partials,
+            closed_ids=[int(wid) for wid in closing],
+            stats=stats,
+        )
 
     # -- assembly operator function ---------------------------------------------
+
+    def _fold(
+        self, ready: "list[list[GroupedWindowAccumulator]]"
+    ) -> "tuple[GroupBlock, np.ndarray]":
+        """Left-fold each window's payloads (task order) into one table.
+
+        Returns the merged tables as one block — rows window-major, keys
+        ascending within a window — and each row's window position.
+        Every (window, group) cell adds its fragments' partials from 0.0
+        in task order, which is bitwise the pairwise merge chain.
+        """
+        parts = [
+            (position, payload)
+            for position, payloads in enumerate(ready)
+            for payload in payloads
+            if payload.stop > payload.start
+        ]
+        if not parts:
+            return self._empty_block(), np.zeros(0, dtype=np.int64)
+        # Stack the distinct blocks the payloads reference (a window that
+        # spans k tasks touches k), then gather every payload's row range.
+        blocks = {id(payload.block): payload.block for __, payload in parts}
+        base = dict(zip(blocks, accumulate(map(len, blocks.values()), initial=0)))
+        window = np.asarray([position for position, __ in parts])
+        first = np.asarray([base[id(p.block)] + p.start for __, p in parts])
+        length = np.asarray([p.stop - p.start for __, p in parts])
+        rows = GroupBlock.concat(list(blocks.values())).take(_ranges(first, length))
+        distinct, codes = _encode_keys(rows.keys)
+        cells = _Cells(np.repeat(window, length), codes, len(ready), len(distinct))
+        merged = GroupBlock(
+            distinct[cells.codes],
+            cells.reduce("sum", rows.counts),
+            {
+                (kind, column): cells.reduce(kind, values)
+                for (kind, column), values in rows.partials.items()
+            },
+        )
+        return merged, cells.segments
+
+    def assemble_windows(
+        self, ready: "list[tuple[int, list[GroupedWindowAccumulator]]]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        merged, window = self._fold([payloads for __, payloads in ready])
+        last_ts = np.asarray(
+            [max(p.last_timestamp for p in payloads) for __, payloads in ready],
+            dtype=np.int64,
+        )
+        rows, keep = self._emit_rows(last_ts[window], merged)
+        if keep is not None:
+            window = window[keep]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(window, minlength=len(ready)))))
+        return (rows if len(rows) else None), offsets
 
     def merge_partials(
         self, first: GroupedWindowAccumulator, second: GroupedWindowAccumulator
     ) -> GroupedWindowAccumulator:
-        return first.merge(second)
+        merged, __ = self._fold([[first, second]])
+        last = max(first.last_timestamp, second.last_timestamp)
+        return GroupedWindowAccumulator(merged, 0, len(merged), last)
 
     def finalize_window(
         self, window_id: int, payload: GroupedWindowAccumulator
     ) -> "TupleBatch | None":
-        if len(payload.keys) == 0:
-            return None
-        tables = {name: payload._table(name) for name in self._value_columns()}
-        return self._emit_rows(
-            [payload.last_timestamp], [(payload.keys, tables, payload.counts)]
-        ) or None
-
-
-def _finalize_array(function: str, acc: np.ndarray) -> np.ndarray:
-    """Vectorised finalisation over a (groups × 4) accumulator block."""
-    from .aggregate_functions import finalize
-
-    return np.asarray(
-        finalize(function, acc[:, 0], acc[:, 1], acc[:, 2], acc[:, 3]),
-        dtype=np.float64,
-    )
+        return self.assemble_windows([(window_id, [payload])])[0]

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.operators.aggregate_functions import finalize
 from repro.relational.tuples import TupleBatch
+from repro.windows.assigner import FragmentState
 from repro.windows.definition import WindowDefinition
 
 
@@ -126,6 +128,125 @@ def grouped_aggregate(
                 raise ValueError(function)
             out.append((last_ts, tuple(uniq[g]), value))
     return out
+
+
+# -- the retired per-window GROUP-BY, kept as the bitwise oracle ----------------
+#
+# One ``np.unique(axis=0)`` + scatter per window fragment, pairwise merges
+# that re-run ``np.unique`` on the stacked keys, one emit per window: the
+# algorithm ``GroupedAggregation`` ran before its segmented per-task pass.
+# The new kernel and batched assembly must equal it byte for byte.
+
+_FOLD = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
+
+
+def _scatter(kind: str, inverse: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
+    if kind in _FOLD:
+        ufunc, identity = _FOLD[kind]
+        out = np.full(groups, identity)
+        ufunc.at(out, inverse, values)
+        return out
+    return np.bincount(inverse, weights=values, minlength=groups)
+
+
+def _group_table(keys: np.ndarray, columns: "dict[tuple, np.ndarray]") -> tuple:
+    """(sorted distinct key rows, {(kind, column): one partial per group})."""
+    if len(keys) == 0:
+        return keys, {}
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    table = {
+        (kind, name): _scatter(kind, inverse, values, len(distinct))
+        for (kind, name), values in columns.items()
+    }
+    return distinct, table
+
+
+def _window_rows(op, ts: int, table: tuple) -> "TupleBatch | None":
+    keys, acc = table
+    if len(keys) == 0:
+        return None
+    columns = {"timestamp": np.full(len(keys), ts, dtype=np.int64)}
+    columns.update({name: keys[:, j] for j, name in enumerate(op.group_columns)})
+    for spec in op.specs:
+        columns[spec.alias] = finalize(
+            spec.function,
+            acc.get(("sum", spec.column)),
+            acc["sum", None],
+            acc.get(("min", spec.column)),
+            acc.get(("max", spec.column)),
+        )
+    out = TupleBatch.from_columns(op.output_schema, **columns)
+    if op.having is not None:
+        out = out.filter(op.having.evaluate(out))
+    return out if len(out) else None
+
+
+def grouped_by_window(op, tasks: "list[tuple]") -> "tuple[list[bytes], list[tuple[int, bytes]]]":
+    """Run ``[(batch, window set), ...]`` through the per-window algorithm.
+
+    Returns the emitted chunks (one per task with output: finalised
+    windows in id order, then the task's COMPLETE windows; a last chunk
+    for the flush) and the ``(window id, rows)`` of every finalised
+    window, all as raw bytes.
+    """
+    value_columns = sorted({s.column for s in op.specs if s.column is not None})
+    pending: dict = {}
+    chunks, finalised = [], []
+
+    def close(wid: int, out: list) -> None:
+        table, ts = pending.pop(wid)
+        rows = _window_rows(op, ts, table)
+        if rows is not None:
+            finalised.append((wid, rows.data.tobytes()))
+            out.append(rows)
+
+    for batch, windows in tasks:
+        keys = np.empty((len(batch), len(op.group_columns)), dtype=np.int64)
+        for j, name in enumerate(op.group_columns):
+            derived = op.derived_columns.get(name)
+            source = derived[0].evaluate(batch) if derived else batch.column(name)
+            keys[:, j] = np.asarray(source).astype(np.int64)
+        values = {(k, c): np.asarray(batch.column(c), np.float64)
+                  for c in value_columns for k in ("sum", "min", "max")}
+        values["sum", None] = np.ones(len(batch))
+        closing, complete = [], []
+        for wid, start, stop, state in zip(
+            windows.window_ids.tolist(), windows.starts.tolist(),
+            windows.ends.tolist(), windows.states.tolist(),
+        ):
+            table = _group_table(
+                keys[start:stop], {k: v[start:stop] for k, v in values.items()}
+            )
+            ts = int(batch.timestamps[stop - 1]) if stop > start else 0
+            if state == FragmentState.COMPLETE:
+                complete.append(_window_rows(op, ts, table))
+                continue
+            if wid in pending:
+                (old_keys, old), old_ts = pending[wid]
+                ts = max(ts, old_ts)
+                if len(table[0]) == 0:
+                    table = (old_keys, old)
+                elif len(old_keys):
+                    table = _group_table(
+                        np.concatenate([old_keys, table[0]]),
+                        {k: np.concatenate([old[k], table[1][k]]) for k in old},
+                    )
+            pending[wid] = (table, ts)
+            if state == FragmentState.CLOSING:
+                closing.append(wid)
+        out: list = []
+        for wid in closing:
+            close(wid, out)
+        out += [rows for rows in complete if rows is not None]
+        if out:
+            chunks.append(TupleBatch.concat(out).data.tobytes())
+    out = []
+    for wid in sorted(pending):
+        close(wid, out)
+    if out:
+        chunks.append(TupleBatch.concat(out).data.tobytes())
+    return chunks, finalised
 
 
 def window_join(

@@ -142,3 +142,136 @@ class TestOutputAccounting:
             stage.submit(task, result, 0.0)
         assert stage.output() is None
         assert stage.output_rows > 0
+
+
+# -- the batched assembly hook: what the stage promises around it -----------------
+
+GROUP_SCHEMA = Schema.with_timestamp("v:float, k:int")
+
+
+def group_batch(start, stop):
+    idx = np.arange(start, stop)
+    return TupleBatch.from_columns(
+        GROUP_SCHEMA,
+        timestamp=idx.astype(np.int64),
+        v=((idx * 7) % 11).astype(np.float32),
+        k=(idx % 3).astype(np.int32),
+    )
+
+
+def contract_operators():
+    from repro.operators.distinct import DistinctProjection
+    from repro.operators.groupby import GroupedAggregation
+    from repro.relational.expressions import col
+
+    return {
+        # overrides assemble_windows (vectorised fold, single emit)
+        "groupby": GroupedAggregation(GROUP_SCHEMA, ["k"], [AggregateSpec("sum", "v", "s")]),
+        "groupby-having": GroupedAggregation(
+            GROUP_SCHEMA, ["k"], [AggregateSpec("sum", "v", "s")], having=col("s") > 20.0
+        ),
+        # overrides it (merge chain + one vectorised finalise)
+        "aggregation": Aggregation(GROUP_SCHEMA, [AggregateSpec("avg", "v", "a")]),
+        # base-class default: merge_partials chain + finalize_window loop
+        "distinct": DistinctProjection(GROUP_SCHEMA, [("k", col("k"))]),
+    }
+
+
+def drive(op, window, edges, force_assembly=False, collect_output=True, flush=True):
+    from repro.windows.assigner import assign_windows
+
+    query = Query("contract", op, [window])
+    stage = ResultStage(query, collect_output=collect_output)
+    windows, chunks = [], []
+    stage.on_window = lambda wid, rows: windows.append((wid, rows.data.tobytes()))
+    stage.on_emit = lambda record: chunks.append((record.task_id, record.rows))
+    results = []
+    for task_id, (a, b) in enumerate(zip(edges, edges[1:])):
+        ws = assign_windows(window, a, b, force_assembly=force_assembly)
+        result = op.process_batch([StreamSlice(group_batch(a, b), ws, a)])
+        results.append(result)
+        stage.submit(QueryTask(query, task_id, [], 0.0, b - a), result, 0.0)
+    if flush:
+        stage.flush(0.0)
+    return stage, windows, chunks, results
+
+
+def pairwise_windows(op, results):
+    """Every window's rows via the one-window-at-a-time f_a, as the old stage ran it."""
+    pending, out = {}, []
+    for result in results:
+        for wid, payload in sorted(result.partials.items()):
+            pending.setdefault(wid, []).append(payload)
+    for wid in sorted(pending):
+        merged = pending[wid][0]
+        for part in pending[wid][1:]:
+            merged = op.merge_partials(merged, part)
+        rows = op.finalize_window(wid, merged)
+        if rows is not None and len(rows):
+            out.append((wid, rows.data.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("name", ["groupby", "groupby-having", "aggregation", "distinct"])
+class TestBatchedAssemblyContract:
+    WINDOW = WindowDefinition.rows(10, 3)
+    EDGES = [0, 7, 9, 25, 31, 40]
+
+    def test_on_window_once_per_window_ascending_same_rows(self, name):
+        op = contract_operators()[name]
+        stage, windows, __, results = drive(op, self.WINDOW, self.EDGES)
+        ids = [wid for wid, __ in windows]
+        assert ids == sorted(set(ids))  # strictly increasing: once each
+        assert len(ids) >= 5
+        # Closed by submit, tail by flush — the same rows the pairwise
+        # assembly function yields window by window.
+        assert windows == pairwise_windows(op, results)
+
+    def test_force_assembly_surfaces_every_window(self, name):
+        op = contract_operators()[name]
+        __, windows, chunks, results = drive(
+            op, self.WINDOW, self.EDGES, force_assembly=True, flush=False
+        )
+        assert all(len(result.complete) == 0 for result in results)
+        emitted = b"".join(rows.data.tobytes() for __, rows in chunks)
+        assert emitted == b"".join(rows for __, rows in windows)
+
+    def test_one_chunk_per_task_windows_first_then_complete_rows(self, name):
+        op = contract_operators()[name]
+        __, windows, chunks, results = drive(op, self.WINDOW, self.EDGES, flush=False)
+        assert [task_id for task_id, __ in chunks] == sorted({t for t, __ in chunks})
+        by_wid = dict(windows)
+        for task_id, rows in chunks:
+            result = results[task_id]
+            closed = b"".join(by_wid.get(wid, b"") for wid in sorted(result.closed_ids))
+            assert rows.data.tobytes() == closed + result.complete.data.tobytes()
+
+    def test_without_collection_the_stage_retains_nothing(self, name):
+        op = contract_operators()[name]
+        edges = list(range(0, 2000, 25))
+        stage, windows, chunks, __ = drive(
+            op, self.WINDOW, edges, collect_output=False, flush=False
+        )
+        assert stage.emitted == [] and stage.output() is None
+        assert stage.output_rows == sum(len(rows) for __, rows in chunks) > 0
+        # Only windows still open at the last task are pending: O(range / slide).
+        assert len(stage._pending) <= 4 and not stage._closed_flags
+
+
+def test_a_window_pending_across_many_tasks_retains_boundary_rows_only():
+    """k tasks of a long window leave k small group tables, not k task blocks."""
+    import pickle
+
+    op = contract_operators()["groupby"]
+    window = WindowDefinition.rows(4000, 4000)
+    task_tuples, tasks = 100, 30
+    stage, __, chunks, results = drive(
+        op, window, list(range(0, task_tuples * tasks + 1, task_tuples)), flush=False
+    )
+    assert chunks == [] and list(stage._pending) == [0]
+    payloads = stage._pending[0]
+    assert len(payloads) == tasks
+    # One 3-group table per task (~100 B of columns), nothing per tuple.
+    assert all(len(p.block) == 3 for p in payloads)
+    retained = len(pickle.dumps(stage._pending))
+    assert retained < tasks * 400 < tasks * group_batch(0, task_tuples).size_bytes

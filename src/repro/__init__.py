@@ -26,8 +26,8 @@ builder + long-lived ``SaberSession``)::
 
 The same query in the CQL dialect goes through ``session.sql(...)``
 after ``session.register_stream("S", source)``.  The pre-existing entry
-points (hand-built ``Query``, ``parse_cql``, direct ``SaberEngine``
-wiring) remain as deprecated shims — see ``docs/api.md``.
+points (hand-built ``Query``, direct ``SaberEngine`` wiring) remain as
+deprecated shims — see ``docs/api.md``.
 """
 
 from .errors import SaberError
@@ -62,7 +62,6 @@ from .core import (
     SaberEngine,
     StreamFunction,
     compile_statement,
-    parse_cql,
 )
 from .hardware import DEFAULT_SPEC, CpuModel, GpuModel, HardwareSpec
 from .api import QueryHandle, SaberSession, Stream, agg
@@ -116,7 +115,6 @@ __all__ = [
     "Report",
     "CPU",
     "GPU",
-    "parse_cql",
     "compile_statement",
     "Stream",
     "agg",

@@ -185,6 +185,9 @@ LOCK_ORDER: tuple[str, ...] = (
     "sim.measurements.Measurements._lock",
     "serve.metrics.MetricsRegistry._lock",
     "serve.metrics._Instrument._lock",
+    # Leaf: taken once per accelerator task and by metrics snapshots,
+    # never while acquiring anything else.
+    "gpu.accelerator.AcceleratorStats._lock",
 )
 
 DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
@@ -264,7 +267,12 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
 )
 
 HOT_FUNCTIONS: tuple[str, ...] = (
-    # Executor task loops (threads + processes backends).
+    # The per-task lifecycle every executor runs through.
+    "core.engine.SaberEngine.execute",
+    "core.engine.SaberEngine.complete",
+    # Executor task loops (sim dispatch/claim step, threads, processes).
+    "core.executor_sim.SimExecutor._dispatch_next",
+    "core.executor_sim.SimExecutor._worker_try",
     "core.executor.ThreadedExecutor._dispatch_loop",
     "core.executor.ThreadedExecutor._worker_loop",
     "core.executor.ThreadedExecutor._claim",
@@ -272,6 +280,9 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "core.executor_mp.ProcessExecutor._feed",
     "core.executor_mp.ProcessExecutor._handle_completion",
     "core.executor_mp.ProcessExecutor._worker_main",
+    # The GPGPU slot's kernel dispatch and the accelerator around it.
+    "gpu.kernels.gpu_kernel",
+    "gpu.accelerator.AcceleratorDevice.execute",
     # Single-writer dispatch and the circular buffers it feeds.
     "core.dispatcher.Dispatcher.create_task",
     "core.dispatcher.Dispatcher._pull_staged",
@@ -310,6 +321,7 @@ DEFAULT_CONFIG = AnalysisConfig(
         "api.session",
         "io.push",
         "sim.measurements",
+        "gpu.accelerator",
     ),
     lock_order=LOCK_ORDER,
     declared_edges=DECLARED_EDGES,
@@ -317,7 +329,7 @@ DEFAULT_CONFIG = AnalysisConfig(
     single_writer_buffer_modules=("relational.buffer",),
     single_writer_dispatch_modules=(
         "core.dispatcher",
-        "core.engine",
+        "core.executor_sim",
         "core.executor",
         "core.executor_mp",
     ),

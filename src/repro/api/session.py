@@ -153,7 +153,7 @@ class QueryHandle:
         windows routed through the assembly path surface here — set
         ``query.force_assembly`` before submitting to see every window
         (the cluster shard contract).  One sink per query."""
-        self._session._engine_run(self.query).result_stage.on_window = sink
+        self._session.engine.run_for(self.query).result_stage.on_window = sink
         return self
 
     @property
@@ -161,7 +161,7 @@ class QueryHandle:
         """Whether this query's finite stream is fully processed: the
         sources ended, every task completed, and the tail windows were
         flushed.  Always ``False`` for unbounded streams."""
-        return self._session._engine_run(self.query).eos_flushed
+        return self._session.engine.run_for(self.query).eos_flushed
 
     def _close_sinks(self) -> None:
         for connector in self._sink_connectors:
@@ -193,18 +193,18 @@ class QueryHandle:
 
     def output(self) -> "TupleBatch | None":
         """The concatenated output stream (requires ``collect_output``)."""
-        run = self._session._engine_run(self.query)
+        run = self._session.engine.run_for(self.query)
         return run.result_stage.output()
 
     @property
     def output_rows(self) -> int:
         """Total output rows the query has emitted so far."""
-        return self._session._engine_run(self.query).result_stage.output_rows
+        return self._session.engine.run_for(self.query).result_stage.output_rows
 
     @property
     def tasks_completed(self) -> int:
         """Tasks the engine has completed for this query."""
-        return self._session._engine_run(self.query).tasks_completed
+        return self._session.engine.run_for(self.query).tasks_completed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryHandle({self.name!r}, pending_chunks={len(self._chunks)})"
@@ -659,10 +659,3 @@ class SaberSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- engine plumbing -------------------------------------------------------
-
-    def _engine_run(self, query: Query):
-        for run in self.engine.runs:
-            if run.query is query:
-                return run
-        raise SessionError(f"query {query.name!r} is not registered")  # pragma: no cover

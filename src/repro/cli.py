@@ -36,7 +36,7 @@ import sys
 
 from .api import SaberSession
 from .core.engine import SaberConfig
-from .hardware.slots import device_slots
+from .hardware.slots import EXECUTION_MODES, device_slots
 from .hardware.specs import DEFAULT_SPEC
 from .io import FileReplaySource, FileSink, write_batch
 from .workloads import cluster, linearroad, smartgrid
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--execution",
-        choices=["sim", "threads", "processes", "accelerator", "hybrid"],
+        choices=list(EXECUTION_MODES),
         default="sim",
         help="execution backend: virtual-time simulation, real threads, "
              "forked worker processes (shared memory, POSIX only), the "
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--no-gpu", action="store_true", help="disable the GPGPU")
     replay.add_argument(
         "--execution",
-        choices=["sim", "threads", "processes", "accelerator", "hybrid"],
+        choices=list(EXECUTION_MODES),
         default="threads",
         help="execution backend (threads by default: replay is real I/O)",
     )
@@ -301,13 +301,18 @@ def _command_hardware() -> int:
     return 0
 
 
+def _clock(execution: str) -> str:
+    """Which clock a run's reported times are on."""
+    return "virtual" if EXECUTION_MODES[execution].substrate == "sim" else "wall-clock"
+
+
 def _command_run(args: argparse.Namespace) -> int:
     if bool(args.query) == bool(args.cql):
         print("error: pass either a query name or --cql", file=sys.stderr)
         return 2
     execution = args.execution
     if args.accelerator:
-        if execution in ("processes",):
+        if EXECUTION_MODES[execution].substrate == "process":
             print(
                 "error: --accelerator runs on the thread substrate; "
                 "drop --execution processes",
@@ -317,7 +322,7 @@ def _command_run(args: argparse.Namespace) -> int:
         if args.no_gpu:
             print("error: --accelerator conflicts with --no-gpu", file=sys.stderr)
             return 2
-        if execution in ("sim", "threads"):
+        if EXECUTION_MODES[execution].gpu_kind != "accelerator":
             execution = "hybrid"
     config = SaberConfig(
         task_size_bytes=args.task_size,
@@ -338,14 +343,12 @@ def _command_run(args: argparse.Namespace) -> int:
             )
             handle = session.submit(query, sources=sources)
         query = handle.query
-        if execution in ("accelerator", "hybrid"):
-            slots = ", ".join(
-                f"{s.processor}:{s.kind}x{s.workers}"
-                for s in device_slots(config)
-            )
-            print(f"devices    : {slots}")
+        slots = device_slots(config)
+        if any(s.kind == "accelerator" for s in slots):
+            banner = ", ".join(f"{s.processor}:{s.kind}x{s.workers}" for s in slots)
+            print(f"devices    : {banner}")
         report = session.run(tasks_per_query=args.tasks)
-    clock = "virtual" if execution == "sim" else "wall-clock"
+    clock = _clock(execution)
     print(f"query      : {query.name}")
     print(f"throughput : {report.throughput_bytes / 1e6:.1f} MB/s ({clock})")
     print(f"latency    : {report.latency_mean * 1e3:.2f} ms mean")
@@ -406,7 +409,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         # A replayed file is finite: run until end-of-stream completes
         # the query (EOS cuts dispatch short well before this budget).
         report = session.run(tasks_per_query=1 << 30)
-    clock = "virtual" if args.execution == "sim" else "wall-clock"
+    clock = _clock(args.execution)
     print(f"query      : {query.name}")
     print(f"replayed   : {args.input}")
     print(f"complete   : {handle.done}")

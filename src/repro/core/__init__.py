@@ -17,7 +17,7 @@ from .scheduler import (
 from .result_stage import EmittedResult, ResultStage
 from .engine import Report, SaberConfig, SaberEngine
 from .fusion import FusedKernel, fuse_operator, fusion_eligible
-from .cql import compile_statement, parse_cql
+from .cql import compile_statement
 
 __all__ = [
     "Query",
@@ -45,5 +45,4 @@ __all__ = [
     "fuse_operator",
     "fusion_eligible",
     "compile_statement",
-    "parse_cql",
 ]

@@ -29,7 +29,6 @@ with the configured right prefix.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 
 from ..errors import CQLSyntaxError, QueryError
@@ -364,22 +363,3 @@ def compile_statement(
         # statement, not the plan object, is what the caller wrote.
         raise CQLSyntaxError(str(exc)) from exc
 
-
-def parse_cql(
-    text: str,
-    schemas: "dict[str, Schema]",
-    name: str = "query",
-) -> Query:
-    """Deprecated shim: parse a CQL string into a runnable :class:`Query`.
-
-    Prefer :meth:`repro.api.SaberSession.sql`, which registers schemas
-    once per session and binds sources automatically (or
-    :func:`compile_statement` for the raw compile).
-    """
-    warnings.warn(
-        "parse_cql() is deprecated: use SaberSession.sql() from repro.api "
-        "(or repro.core.cql.compile_statement)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return compile_statement(text, schemas, name=name)

@@ -1,68 +1,38 @@
 """The SABER engine (§4): dispatch → schedule → execute → result stages.
 
-The engine offers five execution backends behind one API
-(``SaberConfig(execution=...)``):
+:class:`SaberEngine` owns what is independent of *how* tasks run —
+configuration, the registered queries (:class:`QueryRun`: dispatcher +
+result stage), the scheduler, the measurements and the report — plus the
+two per-task entry points every executor calls,
+:meth:`SaberEngine.execute` and :meth:`SaberEngine.complete`.  *When*
+tasks run, on which workers and by which clock, is the executor's
+business: :mod:`repro.hardware.slots` resolves ``SaberConfig.execution``
+into a substrate — virtual time (:mod:`repro.core.executor_sim`), worker
+threads (:mod:`repro.core.executor`) or forked worker processes
+(:mod:`repro.core.executor_mp`) — and a device-slot table.
 
-* ``"sim"`` (default) — a deterministic discrete-event simulation.
-  Operators execute *real data* (numpy) so outputs are exact; execution
-  *time* comes from the calibrated hardware models, which is what makes
-  laptop-scale runs reproduce the paper's performance shapes (see
-  DESIGN.md);
-* ``"threads"`` — real ``threading.Thread`` workers pulling tasks from
-  the shared queue under the same scheduling discipline, timed by the
-  wall clock (:mod:`repro.core.executor`);
-* ``"processes"`` — forked worker processes executing operators in
-  parallel (no GIL) against shared-memory circular buffers, fed and
-  collected by the parent (:mod:`repro.core.executor_mp`);
-* ``"accelerator"`` — the executable accelerator alone
-  (:mod:`repro.gpu.accelerator`): one GPGPU worker thread runs every
-  task as whole-batch kernels behind an explicit host↔device transfer
-  stage;
-* ``"hybrid"`` — the paper's heterogeneous deployment for real: CPU
-  worker threads *and* the accelerator live simultaneously, with the
-  HLS scheduler picking the device per task from the observed
-  throughput matrix.
-
-Outputs are identical across all backends: the result stage emits in
-task-id order either way.
-
-Entities:
-
-* a sequential **dispatcher** (one worker inserts data and cuts tasks,
-  §4.1) paced by the dispatch bandwidth and, optionally, a network
-  ingest bound;
-* a bounded **system-wide task queue** providing backpressure;
-* **CPU workers** — each binds a core, executes the batch operator
-  function and then performs the result stage itself (§4's worker
-  lifecycle);
-* one **GPGPU worker** that feeds the five-stage movement pipeline
-  (§5.2) after computing window boundaries on the host.
-
-A run processes a fixed number of tasks per query and reports virtual
-throughput/latency plus per-processor contribution splits.
+Outputs are identical across all five ``execution`` values: the result
+stage emits in task-id order whatever completes first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import BackpressureError, IngestInterrupted, SaberError, SimulationError
+from ..errors import SaberError, SimulationError
 from ..gpu.accelerator import AcceleratorDevice
-from ..gpu.kernels import execute_on_gpu
-from ..io.base import BackpressurePolicy
-from ..gpu.pipeline import MovementPipeline
-from ..hardware.cpu import CpuModel
-from ..hardware.gpu import GpuModel
-from ..hardware.slots import DeviceSlot, device_slots
+from ..gpu.kernels import gpu_kernel
+from ..hardware.slots import EXECUTION_MODES, DeviceSlot, device_slots
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
+from ..io.base import BackpressurePolicy
 from ..operators.base import BatchResult, StreamSlice
 from ..relational.tuples import TupleBatch
-from ..sim.loop import EventLoop
 from ..sim.measurements import Measurements, TaskRecord
 from ..windows.assigner import WindowSet, assign_windows
 from .dispatcher import Dispatcher, Source
 from .executor import ThreadedExecutor
 from .executor_mp import ProcessExecutor, fork_available
+from .executor_sim import SimExecutor
 from .fusion import fuse_operator
 from .query import Query
 from .result_stage import ResultStage
@@ -77,6 +47,9 @@ from .scheduler import (
 )
 from .task import QueryTask
 
+#: substrate (:class:`~repro.hardware.slots.ExecutionMode`) -> executor.
+_EXECUTORS = {"sim": SimExecutor, "thread": ThreadedExecutor, "process": ProcessExecutor}
+
 
 @dataclass
 class SaberConfig:
@@ -90,7 +63,6 @@ class SaberConfig:
     scheduler: str = "hls"  # "hls" | "fcfs" | "static"
     static_assignment: "dict[str, str] | None" = None
     switch_threshold: int = 1000
-    matrix_initial: float = 1000.0
     #: the paper refreshes the throughput matrix every 100 ms (Fig. 16);
     #: simulated runs cover far less virtual time, so the default is
     #: proportionally tighter.  Benchmarks that reproduce Fig. 16 pass
@@ -100,15 +72,16 @@ class SaberConfig:
     pipelined: bool = True
     execute_data: bool = True
     collect_output: bool = True
-    #: execution backend: ``"sim"`` (virtual-time discrete-event loop),
+    #: how tasks run: ``"sim"`` (virtual-time discrete-event loop),
     #: ``"threads"`` (real worker threads, wall-clock timing),
     #: ``"processes"`` (forked worker processes over shared-memory
     #: buffers — GIL-free operator parallelism; POSIX only),
     #: ``"accelerator"`` (the executable batch-kernel accelerator alone,
     #: on the GPGPU worker slot) or ``"hybrid"`` (CPU worker threads +
     #: the accelerator simultaneously, HLS picking the device per task).
-    #: Outputs are identical across backends; only the timing source and
-    #: the parallelism substrate differ.
+    #: :data:`repro.hardware.slots.EXECUTION_MODES` is the table behind
+    #: these names.  Outputs are identical across all of them; only the
+    #: timing source and the parallelism substrate differ.
     execution: str = "sim"
     #: artificial per-task slowdown of the accelerator device, in
     #: seconds.  Zero (default) for production; the HLS skew tests and
@@ -137,30 +110,14 @@ class SaberConfig:
     spec: HardwareSpec = DEFAULT_SPEC
 
     def __post_init__(self) -> None:
-        if self.execution == "accelerator":
-            # Accelerator-only: the device occupies the GPGPU worker slot
-            # and no CPU workers come up (scheduling degenerates to FCFS
-            # on the single slot, exactly like use_cpu=False sim runs).
-            self.use_cpu = False
-            self.use_gpu = True
-        if self.execution == "hybrid" and not (self.use_cpu and self.use_gpu):
-            raise SimulationError(
-                "execution='hybrid' needs both device slots live "
-                "(use_cpu and use_gpu)"
-            )
-        if not (self.use_cpu or self.use_gpu):
-            raise SimulationError("enable at least one processor type")
-        if self.use_cpu and self.cpu_workers <= 0:
-            raise SimulationError("cpu_workers must be positive when use_cpu")
-        if self.execution not in ("sim", "threads", "processes", "accelerator", "hybrid"):
-            raise SimulationError(
-                f"unknown execution backend {self.execution!r} "
-                "(expected 'sim', 'threads', 'processes', 'accelerator' "
-                "or 'hybrid')"
-            )
+        # The slot table validates execution/use_cpu/use_gpu/cpu_workers;
+        # the flags are then normalised to the slots that come up (the
+        # accelerator-only mode never runs CPU workers).
+        processors = {slot.processor for slot in device_slots(self)}
+        self.use_cpu, self.use_gpu = CPU in processors, GPU in processors
         if self.accelerator_throttle_seconds < 0:
             raise SimulationError("accelerator_throttle_seconds must be non-negative")
-        if self.execution == "processes" and not fork_available():
+        if EXECUTION_MODES[self.execution].substrate == "process" and not fork_available():
             raise SimulationError(
                 "execution='processes' requires the fork start method "
                 "(POSIX); use execution='threads' on this platform"
@@ -184,10 +141,14 @@ class QueryRun:
     dispatcher: Dispatcher
     result_stage: ResultStage
     tasks_dispatched: int = 0
-    tasks_completed: int = 0
     #: the query's sources ended, every task completed and the tail
     #: windows were flushed — the finite stream is fully processed.
     eos_flushed: bool = False
+
+    @property
+    def tasks_completed(self) -> int:
+        """Tasks that went through :meth:`SaberEngine.complete`."""
+        return self.result_stage.tasks_submitted
 
     @property
     def finished(self) -> bool:
@@ -199,8 +160,8 @@ class QueryRun:
 class Report:
     """Outcome of one engine run.
 
-    Times are virtual (calibrated models) for the sim backend and
-    wall-clock seconds for the threads and processes backends.
+    Times are virtual (calibrated models) under ``execution="sim"`` and
+    wall-clock seconds under every other ``execution`` value.
     """
 
     measurements: Measurements
@@ -228,50 +189,30 @@ class Report:
         return self.measurements.query_throughput_bytes(name)
 
 
-class _Worker:
-    __slots__ = ("index", "processor", "busy")
-
-    def __init__(self, index: int, processor: str) -> None:
-        self.index = index
-        self.processor = processor
-        self.busy = False
-
-
 class SaberEngine:
     """Hybrid CPU/GPGPU stream processing engine."""
 
     def __init__(self, config: "SaberConfig | None" = None) -> None:
         self.config = config or SaberConfig()
-        self.spec = self.config.spec
-        self.cpu_model = CpuModel(self.spec)
-        self.gpu_model = GpuModel(self.spec)
-        self.loop = EventLoop()
         self.measurements = Measurements()
-        self.queue: list[QueryTask] = []
         self.runs: list[QueryRun] = []
-        self.workers: list[_Worker] = []
-        if self.config.use_cpu:
-            for i in range(self.config.cpu_workers):
-                self.workers.append(_Worker(i, CPU))
-        if self.config.use_gpu:
-            self.workers.append(_Worker(len(self.workers), GPU))
-        self.pipeline = MovementPipeline(pipelined=self.config.pipelined)
+        self._runs_by_query: "dict[int, QueryRun]" = {}
+        slots = self.device_slots()
         #: the executable accelerator occupying the GPGPU worker slot
-        #: under the "accelerator"/"hybrid" backends; None elsewhere (the
-        #: slot then runs the simulated-kernel semantics).
+        #: under ``execution="accelerator"``/``"hybrid"``; None elsewhere
+        #: (the slot then runs the bare GPGPU kernels).
         self.accelerator = (
             AcceleratorDevice(
                 throttle_seconds=self.config.accelerator_throttle_seconds
             )
-            if self.config.execution in ("accelerator", "hybrid")
+            if any(slot.kind == "accelerator" for slot in slots)
             else None
         )
+        #: what a task claimed by the GPGPU slot runs through.
+        self._gpu_device = (
+            self.accelerator.execute if self.accelerator is not None else gpu_kernel
+        )
         self.scheduler = self._build_scheduler()
-        self._tasks_per_query = 0
-        self._dispatch_blocked = False
-        self._dispatch_active = False
-        self._inflight = 0
-        self._rr_index = 0
         self._last_elapsed = 0.0
         #: cooperative stop flag (:meth:`request_stop`): once set, the
         #: dispatcher cuts no further tasks and the run drains in-flight
@@ -287,6 +228,10 @@ class SaberEngine:
         #: metrics hook bundle installed by :meth:`attach_metrics`; new
         #: queries registered afterwards are wired as they arrive.
         self._metrics_hooks = None
+        self._substrate = EXECUTION_MODES[self.config.execution].substrate
+        #: owns time and workers; lives as long as the engine so virtual
+        #: and wall-clock time accumulate across incremental runs.
+        self._executor = _EXECUTORS[self._substrate](self)
 
     # -- set-up ------------------------------------------------------------------
 
@@ -304,10 +249,7 @@ class SaberEngine:
                 raise SimulationError("static scheduling needs an assignment map")
             return StaticScheduler(cfg.static_assignment)
         if cfg.scheduler == "hls":
-            matrix = ThroughputMatrix(
-                initial=cfg.matrix_initial,
-                refresh_seconds=cfg.matrix_refresh_seconds,
-            )
+            matrix = ThroughputMatrix(refresh_seconds=cfg.matrix_refresh_seconds)
             return HlsScheduler(matrix, switch_threshold=cfg.switch_threshold)
         raise SimulationError(f"unknown scheduler {cfg.scheduler!r}")
 
@@ -356,7 +298,7 @@ class SaberEngine:
             buffer_capacity_tasks=self.config.buffer_capacity_tasks,
             # Worker processes read task ranges across the fork boundary,
             # so their buffers must live in OS shared memory.
-            buffer_backing="shared" if self.config.execution == "processes" else "local",
+            buffer_backing="shared" if self._substrate == "process" else "local",
         )
         result_stage = ResultStage(
             query,
@@ -366,6 +308,7 @@ class SaberEngine:
         )
         run = QueryRun(query, dispatcher, result_stage)
         self.runs.append(run)
+        self._runs_by_query.setdefault(id(query), run)
         if self._metrics_hooks is not None:
             self._metrics_hooks.wire_run(run)
 
@@ -383,26 +326,7 @@ class SaberEngine:
                 "running further tasks would re-emit those windows from "
                 "their tail fragments only — create a new engine/session"
             )
-        if self.config.execution in ("threads", "accelerator", "hybrid"):
-            # accelerator/hybrid run on the thread substrate: the GPGPU
-            # worker thread drives the accelerator device per task.
-            elapsed = ThreadedExecutor(self).run(tasks_per_query)
-        elif self.config.execution == "processes":
-            # Workers are forked per run (they inherit the current engine
-            # state) and always joined before run() returns; the shared
-            # buffers persist across incremental runs until shutdown().
-            elapsed = ProcessExecutor(self).run(tasks_per_query)
-        else:
-            self._tasks_per_query = tasks_per_query
-            self._dispatch_active = True
-            self.loop.schedule(0.0, self._dispatch_next)
-            self.loop.run()
-            if self.queue or self._inflight:
-                raise SimulationError(
-                    f"run ended with {len(self.queue)} queued and "
-                    f"{self._inflight} in-flight tasks"
-                )
-            elapsed = self.loop.now
+        elapsed = self._executor.run(tasks_per_query)
         self._last_elapsed = elapsed
         return self._build_report(elapsed, flush)
 
@@ -428,8 +352,8 @@ class SaberEngine:
         """Ask a running (or about-to-run) engine to stop dispatching.
 
         In-flight and queued tasks drain normally; the run then returns
-        with however many tasks each query processed.  Works on both
-        backends; safe to call from another thread.
+        with however many tasks each query processed.  Works under every
+        ``execution`` value; safe to call from another thread.
         """
         self.stop_requested = True
 
@@ -497,264 +421,98 @@ class SaberEngine:
             matrix_history=history,
         )
 
-    # -- dispatching stage ------------------------------------------------------------
+    # -- per-task entry points (called by the executors) ------------------------------
 
-    def _unfinished_runs(self) -> "list[QueryRun]":
+    def pending_runs(self, tasks_per_query: int) -> "list[QueryRun]":
+        """Queries the dispatcher may still cut tasks for in this run."""
         return [
             r
             for r in self.runs
-            if r.tasks_dispatched < self._tasks_per_query
-            and not r.dispatcher.exhausted
+            if r.tasks_dispatched < tasks_per_query and not r.dispatcher.exhausted
         ]
 
-    def _dispatch_next(self) -> None:
-        pending = self._unfinished_runs()
-        if not pending or self.stop_requested:
-            self._dispatch_active = False
-            return
-        if len(self.queue) >= self.config.queue_capacity:
-            self._dispatch_blocked = True
-            return
-        run = pending[self._rr_index % len(pending)]
-        self._rr_index += 1
-        rate = self.spec.dispatch_bandwidth
-        if self.config.ingest_bandwidth is not None:
-            rate = min(rate, self.config.ingest_bandwidth)
-        cost = run.dispatcher.actual_task_bytes / rate + self.spec.dispatch_task_overhead
-        if not run.dispatcher.can_create_task():
-            # Buffer backpressure (§5.1): the configured policy decides.
-            action = run.dispatcher.backpressure_action(self.config.backpressure)
-            if action == "shed":
-                self.loop.schedule(cost, lambda r=run: self._shed_dispatch(r))
-                return
-            if not self._inflight and not self.queue:
-                raise BackpressureError(
-                    f"query {run.query.name!r}: input buffers are full with "
-                    "no task in flight to release space — "
-                    "buffer_capacity_tasks is too small for this queue depth"
-                )
-            self._dispatch_blocked = True
-            return
-        self.loop.schedule(cost, lambda r=run: self._finish_dispatch(r))
+    def run_for(self, query: Query) -> QueryRun:
+        """The :class:`QueryRun` a registered query's tasks belong to."""
+        return self._runs_by_query[id(query)]
 
-    def _shed_dispatch(self, run: QueryRun) -> None:
-        """drop_oldest under full buffers: discard one task's worth."""
-        try:
-            run.dispatcher.shed_task()
-        except IngestInterrupted:
-            self._dispatch_active = False
-            return
-        self._dispatch_next()
-
-    def _finish_dispatch(self, run: QueryRun) -> None:
-        try:
-            task = run.dispatcher.create_task(self.loop.now)
-        except IngestInterrupted:
-            # Stop requested during a blocking source pull; pulled data
-            # stays staged in the dispatcher for the next run.
-            self._dispatch_active = False
-            return
-        if task is None:
-            # End of stream with no residual data: the query is done
-            # dispatching; idle workers may need a starvation re-check.
-            self._wake_workers()
-            self._dispatch_next()
-            return
-        run.tasks_dispatched += 1
-        self.queue.append(task)
-        self._wake_workers()
-        self._dispatch_next()
-
-    def _unblock_dispatcher(self) -> None:
-        if self._dispatch_blocked:
-            self._dispatch_blocked = False
-            self.loop.schedule(0.0, self._dispatch_next)
-
-    # -- scheduling + execution stages ----------------------------------------------------
-
-    def _wake_workers(self) -> None:
-        for worker in self.workers:
-            if not worker.busy:
-                self.loop.schedule(0.0, lambda w=worker: self._worker_try(w))
-
-    def _worker_try(self, worker: _Worker) -> None:
-        if worker.busy or not self.queue:
-            return
-        index = self.scheduler.select(self.queue, worker.processor)
-        if index is None:
-            self._starvation_guard(worker)
-            return
-        task = self.queue.pop(index)
-        self._unblock_dispatcher()
-        worker.busy = True
-        self._inflight += 1
-        if worker.processor == CPU:
-            self._execute_cpu(worker, task)
-        else:
-            self._execute_gpu(worker, task)
-
-    def _starvation_guard(self, worker: _Worker) -> None:
-        """Forced FCFS pick when nothing else can make progress.
-
-        HLS may legitimately leave a worker idle (lookahead).  But if no
-        task is in flight and the dispatcher is blocked or done, nothing
-        would ever wake the workers again — take the queue head instead.
-        """
-        if self._inflight:
-            return
-        if self._dispatch_active and not self._dispatch_blocked:
-            return
-        if not self.queue:
-            return
-        task = self.queue.pop(0)
-        self._unblock_dispatcher()
-        worker.busy = True
-        self._inflight += 1
-        if worker.processor == CPU:
-            self._execute_cpu(worker, task)
-        else:
-            self._execute_gpu(worker, task)
-
-    # -- task execution -------------------------------------------------------------------
-
-    def _materialise(
-        self, task: QueryTask, copy: bool = True
-    ) -> "tuple[list[StreamSlice], BatchResult | None, dict[str, float], int]":
-        """Execute the batch operator function (or synthesise stats).
+    def execute(
+        self, task: QueryTask, processor: str, copy: bool = True
+    ) -> "BatchResult | None":
+        """Run ``task``'s batch operator function on ``processor``'s device:
+        read its buffer ranges, assign windows, hand the slices to the
+        operator itself (CPU) or the GPGPU slot's device.  Returns
+        ``None`` in simulation-only runs (``execute_data=False``).
 
         ``copy=False`` reads task batches as zero-copy views of the
         circular buffers — the worker-process path, where the buffer is a
         shared segment and the range stays retained until the task's
         result has been processed by the parent.
         """
-        query = task.query
-        if self.config.execute_data:
-            slices = []
-            for ref, window in zip(task.batches, query.windows):
-                batch = ref.read(copy=copy)
-                if window is None:
-                    windows = WindowSet.empty()
-                else:
-                    timestamps = batch.timestamps if batch.schema.has_timestamp else None
-                    windows = assign_windows(
-                        window,
-                        ref.start,
-                        ref.stop,
-                        timestamps=timestamps,
-                        previous_last_timestamp=ref.previous_last_timestamp,
-                        force_assembly=query.force_assembly,
-                    )
-                slices.append(StreamSlice(batch, windows, ref.start))
-            return slices, None, {}, 0
-        if query.stat_model is None:
-            raise SimulationError(
-                f"query {query.name!r} needs a stat_model for "
-                "simulation-only runs"
-            )
-        stats = dict(query.stat_model(task.tuple_count))
-        output_bytes = int(stats.get("output_bytes", task.size_bytes))
-        return [], None, stats, output_bytes
-
-    def _run_operator(
-        self, task: QueryTask, slices: "list[StreamSlice]", gpu: bool
-    ) -> "tuple[BatchResult | None, dict[str, float], int]":
         if not self.config.execute_data:
-            __, __, stats, output_bytes = self._materialise(task)
-            return None, stats, output_bytes
-        operator = task.query.execution_operator
-        if gpu and self.accelerator is not None:
-            # Executable accelerator path: movein → batch kernel →
-            # moveout, with transfer accounting on the device.
-            result = self.accelerator.execute(operator, slices)
-        elif gpu:
-            result = execute_on_gpu(operator, slices)
-        else:
-            result = operator.process_batch(slices)
-        return result, dict(result.stats), result.output_bytes
+            return None
+        query = task.query
+        slices = []
+        for ref, window in zip(task.batches, query.windows):
+            batch = ref.read(copy=copy)
+            if window is None:
+                windows = WindowSet.empty()
+            else:
+                timestamps = batch.timestamps if batch.schema.has_timestamp else None
+                windows = assign_windows(
+                    window,
+                    ref.start,
+                    ref.stop,
+                    timestamps=timestamps,
+                    previous_last_timestamp=ref.previous_last_timestamp,
+                    force_assembly=query.force_assembly,
+                )
+            slices.append(StreamSlice(batch, windows, ref.start))
+        operator = query.execution_operator
+        if processor == GPU:
+            return self._gpu_device(operator, slices)
+        return operator.process_batch(slices)
 
-    def _execute_cpu(self, worker: _Worker, task: QueryTask) -> None:
-        slices, __, __, __ = self._materialise(task)
-        result, stats, __ = self._run_operator(task, slices, gpu=False)
-        profile = task.query.execution_operator.cost_profile()
-        duration = self.cpu_model.task_seconds(profile, task.tuple_count, stats)
-        duration *= self.cpu_model.contention_factor(self.config.cpu_workers)
-        duration += self.cpu_model.result_stage_seconds()
-        start = self.loop.now
-        self.loop.schedule(
-            duration,
-            lambda: self._complete_task(worker, task, result, CPU, start, duration),
-        )
-
-    def _execute_gpu(self, worker: _Worker, task: QueryTask) -> None:
-        slices, __, __, __ = self._materialise(task)
-        result, stats, output_bytes = self._run_operator(task, slices, gpu=True)
-        if result is not None:
-            output_bytes = result.output_bytes
-        profile = task.query.execution_operator.cost_profile()
-        boundary = self.gpu_model.boundary_seconds(profile, task.tuple_count, stats)
-        durations = self.gpu_model.stage_durations(
-            profile, task.size_bytes, output_bytes, task.tuple_count, stats
-        )
-        start = self.loop.now
-        timing = self.pipeline.schedule(start + boundary, durations)
-        free_at = max(start + boundary, self.pipeline.next_accept_time())
-        interval = max(free_at - start, 1e-12)
-        completion = timing.completion_time
-        self.loop.schedule_at(
-            completion,
-            lambda: self._complete_task(
-                worker, task, result, GPU, start, interval, free_at=free_at
-            ),
-        )
-        # The GPGPU worker is free to feed the pipeline again before the
-        # task completes; model that by releasing it at the accept time.
-        self.loop.schedule_at(free_at, lambda: self._release_worker(worker))
-        worker.busy = True
-
-    def _release_worker(self, worker: _Worker) -> None:
-        worker.busy = False
-        self._worker_try(worker)
-
-    def _complete_task(
+    def complete(
         self,
-        worker: _Worker,
+        run: QueryRun,
         task: QueryTask,
         result: "BatchResult | None",
         processor: str,
-        start: float,
         interval: float,
-        free_at: "float | None" = None,
+        completed_at: float,
+        emit_at: float,
     ) -> None:
-        now = self.loop.now
-        run = next(r for r in self.runs if r.query is task.query)
-        run.tasks_completed += 1
-        self._inflight -= 1
+        """Account for one executed task — the only completion path.
+
+        ``interval`` is how long the task occupied ``processor`` (its HLS
+        throughput sample), ``completed_at`` when the operator finished
+        and ``emit_at`` when its result reaches the result stage — on
+        the executor's clock; the two differ only where results cross a
+        process boundary first.  Safe to call concurrently from worker
+        threads: everything touched locks internally, and the query's
+        completed-task count is kept by its result stage, under the
+        lock ``submit`` takes anyway.
+        """
         self.measurements.record_task(
             TaskRecord(
                 query=task.query.name,
                 processor=processor,
                 created=task.created_at,
-                completed=now,
+                completed=completed_at,
                 input_bytes=task.size_bytes,
                 input_tuples=task.tuple_count,
             )
         )
-        if result is not None:
-            emitted = run.result_stage.submit(task, result, now)
-            for record in emitted:
-                self.measurements.record_latency(record.emit_time, record.data_time)
-        else:
-            self.measurements.record_latency(now, task.created_at)
-        if processor == CPU:
-            tasks_per_second = self.config.cpu_workers / max(interval, 1e-12)
-        else:
-            tasks_per_second = 1.0 / max(interval, 1e-12)
-        self.scheduler.task_finished(task, processor, tasks_per_second, now)
-        # Completing a task released buffer space (the result stage
-        # advanced the free pointers), so a buffer-blocked dispatcher
-        # can make progress again.
-        self._unblock_dispatcher()
-        if processor == CPU:
-            worker.busy = False
-            self._worker_try(worker)
-        self._wake_workers()
+        # The per-query result-stage lock serialises the in-order drain;
+        # buffer space is released in task order inside.
+        emitted = run.result_stage.submit(task, result, emit_at)
+        if result is None:
+            self.measurements.record_latency(emit_at, task.created_at)
+        for record in emitted:
+            self.measurements.record_latency(record.emit_time, record.data_time)
+        # ρ(q, p) is per *processor*: the CPU row aggregates all cores, so
+        # one worker's task interval implies cpu_workers tasks per interval.
+        workers = self.config.cpu_workers if processor == CPU else 1
+        self.scheduler.task_finished(
+            task, processor, workers / max(interval, 1e-12), completed_at
+        )

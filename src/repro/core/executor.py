@@ -1,9 +1,11 @@
-"""Threaded execution backend: §4's worker model on real threads.
+"""Threaded executor: §4's worker model on real threads.
 
-The sim backend replays the paper's architecture on a virtual clock;
-this backend runs it for real.  ``SaberConfig(execution="threads")``
-starts one **dispatcher thread** plus N **CPU worker threads** and (when
-enabled) one **GPGPU worker thread**:
+``SaberConfig(execution="threads")`` — and ``"accelerator"``/``"hybrid"``,
+which run on this substrate with the executable accelerator on the GPGPU
+slot — drives the shared task lifecycle (:meth:`SaberEngine.execute` /
+:meth:`SaberEngine.complete`) from one **dispatcher thread** plus one
+worker thread per device-slot worker (``engine.device_slots()``).  What
+is specific to this executor:
 
 * the dispatcher alone pulls source data, appends to the circular input
   buffers (single-writer discipline, §4.1) and cuts fixed-size query
@@ -12,31 +14,19 @@ enabled) one **GPGPU worker thread**:
 * workers claim tasks from the shared queue under the hybrid lookahead
   scheduling discipline — ``Scheduler.select`` runs under the queue
   lock, since it both inspects the queue and mutates the
-  switch-threshold counters — and execute each task's batch operator
-  function through ``query.execution_operator`` (the single-pass fused
-  kernel when the fusion layer compiled one, the user's operator chain
-  otherwise);
-* workers only ever see read-only ``(start, stop)`` buffer ranges; the
-  per-query result stage re-orders out-of-order completions and frees
-  buffer space strictly in task order, which is what keeps the
-  single-writer buffers safe.
-
-The sim backend's *simulated* starvation guard (a scheduled re-check) is
-replaced by condition-variable wakeups: workers sleep on the queue
-condition and are woken whenever a task arrives, a task completes, or
-the dispatcher finishes/blocks — the forced-FCFS escape fires only when
-nothing is in flight and the dispatcher cannot make progress, mirroring
-the sim semantics exactly.
-
-Timing is wall-clock (``time.perf_counter`` relative to run start), so
-reported throughput is the real machine's — not the paper server's.
-The sim backend's *modelled* dispatch bandwidth is deliberately not
-applied (the whole point is to run as fast as the hardware allows), but
-a user-specified ``ingest_bandwidth`` cap *is* honoured: the dispatcher
-paces task creation so ingested bytes per wall-clock second stay under
-the cap, mirroring the sim backend's network-bound runs.
-Query *outputs* are backend-independent: the result stage emits in
-task-id order either way, which the equivalence tests assert.
+  switch-threshold counters;
+* the sim executor's *scheduled* starvation guard is replaced by
+  condition-variable wakeups: workers sleep on the queue condition and
+  are woken whenever a task arrives, a task completes, or the dispatcher
+  finishes/blocks — the forced-FCFS escape fires only when nothing is in
+  flight and the dispatcher cannot make progress, mirroring the sim
+  semantics exactly;
+* timing is wall-clock (``time.perf_counter`` relative to run start), so
+  reported throughput is the real machine's — not the paper server's.
+  The *modelled* dispatch bandwidth is deliberately not applied, but a
+  user-specified ``ingest_bandwidth`` cap *is* honoured: the dispatcher
+  paces task creation so ingested bytes per wall-clock second stay under
+  the cap, mirroring the sim executor's network-bound runs.
 """
 
 from __future__ import annotations
@@ -47,16 +37,24 @@ from typing import TYPE_CHECKING
 
 from ..analysis.lockdep import make_condition, make_lock
 from ..errors import IngestInterrupted, SimulationError
-from ..sim.measurements import TaskRecord
-from .scheduler import CPU, GPU
+from .scheduler import CPU
 from .task import QueryTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from .engine import QueryRun, SaberEngine
+    from ..hardware.slots import DeviceSlot
+    from .engine import SaberEngine
 
 #: upper bound on a condition wait; a belt-and-braces re-check interval,
 #: not a scheduling period — every state change notifies the condition.
 _WAIT_TIMEOUT = 0.05
+
+
+def _worker_name(slot: "DeviceSlot", index: int) -> str:
+    """``saber-cpu-<i>`` for CPU workers; the GPGPU slot's one worker is
+    ``saber-accel`` when it drives the accelerator, else ``saber-gpgpu``."""
+    if slot.processor == CPU:
+        return f"saber-cpu-{index}"
+    return "saber-accel" if slot.kind == "accelerator" else "saber-gpgpu"
 
 
 class ThreadedExecutor:
@@ -65,18 +63,39 @@ class ThreadedExecutor:
     def __init__(self, engine: "SaberEngine") -> None:
         self.engine = engine
         self.config = engine.config
-        self.scheduler = engine.scheduler
-        self.measurements = engine.measurements
-        self.runs: "list[QueryRun]" = engine.runs
-        self._run_by_query = {id(run.query): run for run in self.runs}
         self._mutex = make_lock("core.executor.ThreadedExecutor._mutex")
         self._cond = make_condition("core.executor.ThreadedExecutor._mutex", lock=self._mutex)
+        self._elapsed = 0.0
+        self._begin_run()
+
+    def _begin_run(self) -> None:
+        """Reset per-run state and resume the clock.
+
+        The clock continues from the cumulative elapsed time of earlier
+        runs, so incremental runs (a long-lived session calling ``run``
+        repeatedly) produce monotonically increasing task timestamps and
+        throughput derived over the combined processing span — mirroring
+        the sim executor's cumulative ``loop.now``.  Idle wall time
+        *between* runs is excluded, as it is not processing time.
+        """
         self.queue: "list[QueryTask]" = []
         self._inflight = 0
         self._dispatch_done = False
         self._dispatch_waiting = False
         self._failure: "BaseException | None" = None
-        self._t0 = 0.0
+        self._t0 = time.perf_counter() - self._elapsed
+
+    def _end_run(self, what: str) -> float:
+        """Surface a failed or incomplete run; else bank the elapsed time."""
+        if self._failure is not None:
+            raise self._failure
+        if self.queue or self._inflight:
+            raise SimulationError(
+                f"{what} run ended with {len(self.queue)} queued and "
+                f"{self._inflight} in-flight tasks"
+            )
+        self._elapsed = self._now()
+        return self._elapsed
 
     # -- clock ---------------------------------------------------------------
 
@@ -86,16 +105,8 @@ class ThreadedExecutor:
     # -- run -----------------------------------------------------------------
 
     def run(self, tasks_per_query: int) -> float:
-        """Execute ``tasks_per_query`` tasks per query; returns elapsed s.
-
-        The clock continues from the engine's cumulative elapsed time, so
-        incremental runs (a long-lived session calling ``run`` repeatedly)
-        produce monotonically increasing task timestamps and throughput
-        derived over the combined processing span — mirroring the sim
-        backend's cumulative ``loop.now``.  Idle wall time *between* runs
-        is excluded, as it is not processing time.
-        """
-        self._t0 = time.perf_counter() - self.engine._last_elapsed
+        """Execute ``tasks_per_query`` tasks per query; returns elapsed s."""
+        self._begin_run()
         threads = [
             threading.Thread(
                 target=self._dispatch_loop,
@@ -104,42 +115,21 @@ class ThreadedExecutor:
                 daemon=True,
             )
         ]
-        worker_id = 0
-        if self.config.use_cpu:
-            for _ in range(self.config.cpu_workers):
-                threads.append(
-                    threading.Thread(
-                        target=self._worker_loop,
-                        args=(CPU,),
-                        name=f"saber-cpu-{worker_id}",
-                        daemon=True,
-                    )
-                )
-                worker_id += 1
-        if self.config.use_gpu:
-            gpu_name = (
-                "saber-accel" if self.engine.accelerator is not None else "saber-gpgpu"
+        threads += [
+            threading.Thread(
+                target=self._worker_loop,
+                args=(slot.processor,),
+                name=_worker_name(slot, index),
+                daemon=True,
             )
-            threads.append(
-                threading.Thread(
-                    target=self._worker_loop,
-                    args=(GPU,),
-                    name=gpu_name,
-                    daemon=True,
-                )
-            )
+            for slot in self.engine.device_slots()
+            for index in range(slot.workers)
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        if self._failure is not None:
-            raise self._failure
-        if self.queue or self._inflight:
-            raise SimulationError(
-                f"threaded run ended with {len(self.queue)} queued and "
-                f"{self._inflight} in-flight tasks"
-            )
-        return self._now()
+        return self._end_run("threaded")
 
     def _fail(self, exc: BaseException) -> None:
         with self._cond:
@@ -157,12 +147,7 @@ class ThreadedExecutor:
             while True:
                 shed = False
                 with self._cond:
-                    pending = [
-                        r
-                        for r in self.runs
-                        if r.tasks_dispatched < tasks_per_query
-                        and not r.dispatcher.exhausted
-                    ]
+                    pending = self.engine.pending_runs(tasks_per_query)
                     if not pending or self._failure is not None or self.engine.stop_requested:
                         break
                     run = pending[rr_index % len(pending)]
@@ -206,12 +191,11 @@ class ThreadedExecutor:
                 except IngestInterrupted:
                     # Stop requested during a blocking pull; staged data
                     # survives in the dispatcher for the next run.
-                    with self._cond:
-                        run.tasks_dispatched -= 1
-                    continue
+                    task = None
                 if task is None:
-                    # End of stream with no residual data: un-reserve and
-                    # wake workers so they observe dispatch completion.
+                    # Nothing was cut (or end of stream with no residual
+                    # data): un-reserve and wake workers so they observe
+                    # dispatch completion.
                     with self._cond:
                         run.tasks_dispatched -= 1
                         self._cond.notify_all()
@@ -258,7 +242,9 @@ class ThreadedExecutor:
         """Pick a task under the queue lock (scheduler state included)."""
         if not self.queue:
             return None
-        index = self.scheduler.select(self.queue, processor)
+        # engine.scheduler is read live: swapping it after construction is
+        # a supported ablation hook, and complete() feeds that same object.
+        index = self.engine.scheduler.select(self.queue, processor)
         if index is None:
             # Condition-variable starvation guard: when nothing is in
             # flight and the dispatcher is blocked or done, no future
@@ -274,36 +260,12 @@ class ThreadedExecutor:
     def _execute(self, task: QueryTask, processor: str) -> None:
         engine = self.engine
         started = time.perf_counter()
-        slices, __, __, __ = engine._materialise(task)
-        result, __, __ = engine._run_operator(task, slices, gpu=processor == GPU)
+        result = engine.execute(task, processor)
         duration = max(time.perf_counter() - started, 1e-9)
         now = self._now()
-        run = self._run_by_query[id(task.query)]
-        self.measurements.record_task(
-            TaskRecord(
-                query=task.query.name,
-                processor=processor,
-                created=task.created_at,
-                completed=now,
-                input_bytes=task.size_bytes,
-                input_tuples=task.tuple_count,
-            )
+        engine.complete(
+            engine.run_for(task.query), task, result, processor, duration, now, now
         )
-        if result is not None:
-            # The per-query result-stage lock serialises the in-order
-            # drain; buffer space is released in task order inside.
-            emitted = run.result_stage.submit(task, result, now)
-            for record in emitted:
-                self.measurements.record_latency(record.emit_time, record.data_time)
-        else:
-            self.measurements.record_latency(now, task.created_at)
-        if processor == CPU:
-            tasks_per_second = self.config.cpu_workers / duration
-        else:
-            tasks_per_second = 1.0 / duration
-        # Matrix bookkeeping locks internally — no queue-lock contention.
-        self.scheduler.task_finished(task, processor, tasks_per_second, now)
         with self._cond:
-            run.tasks_completed += 1
             self._inflight -= 1
             self._cond.notify_all()

@@ -1,43 +1,39 @@
-"""Process-parallel execution backend: §4's worker model on real cores.
+"""Process-parallel executor: §4's worker model on real cores.
 
-``SaberConfig(execution="processes")`` runs the same architecture as the
-threaded backend (:mod:`repro.core.executor`) with the Python-level
-operator work moved out of the GIL: N **CPU worker processes** plus
-(when enabled) one **GPGPU worker process** execute batch operator
-functions in parallel, while the parent process keeps every piece of
-coordination state exactly where the paper puts it:
+``SaberConfig(execution="processes")`` drives the shared task lifecycle
+(:meth:`SaberEngine.execute` in the workers, :meth:`SaberEngine.complete`
+in the parent) with the Python-level operator work moved out of the
+GIL: one forked **worker process** per device-slot worker executes batch
+operator functions in parallel, while the parent keeps every piece of
+coordination state exactly where the paper puts it.  What is specific
+to this executor:
 
-* the **dispatcher** (a parent thread) alone pulls source data, appends
-  to the circular input buffers and cuts fixed-size query tasks — the
-  buffers are re-homed onto :mod:`multiprocessing.shared_memory`
-  segments (``buffer backing "shared"``), so an insert made by the
-  parent is immediately visible to every worker and task reads stay
-  zero-copy views of the one segment;
+* the **dispatcher** (a parent thread, shared with the threaded
+  executor) appends to circular input buffers that are re-homed onto
+  :mod:`multiprocessing.shared_memory` segments (``buffer backing
+  "shared"``), so an insert made by the parent is immediately visible to
+  every worker and task reads stay zero-copy views of the one segment;
 * **HLS task selection** runs in the parent: workers do not race for
-  the queue — the parent observes per-processor capacity (one
-  outstanding task per worker) and walks ``Scheduler.select`` at the
-  latest possible moment, sending the chosen task's *descriptor*
-  (pointer ranges, not data) down a per-processor task queue;
-* workers execute the operator (the query's *fused* kernel when the
-  fusion layer compiled one — ``query.execution_operator`` resolves it
-  identically in parent and child) against the shared buffers and send
-  the :class:`~repro.operators.base.BatchResult` back over a
-  **completion queue** — window partials cross it as compact columnar
+  the queue — the parent observes per-processor capacity (a bounded
+  prefetch of outstanding tasks per worker) and walks
+  ``Scheduler.select`` at the latest possible moment, sending the chosen
+  task's *descriptor* (pointer ranges, not data) down a per-processor
+  task queue;
+* workers send the :class:`~repro.operators.base.BatchResult` back over
+  a **completion queue** — window partials cross it as compact columnar
   numpy payloads: a grouped task's boundary windows are
   :class:`~repro.operators.groupby.GroupedWindowAccumulator` row
   references into one :class:`~repro.operators.groupby.GroupBlock`,
   which pickle's memo serialises once per task — what keeps slide-1
-  grouped windows from drowning in per-window pickle costs; the
-  parent's **result stage** re-orders completions and
-  frees buffer space strictly in task order, exactly as the other
-  backends do — which is why outputs are byte-identical across
-  sim/threads/processes — and throughput feedback flows into the HLS
-  matrix from the completion messages.
+  grouped windows from drowning in per-window pickle costs; the result
+  stage and HLS feedback run in the parent, from the completion
+  messages.
 
 Workers are forked (never spawned): operator graphs, closures and the
 engine object cross into the children by inheritance, so nothing needs
 to pickle except task descriptors and results.  Workers live for one
-``run()`` call and are always joined before it returns; the shared
+``run()`` call — they inherit the engine state current at that call —
+and are always joined before it returns, on every exit path; the shared
 segments persist across incremental runs and are unlinked by
 ``SaberEngine.shutdown()`` (sessions call it from ``close()``).
 """
@@ -53,9 +49,7 @@ import traceback
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SimulationError
-from ..sim.measurements import TaskRecord
 from .executor import _WAIT_TIMEOUT, ThreadedExecutor
-from .scheduler import CPU, GPU
 from .task import BatchRef, QueryTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -88,9 +82,9 @@ class ProcessExecutor(ThreadedExecutor):
     threads with forked processes fed over multiprocessing queues.
     """
 
-    def __init__(self, engine: "SaberEngine") -> None:
-        super().__init__(engine)
-        self._query_index = {id(run.query): i for i, run in enumerate(self.runs)}
+    def _begin_run(self) -> None:
+        super()._begin_run()
+        self._query_index = {id(run.query): i for i, run in enumerate(self.engine.runs)}
         #: descriptors in flight: (query_index, task_id) -> parent task.
         self._dispatched: "dict[tuple[int, int], QueryTask]" = {}
 
@@ -98,60 +92,50 @@ class ProcessExecutor(ThreadedExecutor):
 
     def run(self, tasks_per_query: int) -> float:
         """Execute ``tasks_per_query`` tasks per query; returns elapsed s."""
-        if not fork_available():  # pragma: no cover - POSIX-only CI
-            raise SimulationError(
-                "execution='processes' requires the fork start method "
-                "(POSIX); use execution='threads' on this platform"
-            )
-        self._t0 = time.perf_counter() - self.engine._last_elapsed
+        self._begin_run()
         ctx = multiprocessing.get_context("fork")
         completions = ctx.Queue()
-        task_queues: "dict[str, Any]" = {}
-        free: "dict[str, int]" = {}
-        worker_counts: "dict[str, int]" = {}
-        if self.config.use_cpu:
-            task_queues[CPU] = ctx.SimpleQueue()
-            worker_counts[CPU] = self.config.cpu_workers
-            free[CPU] = self.config.cpu_workers * _PREFETCH_PER_WORKER
-        if self.config.use_gpu:
-            task_queues[GPU] = ctx.SimpleQueue()
-            worker_counts[GPU] = 1
-            free[GPU] = _PREFETCH_PER_WORKER
-        # Fork before starting the dispatcher thread: children must not
-        # inherit a running thread (or the locks it might hold).
-        workers: "list[Any]" = []
-        for processor, tasks in task_queues.items():
-            for index in range(worker_counts[processor]):
-                worker = ctx.Process(
-                    target=self._worker_main,
-                    args=(processor, tasks, completions),
-                    name=f"saber-{processor.lower()}-{index}",
-                    daemon=True,
-                )
-                worker.start()
-                workers.append(worker)
+        slots = self.engine.device_slots()
+        task_queues = {slot.processor: ctx.SimpleQueue() for slot in slots}
+        free = {slot.processor: slot.workers * _PREFETCH_PER_WORKER for slot in slots}
+        #: started workers, each with the task queue its sentinel goes down.
+        workers: "list[tuple[Any, Any]]" = []
         dispatcher = threading.Thread(
             target=self._dispatch_loop,
             args=(tasks_per_query,),
             name="saber-dispatcher",
             daemon=True,
         )
-        dispatcher.start()
         try:
-            self._collect(completions, task_queues, free, workers)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            # Fork before starting the dispatcher thread: children must
+            # not inherit a running thread (or the locks it might hold).
+            # Inside the guarded region, so a fork that fails part-way
+            # (EAGAIN, rlimit) still reaps the workers already started.
+            for slot in slots:
+                tasks = task_queues[slot.processor]
+                for index in range(slot.workers):
+                    worker = ctx.Process(
+                        target=self._worker_main,
+                        args=(slot.processor, tasks, completions),
+                        name=f"saber-{slot.processor.lower()}-{index}",
+                        daemon=True,
+                    )
+                    try:
+                        worker.start()
+                    except OSError as exc:
+                        raise SimulationError(
+                            f"could not start worker process {worker.name}: {exc}"
+                        ) from exc
+                    workers.append((worker, tasks))
+            dispatcher.start()
+            self._collect(completions, task_queues, free, [w for w, __ in workers])
+        except BaseException as exc:  # noqa: BLE001 - re-raised by _end_run
             self._fail(exc)
         finally:
-            dispatcher.join()
-            self._shutdown_workers(workers, task_queues, worker_counts, completions)
-        if self._failure is not None:
-            raise self._failure
-        if self.queue or self._inflight or self._dispatched:
-            raise SimulationError(
-                f"process run ended with {len(self.queue)} queued and "
-                f"{len(self._dispatched)} in-flight tasks"
-            )
-        return self._now()
+            if dispatcher.ident is not None:  # it was started
+                dispatcher.join()
+            self._shutdown_workers(workers, task_queues, completions)
+        return self._end_run("process")
 
     # -- parent: feed + collect ----------------------------------------------
 
@@ -202,20 +186,11 @@ class ProcessExecutor(ThreadedExecutor):
                     break
                 self._inflight += 1
                 free[processor] -= 1
-                key = (self._query_index[id(task.query)], task.task_id)
-                self._dispatched[key] = task
-                tasks.put(self._describe(task))
-
-    def _describe(self, task: QueryTask) -> tuple:
-        """The picklable shape of a task: pointer ranges, not data."""
-        refs = [(ref.start, ref.stop, ref.previous_last_timestamp) for ref in task.batches]
-        return (
-            self._query_index[id(task.query)],
-            task.task_id,
-            refs,
-            task.created_at,
-            task.size_bytes,
-        )
+                index = self._query_index[id(task.query)]
+                self._dispatched[index, task.task_id] = task
+                # The picklable shape of a task: pointer ranges, not data.
+                refs = [(r.start, r.stop, r.previous_last_timestamp) for r in task.batches]
+                tasks.put((index, task.task_id, refs, task.created_at, task.size_bytes))
 
     def _handle_completion(self, message: tuple, free) -> None:
         """Result stage + HLS feedback for one worker completion."""
@@ -227,37 +202,15 @@ class ProcessExecutor(ThreadedExecutor):
         # when operators actually finished, not when the parent got
         # around to draining the queue — burst drains would otherwise
         # clump the records and distort the steady-state throughput.
-        __, processor, query_index, task_id, result, duration, now = message
-        run = self.runs[query_index]
+        # Emission happens in the parent, so emit (latency) times use the
+        # parent's clock — latency honestly includes the completion-queue
+        # hop the processes backend pays.
+        __, processor, query_index, task_id, result, duration, completed = message
         task = self._dispatched.pop((query_index, task_id))
-        self.measurements.record_task(
-            TaskRecord(
-                query=task.query.name,
-                processor=processor,
-                created=task.created_at,
-                completed=now,
-                input_bytes=task.size_bytes,
-                input_tuples=task.tuple_count,
-            )
+        self.engine.complete(
+            self.engine.runs[query_index], task, result, processor, duration, completed, self._now()
         )
-        if result is not None:
-            # In-order drain; buffer space is released in task order
-            # inside (on_release advances the shared head pointers).
-            # Emission happens in the parent, so emit (latency) times use
-            # the parent's clock — latency honestly includes the
-            # completion-queue hop the processes backend pays.
-            emitted = run.result_stage.submit(task, result, self._now())
-            for record in emitted:
-                self.measurements.record_latency(record.emit_time, record.data_time)
-        else:
-            self.measurements.record_latency(self._now(), task.created_at)
-        if processor == CPU:
-            tasks_per_second = self.config.cpu_workers / duration
-        else:
-            tasks_per_second = 1.0 / duration
-        self.scheduler.task_finished(task, processor, tasks_per_second, now)
         with self._cond:
-            run.tasks_completed += 1
             self._inflight -= 1
             free[processor] += 1
             self._cond.notify_all()  # buffer space freed; dispatcher may resume
@@ -271,18 +224,17 @@ class ProcessExecutor(ThreadedExecutor):
                     f"{worker.exitcode}"
                 )
 
-    def _shutdown_workers(self, workers, task_queues, worker_counts, completions) -> None:
-        """Sentinel, join, then escalate; always reap every child."""
-        for processor, tasks in task_queues.items():
-            for __ in range(worker_counts[processor]):
-                try:
-                    tasks.put(None)
-                except (OSError, ValueError):  # pragma: no cover - torn pipe
-                    break
+    def _shutdown_workers(self, workers, task_queues, completions) -> None:
+        """Sentinel, join, then escalate; always reap every started child."""
+        for __, tasks in workers:
+            try:
+                tasks.put(None)
+            except (OSError, ValueError):  # pragma: no cover - torn pipe
+                pass
         deadline = time.monotonic() + _JOIN_TIMEOUT
-        for worker in workers:
+        for worker, __ in workers:
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
-        for worker in workers:
+        for worker, __ in workers:
             if worker.is_alive():  # pragma: no cover - stuck worker escape
                 worker.terminate()
                 worker.join(timeout=1.0)
@@ -315,7 +267,7 @@ class ProcessExecutor(ThreadedExecutor):
                 if message is None:
                     return
                 query_index, task_id, refs, created_at, size_bytes = message
-                run = self.runs[query_index]
+                run = engine.runs[query_index]
                 batches = [
                     BatchRef(buffer, start, stop, previous_last)
                     for buffer, (start, stop, previous_last) in zip(run.dispatcher.buffers, refs)
@@ -328,8 +280,7 @@ class ProcessExecutor(ThreadedExecutor):
                     size_bytes=size_bytes,
                 )
                 started = time.perf_counter()
-                slices, __, __, __ = engine._materialise(task, copy=False)
-                result, __, __ = engine._run_operator(task, slices, gpu=processor == GPU)
+                result = engine.execute(task, processor, copy=False)
                 duration = max(time.perf_counter() - started, 1e-9)
                 completions.put(
                     (

@@ -77,6 +77,10 @@ class ResultStage:
         self.on_emit = on_emit
         self._buffer: dict[int, _Slot] = {}
         self._next_task = 0
+        #: tasks handed to :meth:`submit` so far — the query's completed
+        #: task count, kept here because this stage's lock is the one
+        #: every completing worker of the query already takes.
+        self.tasks_submitted = 0
         self._lock = make_lock("core.result_stage.ResultStage._lock")
         #: window id -> fragment payloads in task order (multi-input
         #: operators keep the list merged down to one payload).
@@ -102,15 +106,25 @@ class ResultStage:
 
     # -- stage entry -----------------------------------------------------------
 
-    def submit(self, task: QueryTask, result: BatchResult, now: float) -> "list[EmittedResult]":
-        """Store one task's result; drain every in-order result available."""
+    def submit(
+        self, task: QueryTask, result: "BatchResult | None", now: float
+    ) -> "list[EmittedResult]":
+        """Store one task's result; drain every in-order result available.
+
+        A ``None`` result (a simulation-only run executed no data) is
+        counted and emits nothing.
+        """
         with self._lock:
+            if result is None:
+                self.tasks_submitted += 1
+                return []
             if task.task_id in self._buffer or task.task_id < self._next_task:
                 raise ExecutionError(
                     f"duplicate result for task {task.task_id} of {task.query.name!r}"
                 )
             if len(self._buffer) >= self.slots:
                 raise ExecutionError("result buffer overflow: increase slots or queue backpressure")
+            self.tasks_submitted += 1
             self._buffer[task.task_id] = _Slot(task, result, now)
             emitted: list[EmittedResult] = []
             while self._next_task in self._buffer:

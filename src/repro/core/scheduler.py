@@ -16,11 +16,12 @@ consecutive tasks of one query may run on the same processor so the other
 processor's throughput keeps being observed.
 
 **Concurrency.**  ``select`` mutates the switch-threshold counters, so
-callers must serialise it with the queue they pass in — both backends do
-(the sim backend is single-threaded; the threaded backend calls it under
-the queue lock).  ``task_finished`` is safe to call from any worker
-thread: the throughput matrix locks its sample/refresh bookkeeping
-internally so completion feedback never contends on the queue lock.
+callers must serialise it with the queue they pass in — every executor
+does (the sim executor is single-threaded; the thread and process
+executors call it under the queue lock).  ``task_finished`` is safe to
+call from any worker thread: the throughput matrix locks its
+sample/refresh bookkeeping internally so completion feedback never
+contends on the queue lock.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ class Scheduler:
     def select(self, queue: "list[QueryTask]", processor: str) -> "int | None":
         """Index into ``queue`` of the chosen task, or ``None`` to idle."""
         raise NotImplementedError
-
-    def task_started(self, task: QueryTask, processor: str) -> None:
-        """Hook: a worker began executing ``task`` on ``processor``."""
 
     def task_finished(
         self, task: QueryTask, processor: str, tasks_per_second: float, now: float

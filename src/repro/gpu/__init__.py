@@ -3,16 +3,14 @@
 from .device import DEFAULT_GPU, GpuDeviceSpec
 from .pcie import DEFAULT_PCIE, PcieBus
 from .pipeline import STAGES, MovementPipeline, StageTiming
-from .prefix_sum import blelloch_scan, compact_indices
 from .hashtable import OpenAddressingTable
-from .kernels import execute_on_gpu, gpu_join, gpu_selection, reduction_tree
+from .kernels import gpu_join, gpu_kernel, gpu_selection, reduction_tree
 from .jit import HAVE_NUMBA, compact_mask, exclusive_scan
-from .accelerator import AcceleratorDevice, AcceleratorStats, accel_selection
+from .accelerator import AcceleratorDevice, AcceleratorStats
 
 __all__ = [
     "AcceleratorDevice",
     "AcceleratorStats",
-    "accel_selection",
     "HAVE_NUMBA",
     "compact_mask",
     "exclusive_scan",
@@ -23,10 +21,8 @@ __all__ = [
     "MovementPipeline",
     "StageTiming",
     "STAGES",
-    "blelloch_scan",
-    "compact_indices",
     "OpenAddressingTable",
-    "execute_on_gpu",
+    "gpu_kernel",
     "gpu_selection",
     "gpu_join",
     "reduction_tree",

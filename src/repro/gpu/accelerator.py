@@ -1,12 +1,11 @@
 """The executable accelerator device: whole-batch kernels + transfer stage.
 
-Where :mod:`repro.gpu.kernels` gives the *simulator* a GPGPU kernel
-semantics (results computed for real, execution time charged by the
-cost models), this module is a third **executable** backend: a
-vectorised batch-kernel accelerator that really runs each query task's
-operator as whole-batch numpy operations — numba-jitted where available
-(:mod:`repro.gpu.jit`), pure numpy otherwise — behind an explicit
-host↔device transfer stage standing in for PCIe.
+:mod:`repro.gpu.kernels` defines what a task computes on the GPGPU
+slot; this module is the **executable** device around those kernels: it
+really runs each query task's operator as whole-batch numpy operations
+— numba-jitted where available (:mod:`repro.gpu.jit`), pure numpy
+otherwise — behind an explicit host↔device transfer stage standing in
+for PCIe.
 
 One :class:`AcceleratorDevice` occupies the engine's GPGPU worker slot
 under ``SaberConfig(execution="accelerator")`` (accelerator-only) and
@@ -19,12 +18,10 @@ picking the device per task from observed throughput feedback).  Its
   transfer), and the modelled PCIe cost of the same bytes
   (:meth:`~repro.gpu.pcie.PcieBus.transfer_seconds`) is recorded next
   to the measured copy time;
-* **kernel** — selection runs the scan-compaction kernel over the
-  jitted (or numpy) mask-compaction primitive; joins run the
-  count-then-compact kernel; aggregation/GROUP-BY/projection run the
-  shared vectorised implementation, exactly like the simulated GPGPU —
-  which is what keeps outputs **bitwise identical** to the sim/threads/
-  processes backends (float reductions are never re-ordered);
+* **kernel** — :func:`repro.gpu.kernels.gpu_kernel`, the same dispatch
+  every other GPGPU slot runs — which is what keeps outputs **bitwise
+  identical** to the sim/threads/processes backends (float reductions
+  are never re-ordered);
 * **moveout** — complete output rows are copied back out of the staged
   storage, with the modelled PCIe cost of the output bytes recorded
   alongside.
@@ -46,15 +43,12 @@ import numpy as np
 
 from ..analysis.lockdep import make_lock
 from ..operators.base import BatchResult, Operator, StreamSlice
-from ..operators.join import ThetaJoin
-from ..operators.selection import Selection
 from ..relational.tuples import TupleBatch
 from . import jit
-from .device import DEFAULT_GPU, GpuDeviceSpec
-from .kernels import gpu_join
+from .kernels import gpu_kernel
 from .pcie import DEFAULT_PCIE, PcieBus
 
-__all__ = ["AcceleratorDevice", "AcceleratorStats", "accel_selection"]
+__all__ = ["AcceleratorDevice", "AcceleratorStats"]
 
 
 class AcceleratorStats:
@@ -103,36 +97,16 @@ class AcceleratorStats:
             }
 
 
-def accel_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResult:
-    """Scan-compacted selection through the jitted compaction primitive.
-
-    Algorithmically the simulated GPGPU kernel (all predicate lanes
-    evaluated, survivors compacted by prefix sum), with the compaction
-    going through :func:`repro.gpu.jit.compact_mask` so numba compiles
-    the inner loop where available.  Both compaction paths are exact,
-    so the output is bitwise identical to the CPU operator's.
-    """
-    slice_ = inputs[0]
-    batch = slice_.batch
-    mask = operator.predicate.evaluate(batch)  # all lanes, no short-circuit
-    survivors = jit.compact_mask(mask)
-    out = batch.take(survivors)
-    selectivity = float(mask.mean()) if len(batch) else 0.0
-    return BatchResult(complete=out, stats={"selectivity": selectivity})
-
-
 class AcceleratorDevice:
     """Executable accelerator occupying the engine's GPGPU worker slot."""
 
     def __init__(
         self,
-        device: GpuDeviceSpec = DEFAULT_GPU,
         pcie: PcieBus = DEFAULT_PCIE,
         throttle_seconds: float = 0.0,
     ) -> None:
         if throttle_seconds < 0:
             raise ValueError("throttle_seconds must be non-negative")
-        self.device = device
         self.pcie = pcie
         self.throttle_seconds = throttle_seconds
         self.stats = AcceleratorStats()
@@ -155,17 +129,6 @@ class AcceleratorDevice:
             staged.append(StreamSlice(device_batch, slice_.windows, slice_.global_start))
         return staged, bytes_in
 
-    def _kernel(self, operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
-        """Dispatch one task to its batch kernel (shared impl otherwise)."""
-        if isinstance(operator, Selection):
-            return accel_selection(operator, inputs)
-        if isinstance(operator, ThetaJoin):
-            return gpu_join(operator, inputs)
-        # Aggregation/GROUP-BY/projection: the shared vectorised
-        # implementation — float reduction order is never changed, which
-        # is what keeps outputs bitwise identical across backends.
-        return operator.process_batch(inputs)
-
     def execute(self, operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
         """Run one query task: movein → kernel → moveout, with accounting."""
         t0 = time.perf_counter()
@@ -173,7 +136,7 @@ class AcceleratorDevice:
         movein_measured = time.perf_counter() - t0
 
         k0 = time.perf_counter()
-        result = self._kernel(operator, staged)
+        result = gpu_kernel(operator, staged)
         kernel_seconds = time.perf_counter() - k0
 
         m0 = time.perf_counter()

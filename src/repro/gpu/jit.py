@@ -1,10 +1,10 @@
-"""Optional numba JIT layer for the executable accelerator backend.
+"""The GPGPU kernels' scan and compaction primitives, numba-jitted if possible.
 
-The accelerator (:mod:`repro.gpu.accelerator`) runs whole-batch kernels;
-where numba is installed the *exact-arithmetic* inner loops — boolean
-mask compaction and integer prefix sums — are compiled to machine code,
-and everywhere else (numba absent, or ``REPRO_NO_NUMBA=1`` set) the same
-kernels fall back to vectorised numpy.
+The GPGPU kernels (:mod:`repro.gpu.kernels`) run whole-batch; where
+numba is installed the *exact-arithmetic* inner loops — boolean mask
+compaction and integer prefix sums — are compiled to machine code, and
+everywhere else (numba absent, or ``REPRO_NO_NUMBA=1`` set) the same
+primitives fall back to vectorised numpy.
 
 Only integer/boolean kernels are ever jitted.  Floating-point
 reductions deliberately stay on numpy: a jitted sequential-loop float
@@ -45,20 +45,6 @@ _NJIT = _numba_njit()
 HAVE_NUMBA: bool = _NJIT is not None
 
 
-def _exclusive_scan_py(counts: np.ndarray) -> np.ndarray:
-    """Exclusive integer prefix sum (numpy fallback; exact)."""
-    out = np.empty(len(counts), dtype=np.int64)
-    if len(counts):
-        out[0] = 0
-        np.cumsum(counts[:-1], dtype=np.int64, out=out[1:])
-    return out
-
-
-def _compact_mask_py(mask: np.ndarray) -> np.ndarray:
-    """Indices of the true lanes, ascending (numpy fallback; exact)."""
-    return np.nonzero(mask)[0].astype(np.int64, copy=False)
-
-
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
 
     @_NJIT(cache=True)
@@ -94,16 +80,20 @@ def exclusive_scan(counts: np.ndarray) -> np.ndarray:
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         return _exclusive_scan_jit(counts)
-    return _exclusive_scan_py(counts)
+    out = np.empty(len(counts), dtype=np.int64)
+    if len(counts):
+        out[0] = 0
+        np.cumsum(counts[:-1], dtype=np.int64, out=out[1:])
+    return out
 
 
 def compact_mask(mask: np.ndarray) -> np.ndarray:
     """Indices of the true lanes of a boolean mask, ascending.
 
-    The scan-compaction primitive behind the accelerator's selection
-    kernel; exact on both paths (indices are integers).
+    The scan-compaction primitive behind the selection and join
+    kernels; exact on both paths (indices are integers).
     """
     mask = np.ascontiguousarray(mask, dtype=np.bool_)
     if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         return _compact_mask_jit(mask)
-    return _compact_mask_py(mask)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)

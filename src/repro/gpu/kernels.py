@@ -5,7 +5,7 @@ paper's OpenCL kernels algorithmically:
 
 * **selection** — every atomic predicate is evaluated for every tuple
   (SIMD lanes do not short-circuit); survivors are compacted to
-  contiguous output with a Blelloch prefix-sum over the selection vector;
+  contiguous output by scan-compaction of the selection vector;
 * **aggregation** — one work group per window fragment; threads reduce
   pairs of tuples, forming a reduction tree (:func:`reduction_tree`);
 * **GROUP-BY** — per-fragment open-addressing hash table with the same
@@ -14,24 +14,31 @@ paper's OpenCL kernels algorithmically:
   object itself is exercised by unit tests for equivalence;
 * **join** — the two-step count-then-compact technique borrowed from
   in-memory column stores [32]: match counts per tuple, a scan to obtain
-  write offsets, then compaction.
+  write offsets, then compaction — here one
+  :func:`~repro.gpu.jit.compact_mask` over the row-major pair lanes,
+  which orders survivors exactly as the per-tuple offsets would.
 
-Kernels return the exact same :class:`~repro.operators.base.BatchResult`
-as the CPU implementations (property-tested); only the *cost* charged by
-the GPGPU model differs.  Window-result assembly always runs on a CPU
-worker thread, as in the paper.
+The compaction primitive comes from :mod:`repro.gpu.jit`
+(numba-compiled where available, numpy otherwise; both exact).
+
+:func:`gpu_kernel` is the one dispatch every GPGPU slot goes through —
+directly for the simulated device and the plain thread/process GPGPU
+workers, behind the transfer stage for
+:class:`~repro.gpu.accelerator.AcceleratorDevice`.  Kernels return the
+exact same :class:`~repro.operators.base.BatchResult` as the CPU
+implementations (property-tested); only the *cost* differs.
+Window-result assembly always runs on a CPU worker thread, as in the
+paper.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..operators.aggregation import Aggregation
 from ..operators.base import BatchResult, Operator, StreamSlice
-from ..operators.groupby import GroupedAggregation
 from ..operators.join import ThetaJoin
 from ..operators.selection import Selection
-from .prefix_sum import blelloch_scan, compact_indices
+from . import jit
 
 
 def reduction_tree(values: np.ndarray, combine: str = "sum") -> float:
@@ -58,11 +65,15 @@ def reduction_tree(values: np.ndarray, combine: str = "sum") -> float:
 
 
 def gpu_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResult:
-    """Scan-compacted selection kernel."""
+    """Scan-compacted selection kernel.
+
+    Both compaction paths of :func:`repro.gpu.jit.compact_mask` are
+    exact, so the output is bitwise identical to the CPU operator's.
+    """
     slice_ = inputs[0]
     batch = slice_.batch
     mask = operator.predicate.evaluate(batch)  # all lanes, no short-circuit
-    survivors = compact_indices(mask)
+    survivors = jit.compact_mask(mask)
     out = batch.take(survivors)
     selectivity = float(mask.mean()) if len(batch) else 0.0
     return BatchResult(complete=out, stats={"selectivity": selectivity})
@@ -71,7 +82,7 @@ def gpu_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResu
 def gpu_join(operator: ThetaJoin, inputs: "list[StreamSlice]") -> BatchResult:
     """Count-then-compact join: delegates pair enumeration to the same
     window-fragment bookkeeping as the CPU path, but resolves each window
-    pair with the two-step technique."""
+    pair by evaluating every lane and compacting the survivors."""
     def count_compact(left, right):
         nl, nr = len(left), len(right)
         if nl == 0 or nr == 0:
@@ -80,32 +91,28 @@ def gpu_join(operator: ThetaJoin, inputs: "list[StreamSlice]") -> BatchResult:
         ri = np.tile(np.arange(nr), nl)
         pairs = operator._combine(left.take(li), right.take(ri))
         mask = operator.predicate.evaluate(pairs)
-        # Step 1: per-left-tuple match counts; step 2: scan for offsets.
-        counts = mask.reshape(nl, nr).sum(axis=1)
-        offsets = blelloch_scan(counts)
-        total = int(offsets[-1] + counts[-1])
-        write = np.empty(total, dtype=np.int64)
-        write[blelloch_scan(mask.astype(np.int64))[mask]] = np.nonzero(mask)[0]
-        return pairs.take(write)
+        # compact_mask is the whole count / scan / write sequence over
+        # the row-major pair lanes, so survivors keep left-major order.
+        return pairs.take(jit.compact_mask(mask))
 
     # Per-call override — the operator instance is shared across worker
     # threads in the threaded backend, so it must never be mutated here.
     return operator.process_batch(inputs, pair_fn=count_compact)
 
 
-def execute_on_gpu(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
+def gpu_kernel(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
     """Run a query task's batch operator function through the GPGPU path.
 
-    Operators without a specialised kernel (projection's arithmetic map is
-    identical on both processors; GROUP-BY's compacted table is the
-    vectorised equivalent of :class:`~repro.gpu.hashtable.OpenAddressingTable`)
-    fall back to the shared vectorised implementation — the *results* are
-    defined to be processor-independent, and tests enforce it.
+    Operators without a specialised kernel (projection's arithmetic map
+    is identical on both processors; aggregation's and GROUP-BY's shared
+    vectorised implementation never re-orders a float reduction — the
+    compacted group table is the vectorised equivalent of
+    :class:`~repro.gpu.hashtable.OpenAddressingTable`) fall back to the
+    CPU implementation — the *results* are defined to be
+    processor-independent, and tests enforce it.
     """
     if isinstance(operator, Selection):
         return gpu_selection(operator, inputs)
     if isinstance(operator, ThetaJoin):
         return gpu_join(operator, inputs)
-    if isinstance(operator, (Aggregation, GroupedAggregation)):
-        return operator.process_batch(inputs)
     return operator.process_batch(inputs)

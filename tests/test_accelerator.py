@@ -158,7 +158,7 @@ def test_accelerator_config_forces_gpu_only_topology():
     assert config.use_gpu
     engine = SaberEngine(config)
     assert engine.accelerator is not None
-    assert [w.processor for w in engine.workers] == [GPU]
+    assert [(s.processor, s.workers) for s in engine.device_slots()] == [(GPU, 1)]
 
 
 def test_hybrid_config_requires_both_slots():

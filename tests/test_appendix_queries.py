@@ -9,7 +9,7 @@ must reject them loudly rather than mis-parse.
 
 import pytest
 
-from repro.core.cql import parse_cql
+from repro.core.cql import compile_statement
 from repro.errors import CQLSyntaxError
 from repro.operators.aggregation import Aggregation
 from repro.operators.compose import FilteredWindows
@@ -35,7 +35,7 @@ SCHEMAS = {
 
 class TestClusterMonitoring:
     def test_cm1(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, category, sum(cpu) as totalCpu
             from TaskEvents [range 60 slide 1]
@@ -48,7 +48,7 @@ class TestClusterMonitoring:
         assert q.windows[0].size == 60 and q.windows[0].slide == 1
 
     def test_cm2(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, jobId, avg(cpu) as avgCpu
             from TaskEvents [range 60 slide 1]
@@ -63,7 +63,7 @@ class TestClusterMonitoring:
 
 class TestSmartGrid:
     def test_sg1(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, avg(value) as globalAvgLoad
             from SmartGridStr [range 3600 slide 1]
@@ -74,7 +74,7 @@ class TestSmartGrid:
         assert q.windows[0].size == 3600
 
     def test_sg2(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, plug, household, house,
                    avg(value) as localAvgLoad
@@ -87,7 +87,7 @@ class TestSmartGrid:
 
     def test_sg3_join_core(self):
         # The inner join of SG3 (the outer count(*) is a chained query).
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, plug, household, house
             from LocalLoadStr [range 1 slide 1] as L,
@@ -102,7 +102,7 @@ class TestSmartGrid:
 
 class TestLinearRoad:
     def test_lrb1(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, vehicle, speed, highway, lane, direction,
                    (position / 5280) as segment
@@ -115,7 +115,7 @@ class TestLinearRoad:
         assert "segment" in q.operator.output_schema
 
     def test_lrb3(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, highway, direction, lane,
                    avg(speed) as avgSpeed
@@ -128,7 +128,7 @@ class TestLinearRoad:
         assert q.operator.having is not None
 
     def test_lrb4_inner(self):
-        q = parse_cql(
+        q = compile_statement(
             """
             select timestamp, highway, direction, vehicle, count(*)
             from SegSpeedStr [range 30 slide 1]
@@ -145,7 +145,7 @@ class TestUnsupportedConstructs:
         # LRB2's [partition by vehicle rows 1] window is out of the
         # subset; the workload implements it programmatically.
         with pytest.raises(CQLSyntaxError):
-            parse_cql(
+            compile_statement(
                 "select distinct timestamp, vehicle from "
                 "SegSpeedStr [partition by vehicle rows 1]",
                 SCHEMAS,
@@ -153,7 +153,7 @@ class TestUnsupportedConstructs:
 
     def test_nested_subquery_rejected(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql(
+            compile_statement(
                 "select timestamp, house, count(*) from "
                 "(select timestamp from SegSpeedStr [range 1 slide 1]) as R "
                 "group by house",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cql import parse_cql
+from repro.core.cql import compile_statement
 from repro.errors import CQLSyntaxError
 from repro.operators.aggregation import Aggregation
 from repro.operators.compose import FilteredWindows
@@ -22,7 +22,7 @@ SCHEMAS = {"TaskEvents": TASK_EVENTS, "S": TASK_EVENTS}
 
 class TestSingleStream:
     def test_cm1_style_group_by(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, category, sum(cpu) as totalCpu "
             "from TaskEvents [range 60 slide 1] group by category",
             SCHEMAS,
@@ -34,7 +34,7 @@ class TestSingleStream:
         assert "totalCpu" in q.operator.output_schema
 
     def test_cm2_style_where_plus_group_by(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, jobId, avg(cpu) as avgCpu "
             "from TaskEvents [range 60 slide 1] "
             "where eventType == 1 group by jobId",
@@ -44,13 +44,13 @@ class TestSingleStream:
         assert isinstance(q.operator.inner, GroupedAggregation)
 
     def test_plain_aggregation(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, avg(cpu) from S [range 3600 slide 1]", SCHEMAS
         )
         assert isinstance(q.operator, Aggregation)
 
     def test_having(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, category, avg(cpu) as a "
             "from S [range 300 slide 1] group by category having a < 40.0",
             SCHEMAS,
@@ -58,14 +58,14 @@ class TestSingleStream:
         assert q.operator.having is not None
 
     def test_projection_with_arithmetic(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, cpu * 2 + 1 as load from S [rows 1024]", SCHEMAS
         )
         assert isinstance(q.operator, Projection)
         assert q.operator.cost_profile().ops_per_tuple == 2
 
     def test_selection_whole_tuple(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, jobId, eventType, category, cpu "
             "from S [rows 64 slide 16] where eventType == 2",
             SCHEMAS,
@@ -74,7 +74,7 @@ class TestSingleStream:
         assert q.windows[0].is_count_based and q.windows[0].slide == 16
 
     def test_filtered_projection(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, cpu from S [rows 64] where eventType == 2",
             SCHEMAS,
         )
@@ -82,17 +82,17 @@ class TestSingleStream:
         assert isinstance(q.operator.inner, Projection)
 
     def test_distinct(self):
-        q = parse_cql(
+        q = compile_statement(
             "select distinct category from S [range 30 slide 1]", SCHEMAS
         )
         assert isinstance(q.operator, DistinctProjection)
 
     def test_unbounded_window(self):
-        q = parse_cql("select timestamp, cpu from S [range unbounded]", SCHEMAS)
+        q = compile_statement("select timestamp, cpu from S [range unbounded]", SCHEMAS)
         assert q.windows == [None]
 
     def test_count_star(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, category, count(*) as n "
             "from S [range 30 slide 1] group by category",
             SCHEMAS,
@@ -102,7 +102,7 @@ class TestSingleStream:
 
 class TestJoin:
     def test_two_stream_join(self):
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, cpu from S [range 1 slide 1] as L, "
             "TaskEvents [range 1 slide 1] as G "
             "where L.category == G.category and L.cpu > G.cpu",
@@ -113,7 +113,7 @@ class TestJoin:
 
     def test_join_without_predicate_rejected(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql(
+            compile_statement(
                 "select timestamp from S [range 1], TaskEvents [range 1]",
                 SCHEMAS,
             )
@@ -122,77 +122,77 @@ class TestJoin:
 class TestErrors:
     def test_unknown_stream(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql("select timestamp from Nope [rows 4]", SCHEMAS)
+            compile_statement("select timestamp from Nope [rows 4]", SCHEMAS)
 
     def test_missing_window_clause(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql("select timestamp from S", SCHEMAS)
+            compile_statement("select timestamp from S", SCHEMAS)
 
     def test_garbage_input(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql("insert into S values (1)", SCHEMAS)
+            compile_statement("insert into S values (1)", SCHEMAS)
 
     def test_trailing_tokens(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql("select timestamp from S [rows 4] limit 5", SCHEMAS)
+            compile_statement("select timestamp from S [rows 4] limit 5", SCHEMAS)
 
     def test_having_without_group_by(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql(
+            compile_statement(
                 "select timestamp, avg(cpu) as a from S [rows 4] having a > 1",
                 SCHEMAS,
             )
 
     def test_untokenizable(self):
         with pytest.raises(CQLSyntaxError):
-            parse_cql("select @#$ from S [rows 4]", SCHEMAS)
+            compile_statement("select @#$ from S [rows 4]", SCHEMAS)
 
     def test_unknown_stream_names_the_stream(self):
         with pytest.raises(CQLSyntaxError, match="unknown stream 'Nope'"):
-            parse_cql("select timestamp from Nope [rows 4]", SCHEMAS)
+            compile_statement("select timestamp from Nope [rows 4]", SCHEMAS)
 
     def test_join_without_where_names_the_requirement(self):
         with pytest.raises(CQLSyntaxError, match="join query needs a WHERE"):
-            parse_cql(
+            compile_statement(
                 "select timestamp from S [range 1], TaskEvents [range 1]",
                 SCHEMAS,
             )
 
     def test_having_without_group_by_message(self):
         with pytest.raises(CQLSyntaxError, match="HAVING without GROUP BY"):
-            parse_cql(
+            compile_statement(
                 "select timestamp, avg(cpu) as a from S [rows 4] having a > 1",
                 SCHEMAS,
             )
 
     def test_having_without_any_aggregate(self):
         with pytest.raises(CQLSyntaxError, match="HAVING without GROUP BY"):
-            parse_cql("select timestamp from S [rows 4] having cpu > 1", SCHEMAS)
+            compile_statement("select timestamp from S [rows 4] having cpu > 1", SCHEMAS)
 
     def test_trailing_input_names_the_token(self):
         with pytest.raises(CQLSyntaxError, match="trailing input at 'limit'"):
-            parse_cql("select timestamp from S [rows 4] limit 5", SCHEMAS)
+            compile_statement("select timestamp from S [rows 4] limit 5", SCHEMAS)
 
     def test_expect_message_quotes_the_offending_token(self):
         # Regression: both branches of the expect() error are formatted
         # deliberately — real tokens repr'd, end-of-input as prose.
         with pytest.raises(CQLSyntaxError, match="expected 'select', got 'insert'"):
-            parse_cql("insert into S values (1)", SCHEMAS)
+            compile_statement("insert into S values (1)", SCHEMAS)
 
     def test_expect_message_marks_end_of_query(self):
         with pytest.raises(CQLSyntaxError, match="got end of query$"):
-            parse_cql("select timestamp from", SCHEMAS)
+            compile_statement("select timestamp from", SCHEMAS)
 
     def test_unknown_where_column_is_a_cql_error(self):
         with pytest.raises(CQLSyntaxError, match="unknown column"):
-            parse_cql("select timestamp from S [rows 4] where nope > 1", SCHEMAS)
+            compile_statement("select timestamp from S [rows 4] where nope > 1", SCHEMAS)
 
 
 class TestDistinctWhere:
     """Regression: SELECT DISTINCT used to drop the WHERE clause."""
 
     def test_distinct_keeps_where_clause(self):
-        q = parse_cql(
+        q = compile_statement(
             "select distinct category from S [range 30 slide 1] "
             "where eventType == 2",
             SCHEMAS,
@@ -214,7 +214,7 @@ class TestDistinctWhere:
             category=np.array([5, 6, 5, 6, 7, 7, 5, 5], dtype=np.int32),
             cpu=np.zeros(8, dtype=np.float32),
         )
-        q = parse_cql(
+        q = compile_statement(
             "select distinct category from S [rows 8 slide 8] "
             "where eventType == 2",
             SCHEMAS,
@@ -230,7 +230,7 @@ class TestEndToEnd:
         from repro.core.engine import SaberConfig, SaberEngine
         from repro.workloads.cluster import ClusterMonitoringSource, TASK_EVENTS_SCHEMA
 
-        q = parse_cql(
+        q = compile_statement(
             "select timestamp, category, sum(cpu) as totalCpu "
             "from TaskEvents [range 10 slide 2] group by category",
             {"TaskEvents": TASK_EVENTS_SCHEMA},

@@ -1,0 +1,176 @@
+"""The execution core's seams: one completion path, one layering.
+
+``SaberEngine.complete`` is the only place a finished task is accounted
+for, whatever executor ran it — so the accounting must come out the same
+under all five ``execution`` values — and the engine / executor / device
+split is held in place by an AST guard rather than by convention.
+"""
+
+import ast
+import multiprocessing
+import pathlib
+
+import pytest
+
+from repro.core.engine import SaberConfig, SaberEngine
+from repro.core.scheduler import FcfsScheduler, HlsScheduler
+from repro.hardware.slots import EXECUTION_MODES
+from repro.workloads.synthetic import TUPLE_SIZE, SyntheticSource, select_query
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+TASKS = 12
+
+
+def _engine(execution, **kwargs):
+    if execution == "processes" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("processes backend needs POSIX fork")
+    return SaberEngine(
+        SaberConfig(
+            execution=execution,
+            task_size_bytes=256 * TUPLE_SIZE,
+            cpu_workers=2,
+            matrix_refresh_seconds=0.0,  # every completion refreshes the matrix
+            **kwargs,
+        )
+    )
+
+
+def _run_with_feedback_spy(engine, query, sources):
+    """Run ``TASKS`` tasks, recording every HLS feedback call."""
+    feedback = []
+    task_finished = engine.scheduler.task_finished
+
+    def spy(task, processor, tasks_per_second, now):
+        feedback.append((task.task_id, processor, tasks_per_second))
+        task_finished(task, processor, tasks_per_second, now)
+
+    engine.scheduler.task_finished = spy
+    engine.add_query(query, sources)
+    try:
+        report = engine.run(tasks_per_query=TASKS)
+    finally:
+        engine.shutdown()
+    return report, feedback
+
+
+@pytest.mark.parametrize("execute_data", [True, False], ids=["data", "stat-model"])
+@pytest.mark.parametrize("execution", list(EXECUTION_MODES))
+def test_complete_accounts_identically_on_every_execution(execution, execute_data):
+    engine = _engine(execution, execute_data=execute_data)
+    query = select_query(4, pass_rate=0.5)
+    sources = [SyntheticSource(seed=3)] if execute_data else None
+    report, feedback = _run_with_feedback_spy(engine, query, sources)
+    (run,) = engine.runs
+    records = report.measurements.records
+
+    assert len(records) == TASKS
+    assert run.tasks_completed == run.tasks_dispatched == TASKS
+    assert all(r.query == query.name and r.completed >= r.created for r in records)
+    # One latency sample per ordered output chunk; per task when no data ran.
+    chunks = len(run.result_stage.emitted) if execute_data else TASKS
+    assert chunks > 0
+    assert len(report.measurements.latencies) == chunks
+    # One positive throughput sample per task, for the processor that ran it.
+    assert sorted(p for __, p, __ in feedback) == sorted(r.processor for r in records)
+    assert sorted(task_id for task_id, __, __ in feedback) == list(range(TASKS))
+    assert all(tps > 0 for __, __, tps in feedback)
+    processors = {slot.processor for slot in engine.device_slots()}
+    assert {r.processor for r in records} <= processors
+    if isinstance(engine.scheduler, HlsScheduler):
+        # (Worker-clock completion times can arrive out of order on
+        # processes, so a straggler's sample may still await a refresh.)
+        __, matrix = report.matrix_history[-1]
+        assert matrix and set(matrix) <= {(query.name, r.processor) for r in records}
+
+
+class _CountingFcfs(FcfsScheduler):
+    def __init__(self):
+        self.selected = 0
+        self.finished = 0
+
+    def select(self, queue, processor):
+        self.selected += 1
+        return super().select(queue, processor)
+
+    def task_finished(self, task, processor, tasks_per_second, now):
+        self.finished += 1
+
+
+@pytest.mark.parametrize("execution", list(EXECUTION_MODES))
+def test_scheduler_swapped_after_construction_selects_and_gets_feedback(execution):
+    """``engine.scheduler`` is an ablation hook (bench_hls_ablation swaps
+    it on a built engine): the executor must select on the live object,
+    the same one ``complete`` feeds."""
+    engine = _engine(execution)
+    built = engine.scheduler
+    built.select = built.task_finished = None  # any use of the old one raises
+    engine.scheduler = swapped = _CountingFcfs()
+    engine.add_query(select_query(4, pass_rate=0.5), [SyntheticSource(seed=3)])
+    try:
+        engine.run(tasks_per_query=TASKS)
+    finally:
+        engine.shutdown()
+    assert swapped.selected >= TASKS
+    assert swapped.finished == TASKS
+
+
+# -- layering guard ------------------------------------------------------------
+
+
+def _parse(relative):
+    return ast.parse((SRC / relative).read_text())
+
+
+def _private_engine_accesses(tree):
+    """``engine._x`` / ``<anything>.engine._x`` attribute accesses."""
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if not node.attr.startswith("_") or node.attr.startswith("__"):
+            continue
+        owner = node.value
+        name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+        if name == "engine":
+            hits.append((node.lineno, node.attr))
+    return hits
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "core").glob("executor*.py")))
+def test_executors_touch_the_engine_through_public_names_only(module):
+    assert _private_engine_accesses(_parse(f"core/{module}")) == []
+
+
+def test_guard_sees_private_engine_access():
+    tree = ast.parse("def f(self):\n    self.engine._materialise(1)\n    engine._x\n")
+    assert sorted(_private_engine_accesses(tree)) == [(2, "_materialise"), (3, "_x")]
+
+
+def test_engine_holds_no_event_loop_or_cost_model_code():
+    tree = _parse("core/engine.py")
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    }
+    assert not imported & {"sim.loop", "hardware.cpu", "hardware.gpu", "gpu.pipeline"}
+    (engine_class,) = [
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SaberEngine"
+    ]
+    (run,) = [
+        n for n in engine_class.body if isinstance(n, ast.FunctionDef) and n.name == "run"
+    ]
+    # run() hands over to the executor: no branch on config.execution.
+    assert not any(
+        isinstance(n, ast.Attribute) and n.attr == "execution" for n in ast.walk(run)
+    )
+
+
+def test_one_task_record_construction_site():
+    sites = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TaskRecord":
+                    sites.append(str(path.relative_to(SRC)))
+    assert sites == ["core/engine.py"]

@@ -346,6 +346,49 @@ def test_worker_failure_surfaces_in_parent():
     assert not shm_segments()
 
 
+def test_partial_fork_failure_reaps_started_workers(monkeypatch):
+    """A fork that fails on worker k must not strand workers 0..k-1.
+
+    ``Process.start`` raises (EAGAIN / rlimit) on the second worker: the
+    typed error surfaces, the already-started worker is reaped before
+    ``run`` returns, and the engine is still usable afterwards.
+    """
+    import errno
+
+    process_class = multiprocessing.get_context("fork").Process
+    real_start = process_class.start
+    starts = []
+
+    def flaky_start(self):
+        starts.append(self.name)
+        if len(starts) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        real_start(self)
+
+    monkeypatch.setattr(process_class, "start", flaky_start)
+    engine = SaberEngine(
+        SaberConfig(
+            execution="processes",
+            task_size_bytes=333 * TUPLE_SIZE,
+            cpu_workers=3,
+            use_gpu=False,
+        )
+    )
+    query = select_query(4)
+    engine.add_query(query, [SyntheticSource(seed=1)])
+    try:
+        with pytest.raises(SimulationError, match="could not start worker process"):
+            engine.run(tasks_per_query=4)
+        assert len(starts) == 2
+        assert multiprocessing.active_children() == []
+        report = engine.run(tasks_per_query=4)  # forks afresh, all three start
+        assert len(report.measurements.records) == 4
+    finally:
+        engine.shutdown()
+    assert multiprocessing.active_children() == []
+    assert not shm_segments()
+
+
 # -- backend plumbing ----------------------------------------------------------
 
 

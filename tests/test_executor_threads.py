@@ -8,7 +8,7 @@ over the same seeded source through both backends and demands identical
 window results.
 
 All operators must match bitwise even with the GPGPU worker enabled:
-``execute_on_gpu`` either uses a kernel defined to produce identical
+``gpu_kernel`` either uses a kernel defined to produce identical
 rows (selection, join) or shares the CPU implementation (aggregation,
 GROUP-BY), so processor assignment is invisible at the bit level.
 
@@ -127,7 +127,7 @@ def test_aggregate_functions_equivalence_cpu(function):
 def test_aggregation_equivalence_hybrid():
     """Hybrid aggregation is bitwise identical across backends.
 
-    ``execute_on_gpu`` routes aggregation through the same vectorised
+    ``gpu_kernel`` routes aggregation through the same vectorised
     implementation as the CPU path, so which processor ran a task is
     invisible even at the bit level.  If a future GPGPU aggregation
     kernel introduces a genuinely different float reduction order, relax

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpu.kernels import execute_on_gpu, gpu_selection, reduction_tree
+from repro.gpu.kernels import gpu_kernel, gpu_selection, reduction_tree
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
@@ -80,7 +80,7 @@ class TestKernelEquivalence:
             StreamSlice(rb, assign_count_windows(w, 0, 64), 0),
         ]
         cpu = op.process_batch(slices)
-        gpu = execute_on_gpu(op, slices)
+        gpu = gpu_kernel(op, slices)
         assert np.array_equal(cpu.complete.data, gpu.complete.data)
         # restores the original method after running
         assert op.join_pairs.__name__ == "join_pairs"
@@ -90,7 +90,7 @@ class TestKernelEquivalence:
         data = batch(512)
         slices = windowed(data, WindowDefinition.rows(128, 32))
         cpu = op.process_batch(slices)
-        gpu = execute_on_gpu(op, slices)
+        gpu = gpu_kernel(op, slices)
         assert np.allclose(
             cpu.complete.column("sum_v"), gpu.complete.column("sum_v")
         )
@@ -100,7 +100,7 @@ class TestKernelEquivalence:
         data = batch(256)
         slices = windowed(data, WindowDefinition.rows(64, 64))
         cpu = op.process_batch(slices)
-        gpu = execute_on_gpu(op, slices)
+        gpu = gpu_kernel(op, slices)
         assert np.allclose(
             cpu.complete.column("avg_v"), gpu.complete.column("avg_v")
         )

@@ -1,9 +1,15 @@
-"""Unit tests for the Blelloch scan and scan-based compaction."""
+"""Unit tests for the GPGPU kernels' scan and compaction primitives.
+
+The exclusive scan (§5.4's Blelloch-style prefix sum) and the
+scan-based compaction behind the selection and join kernels live in
+:mod:`repro.gpu.jit`; both of its paths (numba-compiled, numpy) must
+satisfy these properties.
+"""
 
 import numpy as np
 import pytest
 
-from repro.gpu.prefix_sum import blelloch_scan, compact_indices
+from repro.gpu.jit import compact_mask, exclusive_scan
 
 
 class TestBlellochScan:
@@ -12,32 +18,32 @@ class TestBlellochScan:
         rng = np.random.default_rng(n)
         values = rng.integers(0, 10, n)
         expected = np.concatenate([[0], np.cumsum(values)[:-1]]) if n else []
-        assert np.array_equal(blelloch_scan(values), expected)
+        assert np.array_equal(exclusive_scan(values), expected)
 
     def test_exclusive_first_element_is_zero(self):
-        out = blelloch_scan(np.array([5, 1, 2]))
+        out = exclusive_scan(np.array([5, 1, 2]))
         assert out[0] == 0
 
     def test_all_zeros(self):
-        assert np.array_equal(blelloch_scan(np.zeros(16, dtype=int)), np.zeros(16))
+        assert np.array_equal(exclusive_scan(np.zeros(16, dtype=int)), np.zeros(16))
 
 
 class TestCompaction:
     def test_selected_indices(self):
         mask = np.array([True, False, True, True, False])
-        assert np.array_equal(compact_indices(mask), [0, 2, 3])
+        assert np.array_equal(compact_mask(mask), [0, 2, 3])
 
     def test_empty_mask(self):
-        assert len(compact_indices(np.array([], dtype=bool))) == 0
+        assert len(compact_mask(np.array([], dtype=bool))) == 0
 
     def test_none_selected(self):
-        assert len(compact_indices(np.zeros(10, dtype=bool))) == 0
+        assert len(compact_mask(np.zeros(10, dtype=bool))) == 0
 
     def test_all_selected(self):
-        assert np.array_equal(compact_indices(np.ones(5, dtype=bool)), np.arange(5))
+        assert np.array_equal(compact_mask(np.ones(5, dtype=bool)), np.arange(5))
 
     def test_output_is_ordered(self):
         rng = np.random.default_rng(3)
         mask = rng.random(500) < 0.3
-        out = compact_indices(mask)
+        out = compact_mask(mask)
         assert np.array_equal(out, np.nonzero(mask)[0])

@@ -88,6 +88,7 @@ class TestOrdering:
         stage.submit(task, result, 0.0)
         with pytest.raises(ExecutionError):
             stage.submit(task, result, 0.0)
+        assert stage.tasks_submitted == 1  # a rejected submit is not a completion
 
     def test_slot_overflow_detected(self):
         query = make_query()

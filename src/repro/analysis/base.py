@@ -298,6 +298,11 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "operators.groupby.GroupedAggregation._fold",
     "operators.groupby.GroupedAggregation.assemble_windows",
     "operators.aggregation.Aggregation.assemble_windows",
+    # One-pass θ-join kernel (per task, and per cross term at assembly).
+    "operators.join.ThetaJoin.process_batch",
+    "operators.join.ThetaJoin.join_task",
+    "operators.join.ThetaJoin.join_segments",
+    "operators.join.ThetaJoin.merge_partials",
     # Result stage (in-order drain, one batched assembly per task, emit).
     "core.result_stage.ResultStage.submit",
     "core.result_stage.ResultStage._process",

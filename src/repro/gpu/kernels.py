@@ -14,9 +14,10 @@ paper's OpenCL kernels algorithmically:
   object itself is exercised by unit tests for equivalence;
 * **join** — the two-step count-then-compact technique borrowed from
   in-memory column stores [32]: match counts per tuple, a scan to obtain
-  write offsets, then compaction — here one
-  :func:`~repro.gpu.jit.compact_mask` over the row-major pair lanes,
-  which orders survivors exactly as the per-tuple offsets would.
+  write offsets, then compaction — here the one task-level kernel of
+  :mod:`repro.operators.join` with :func:`~repro.gpu.jit.compact_mask`
+  over each block's row-major candidate lanes, which orders survivors
+  exactly as the per-tuple offsets would.
 
 The compaction primitive comes from :mod:`repro.gpu.jit`
 (numba-compiled where available, numpy otherwise; both exact).
@@ -80,24 +81,11 @@ def gpu_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResu
 
 
 def gpu_join(operator: ThetaJoin, inputs: "list[StreamSlice]") -> BatchResult:
-    """Count-then-compact join: delegates pair enumeration to the same
-    window-fragment bookkeeping as the CPU path, but resolves each window
-    pair by evaluating every lane and compacting the survivors."""
-    def count_compact(left, right):
-        nl, nr = len(left), len(right)
-        if nl == 0 or nr == 0:
-            return operator.join_pairs(left, right)
-        li = np.repeat(np.arange(nl), nr)
-        ri = np.tile(np.arange(nr), nl)
-        pairs = operator._combine(left.take(li), right.take(ri))
-        mask = operator.predicate.evaluate(pairs)
-        # compact_mask is the whole count / scan / write sequence over
-        # the row-major pair lanes, so survivors keep left-major order.
-        return pairs.take(jit.compact_mask(mask))
-
-    # Per-call override — the operator instance is shared across worker
-    # threads in the threaded backend, so it must never be mutated here.
-    return operator.process_batch(inputs, pair_fn=count_compact)
+    """Count-then-compact join: the operator's task-level kernel, with
+    :func:`~repro.gpu.jit.compact_mask` — the whole count / scan / write
+    sequence over the row-major candidate lanes — compacting each
+    block's predicate mask, so survivors keep left-major order."""
+    return operator.join_task(inputs, jit.compact_mask)
 
 
 def gpu_kernel(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:

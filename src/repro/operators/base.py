@@ -202,6 +202,13 @@ class Operator:
         return inputs[0]
 
 
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for every ``(s, n)`` pair."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
 def emit_order(window_ids: "np.ndarray | list[int]") -> np.ndarray:
     """Sort helper: result emission follows ascending window ids."""
     return np.argsort(np.asarray(window_ids), kind="stable")

@@ -47,7 +47,7 @@ from ..relational.schema import Attribute, Schema, TIMESTAMP_ATTRIBUTE
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState
 from .aggregate_functions import AggregateSpec, finalize
-from .base import BatchResult, CostProfile, Operator, StreamSlice
+from .base import BatchResult, CostProfile, Operator, StreamSlice, concat_ranges
 
 #: flat (fragment, tuple) elements one pass of the segmented kernel
 #: reduces.  Bounds the transient arrays at ~5 live × 128 KiB, which also
@@ -59,13 +59,6 @@ _BLOCK_ELEMENTS = 1 << 14
 #: count, and the aggregate functions that need each.
 _ACCUMULATOR_OF = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}
 _FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + n)`` for every ``(s, n)`` pair."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _encode_keys(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -293,7 +286,7 @@ class GroupedAggregation(Operator):
                 # The fragments tile a batch range: no gather needed.
                 rows = slice(first[0], last[-1])
             else:
-                rows = _ranges(first, lengths[lo:hi])
+                rows = concat_ranges(first, lengths[lo:hi])
             segments = np.repeat(np.arange(hi - lo), lengths[lo:hi])
             cells = _Cells(segments, codes[rows], hi - lo, len(distinct))
             fragments.append(cells.segments + lo)
@@ -353,7 +346,7 @@ class GroupedAggregation(Operator):
         emitted = fragment[~boundary & nonempty[fragment]]
         complete, __ = self._emit_rows(
             np.repeat(last_ts[emitted], groups[emitted]),
-            tables.take(_ranges(first_row[emitted], groups[emitted])),
+            tables.take(concat_ranges(first_row[emitted], groups[emitted])),
         )
 
         partials: dict[int, GroupedWindowAccumulator] = {}
@@ -361,7 +354,7 @@ class GroupedAggregation(Operator):
         if len(shipped):
             # COMPLETE rows are emitted and dropped; the boundary rows
             # leave as one block that every payload references.
-            block = tables.take(_ranges(first_row[shipped], groups[shipped]))
+            block = tables.take(concat_ranges(first_row[shipped], groups[shipped]))
             bounds = np.concatenate(([0], np.cumsum(groups[shipped])))
             payloads = [
                 GroupedWindowAccumulator(block, int(lo), int(hi), int(ts))
@@ -415,7 +408,7 @@ class GroupedAggregation(Operator):
         window = np.asarray([position for position, __ in parts])
         first = np.asarray([base[id(p.block)] + p.start for __, p in parts])
         length = np.asarray([p.stop - p.start for __, p in parts])
-        rows = GroupBlock.concat(list(blocks.values())).take(_ranges(first, length))
+        rows = GroupBlock.concat(list(blocks.values())).take(concat_ranges(first, length))
         distinct, codes = _encode_keys(rows.keys)
         cells = _Cells(np.repeat(window, length), codes, len(ready), len(distinct))
         merged = GroupBlock(

@@ -5,11 +5,39 @@ left stream is joined with window *i* of the right stream (the aligned
 window pairs produced by identical window clauses, as in SG3's
 ``[range 1 slide 1]`` self-join or the synthetic JOIN_r queries).
 
-Within a query task the join of the local fragments is a vectorised
-nested-loop over the cross product.  Windows spanning several tasks use a
-non-trivial assembly decomposition: a fragment payload retains both the
-local join result *and* the raw left/right fragments, and merging payloads
-adds the two cross terms::
+The batch operator function joins *all* window pairs of a query task in
+one pass shaped ``candidates → predicate → compact`` (the count / scan /
+compact join of §5.4, [32]): the task's window pairs are laid out as row
+segments ``(ls, le, rs, re)``; candidate index pairs are generated in
+emission order — window id, then left row, then right row, ascending;
+the whole predicate is evaluated over the candidates through a view
+that gathers only the columns it reads; and full output rows are
+gathered once, for survivors only.  Candidates are
+
+* **all pairs** of each segment, or
+* when the predicate's top-level ``And`` chain holds an equality between
+  a left-only and a right-only expression of integer (or bool) type,
+  only the **key-matched pairs**: both key expressions are evaluated
+  once per row, the right rows are stably sorted on ``(key, row)`` once
+  per task, and two binary searches per (window, left row) — with the
+  window's right range folded into the probe — bound its matches.  The
+  key only prunes; the unmodified predicate still decides, so there is
+  one join semantics.  Float keys (``NaN != NaN``, ``-0.0 == 0.0``) and
+  mixed keys numpy compares as floats take all pairs.
+
+Which generator runs is fixed at construction from the predicate's
+shape and the key dtype.  Candidate counts are known before expansion,
+so the pass is cut into blocks of about :data:`_BLOCK_PAIRS` candidates
+— several small windows per block, a huge window split by left rows —
+and transient arrays stay around a MiB whatever the window size.  Rows are
+never materialised for a non-matching pair.  The per-window
+``repeat × tile`` algorithm this replaced is the test oracle in
+``tests/reference.py``; outputs are byte-identical to it.
+
+Windows spanning several tasks use a non-trivial assembly
+decomposition: a fragment payload retains both the local join result
+*and* the raw left/right fragments, and merging payloads adds the two
+cross terms — each a one-segment call of the same kernel::
 
     merge((r1, a1, b1), (r2, a2, b2)) =
         (r1 + r2 + join(a1, b2) + join(a2, b1),  a1 + a2,  b1 + b2)
@@ -21,15 +49,27 @@ defined" case (§3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..errors import ExecutionError, QueryError
-from ..relational.expressions import Predicate
+from ..relational.expressions import And, Comparison, Expression, Predicate
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
-from ..windows.assigner import FragmentState
-from .base import BatchResult, CostProfile, Operator, StreamSlice
+from ..windows.assigner import FragmentState, WindowSet
+from .base import BatchResult, CostProfile, Operator, StreamSlice, concat_ranges
+
+#: candidate pairs one block of the kernel expands, evaluates and
+#: compacts.  A block holds ~5 live int64 index arrays plus the
+#: predicate's gathered columns — about 1 MiB at this size, which stays
+#: inside a core's L2: measured on the all-pairs path (16 windows of
+#: 128 × 128 per task) 8–32 Ki run at 2.3–2.4 ms per task, 64 Ki at
+#: 3.4 ms and 256 Ki at 5.0 ms (10 MiB transient); below 8 Ki the
+#: per-block Python overhead shows.
+_BLOCK_PAIRS = 1 << 14
+
+_Compact = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -41,6 +81,47 @@ class JoinPartial:
     right: TupleBatch
     left_done: bool
     right_done: bool
+
+
+class _PairColumns:
+    """What ``Predicate.evaluate`` asks of a batch — ``column()`` and
+    ``len()`` — over (left row, right row) pairs, under the join's
+    output names.  A column is gathered from its side on first use;
+    without ``rows`` a side's columns are read whole (the key
+    expressions, which read one side each).
+    """
+
+    def __init__(
+        self,
+        where: "dict[str, tuple[int, str]]",
+        sides: "tuple[np.ndarray, np.ndarray]",
+        rows: "tuple[np.ndarray | None, np.ndarray | None]" = (None, None),
+        length: int = 0,
+    ) -> None:
+        self._where, self._sides, self._rows, self._length = where, sides, rows, length
+        self._gathered: dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self._length
+
+    def column(self, name: str) -> np.ndarray:
+        column = self._gathered.get(name)
+        if column is None:
+            side, source = self._where[name]
+            column, rows = self._sides[side][source], self._rows[side]
+            if rows is not None:
+                column = column[rows]
+            self._gathered[name] = column
+        return column
+
+
+def _conjuncts(predicate: Predicate) -> "Iterator[Predicate]":
+    """The terms of a predicate's top-level ``And`` chain, left to right."""
+    if isinstance(predicate, And):
+        yield from _conjuncts(predicate.left)
+        yield from _conjuncts(predicate.right)
+    else:
+        yield predicate
 
 
 class ThetaJoin(Operator):
@@ -69,6 +150,24 @@ class ThetaJoin(Operator):
         if unknown:
             raise QueryError(f"join predicate references unknown columns {sorted(unknown)}")
         self.predicate = predicate
+        left_names = left_schema.attribute_names
+        #: output name -> (side, input name)
+        self._where = {name: (0, name) for name in left_names}
+        self._where.update(
+            (out, (1, name))
+            for out, name in zip(
+                self._output_schema.attribute_names[len(left_names):],
+                right_schema.attribute_names,
+            )
+        )
+        # Both layouts are packed, so an output row is a left row followed
+        # by a right row: survivors are gathered side by side, as opaque
+        # bytes (numpy copies a structured row field by field, ~6× slower).
+        self._row_bytes = (
+            np.dtype(f"V{left_schema.tuple_size}"),
+            np.dtype(f"V{right_schema.tuple_size}"),
+        )
+        self._equi = self._equi_key()
 
     @property
     def output_schema(self) -> Schema:
@@ -80,104 +179,210 @@ class ThetaJoin(Operator):
             join_predicate_count=self.predicate.predicate_count(),
         )
 
-    # -- pairwise join core ---------------------------------------------------
+    # -- the kernel -------------------------------------------------------------
+
+    def _equi_key(self) -> "tuple[Expression, Expression, np.dtype] | None":
+        """(left key, right key, common dtype) that may prune candidates.
+
+        The first ``==`` of the top-level ``And`` chain whose two sides
+        read one input each and compare as integers or bools: there
+        ``l == r`` is exactly "equal after casting to the common dtype",
+        which sorting and binary search reproduce.
+        """
+        empty = _PairColumns(
+            self._where,
+            (
+                np.empty(0, dtype=self.left_schema.dtype),
+                np.empty(0, dtype=self.right_schema.dtype),
+            ),
+        )
+        left_names = set(self.left_schema.attribute_names)
+        right_names = set(self._where) - left_names
+        for term in _conjuncts(self.predicate):
+            if not (isinstance(term, Comparison) and term.op == "=="):
+                continue
+            for l_key, r_key in ((term.left, term.right), (term.right, term.left)):
+                l_refs, r_refs = l_key.references(), r_key.references()
+                if not (l_refs and r_refs and l_refs <= left_names and r_refs <= right_names):
+                    continue
+                dtype = np.result_type(l_key.evaluate(empty), r_key.evaluate(empty))
+                if dtype.kind in "iub":
+                    return l_key, r_key, dtype
+        return None
+
+    def _probe(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        row: np.ndarray,
+        r_start: np.ndarray,
+        r_stop: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Key-matched candidates of each (left row, right range) entry.
+
+        Returns ``(lo, hi, order)``: entry *e* may only match right rows
+        ``order[lo[e]:hi[e]]`` — those of ``[r_start[e], r_stop[e])``
+        whose key equals left row ``row[e]``'s, ascending.
+        """
+        l_key, r_key, dtype = self._equi
+        view = _PairColumns(self._where, (left, right))
+        l_keys = np.asarray(l_key.evaluate(view)).astype(dtype, copy=False)
+        r_keys = np.asarray(r_key.evaluate(view)).astype(dtype, copy=False)
+        order = np.argsort(r_keys, kind="stable")  # by (key, row)
+        r_sorted = r_keys[order]
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(r_sorted[1:], r_sorted[:-1], out=first[1:])
+        distinct = r_sorted[first]
+        # One sorted composite holds (key code, row), so a range of rows
+        # within one key is a contiguous run found by two searches.
+        stride = len(right) + 1
+        composite = (np.cumsum(first) - 1) * stride + order
+        code = np.searchsorted(distinct, l_keys)
+        code[code == len(distinct)] = 0
+        base = code[row] * stride
+        lo = np.searchsorted(composite, base + r_start)
+        hi = np.searchsorted(composite, base + r_stop)
+        return lo, np.where((distinct[code] == l_keys)[row], hi, lo), order
+
+    def join_segments(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        ls: np.ndarray,
+        le: np.ndarray,
+        rs: np.ndarray,
+        re: np.ndarray,
+        compact: _Compact = np.flatnonzero,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Join left rows ``[ls[s], le[s])`` with right rows ``[rs[s], re[s])``
+        for every segment *s* in one pass.
+
+        Returns the matching output rows — segment-major, then left row,
+        then right row — and the number of rows per segment.  No range
+        may be reversed (``le >= ls``, ``re >= rs``).  ``compact``
+        turns the predicate mask of a candidate block into the ascending
+        indices of its true lanes.
+        """
+        n_left = le - ls
+        # One entry per (segment, left row); its candidates are a range
+        # [lo, hi) of right rows, or of positions in `order` when pruned.
+        segment = np.repeat(np.arange(len(ls)), n_left)
+        row = concat_ranges(ls, n_left)
+        lo, hi, order = rs[segment], re[segment], None
+        if self._equi is not None and len(row) and len(right):
+            lo, hi, order = self._probe(left, right, row, lo, hi)
+        counts = hi - lo
+        offsets = np.cumsum(counts) - counts
+        cuts = np.searchsorted(offsets, np.arange(0, int(counts.sum()), _BLOCK_PAIRS))
+        cuts = np.append(cuts, len(counts))
+        kept_entries, kept_rights = [], []
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            if start == stop:
+                continue
+            expand = counts[start:stop]
+            entries = np.repeat(np.arange(start, stop), expand)
+            rights = concat_ranges(lo[start:stop], expand)
+            if order is not None:
+                rights = order[rights]
+            pairs = _PairColumns(
+                self._where, (left, right), (row[entries], rights), len(rights)
+            )
+            keep = compact(self.predicate.evaluate(pairs))
+            kept_entries.append(entries[keep])
+            kept_rights.append(rights[keep])
+        if not kept_entries:
+            return (
+                np.empty(0, dtype=self._output_schema.dtype),
+                np.zeros(len(ls), dtype=np.int64),
+            )
+        entries = np.concatenate(kept_entries)
+        l_bytes, r_bytes = self._row_bytes
+        out = np.empty(len(entries), dtype=[("l", l_bytes), ("r", r_bytes)])
+        out["l"] = left.view(l_bytes)[row[entries]]
+        out["r"] = right.view(r_bytes)[np.concatenate(kept_rights)]
+        matches = np.bincount(segment[entries], minlength=len(ls))
+        return out.view(self._output_schema.dtype), matches
 
     def join_pairs(self, left: TupleBatch, right: TupleBatch) -> TupleBatch:
-        """Vectorised nested-loop join of two tuple sequences."""
-        nl, nr = len(left), len(right)
-        if nl == 0 or nr == 0:
-            return TupleBatch.empty(self._output_schema)
-        li = np.repeat(np.arange(nl), nr)
-        ri = np.tile(np.arange(nr), nl)
-        pairs = self._combine(left.take(li), right.take(ri))
-        mask = self.predicate.evaluate(pairs)
-        return pairs.filter(mask)
-
-    def _combine(self, left: TupleBatch, right: TupleBatch) -> TupleBatch:
-        """Row-aligned concatenation into the output schema."""
-        columns = {}
-        taken = set()
-        for name in self.left_schema.attribute_names:
-            columns[name] = left.column(name)
-            taken.add(name)
-        for name in self.right_schema.attribute_names:
-            out_name = name if name not in taken else self.right_prefix + name
-            columns[out_name] = right.column(name)
-        return TupleBatch.from_columns(self._output_schema, **columns)
+        """Join of two tuple sequences: the kernel over one segment."""
+        zero = np.zeros(1, dtype=np.int64)
+        rows, __ = self.join_segments(
+            left.data, right.data, zero, zero + len(left), zero, zero + len(right)
+        )
+        return TupleBatch(self._output_schema, rows)
 
     # -- batch operator function ------------------------------------------------
 
-    def process_batch(
-        self, inputs: "list[StreamSlice]", pair_fn=None
-    ) -> BatchResult:
-        """Batch join; ``pair_fn`` optionally overrides pair resolution.
+    def process_batch(self, inputs: "list[StreamSlice]") -> BatchResult:
+        """All window pairs of the task through one pass of the kernel."""
+        return self.join_task(inputs, np.flatnonzero)
 
-        The GPGPU kernel passes its count-then-compact implementation as
-        ``pair_fn`` — per call, never by mutating the shared operator,
-        which concurrent workers of the threaded backend also execute.
-        """
+    def join_task(self, inputs: "list[StreamSlice]", compact: _Compact) -> BatchResult:
+        """The batch operator function, with the kernel's mask compaction
+        supplied by the caller (the GPGPU slot passes its scan-compaction
+        primitive)."""
         if len(inputs) != 2:
             raise ExecutionError("ThetaJoin expects exactly two inputs")
-        if pair_fn is None:
-            pair_fn = self.join_pairs
         left, right = inputs
-        lw, rw = left.windows, right.windows
-        l_index = {int(w): i for i, w in enumerate(lw.window_ids)}
-        r_index = {int(w): i for i, w in enumerate(rw.window_ids)}
-        window_ids = sorted(set(l_index) | set(r_index))
-
-        complete_chunks: list[TupleBatch] = []
-        partials: dict[int, JoinPartial] = {}
-        closed: list[int] = []
-        total_pairs = 0.0
-        matched = 0.0
-        for wid in window_ids:
-            l_frag, l_done, l_final = self._fragment(left, lw, l_index.get(wid))
-            r_frag, r_done, r_final = self._fragment(right, rw, r_index.get(wid))
-            local = pair_fn(l_frag, r_frag)
-            total_pairs += len(l_frag) * len(r_frag)
-            matched += len(local)
-            if l_final and r_final:
-                complete_chunks.append(local)
-            else:
-                partials[wid] = JoinPartial(
-                    result=local,
-                    left=l_frag,
-                    right=r_frag,
-                    left_done=l_done,
-                    right_done=r_done,
-                )
-                if l_done and r_done:
-                    closed.append(wid)
-        complete = (
-            TupleBatch.concat(complete_chunks)
-            if complete_chunks
-            else TupleBatch.empty(self._output_schema)
+        ids, slot = np.unique(
+            np.concatenate([left.windows.window_ids, right.windows.window_ids]),
+            return_inverse=True,
         )
-        selectivity = matched / total_pairs if total_pairs else 0.0
-        stats = {
-            "selectivity": selectivity,
-            "pairs": total_pairs,
-            "tuples": float(len(left.batch) + len(right.batch)),
-            "fragments": float(len(window_ids)),
-        }
-        return BatchResult(complete=complete, partials=partials, closed_ids=closed, stats=stats)
+        lw = _Segments.of(left.windows, slot[: len(left.windows)], len(ids))
+        rw = _Segments.of(right.windows, slot[len(left.windows):], len(ids))
+        rows, matches = self.join_segments(
+            left.batch.data, right.batch.data, lw.start, lw.stop, rw.start, rw.stop, compact
+        )
+        final = lw.final & rw.final
+        boundary = np.flatnonzero(~final)
+        pairs = float(((lw.stop - lw.start) * (rw.stop - rw.start)).sum())
+        return BatchResult(
+            complete=TupleBatch(
+                self._output_schema, rows if final.all() else rows[np.repeat(final, matches)]
+            ),
+            partials=self._boundary_partials(
+                left.batch, right.batch, rows, matches, ids, lw, rw, boundary
+            ),
+            closed_ids=[int(w) for w in ids[boundary[(lw.done & rw.done)[boundary]]]],
+            stats={
+                "selectivity": float(len(rows)) / pairs if pairs else 0.0,
+                "pairs": pairs,
+                "tuples": float(len(left.batch) + len(right.batch)),
+                "fragments": float(len(ids)),
+            },
+        )
 
-    def _fragment(
-        self, slice_: StreamSlice, windows, index: "int | None"
-    ) -> "tuple[TupleBatch, bool, bool]":
-        """(fragment rows, closes-here-or-earlier, COMPLETE-locally)."""
-        schema = slice_.batch.schema
-        if index is None:
-            # The window has no presence in this stream's batch; treat the
-            # missing side as done only when its stream has moved past it —
-            # conservatively: not done (the result stage merges later tasks).
-            return TupleBatch.empty(schema), False, False
-        start, stop = int(windows.starts[index]), int(windows.ends[index])
-        state = int(windows.states[index])
-        frag = slice_.batch.slice(start, stop)
-        done = state in (int(FragmentState.COMPLETE), int(FragmentState.CLOSING))
-        return frag, done, state == int(FragmentState.COMPLETE)
+    def _boundary_partials(
+        self,
+        left: TupleBatch,
+        right: TupleBatch,
+        rows: np.ndarray,
+        matches: np.ndarray,
+        ids: np.ndarray,
+        lw: "_Segments",
+        rw: "_Segments",
+        boundary: np.ndarray,
+    ) -> "dict[int, JoinPartial]":
+        """Payloads of the ``boundary`` segments — windows not COMPLETE
+        on both sides.
+
+        Each owns copies of its rows: a window pending across many tasks
+        must not pin this task's batches and output array (threads), nor
+        ship more than its rows over the completion queue (processes).
+        """
+        stops = np.cumsum(matches)
+        partials = {}
+        for s in boundary:
+            partials[int(ids[s])] = JoinPartial(
+                result=TupleBatch(
+                    self._output_schema, rows[stops[s] - matches[s]:stops[s]].copy()
+                ),
+                left=TupleBatch(self.left_schema, left.data[lw.start[s]:lw.stop[s]].copy()),
+                right=TupleBatch(self.right_schema, right.data[rw.start[s]:rw.stop[s]].copy()),
+                left_done=bool(lw.done[s]),
+                right_done=bool(rw.done[s]),
+            )
+        return partials
 
     # -- assembly operator function ------------------------------------------------
 
@@ -197,3 +402,33 @@ class ThetaJoin(Operator):
 
     def window_ready(self, payload: JoinPartial) -> bool:
         return payload.left_done and payload.right_done
+
+
+class _Segments(NamedTuple):
+    """One stream's share of every window of a task, by window slot."""
+
+    start: np.ndarray
+    stop: np.ndarray
+    #: closes here or closed earlier (COMPLETE / CLOSING)
+    done: np.ndarray
+    #: COMPLETE locally
+    final: np.ndarray
+
+    @classmethod
+    def of(cls, windows: WindowSet, slot: np.ndarray, count: int) -> "_Segments":
+        """``slot[i]`` is fragment *i*'s place among the task's ``count``
+        window ids.  A window with no fragment in this stream's batch is
+        an empty segment and *not* done — its stream may not have reached
+        it yet, so the result stage merges later tasks.
+        """
+        index = np.full(count, len(windows), dtype=np.int64)
+        index[slot] = np.arange(len(windows))
+        start = np.append(windows.starts, 0)[index]
+        states = np.append(windows.states, int(FragmentState.PENDING))[index]
+        final = states == int(FragmentState.COMPLETE)
+        return cls(
+            start,
+            np.maximum(np.append(windows.ends, 0)[index], start),
+            final | (states == int(FragmentState.CLOSING)),
+            final,
+        )

@@ -10,6 +10,12 @@ fixture below verifies at the end of the run that the observed
 acquisition order is acyclic and fully declared in the static lock
 graph, and writes a JSON report (``REPRO_LOCKDEP_OUT``, default
 ``lockdep_report.json``).
+
+Two hypothesis profiles set the property tests' seed policy and budget:
+``ci`` (the default — derandomised, so a run is reproducible from the
+commit alone) and ``nightly`` (a random seed and ten times the
+examples; ``--hypothesis-profile nightly``).  The differential kernel
+tests take both from the profile.
 """
 
 import os
@@ -17,6 +23,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=120, deadline=None, derandomize=True)
+settings.register_profile("nightly", max_examples=1200, deadline=None, derandomize=False)
+# Loaded before pytest_configure, where --hypothesis-profile overrides it.
+settings.load_profile("ci")
 
 _HERE = Path(__file__).resolve().parent
 for _path in (_HERE, _HERE.parent / "src"):

@@ -249,6 +249,133 @@ def grouped_by_window(op, tasks: "list[tuple]") -> "tuple[list[bytes], list[tupl
     return chunks, finalised
 
 
+# -- the retired per-window θ-join, kept as the bitwise oracle ---------------------
+#
+# ``for wid in window_ids``: slice both fragments, materialise the full
+# ``repeat × tile`` cross product as combined rows, evaluate the
+# predicate over them, filter — the algorithm ``ThetaJoin`` ran before
+# its one-pass-per-task kernel.  The kernel must equal it byte for byte,
+# in ``complete``, in every partial and in ``closed_ids`` and ``stats``.
+
+
+def join_pairs_by_cross_product(op, left: TupleBatch, right: TupleBatch) -> TupleBatch:
+    """Every (left row, right row) combined, then filtered by the predicate."""
+    nl, nr = len(left), len(right)
+    if nl == 0 or nr == 0:
+        return TupleBatch.empty(op.output_schema)
+    l_rows = left.take(np.repeat(np.arange(nl), nr))
+    r_rows = right.take(np.tile(np.arange(nr), nl))
+    columns = {name: l_rows.column(name) for name in op.left_schema.attribute_names}
+    for name in op.right_schema.attribute_names:
+        columns[op.right_prefix + name if name in columns else name] = r_rows.column(name)
+    pairs = TupleBatch.from_columns(op.output_schema, **columns)
+    return pairs.filter(op.predicate.evaluate(pairs))
+
+
+def join_by_window(op, left, right) -> tuple:
+    """One task through the per-window algorithm.
+
+    ``left`` / ``right`` are ``StreamSlice``-likes (``batch``, ``windows``).
+    Returns ``(complete bytes, {wid: (result, left, right, left_done,
+    right_done)}, closed ids, stats)`` with rows as raw bytes.
+    """
+    done_states = (int(FragmentState.COMPLETE), int(FragmentState.CLOSING))
+
+    def fragment(slice_, index):
+        if index is None:
+            return TupleBatch.empty(slice_.batch.schema), False, False
+        windows = slice_.windows
+        state = int(windows.states[index])
+        rows = slice_.batch.slice(int(windows.starts[index]), int(windows.ends[index]))
+        return rows, state in done_states, state == int(FragmentState.COMPLETE)
+
+    l_index = {int(w): i for i, w in enumerate(left.windows.window_ids)}
+    r_index = {int(w): i for i, w in enumerate(right.windows.window_ids)}
+    window_ids = sorted(set(l_index) | set(r_index))
+    complete, partials, closed = [], {}, []
+    pairs = matched = 0.0
+    for wid in window_ids:
+        l_rows, l_done, l_final = fragment(left, l_index.get(wid))
+        r_rows, r_done, r_final = fragment(right, r_index.get(wid))
+        local = join_pairs_by_cross_product(op, l_rows, r_rows)
+        pairs += len(l_rows) * len(r_rows)
+        matched += len(local)
+        if l_final and r_final:
+            complete.append(local.data.tobytes())
+            continue
+        partials[wid] = (
+            local.data.tobytes(), l_rows.data.tobytes(), r_rows.data.tobytes(), l_done, r_done,
+        )
+        if l_done and r_done:
+            closed.append(wid)
+    stats = {
+        "selectivity": matched / pairs if pairs else 0.0,
+        "pairs": pairs,
+        "tuples": float(len(left.batch) + len(right.batch)),
+        "fragments": float(len(window_ids)),
+    }
+    return b"".join(complete), partials, closed, stats
+
+
+def join_stream_by_window(
+    op, tasks: "list[tuple]"
+) -> "tuple[list[bytes], list[tuple[int, bytes]]]":
+    """Run ``[(left slice, right slice), ...]`` through the per-window join.
+
+    The result stage's contract, spelt out: a boundary window's payload
+    ``(result, left rows, right rows)`` is merged into the pending one
+    task by task — ``r1 + r2 + a1 ⋈ b2 + a2 ⋈ b1`` — and the window is
+    finalised once both sides have closed.  Returns the emitted chunks
+    (per task: finalised windows in id order, then the task's COMPLETE
+    windows; a last chunk for the flush) and the ``(window id, rows)`` of
+    every finalised window with rows, all as raw bytes.
+    """
+    pending: dict = {}
+    chunks, finalised = [], []
+
+    def as_batch(schema, raw: bytes) -> TupleBatch:
+        return TupleBatch(schema, np.frombuffer(raw, dtype=schema.dtype))
+
+    def close(wid: int, out: list) -> None:
+        result = pending.pop(wid)[0]
+        if result:
+            finalised.append((wid, result))
+            out.append(result)
+
+    for left, right in tasks:
+        complete, partials, __, __ = join_by_window(op, left, right)
+        ready = []
+        for wid in sorted(partials):
+            result, l_rows, r_rows, l_done, r_done = partials[wid]
+            if wid in pending:
+                old_result, old_l, old_r, old_l_done, old_r_done = pending[wid]
+                cross_1 = join_pairs_by_cross_product(
+                    op, as_batch(op.left_schema, old_l), as_batch(op.right_schema, r_rows)
+                )
+                cross_2 = join_pairs_by_cross_product(
+                    op, as_batch(op.left_schema, l_rows), as_batch(op.right_schema, old_r)
+                )
+                result = old_result + result + cross_1.data.tobytes() + cross_2.data.tobytes()
+                l_rows, r_rows = old_l + l_rows, old_r + r_rows
+                l_done, r_done = old_l_done or l_done, old_r_done or r_done
+            pending[wid] = (result, l_rows, r_rows, l_done, r_done)
+            if l_done and r_done:
+                ready.append(wid)
+        out: list = []
+        for wid in ready:
+            close(wid, out)
+        if complete:
+            out.append(complete)
+        if out:
+            chunks.append(b"".join(out))
+    out = []
+    for wid in sorted(pending):
+        close(wid, out)
+    if out:
+        chunks.append(b"".join(out))
+    return chunks, finalised
+
+
 def window_join(
     window: WindowDefinition,
     left: TupleBatch,

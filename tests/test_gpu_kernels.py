@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gpu import jit
 from repro.gpu.kernels import gpu_kernel, gpu_selection, reduction_tree
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.aggregation import Aggregation
@@ -61,10 +62,11 @@ class TestKernelEquivalence:
         assert np.array_equal(cpu.complete.data, gpu.complete.data)
         assert cpu.stats["selectivity"] == pytest.approx(gpu.stats["selectivity"])
 
-    def test_join_kernel_matches_cpu(self):
+    def test_join_kernel_matches_cpu(self, monkeypatch):
+        """Same task-level kernel, ``jit.compact_mask`` compacting: bitwise
+        on sliding windows, boundary partials included."""
         left = Schema.with_timestamp("x:int", name="L")
         right = Schema.with_timestamp("y:int", name="R")
-        op = ThetaJoin(left, right, col("x") < col("y"))
         rng = np.random.default_rng(5)
         lb = TupleBatch.from_columns(
             left, timestamp=np.arange(64, dtype=np.int64),
@@ -74,16 +76,35 @@ class TestKernelEquivalence:
             right, timestamp=np.arange(64, dtype=np.int64),
             y=rng.integers(0, 100, 64).astype(np.int32),
         )
-        w = WindowDefinition.rows(16, 16)
+        w = WindowDefinition.rows(16, 4)
         slices = [
-            StreamSlice(lb, assign_count_windows(w, 0, 64), 0),
-            StreamSlice(rb, assign_count_windows(w, 0, 64), 0),
+            StreamSlice(lb, assign_count_windows(w, 32, 96), 32),
+            StreamSlice(rb, assign_count_windows(w, 32, 96), 32),
         ]
-        cpu = op.process_batch(slices)
-        gpu = gpu_kernel(op, slices)
-        assert np.array_equal(cpu.complete.data, gpu.complete.data)
-        # restores the original method after running
-        assert op.join_pairs.__name__ == "join_pairs"
+        compacted = []
+        real = jit.compact_mask
+        monkeypatch.setattr(
+            jit, "compact_mask", lambda mask: compacted.append(len(mask)) or real(mask)
+        )
+        for predicate in (col("x") < col("y"), (col("x") % 7).eq(col("y") % 7)):
+            op = ThetaJoin(left, right, predicate)
+            cpu = op.process_batch(slices)
+            assert not compacted
+            gpu = gpu_kernel(op, slices)
+            assert compacted.pop() and not compacted  # one block, on the GPGPU slot only
+            assert len(cpu.complete) and cpu.complete.data.tobytes() == gpu.complete.data.tobytes()
+            assert len(cpu.partials) == 6 and list(cpu.partials) == list(gpu.partials)
+            for wid, partial in cpu.partials.items():
+                other = gpu.partials[wid]
+                for name in ("result", "left", "right"):
+                    assert (
+                        getattr(partial, name).data.tobytes()
+                        == getattr(other, name).data.tobytes()
+                    )
+                assert (partial.left_done, partial.right_done) == (
+                    other.left_done, other.right_done,
+                )
+            assert cpu.closed_ids == gpu.closed_ids and cpu.stats == gpu.stats
 
     def test_aggregation_path_matches(self):
         op = Aggregation(SCHEMA, [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])

@@ -1,7 +1,17 @@
-"""Docs gate: execute every fenced python block in README.md and docs/.
+"""Docs gate: referenced paths exist, fenced python blocks execute.
 
-Documentation examples rot silently; this script makes them part of
-CI.  Every ```python fenced block is **compiled** (syntax-checked),
+Documentation rots silently; this script makes it part of CI, over
+README.md, docs/*.md and the verify skill.
+
+**Paths.**  Every repo-relative path the text mentions — anything under
+``benchmarks/``, ``docs/``, ``examples/``, ``scripts/``, ``src/`` or
+``tests/`` (a ``::test`` suffix is ignored, a ``*`` is globbed), and
+every root-level ``*.json`` named alone in an inline code span — must
+exist, so deleting a file fails the gate until its mentions go too.
+``<placeholders>`` and run outputs (``benchmarks/saberbench/out/``)
+are skipped.
+
+**Blocks.**  Every ```python fenced block is **compiled** (syntax-checked),
 and — unless the nearest non-blank line above the fence is the marker
 ``<!-- docs: no-run -->`` — **executed** in its own subprocess with
 the repo's ``src/`` on ``PYTHONPATH`` and a scratch working directory.
@@ -14,7 +24,7 @@ not parse.
 
 Usage::
 
-    python scripts/check_docs.py                 # gate README.md + docs/*.md
+    python scripts/check_docs.py                 # gate README.md, docs/*.md, the skill
     python scripts/check_docs.py docs/api.md     # one file
     python scripts/check_docs.py --list          # show blocks and dispositions
 """
@@ -22,7 +32,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import glob
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,8 +46,31 @@ _ROOT = Path(__file__).resolve().parent.parent
 NO_RUN = "<!-- docs: no-run -->"
 
 
+#: top-level directories whose mentions must resolve to a file or directory.
+_PATH = re.compile(r"(?<![\w/.-])(?:benchmarks|docs|examples|scripts|src|tests)/[\w./*<>-]*")
+#: a root-level JSON file named alone in an inline code span.
+_ROOT_JSON = re.compile(r"`([\w.-]+\.json)`")
+#: written by running the program, absent from a fresh checkout.
+_GENERATED = ("benchmarks/saberbench/out/",)
+
+
 def default_files() -> "list[Path]":
-    return [_ROOT / "README.md"] + sorted((_ROOT / "docs").glob("*.md"))
+    skill = _ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    files = [_ROOT / "README.md"] + sorted((_ROOT / "docs").glob("*.md"))
+    return files + ([skill] if skill.exists() else [])
+
+
+def missing_paths(path: Path) -> "list[str]":
+    """``file:line: path`` for every mentioned repo path that does not exist."""
+    missing = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        mentions = [m.rstrip(".") for m in _PATH.findall(line)] + _ROOT_JSON.findall(line)
+        for mention in mentions:
+            if "<" in mention or mention.startswith(_GENERATED):
+                continue
+            if not glob.glob(str(_ROOT / mention)):
+                missing.append(f"{path.relative_to(_ROOT)}:{number}: {mention}")
+    return missing
 
 
 def extract_blocks(path: Path) -> "list[dict]":
@@ -121,7 +156,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "files", nargs="*", type=Path,
-        help="markdown files to check (default: README.md and docs/*.md)",
+        help="markdown files to check (default: README.md, docs/*.md, the verify skill)",
     )
     parser.add_argument(
         "--timeout", type=float, default=120.0,
@@ -142,6 +177,13 @@ def main(argv=None) -> int:
             print(f"{label}  [{mode}]  ({len(block['code'].splitlines())} lines)")
         return 0
 
+    missing = [m for f in files for m in missing_paths(f)]
+    if missing:
+        print(f"DOCS GATE FAILED ({len(missing)} missing path(s)):", file=sys.stderr)
+        for entry in missing:
+            print(f"- {entry}", file=sys.stderr)
+        return 1
+
     failures = []
     for block in blocks:
         label = f"{block['path'].relative_to(_ROOT)}:{block['line']}"
@@ -159,8 +201,8 @@ def main(argv=None) -> int:
         return 1
     ran = sum(1 for b in blocks if b["run"])
     print(
-        f"docs gate passed: {len(blocks)} python blocks across "
-        f"{len(files)} files ({ran} executed, {len(blocks) - ran} compile-only)"
+        f"docs gate passed: every mentioned path exists; {len(blocks)} python blocks "
+        f"across {len(files)} files ({ran} executed, {len(blocks) - ran} compile-only)"
     )
     return 0
 

@@ -72,7 +72,6 @@ from .io import (
     FileSink,
     MemorySink,
     MemorySource,
-    PullAdapter,
     PushHandle,
     PushSource,
     ReplayClock,
@@ -128,7 +127,6 @@ __all__ = [
     "CallbackSink",
     "PushSource",
     "PushHandle",
-    "PullAdapter",
     "FileReplaySource",
     "FileSink",
     "ReplayClock",

@@ -14,8 +14,8 @@ only reproducible for identical pull granularities — materialising
 pins one canonical dataset); :func:`reference_output` replays it
 through one engine and :func:`run_cluster` replays it key-partitioned
 over N shards, optionally killing a shard mid-run to exercise
-recovery.  The two byte-compare equal — the invariant the test suite,
-``repro cluster`` and ``check_regression.py --cluster`` all pin.
+recovery.  The two byte-compare equal — the invariant
+``tests/test_cluster.py`` and ``repro cluster`` both pin.
 """
 
 from __future__ import annotations

@@ -65,8 +65,10 @@ class SaberConfig:
     switch_threshold: int = 1000
     #: the paper refreshes the throughput matrix every 100 ms (Fig. 16);
     #: simulated runs cover far less virtual time, so the default is
-    #: proportionally tighter.  Benchmarks that reproduce Fig. 16 pass
-    #: the paper's 0.1 s explicitly.
+    #: proportionally tighter.  The Fig. 16 shape test
+    #: (``tests/test_paper_shapes.py``) covers 20 ms of virtual time and
+    #: passes 0.1 ms; at the paper's 0.1 s the matrix would never
+    #: refresh within the run.
     matrix_refresh_seconds: float = 0.001
     ingest_bandwidth: "float | None" = None  # bytes/s cap (e.g. 10 GbE)
     pipelined: bool = True
@@ -84,9 +86,10 @@ class SaberConfig:
     #: timing source and the parallelism substrate differ.
     execution: str = "sim"
     #: artificial per-task slowdown of the accelerator device, in
-    #: seconds.  Zero (default) for production; the HLS skew tests and
-    #: benchmarks raise it to prove throughput-matrix feedback migrates
-    #: tasks back to the CPU workers when the device degrades.
+    #: seconds.  Zero (default) for production; the HLS skew tests
+    #: (``tests/test_accelerator.py``) raise it to prove throughput-matrix
+    #: feedback migrates tasks back to the CPU workers when the device
+    #: degrades.
     accelerator_throttle_seconds: float = 0.0
     #: what the dispatcher does when a query's circular input buffers
     #: are full: ``"block"`` waits for the result stage to release space

@@ -128,7 +128,8 @@ class HlsScheduler(Scheduler):
     what keeps every processor work-conserving — disabling it
     (``strict_lookahead=True``) lets a worker idle with a non-empty
     queue, which measurably hurts hybrid throughput whenever the
-    processors' speeds differ a lot (see the scheduler ablation bench).
+    processors' speeds differ a lot (the line-12 ablation in
+    ``tests/test_paper_shapes.py``).
 
     The fallback only fires against a real backlog
     (``fallback_backlog`` queued tasks): with a near-empty queue the

@@ -5,7 +5,7 @@ from .pcie import DEFAULT_PCIE, PcieBus
 from .pipeline import STAGES, MovementPipeline, StageTiming
 from .hashtable import OpenAddressingTable
 from .kernels import gpu_join, gpu_kernel, gpu_selection, reduction_tree
-from .jit import HAVE_NUMBA, compact_mask, exclusive_scan
+from .jit import HAVE_NUMBA, compact_mask
 from .accelerator import AcceleratorDevice, AcceleratorStats
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "AcceleratorStats",
     "HAVE_NUMBA",
     "compact_mask",
-    "exclusive_scan",
     "GpuDeviceSpec",
     "DEFAULT_GPU",
     "PcieBus",

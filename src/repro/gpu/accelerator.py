@@ -30,9 +30,9 @@ The device keeps cumulative :class:`AcceleratorStats` (tasks, bytes
 each way, measured vs modelled transfer seconds, kernel seconds) that
 the serve-layer metrics export as ``saber_accel_*`` series at scrape
 time.  ``throttle_seconds`` artificially slows every task — the knob
-the HLS skew tests and benchmarks use to prove that throughput-matrix
-feedback migrates tasks back to the CPU workers when the accelerator
-degrades.
+the HLS skew tests (``tests/test_accelerator.py``) use to prove that
+throughput-matrix feedback migrates tasks back to the CPU workers when
+the accelerator degrades.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""The GPGPU kernels' scan and compaction primitives, numba-jitted if possible.
+"""The GPGPU kernels' compaction primitive, numba-jitted if possible.
 
 The GPGPU kernels (:mod:`repro.gpu.kernels`) run whole-batch; where
-numba is installed the *exact-arithmetic* inner loops — boolean mask
-compaction and integer prefix sums — are compiled to machine code, and
-everywhere else (numba absent, or ``REPRO_NO_NUMBA=1`` set) the same
-primitives fall back to vectorised numpy.
+numba is installed the *exact-arithmetic* inner loop — boolean mask
+compaction — is compiled to machine code, and everywhere else (numba
+absent, or ``REPRO_NO_NUMBA=1`` set) the same primitive falls back to
+vectorised numpy.
 
 Only integer/boolean kernels are ever jitted.  Floating-point
 reductions deliberately stay on numpy: a jitted sequential-loop float
@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-__all__ = ["HAVE_NUMBA", "compact_mask", "exclusive_scan"]
+__all__ = ["HAVE_NUMBA", "compact_mask"]
 
 
 def _numba_njit():
@@ -48,15 +48,6 @@ HAVE_NUMBA: bool = _NJIT is not None
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
 
     @_NJIT(cache=True)
-    def _exclusive_scan_jit(counts):
-        out = np.empty(len(counts), dtype=np.int64)
-        total = np.int64(0)
-        for i in range(len(counts)):
-            out[i] = total
-            total += counts[i]
-        return out
-
-    @_NJIT(cache=True)
     def _compact_mask_jit(mask):
         n = np.int64(0)
         for i in range(len(mask)):
@@ -69,22 +60,6 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
                 out[k] = i
                 k += 1
         return out
-
-
-def exclusive_scan(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum over an integer array.
-
-    Integer arithmetic is associative, so the jitted loop and the numpy
-    ``cumsum`` fallback are bitwise-identical.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-        return _exclusive_scan_jit(counts)
-    out = np.empty(len(counts), dtype=np.int64)
-    if len(counts):
-        out[0] = 0
-        np.cumsum(counts[:-1], dtype=np.int64, out=out[1:])
-    return out
 
 
 def compact_mask(mask: np.ndarray) -> np.ndarray:

@@ -102,11 +102,11 @@ class HardwareSpec:
     #: how many consecutive preferred-processor executions before a task
     #: of the query is forced onto the other processor (keeps both
     #: observable).  Each forced task runs on a potentially much slower
-    #: processor — at st=10 the observation tax costs W1 ~30% of its
-    #: throughput (see the HLS ablation bench) — so the default keeps
-    #: forced switches rare; delay-rule diversions still refresh the
-    #: non-preferred column.  The Fig. 16 benchmark lowers it to make the
-    #: calm-phase GPGPU contribution visible, as the paper describes.
+    #: processor, so the default keeps forced switches rare; delay-rule
+    #: diversions still refresh the non-preferred column.  The Fig. 16
+    #: shape test (``tests/test_paper_shapes.py``) lowers it to 10 to make
+    #: the calm-phase GPGPU contribution visible, as the paper describes,
+    #: and shows what 1 and 1000 cost under a changing workload.
     switch_threshold: int = 1000
     matrix_refresh_seconds: float = 0.1     # Fig. 16 uses 100 ms
 

@@ -8,10 +8,10 @@ How data gets **in**:
 * :class:`FileReplaySource` — JSONL/CSV replay, optionally paced by a
   :class:`ReplayClock`;
 * :class:`SocketSource` — TCP line protocol (one producer connection);
-* :class:`PullAdapter` — shim over the legacy ``next_tuples`` protocol
-  (any pre-SPI generator also still works unwrapped);
 * :class:`GeneratorSource` — base class of the bundled workload
-  generators; ``limit=`` makes any of them finite.
+  generators; ``limit=`` makes any of them finite (any bare object
+  with ``schema`` + ``next_tuples`` also works: the dispatcher
+  duck-types).
 
 How data gets **out** (attach to a query via ``submit(..., sink=...)``
 or ``handle.add_sink``):
@@ -28,7 +28,6 @@ drop-oldest / error).  See ``docs/api.md`` for the SPI contract.
 from .base import (
     BackpressurePolicy,
     GeneratorSource,
-    PullAdapter,
     SinkConnector,
     SourceConnector,
     validate_source,
@@ -44,7 +43,6 @@ __all__ = [
     "SourceConnector",
     "SinkConnector",
     "GeneratorSource",
-    "PullAdapter",
     "validate_source",
     "MemorySource",
     "MemorySink",

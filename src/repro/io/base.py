@@ -39,7 +39,6 @@ __all__ = [
     "SourceConnector",
     "SinkConnector",
     "GeneratorSource",
-    "PullAdapter",
     "validate_source",
 ]
 
@@ -149,26 +148,6 @@ class GeneratorSource(SourceConnector):
             return self.generate(count)
         self._produced = self._limit
         raise EndOfStream(self.generate(remaining) if remaining > 0 else None)
-
-
-class PullAdapter(GeneratorSource):
-    """Shim wrapping a legacy pull object (anything with ``schema`` +
-    ``next_tuples``) into the connector SPI.
-
-    The pre-SPI protocol — infinite generators returning exactly
-    ``count`` tuples — keeps working unwrapped, since the dispatcher
-    duck-types; wrap when you additionally want connector lifecycle or a
-    finite ``limit``.
-    """
-
-    def __init__(self, source: Any, limit: "int | None" = None) -> None:
-        schema = getattr(source, "schema", None)
-        validate_source(getattr(schema, "name", "?"), source)
-        super().__init__(source.schema, limit=limit)
-        self._wrapped = source
-
-    def generate(self, count: int) -> TupleBatch:
-        return self._wrapped.next_tuples(count)
 
 
 class SinkConnector:

@@ -8,7 +8,7 @@ thread.  Error frames are raised as
 :class:`~repro.serve.protocol.ProtocolError` carrying the server's
 stable error code.
 
-This is the client the daemon's own tests, soak benchmark and
+This is the client the daemon's own tests, the soak test and
 documentation examples use::
 
     with ServeClient("127.0.0.1", 7070, tenant="acme") as client:

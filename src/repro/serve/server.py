@@ -236,7 +236,11 @@ class SaberServer:
 
     def serve_forever(self) -> None:
         """Block until a shutdown signal, then drain gracefully."""
-        self._shutdown_signal.wait()
+        # Timed, not indefinite: when the kernel hands SIGTERM to a worker
+        # thread CPython only marks it pending, and a main thread parked
+        # in an untimed wait never wakes to run the handler.
+        while not self._shutdown_signal.wait(0.2):
+            pass
         self.shutdown(drain=True)
 
     def shutdown(self, drain: bool = True) -> None:
@@ -262,6 +266,12 @@ class SaberServer:
             self._closed = True
             connections = list(self._connections)
         if self._listener is not None:
+            # close() alone leaves a thread blocked in accept() asleep
+            # forever on Linux; shutdown() is what wakes it.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -21,7 +21,7 @@ them.  The backlog cap (:attr:`TenantQuotas.max_result_backlog_chunks`)
 bounds a slow consumer's memory; overflow drops the *oldest* chunk and
 counts it on ``saber_result_backlog_dropped_total`` — under the
 ``block`` ingest policy and a live consumer this never fires, which is
-exactly what the soak benchmark asserts.
+exactly what the soak test asserts.
 
 Load shedding composes from the PR 3 backpressure SPI: every stream is
 a :class:`~repro.io.PushSource` whose per-tenant default policy

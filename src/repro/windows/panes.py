@@ -15,7 +15,7 @@ provide the two classic strategies:
 Both answer vectorised range queries ``[starts, ends)`` and are exactly
 the computational skeleton of the paper's incremental batch operator
 functions.  :func:`pane_boundaries` exposes the classic pane (gcd)
-decomposition, which the ablation benchmark compares against.
+decomposition.
 """
 
 from __future__ import annotations

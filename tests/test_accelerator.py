@@ -12,6 +12,8 @@ device, and the ``saber_accel_*``/``saber_hls_*`` series export the
 device's state.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.windows.assigner import WindowSet
 from repro.workloads.synthetic import (
     TUPLE_SIZE,
     SyntheticSource,
+    agg_query,
     groupby_query,
     join_query,
     proj_query,
@@ -77,15 +80,6 @@ def test_compact_mask_matches_nonzero():
         mask = rng.random(n) < 0.4
         expected = np.nonzero(mask)[0]
         assert np.array_equal(jit.compact_mask(mask), expected)
-
-
-def test_exclusive_scan_matches_cumsum():
-    rng = np.random.default_rng(5)
-    for n in (0, 1, 9, 513):
-        counts = rng.integers(0, 50, size=n)
-        got = jit.exclusive_scan(counts)
-        expected = np.concatenate(([0], np.cumsum(counts[:-1]))) if n else counts
-        assert np.array_equal(got, expected.astype(np.int64))
 
 
 def test_jit_flag_reports_fallback_state():
@@ -241,6 +235,56 @@ def test_hybrid_repeated_runs_shake_out_races():
         sim, __ = run_backend("sim", make, [seed], **kwargs)
         hyb, __ = run_backend("hybrid", make, [seed], **kwargs)
         assert_identical(sim, hyb)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 3,
+    reason="the hybrid leg runs 2 CPU workers + the accelerator: on fewer than 3 cores "
+    "the devices time-slice and the comparison is noise",
+)
+def test_hybrid_beats_both_single_devices_on_two_workloads():
+    """The paper's headline claim in wall-clock time (nightly only)."""
+    workloads = {
+        "PROJ4": (lambda: proj_query(4), [31]),
+        "SELECT16": (lambda: select_query(16, pass_rate=0.5), [32]),
+        "AGG*": (
+            lambda: agg_query(["avg", "sum", "min", "max", "count"], name="AGGstar"),
+            [33],
+        ),
+        "GROUP-BY8": (lambda: groupby_query(8, functions=["cnt", "sum"]), [34]),
+        "JOIN1": (lambda: join_query(1), [35, 36]),
+    }
+    legs = {
+        "cpu": ("threads", {"use_gpu": False}),
+        "accelerator": ("accelerator", {}),
+        "hybrid": ("hybrid", {}),
+    }
+
+    def rate(execution, extra, make, seeds):
+        __, engine = run_backend(
+            execution,
+            make,
+            seeds,
+            task_tuples=8192,
+            n_tasks=64,
+            cpu_workers=2,
+            queue_capacity=16,
+            source_kwargs=dict(groups=8),
+            **extra,
+        )
+        return engine.measurements.throughput_bytes()
+
+    wins = []
+    for label, (make, seeds) in workloads.items():
+        # Best of three per leg: interference from the box only ever slows a run.
+        best = {
+            leg: max(rate(execution, extra, make, seeds) for __ in range(3))
+            for leg, (execution, extra) in legs.items()
+        }
+        if best["hybrid"] > max(best["cpu"], best["accelerator"]):
+            wins.append(label)
+    assert len(wins) >= 2, wins
 
 
 # -- HLS feedback under a skewed device ----------------------------------------

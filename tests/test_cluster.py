@@ -6,6 +6,7 @@ dataset — across shard counts, shard backends, the serve transport,
 pre-ingest rebalances, and a mid-stream shard kill with resubmit.
 """
 
+import os
 import time
 
 import numpy as np
@@ -322,6 +323,25 @@ class TestClusterEquivalence:
         )
         assert_byte_identical(merged, groupby_reference)
         assert stats["resubmits"] == 0
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 4,
+        reason="4 shards on fewer than 4 cores time-slice: the scaling ratio is noise",
+    )
+    def test_four_process_shards_scale_over_one(self):
+        data = materialise(GROUP_BY, 1 << 20, seed=1)
+        reference = reference_output(GROUP_BY, data, cpu_workers=2)
+        seconds = {}
+        for shards in (1, 4):
+            started = time.perf_counter()
+            merged, stats = run_cluster(
+                GROUP_BY, data, shards=shards, execution="processes", cpu_workers=2
+            )
+            seconds[shards] = time.perf_counter() - started
+            assert_byte_identical(merged, reference)
+            assert stats["resubmits"] == 0
+        assert seconds[1] / seconds[4] >= 1.8, seconds
 
 
 # -- shard failure and resubmit ------------------------------------------------

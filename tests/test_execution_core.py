@@ -98,9 +98,10 @@ class _CountingFcfs(FcfsScheduler):
 
 @pytest.mark.parametrize("execution", list(EXECUTION_MODES))
 def test_scheduler_swapped_after_construction_selects_and_gets_feedback(execution):
-    """``engine.scheduler`` is an ablation hook (bench_hls_ablation swaps
-    it on a built engine): the executor must select on the live object,
-    the same one ``complete`` feeds."""
+    """``engine.scheduler`` is an ablation hook
+    (``test_paper_shapes.py::test_ablation_line12_fallback_beats_strict_lookahead``
+    swaps it on a built engine): the executor must select on the live
+    object, the same one ``complete`` feeds."""
     engine = _engine(execution)
     built = engine.scheduler
     built.select = built.task_finished = None  # any use of the old one raises

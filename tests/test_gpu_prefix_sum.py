@@ -1,31 +1,13 @@
-"""Unit tests for the GPGPU kernels' scan and compaction primitives.
+"""Unit tests for the GPGPU kernels' compaction primitive.
 
-The exclusive scan (§5.4's Blelloch-style prefix sum) and the
-scan-based compaction behind the selection and join kernels live in
-:mod:`repro.gpu.jit`; both of its paths (numba-compiled, numpy) must
+The scan-based compaction behind the selection and join kernels lives
+in :mod:`repro.gpu.jit`; both of its paths (numba-compiled, numpy) must
 satisfy these properties.
 """
 
 import numpy as np
-import pytest
 
-from repro.gpu.jit import compact_mask, exclusive_scan
-
-
-class TestBlellochScan:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 64, 100, 1023])
-    def test_matches_cumsum(self, n):
-        rng = np.random.default_rng(n)
-        values = rng.integers(0, 10, n)
-        expected = np.concatenate([[0], np.cumsum(values)[:-1]]) if n else []
-        assert np.array_equal(exclusive_scan(values), expected)
-
-    def test_exclusive_first_element_is_zero(self):
-        out = exclusive_scan(np.array([5, 1, 2]))
-        assert out[0] == 0
-
-    def test_all_zeros(self):
-        assert np.array_equal(exclusive_scan(np.zeros(16, dtype=int)), np.zeros(16))
+from repro.gpu.jit import compact_mask
 
 
 class TestCompaction:

@@ -19,7 +19,6 @@ from repro.io import (
     FileSink,
     MemorySink,
     MemorySource,
-    PullAdapter,
     PushHandle,
     PushSource,
     ReplayClock,
@@ -108,30 +107,6 @@ class TestMemorySource:
         src = MemorySource(SCHEMA, b)
         out = src.next_tuples(8)
         assert np.array_equal(out.data, b.data)
-
-
-class TestPullAdapter:
-    def test_wraps_legacy_generator_with_limit(self):
-        class Legacy:
-            schema = SCHEMA
-
-            def __init__(self):
-                self.pos = 0
-
-            def next_tuples(self, count):
-                out = batch(count, start=self.pos)
-                self.pos += count
-                return out
-
-        shim = PullAdapter(Legacy(), limit=10)
-        assert len(shim.next_tuples(8)) == 8
-        with pytest.raises(EndOfStream) as exc:
-            shim.next_tuples(8)
-        assert len(exc.value.remainder) == 2
-
-    def test_rejects_non_source(self):
-        with pytest.raises(ValidationError, match="connector SPI"):
-            PullAdapter(object())
 
 
 class TestPushSource:

@@ -5,8 +5,8 @@
   generator path, on both execution backends.
 * A finite source completes its ``QueryHandle`` (no hang) on both
   backends, including the end-of-stream window flush.
-* The deprecated direct ``next_tuples`` wiring keeps working — bare
-  legacy objects and the :class:`~repro.io.PullAdapter` shim.
+* The direct ``next_tuples`` wiring keeps working for bare legacy
+  objects (the dispatcher duck-types).
 """
 
 import multiprocessing
@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import SaberSession
 from repro.core.engine import SaberConfig
-from repro.io import FileReplaySource, FileSink, MemorySink, MemorySource, PullAdapter
+from repro.io import FileReplaySource, FileSink, MemorySink, MemorySource
 from repro.io import write_batch
 from repro.workloads.cluster import (
     TASK_EVENTS_SCHEMA,
@@ -307,14 +307,6 @@ class TestLegacyWiring:
         from_legacy, handle = run_query(self.BareLegacySource(), execution)
         assert_identical(from_generator, from_legacy)
         assert not handle.done  # unbounded: never completes
-
-    def test_pull_adapter_shim_makes_legacy_finite(self):
-        shim = PullAdapter(self.BareLegacySource(), limit=2 * TUPLES_PER_TASK)
-        with SaberSession(config("sim")) as session:
-            handle = session.submit(cm1_query(), sources=[shim])
-            session.run(tasks_per_query=1 << 20)
-            assert handle.done
-            assert handle.tasks_completed == 2
 
 
 class TestSinkConnectors:

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.jit import compact_mask, exclusive_scan
+from repro.gpu.jit import compact_mask
 from repro.operators.aggregate_functions import Accumulator
 from repro.relational.buffer import CircularTupleBuffer
 from repro.relational.schema import Schema
@@ -88,13 +88,6 @@ class TestWindowAssignerProperties:
 
 
 class TestScanProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=100), max_size=300))
-    @settings(max_examples=100, deadline=None)
-    def test_blelloch_equals_exclusive_cumsum(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        expected = np.concatenate([[0], np.cumsum(arr)[:-1]]) if len(arr) else []
-        assert np.array_equal(exclusive_scan(arr), expected)
-
     @given(st.lists(st.booleans(), max_size=300))
     @settings(max_examples=100, deadline=None)
     def test_compaction_equals_nonzero(self, mask):

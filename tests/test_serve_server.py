@@ -11,6 +11,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -275,6 +276,83 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+class TestSoak:
+    """Many clients, one daemon: the invariants of ``block`` backpressure."""
+
+    @pytest.mark.parametrize(
+        "connections, tenants, rows",
+        [
+            pytest.param(16, 4, 256, id="16-connections-4-tenants"),
+            pytest.param(200, 8, 512, id="200-connections-8-tenants", marks=pytest.mark.slow),
+        ],
+    )
+    def test_exact_delivery_zero_drops_no_leaks(self, connections, tenants, rows):
+        threads_before = threading.active_count()
+        shm_before = set(os.listdir("/dev/shm"))
+        names = [f"tenant{i}" for i in range(tenants)]
+        config = ServeConfig(
+            port=0,
+            metrics_port=0,
+            max_sessions=tenants,
+            quotas=TenantQuotas(
+                backpressure="block", push_capacity_tuples=1 << 16, cpu_workers=2
+            ),
+        )
+        server = SaberServer(config).start()
+        try:
+            for name in names:
+                with connect(server, name, timeout=60.0) as client:
+                    client.register("s", SCHEMA)
+                    client.submit(SUM_CQL.format(stream="s"), name="agg")
+
+            errors = []
+
+            def producer(tenant):
+                try:
+                    with connect(server, tenant, timeout=120.0) as client:
+                        for start in range(0, rows, 128):
+                            push_rows(client, "s", min(128, rows - start), start=start)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(f"{tenant}: {type(exc).__name__}: {exc}")
+
+            # Every connection alive and pushing at once.
+            fleet = [
+                threading.Thread(target=producer, args=(names[i % tenants],))
+                for i in range(connections)
+            ]
+            for thread in fleet:
+                thread.start()
+            for thread in fleet:
+                thread.join(300.0)
+            assert not any(thread.is_alive() for thread in fleet)
+            assert errors == []
+
+            # Exact delivery and no starvation: every tenant drains to
+            # ``done`` and its windows sum to every row pushed for it.
+            for i, name in enumerate(names):
+                pushed = rows * len(range(i, connections, tenants))
+                with connect(server, name, timeout=120.0) as client:
+                    client.close_stream("s")
+                    assert drain_total(client, "agg", deadline=300.0) == pushed, name
+
+            host, port = server.metrics_address
+            with urllib.request.urlopen(f"http://{host}:{port}/metrics") as reply:
+                assert reply.status == 200 and b"saber_" in reply.read()
+            registry = server.registry
+            assert registry.counter("saber_result_backlog_dropped_total").total() == 0
+            dropped = registry.gauge("saber_ingress_dropped_tuples_total").samples()
+            assert sum(dropped.values()) == 0
+        finally:
+            server.shutdown(drain=True)
+
+        # No leaks: threads and shared-memory segments return to baseline.
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert threading.active_count() <= threads_before
+        assert set(os.listdir("/dev/shm")) <= shm_before
 
 
 class TestIdleEviction:

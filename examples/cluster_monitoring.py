@@ -16,7 +16,7 @@ Run with::
 """
 
 from repro import SaberConfig, SaberSession
-from repro.workloads.cluster import (
+from repro.workloads.cluster_monitoring import (
     ClusterMonitoringSource,
     cm1_query,
     cm2_query,

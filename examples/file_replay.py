@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import FileReplaySource, FileSink, SaberSession, write_batch
 from repro.core.engine import SaberConfig
-from repro.workloads.cluster import (
+from repro.workloads.cluster_monitoring import (
     TASK_EVENTS_SCHEMA,
     ClusterMonitoringSource,
     cm1_query,

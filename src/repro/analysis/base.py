@@ -182,9 +182,9 @@ LOCK_ORDER: tuple[str, ...] = (
     "io.push.PushSource._cond",
     "relational.buffer.CircularTupleBuffer._lock",
     "core.scheduler.ThroughputMatrix._lock",
-    "sim.measurements.Measurements._lock",
-    "serve.metrics.MetricsRegistry._lock",
-    "serve.metrics._Instrument._lock",
+    "metrics.measurements.Measurements._lock",
+    "metrics.registry.MetricsRegistry._lock",
+    "metrics.registry._Instrument._lock",
     # Leaf: taken once per accelerator task and by metrics snapshots,
     # never while acquiring anything else.
     "gpu.accelerator.AcceleratorStats._lock",
@@ -210,30 +210,11 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
         "and append to the tenant backlog queue.",
     ),
     DeclaredEdge(
-        "core.result_stage.ResultStage._lock",
-        "serve.metrics._Instrument._lock",
-        "on_metrics is wired to SessionInstruments hooks (counter "
-        "inc/observe) and Tenant._on_chunk counts backlog drops.",
-    ),
-    DeclaredEdge(
-        "api.session.SaberSession._lock",
-        "serve.metrics._Instrument._lock",
-        "SaberSession._register runs engine.add_query under the session "
-        "lock; with serve metrics attached, wire_run sets gauge "
-        "callbacks (Gauge.set_function locks the instrument).",
-    ),
-    DeclaredEdge(
         "serve.server.SaberServer._lock",
-        "serve.metrics.MetricsRegistry._lock",
-        "SaberServer.admit constructs the Tenant (and its "
-        "SessionInstruments) under the server lock; instrument "
-        "registration locks the registry.",
-    ),
-    DeclaredEdge(
-        "serve.server.SaberServer._lock",
-        "serve.metrics._Instrument._lock",
-        "Tenant construction under the server lock installs gauge "
-        "callbacks via Gauge.set_function.",
+        "metrics.registry.MetricsRegistry._lock",
+        "SaberServer.admit constructs the Tenant under the server lock; "
+        "Tenant.__init__ registers the tenant's collector, which locks "
+        "the registry.",
     ),
     DeclaredEdge(
         "core.result_stage.ResultStage._lock",
@@ -241,20 +222,6 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
         "Shard window sinks (ResultStage.on_window) are wired to "
         "MergeStage.on_window, which records the report under the merge "
         "condition.",
-    ),
-    DeclaredEdge(
-        "cluster.merge.MergeStage._cond",
-        "serve.metrics._Instrument._lock",
-        "MergeStage._advance fires on_emit under the merge condition; "
-        "the coordinator's hook counts merged windows/rows on cluster "
-        "metrics instruments.",
-    ),
-    DeclaredEdge(
-        "cluster.session.ClusterSession._lock",
-        "serve.metrics._Instrument._lock",
-        "ClusterSession.sql runs ClusterCoordinator.submit under the "
-        "session lock; submit installs merge-lag gauge callbacks via "
-        "Gauge.set_function.",
     ),
     DeclaredEdge(
         "serve.tenants.Tenant._lock",
@@ -308,13 +275,12 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "core.result_stage.ResultStage._process",
     "core.result_stage.ResultStage._assemble",
     "core.result_stage.ResultStage._emit",
-    # Per-task metrics hooks fire once per task/emit on the hot path.
-    "serve.metrics.SessionInstruments._on_task",
-    "serve.metrics.SessionInstruments._on_task_cut",
-    "serve.metrics.SessionInstruments._on_emit",
-    "serve.metrics.Counter.inc",
-    "serve.metrics.Gauge.add",
-    "serve.metrics.Histogram.observe",
+    # The one per-task accounting site, and the pushed instruments.
+    "metrics.measurements.Measurements.record_task",
+    "metrics.measurements.Measurements.record_latency",
+    "metrics.registry.Counter.inc",
+    "metrics.registry.Gauge.add",
+    "metrics.registry.Histogram.observe",
 )
 
 DEFAULT_CONFIG = AnalysisConfig(
@@ -325,7 +291,7 @@ DEFAULT_CONFIG = AnalysisConfig(
         "relational.buffer",
         "api.session",
         "io.push",
-        "sim.measurements",
+        "metrics",
         "gpu.accelerator",
     ),
     lock_order=LOCK_ORDER,
@@ -338,7 +304,7 @@ DEFAULT_CONFIG = AnalysisConfig(
         "core.executor",
         "core.executor_mp",
     ),
-    metrics_modules=("serve", "cluster"),
+    metrics_modules=("metrics", "serve", "cluster"),
     metrics_catalogue="operations.md",
     annotation_modules=("analysis", "serve.protocol"),
 )

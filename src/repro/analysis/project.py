@@ -4,7 +4,7 @@ The analyzer works on plain ``ast`` trees — nothing is imported or
 executed.  Module names are dotted paths relative to the scanned root
 with a leading ``repro`` package component stripped, so the real tree
 and small fixture trees in tests produce the same shape of names
-(``core.executor``, ``serve.metrics``, ...).
+(``core.executor``, ``metrics.registry``, ...).
 
 Type inference is deliberately best-effort and conservative: it
 resolves project classes through constructor calls, parameter / return

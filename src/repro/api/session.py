@@ -243,21 +243,6 @@ class SaberSession:
         self._run_done.set()
         self._closed = False
 
-    # -- observability ---------------------------------------------------------
-
-    def attach_metrics(self, hooks: Any) -> "SaberSession":
-        """Install engine observability hooks (metrics instrumentation).
-
-        ``hooks`` is a bundle exposing ``wire_engine(engine)`` and
-        ``wire_run(run)`` — see :meth:`SaberEngine.attach_metrics` and
-        :class:`repro.serve.metrics.SessionInstruments`.  Queries
-        submitted after attaching are wired as they register, so a
-        long-lived multi-tenant host (``repro serve``) attaches once at
-        session creation.  Returns the session for chaining.
-        """
-        self.engine.attach_metrics(hooks)
-        return self
-
     # -- stream registry -------------------------------------------------------
 
     def register_stream(self, name: str, source: Any) -> "SaberSession":

@@ -39,13 +39,13 @@ from .core.engine import SaberConfig
 from .hardware.slots import EXECUTION_MODES, device_slots
 from .hardware.specs import DEFAULT_SPEC
 from .io import FileReplaySource, FileSink, write_batch
-from .workloads import cluster, linearroad, smartgrid
+from .workloads import cluster_monitoring, linearroad, smartgrid
 from .workloads.queries import APPLICATION_QUERIES, build
 
 #: ad-hoc CQL runs pick a source (and its stream name) per workload.
 _WORKLOADS = {
-    "cluster": ("TaskEvents", cluster.TASK_EVENTS_SCHEMA,
-                lambda seed, rate: cluster.ClusterMonitoringSource(
+    "cluster": ("TaskEvents", cluster_monitoring.TASK_EVENTS_SCHEMA,
+                lambda seed, rate: cluster_monitoring.ClusterMonitoringSource(
                     seed=seed, tuples_per_second=rate)),
     "smartgrid": ("SmartGridStr", smartgrid.SMART_GRID_SCHEMA,
                   lambda seed, rate: smartgrid.SmartGridSource(
@@ -88,11 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "forked worker processes (shared memory, POSIX only), the "
              "executable batch-kernel accelerator alone, or hybrid "
              "(CPU threads + accelerator under HLS dispatch)",
-    )
-    run.add_argument(
-        "--accelerator", action="store_true",
-        help="shorthand for --execution hybrid: bring the executable "
-             "accelerator up next to the CPU workers",
     )
     run.add_argument(
         "--fusion", choices=["auto", "off"], default="auto",
@@ -310,26 +305,12 @@ def _command_run(args: argparse.Namespace) -> int:
     if bool(args.query) == bool(args.cql):
         print("error: pass either a query name or --cql", file=sys.stderr)
         return 2
-    execution = args.execution
-    if args.accelerator:
-        if EXECUTION_MODES[execution].substrate == "process":
-            print(
-                "error: --accelerator runs on the thread substrate; "
-                "drop --execution processes",
-                file=sys.stderr,
-            )
-            return 2
-        if args.no_gpu:
-            print("error: --accelerator conflicts with --no-gpu", file=sys.stderr)
-            return 2
-        if EXECUTION_MODES[execution].gpu_kind != "accelerator":
-            execution = "hybrid"
     config = SaberConfig(
         task_size_bytes=args.task_size,
         cpu_workers=args.workers,
         use_gpu=not args.no_gpu,
         scheduler=args.scheduler,
-        execution=execution,
+        execution=args.execution,
         fusion=args.fusion,
     )
     with SaberSession(config) as session:
@@ -348,7 +329,7 @@ def _command_run(args: argparse.Namespace) -> int:
             banner = ", ".join(f"{s.processor}:{s.kind}x{s.workers}" for s in slots)
             print(f"devices    : {banner}")
         report = session.run(tasks_per_query=args.tasks)
-    clock = _clock(execution)
+    clock = _clock(args.execution)
     print(f"query      : {query.name}")
     print(f"throughput : {report.throughput_bytes / 1e6:.1f} MB/s ({clock})")
     print(f"latency    : {report.latency_mean * 1e3:.2f} ms mean")

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, Iterator
 
 from ..analysis.lockdep import make_lock
 from ..core.cql import compile_statement
@@ -50,9 +50,9 @@ from ..errors import (
     ValidationError,
 )
 from ..io.base import validate_source
+from ..metrics import MetricsRegistry
 from ..operators.groupby import GroupedAggregation
 from ..relational.tuples import TupleBatch
-from ..serve.metrics import MetricsRegistry
 from .merge import MergeStage
 from .partitioner import HashPartitioner, Partitioner
 from .shards import LocalShard, ProcessShard
@@ -139,14 +139,6 @@ class ClusterCoordinator:
             "saber_cluster_tuples_pushed_total",
             "Tuples fanned out to shard engines, by shard (replays included).",
         )
-        self.windows_merged = self.registry.counter(
-            "saber_cluster_windows_merged_total",
-            "Windows the global merge stage has emitted.",
-        )
-        self.rows_merged = self.registry.counter(
-            "saber_cluster_rows_merged_total",
-            "Output rows the global merge stage has emitted.",
-        )
         self.resubmits = self.registry.counter(
             "saber_cluster_resubmits_total",
             "Shard-failure recoveries: key ranges resubmitted to a "
@@ -156,14 +148,7 @@ class ClusterCoordinator:
             "saber_cluster_shards_live",
             "Shard engines currently alive.",
         )
-        self.shard_lag = self.registry.gauge(
-            "saber_cluster_shard_lag_windows",
-            "Windows a shard trails the furthest shard's frontier by.",
-        )
-        self.merge_backlog = self.registry.gauge(
-            "saber_cluster_merge_backlog_windows",
-            "Windows buffered in the merge stage awaiting slower shards.",
-        )
+        self._collector = self.registry.register_collector(self._samples)
         self._lock = make_lock("cluster.coordinator.ClusterCoordinator._lock")
         self._stream: "str | None" = None
         self._source: Any = None
@@ -220,16 +205,7 @@ class ClusterCoordinator:
         self._group_columns, self._key = self._validate(query)
         self._cql = cql
         self._query_name = query_name
-        self._merge = MergeStage(
-            self.config.shards,
-            self._group_columns,
-            on_emit=self._on_merged,
-        )
-        self.merge_backlog.set_function(self._merge.backlog_windows)
-        for slot in range(self.config.shards):
-            self.shard_lag.set_function(
-                partial(self._merge.lag, slot), shard=str(slot)
-            )
+        self._merge = MergeStage(self.config.shards, self._group_columns)
         return self
 
     def _validate(self, query: Any) -> "tuple[list[str], str]":
@@ -417,6 +393,7 @@ class ClusterCoordinator:
             if shard is not None:
                 shard.shutdown()
         self.shards_live.set(0)
+        self.registry.unregister_collector(self._collector)
         if self._merge is not None:
             self._merge.wake()
 
@@ -605,10 +582,41 @@ class ClusterCoordinator:
 
     # -- observability ---------------------------------------------------------
 
-    def _on_merged(self, wid: int, rows: TupleBatch) -> None:
-        """Merge-stage emit hook (under the merge lock: metrics only)."""
-        self.windows_merged.inc()
-        self.rows_merged.inc(len(rows))
+    def _samples(self) -> "Iterator[tuple]":
+        """The coordinator's registry collector: the merge stage's
+        counters, backlog and per-shard lag, read at scrape time."""
+        merge = self._merge
+        if merge is None:
+            return
+        yield (
+            "saber_cluster_windows_merged_total",
+            "counter",
+            "Windows the global merge stage has emitted.",
+            {},
+            merge.merged_windows,
+        )
+        yield (
+            "saber_cluster_rows_merged_total",
+            "counter",
+            "Output rows the global merge stage has emitted.",
+            {},
+            merge.merged_rows,
+        )
+        yield (
+            "saber_cluster_merge_backlog_windows",
+            "gauge",
+            "Windows buffered in the merge stage awaiting slower shards.",
+            {},
+            merge.backlog_windows(),
+        )
+        for slot in range(self.config.shards):
+            yield (
+                "saber_cluster_shard_lag_windows",
+                "gauge",
+                "Windows a shard trails the furthest shard's frontier by.",
+                {"shard": str(slot)},
+                merge.lag(slot),
+            )
 
     def stats(self) -> "dict[str, Any]":
         """Point-in-time cluster statistics."""

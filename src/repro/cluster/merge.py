@@ -31,7 +31,7 @@ are skipped.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -58,20 +58,11 @@ class MergeStage:
     :meth:`results` or read :meth:`output` after :attr:`done`.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        group_columns: "list[str]",
-        on_emit: "Callable[[int, TupleBatch], None] | None" = None,
-    ) -> None:
+    def __init__(self, shards: int, group_columns: "list[str]") -> None:
         if shards <= 0:
             raise ExecutionError(f"merge stage needs at least one shard, got {shards}")
         self.shards = shards
         self.group_columns = list(group_columns)
-        #: optional hook fired per merged window (metrics); called under
-        #: the merge lock — keep it cheap and never call back into a
-        #: shard engine from it.
-        self.on_emit = on_emit
         self._cond = make_condition("cluster.merge.MergeStage._cond")
         self._epochs = [0] * shards
         self._frontiers = [-1] * shards
@@ -181,8 +172,6 @@ class MergeStage:
             self.merged_rows += len(merged)
             self._backlog.append(merged)
             self._emitted.append(merged)
-            if self.on_emit is not None:
-                self.on_emit(wid, merged)
         self._settled = horizon
         self._cond.notify_all()
 

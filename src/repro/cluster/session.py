@@ -26,8 +26,8 @@ from typing import Any, Iterator
 
 from ..analysis.lockdep import make_lock
 from ..errors import SessionError
+from ..metrics import MetricsRegistry
 from ..relational.tuples import TupleBatch
-from ..serve.metrics import MetricsRegistry
 from .coordinator import ClusterConfig, ClusterCoordinator
 from .partitioner import Partitioner
 

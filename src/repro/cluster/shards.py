@@ -86,10 +86,6 @@ class LocalShard:
         self._handle.add_sink(lambda batch: None)
         self._watcher: "threading.Thread | None" = None
 
-    def attach_metrics(self, hooks: Any) -> None:
-        """Wire the shard engine into the cluster metrics registry."""
-        self._session.attach_metrics(hooks)
-
     def start(self) -> None:
         """Begin the unbounded background run and the EOS watcher."""
         self._session.start()

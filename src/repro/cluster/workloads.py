@@ -27,7 +27,7 @@ from typing import Any, Callable
 from ..api import SaberSession
 from ..io.memory import MemorySource
 from ..relational.tuples import TupleBatch
-from ..workloads.cluster import ClusterMonitoringSource
+from ..workloads.cluster_monitoring import ClusterMonitoringSource
 from ..workloads.synthetic import SyntheticSource
 from .session import ClusterSession
 

@@ -76,7 +76,10 @@ class Dispatcher:
         self.query = query
         self.sources = sources
         self.task_size_bytes = int(task_size_bytes)
-        self._next_task_id = 0
+        #: tasks cut so far (the next task's id) and their total input
+        #: bytes; written only by the dispatching thread.
+        self.tasks_cut = 0
+        self.bytes_cut = 0
         self._schemas = query.input_schemas
         if sources is not None and len(sources) != len(self._schemas):
             raise DispatchError(
@@ -107,11 +110,6 @@ class Dispatcher:
         self.exhausted = False
         #: tuples discarded by :meth:`shed_task` (drop_oldest policy).
         self.shed_tuples = 0
-        #: optional observability hook (:meth:`SaberEngine.attach_metrics`):
-        #: called with each task this dispatcher cuts, on the dispatching
-        #: thread, right after the cut — the real ingest hot path, so the
-        #: hook must be cheap (counter increments).
-        self.on_task_cut = None
 
     @property
     def actual_task_bytes(self) -> int:
@@ -226,14 +224,13 @@ class Dispatcher:
             self._cursor[i] = stop
         task = QueryTask(
             query=self.query,
-            task_id=self._next_task_id,
+            task_id=self.tasks_cut,
             batches=batches,
             created_at=now,
             size_bytes=task_bytes,
         )
-        self._next_task_id += 1
-        if self.on_task_cut is not None:
-            self.on_task_cut(task)
+        self.tasks_cut += 1
+        self.bytes_cut += task_bytes
         return task
 
     def shed_task(self) -> int:

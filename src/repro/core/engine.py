@@ -25,9 +25,9 @@ from ..gpu.kernels import gpu_kernel
 from ..hardware.slots import EXECUTION_MODES, DeviceSlot, device_slots
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
 from ..io.base import BackpressurePolicy
+from ..metrics import Measurements, TaskRecord
 from ..operators.base import BatchResult, StreamSlice
 from ..relational.tuples import TupleBatch
-from ..sim.measurements import Measurements, TaskRecord
 from ..windows.assigner import WindowSet, assign_windows
 from .dispatcher import Dispatcher, Source
 from .executor import ThreadedExecutor
@@ -85,12 +85,6 @@ class SaberConfig:
     #: these names.  Outputs are identical across all of them; only the
     #: timing source and the parallelism substrate differ.
     execution: str = "sim"
-    #: artificial per-task slowdown of the accelerator device, in
-    #: seconds.  Zero (default) for production; the HLS skew tests
-    #: (``tests/test_accelerator.py``) raise it to prove throughput-matrix
-    #: feedback migrates tasks back to the CPU workers when the device
-    #: degrades.
-    accelerator_throttle_seconds: float = 0.0
     #: what the dispatcher does when a query's circular input buffers
     #: are full: ``"block"`` waits for the result stage to release space
     #: (lossless, the default), ``"error"`` raises a typed
@@ -118,8 +112,6 @@ class SaberConfig:
         # accelerator-only mode never runs CPU workers).
         processors = {slot.processor for slot in device_slots(self)}
         self.use_cpu, self.use_gpu = CPU in processors, GPU in processors
-        if self.accelerator_throttle_seconds < 0:
-            raise SimulationError("accelerator_throttle_seconds must be non-negative")
         if EXECUTION_MODES[self.execution].substrate == "process" and not fork_available():
             raise SimulationError(
                 "execution='processes' requires the fork start method "
@@ -205,11 +197,7 @@ class SaberEngine:
         #: under ``execution="accelerator"``/``"hybrid"``; None elsewhere
         #: (the slot then runs the bare GPGPU kernels).
         self.accelerator = (
-            AcceleratorDevice(
-                throttle_seconds=self.config.accelerator_throttle_seconds
-            )
-            if any(slot.kind == "accelerator" for slot in slots)
-            else None
+            AcceleratorDevice() if any(slot.kind == "accelerator" for slot in slots) else None
         )
         #: what a task claimed by the GPGPU slot runs through.
         self._gpu_device = (
@@ -228,9 +216,6 @@ class SaberEngine:
         #: end-of-stream operation — running further tasks afterwards
         #: would re-emit those windows with only their tail fragments.
         self._drained = False
-        #: metrics hook bundle installed by :meth:`attach_metrics`; new
-        #: queries registered afterwards are wired as they arrive.
-        self._metrics_hooks = None
         self._substrate = EXECUTION_MODES[self.config.execution].substrate
         #: owns time and workers; lives as long as the engine so virtual
         #: and wall-clock time accumulate across incremental runs.
@@ -312,8 +297,6 @@ class SaberEngine:
         run = QueryRun(query, dispatcher, result_stage)
         self.runs.append(run)
         self._runs_by_query.setdefault(id(query), run)
-        if self._metrics_hooks is not None:
-            self._metrics_hooks.wire_run(run)
 
     # -- run -----------------------------------------------------------------------
 
@@ -332,24 +315,6 @@ class SaberEngine:
         elapsed = self._executor.run(tasks_per_query)
         self._last_elapsed = elapsed
         return self._build_report(elapsed, flush)
-
-    def attach_metrics(self, hooks) -> None:
-        """Install observability hooks on the engine's real hot path.
-
-        ``hooks`` is a bundle (:class:`repro.serve.metrics.SessionInstruments`
-        or anything shaped like it) exposing ``wire_engine(engine)`` —
-        called once, here — and ``wire_run(run)``, called for every
-        registered :class:`QueryRun`, existing and future.  The bundle
-        typically sets :attr:`Measurements.on_task` (per-task completion
-        accounting on every backend), :attr:`Dispatcher.on_task_cut`
-        (ingest-side task cuts) and :attr:`ResultStage.on_metrics`
-        (ordered output chunks and result latency).  Hooks run on the hot
-        path — dispatcher and worker threads — so they must stay cheap.
-        """
-        self._metrics_hooks = hooks
-        hooks.wire_engine(self)
-        for run in self.runs:
-            hooks.wire_run(run)
 
     def request_stop(self) -> None:
         """Ask a running (or about-to-run) engine to stop dispatching.
@@ -496,9 +461,10 @@ class SaberEngine:
         completed-task count is kept by its result stage, under the
         lock ``submit`` takes anyway.
         """
+        query = task.query.name
         self.measurements.record_task(
             TaskRecord(
-                query=task.query.name,
+                query=query,
                 processor=processor,
                 created=task.created_at,
                 completed=completed_at,
@@ -510,9 +476,9 @@ class SaberEngine:
         # buffer space is released in task order inside.
         emitted = run.result_stage.submit(task, result, emit_at)
         if result is None:
-            self.measurements.record_latency(emit_at, task.created_at)
+            self.measurements.record_latency(query, emit_at, task.created_at)
         for record in emitted:
-            self.measurements.record_latency(record.emit_time, record.data_time)
+            self.measurements.record_latency(query, record.emit_time, record.data_time)
         # ρ(q, p) is per *processor*: the CPU row aggregates all cores, so
         # one worker's task interval implies cpu_workers tasks per interval.
         workers = self.config.cpu_workers if processor == CPU else 1

@@ -22,19 +22,82 @@ Virtual time is cumulative across incremental runs (``loop.now``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import heapq
+import itertools
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import BackpressureError, IngestInterrupted, SimulationError
 from ..gpu.pipeline import MovementPipeline
 from ..hardware.cpu import CpuModel
 from ..hardware.gpu import GpuModel
 from ..operators.base import BatchResult
-from ..sim.loop import EventLoop
 from .scheduler import CPU
 from .task import QueryTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from .engine import QueryRun, SaberEngine
+
+
+@dataclass(order=True)
+class _Event:
+    time: float
+    sequence: int
+    action: Callable[[], None] = field(compare=False)
+    cancelled: bool = field(default=False, compare=False)
+
+
+class EventLoop:
+    """Minimal heap-based event loop with virtual time.
+
+    Deterministic by (time, sequence) ordering — events at equal times
+    fire in schedule order — so every sim run is exactly reproducible
+    from the workload seed.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[_Event] = []
+        self._counter = itertools.count()
+        self.now = 0.0
+        self._events_processed = 0
+
+    def schedule(self, delay: float, action: Callable[[], None]) -> _Event:
+        """Schedule ``action`` to run ``delay`` seconds from now."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        event = _Event(self.now + delay, next(self._counter), action)
+        heapq.heappush(self._heap, event)
+        return event
+
+    def schedule_at(self, time: float, action: Callable[[], None]) -> _Event:
+        """Schedule ``action`` at an absolute virtual time."""
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time} before current time {self.now}")
+        event = _Event(time, next(self._counter), action)
+        heapq.heappush(self._heap, event)
+        return event
+
+    @staticmethod
+    def cancel(event: _Event) -> None:
+        event.cancelled = True
+
+    def run(self, until: "float | None" = None, max_events: int = 50_000_000) -> None:
+        """Process events until the heap drains or ``until`` is reached."""
+        while self._heap:
+            event = self._heap[0]
+            if until is not None and event.time > until:
+                self.now = until
+                return
+            heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            self.now = event.time
+            event.action()
+            self._events_processed += 1
+            if self._events_processed > max_events:
+                raise SimulationError(f"event budget exceeded ({max_events}); likely a livelock")
+        if until is not None:
+            self.now = max(self.now, until)
 
 
 class _Worker:

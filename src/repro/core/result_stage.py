@@ -87,13 +87,12 @@ class ResultStage:
         self._pending: dict[int, list[Any]] = {}
         self._closed_flags: set[int] = set()  # windows whose close was seen
         self.emitted: list[EmittedResult] = []
+        #: ordered output chunks / rows / bytes emitted so far: written
+        #: in :meth:`_emit` (under the stage lock while tasks are in
+        #: flight), read by reports and metrics collectors.
+        self.chunks_emitted = 0
         self.output_rows = 0
         self.output_bytes = 0
-        #: optional observability hook (:meth:`SaberEngine.attach_metrics`):
-        #: called with each :class:`EmittedResult` right after ``on_emit``,
-        #: on the emitting worker's thread and under the result-stage lock —
-        #: it must be cheap (counter increments, histogram observations).
-        self.on_metrics = None
         #: optional per-window sink: called as ``on_window(wid, rows)``
         #: for every finalised window with non-empty rows, in strictly
         #: increasing window-id order (windows close in timestamp order
@@ -195,14 +194,13 @@ class ResultStage:
             if self.collect_output
             else EmittedResult(task_id, rows.slice(0, 0), emit_time, data_time)
         )
+        self.chunks_emitted += 1
         self.output_rows += len(rows)
         self.output_bytes += rows.size_bytes
         if self.collect_output:
             self.emitted.append(record)
         if self.on_emit is not None:
             self.on_emit(full)
-        if self.on_metrics is not None:
-            self.on_metrics(full)
         return record
 
     # -- finishing -----------------------------------------------------------------

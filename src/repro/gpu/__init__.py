@@ -3,8 +3,7 @@
 from .device import DEFAULT_GPU, GpuDeviceSpec
 from .pcie import DEFAULT_PCIE, PcieBus
 from .pipeline import STAGES, MovementPipeline, StageTiming
-from .hashtable import OpenAddressingTable
-from .kernels import gpu_join, gpu_kernel, gpu_selection, reduction_tree
+from .kernels import gpu_join, gpu_kernel, gpu_selection
 from .jit import HAVE_NUMBA, compact_mask
 from .accelerator import AcceleratorDevice, AcceleratorStats
 
@@ -20,9 +19,7 @@ __all__ = [
     "MovementPipeline",
     "StageTiming",
     "STAGES",
-    "OpenAddressingTable",
     "gpu_kernel",
     "gpu_selection",
     "gpu_join",
-    "reduction_tree",
 ]

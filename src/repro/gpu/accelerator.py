@@ -28,8 +28,8 @@ picking the device per task from observed throughput feedback).  Its
 
 The device keeps cumulative :class:`AcceleratorStats` (tasks, bytes
 each way, measured vs modelled transfer seconds, kernel seconds) that
-the serve-layer metrics export as ``saber_accel_*`` series at scrape
-time.  ``throttle_seconds`` artificially slows every task — the knob
+:func:`repro.metrics.engine_samples` exports as ``saber_accel_*``
+series at scrape time.  ``throttle_seconds`` artificially slows every task — the knob
 the HLS skew tests (``tests/test_accelerator.py``) use to prove that
 throughput-matrix feedback migrates tasks back to the CPU workers when
 the accelerator degrades.
@@ -54,8 +54,8 @@ __all__ = ["AcceleratorDevice", "AcceleratorStats"]
 class AcceleratorStats:
     """Cumulative accelerator counters, updated once per executed task.
 
-    Snapshots are read concurrently by metrics gauge callbacks, so
-    updates and reads go through one (uncontended) lock.
+    Snapshots are read concurrently by metrics collectors, so updates
+    and reads go through one (uncontended) lock.
     """
 
     def __init__(self) -> None:

@@ -6,12 +6,12 @@ paper's OpenCL kernels algorithmically:
 * **selection** — every atomic predicate is evaluated for every tuple
   (SIMD lanes do not short-circuit); survivors are compacted to
   contiguous output by scan-compaction of the selection vector;
-* **aggregation** — one work group per window fragment; threads reduce
-  pairs of tuples, forming a reduction tree (:func:`reduction_tree`);
-* **GROUP-BY** — per-fragment open-addressing hash table with the same
-  hash function as the CPU path (:mod:`repro.gpu.hashtable`); the batch
-  path uses the vectorised compacted-table equivalent, and the table
-  object itself is exercised by unit tests for equivalence;
+* **aggregation** and **GROUP-BY** — the paper reduces each window
+  fragment in a work group (a reduction tree; a per-fragment
+  open-addressing hash table for groups).  Here both run the CPU
+  operators' shared vectorised implementation, which never re-orders a
+  float reduction — that is what keeps the two processors bitwise
+  identical;
 * **join** — the two-step count-then-compact technique borrowed from
   in-memory column stores [32]: match counts per tuple, a scan to obtain
   write offsets, then compaction — here the one task-level kernel of
@@ -34,35 +34,10 @@ paper.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..operators.base import BatchResult, Operator, StreamSlice
 from ..operators.join import ThetaJoin
 from ..operators.selection import Selection
 from . import jit
-
-
-def reduction_tree(values: np.ndarray, combine: str = "sum") -> float:
-    """Pairwise tree reduction, as GPGPU work-group threads perform it.
-
-    Each level halves the live lane count: thread *i* combines lanes
-    ``2i`` and ``2i+1``.  Produces bitwise-identical results to the CPU
-    for sum over floats only up to reordering — tests use tolerances.
-    """
-    ops = {"sum": np.add, "min": np.minimum, "max": np.maximum}
-    if combine not in ops:
-        raise ValueError(f"unsupported reduction {combine!r}")
-    lanes = np.asarray(values, dtype=np.float64).copy()
-    if len(lanes) == 0:
-        return {"sum": 0.0, "min": np.inf, "max": -np.inf}[combine]
-    op = ops[combine]
-    while len(lanes) > 1:
-        if len(lanes) % 2:
-            lanes = np.concatenate([lanes, lanes[-1:]]) if combine != "sum" else (
-                np.concatenate([lanes, [0.0]])
-            )
-        lanes = op(lanes[0::2], lanes[1::2])
-    return float(lanes[0])
 
 
 def gpu_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResult:
@@ -93,10 +68,8 @@ def gpu_kernel(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
 
     Operators without a specialised kernel (projection's arithmetic map
     is identical on both processors; aggregation's and GROUP-BY's shared
-    vectorised implementation never re-orders a float reduction — the
-    compacted group table is the vectorised equivalent of
-    :class:`~repro.gpu.hashtable.OpenAddressingTable`) fall back to the
-    CPU implementation — the *results* are defined to be
+    vectorised implementation never re-orders a float reduction) fall
+    back to the CPU implementation — the *results* are defined to be
     processor-independent, and tests enforce it.
     """
     if isinstance(operator, Selection):

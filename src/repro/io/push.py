@@ -69,7 +69,9 @@ class PushSource(SourceConnector):
         self._queued = 0
         self._closed = False
         self._cond = make_condition("io.push.PushSource._cond")
-        #: tuples evicted under the DROP_OLDEST policy.
+        #: tuples admitted into the queue / evicted from it under the
+        #: DROP_OLDEST policy (both written under the queue condition).
+        self.pushed_tuples = 0
         self.dropped_tuples = 0
 
     # -- producer side -------------------------------------------------------
@@ -100,6 +102,7 @@ class PushSource(SourceConnector):
                     take = self._wait_for_room(n - offset)
                     self._segments.append(data[offset : offset + take])
                     self._queued += take
+                    self.pushed_tuples += take
                     offset += take
                     self._cond.notify_all()
                 return n
@@ -122,6 +125,7 @@ class PushSource(SourceConnector):
                     n = len(data)
             self._segments.append(data)
             self._queued += n
+            self.pushed_tuples += n
             self._cond.notify_all()
         return n
 

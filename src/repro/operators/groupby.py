@@ -27,8 +27,8 @@ Boundary fragments (OPENING / CLOSING / PENDING) leave the task as
 :class:`GroupedWindowAccumulator` payloads — row references into one
 columnar :class:`GroupBlock` per task — which the assembly operator
 function folds across tasks for all ready windows at once
-(:meth:`GroupedAggregation.assemble_windows`).  The GPGPU path uses the
-open-addressing table in :mod:`repro.gpu.hashtable`.
+(:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot runs this
+same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
 
 HAVING re-uses the selection machinery: the predicate is evaluated over
 the emitted (timestamp, groups, aggregates) rows.

@@ -4,9 +4,10 @@ Everything a deployment needs to run SABER queries as a network
 service: the newline-delimited JSON frame protocol
 (:mod:`~repro.serve.protocol`), per-tenant session hosting with
 admission control and load shedding (:mod:`~repro.serve.tenants`), the
-daemon itself (:mod:`~repro.serve.server`), a blocking client
-(:mod:`~repro.serve.client`) and the Prometheus-style metrics layer
-(:mod:`~repro.serve.metrics`) wired into the engine's real hot path.
+daemon itself (:mod:`~repro.serve.server`) and a blocking client
+(:mod:`~repro.serve.client`).  The ``/metrics`` endpoint renders a
+:class:`repro.metrics.MetricsRegistry`; the instruments live in that
+neutral package, not here.
 
 See ``docs/operations.md`` for the runbook and the metrics catalogue,
 and ``docs/architecture.md`` for where the serving layer sits in the
@@ -14,13 +15,6 @@ data flow.
 """
 
 from .client import ServeClient
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SessionInstruments,
-)
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -33,11 +27,6 @@ from .tenants import Tenant, TenantQuotas
 
 __all__ = [
     "ServeClient",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SessionInstruments",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",

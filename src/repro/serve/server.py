@@ -17,8 +17,9 @@ returns a ``quota`` error frame — the connection stays usable.
 Observability is served out-of-band: a Prometheus-style text endpoint
 (``/metrics`` on :attr:`ServeConfig.metrics_port`, with ``/healthz``
 for liveness) scraping the shared
-:class:`~repro.serve.metrics.MetricsRegistry`, and an optional
-periodic ``--stats`` log line.
+:class:`~repro.metrics.MetricsRegistry` — which *reads* each tenant's
+numbers through the collector the tenant registered, at scrape time —
+and an optional periodic ``--stats`` log line fed by the same reads.
 
 Shutdown is graceful by default: :meth:`SaberServer.shutdown` (or a
 SIGTERM/SIGINT under :meth:`SaberServer.serve_forever`) stops
@@ -36,11 +37,11 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Iterator
 
 from ..analysis.lockdep import make_lock
 from ..errors import SaberError
-from .metrics import MetricsRegistry
+from ..metrics import MetricsRegistry
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -135,14 +136,6 @@ class SaberServer:
         self._shutdown_signal = threading.Event()
         self._draining = False
         self._closed = False
-        self.connections_gauge = self.registry.gauge(
-            "saber_server_connections",
-            "Open client connections.",
-        )
-        self.tenants_gauge = self.registry.gauge(
-            "saber_server_tenants",
-            "Admitted tenant sessions.",
-        )
         self.frames_total = self.registry.counter(
             "saber_server_frames_total",
             "Client frames processed, by frame type.",
@@ -155,8 +148,7 @@ class SaberServer:
             "saber_server_tenants_evicted_total",
             "Tenant sessions evicted by the idle timeout.",
         )
-        self.tenants_gauge.set_function(lambda: len(self._tenants))
-        self.connections_gauge.set_function(lambda: len(self._connections))
+        self._collector = self.registry.register_collector(self._samples)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -290,6 +282,7 @@ class SaberServer:
             self._metrics_server.server_close()
         self._stats_stop.set()
         self._shutdown_signal.set()
+        self.registry.unregister_collector(self._collector)
         logger.info("repro serve stopped (%d tenants drained)", len(tenants))
 
     def __enter__(self) -> "SaberServer":
@@ -348,6 +341,23 @@ class SaberServer:
             },
         }
 
+    def _samples(self) -> "Iterator[tuple]":
+        """The server's own registry collector (two point-in-time gauges)."""
+        yield (
+            "saber_server_connections",
+            "gauge",
+            "Open client connections.",
+            {},
+            len(self._connections),
+        )
+        yield (
+            "saber_server_tenants",
+            "gauge",
+            "Admitted tenant sessions.",
+            {},
+            len(self._tenants),
+        )
+
     def _eviction_loop(self) -> None:
         """Evict tenants idle beyond ``tenant_idle_timeout``.
 
@@ -358,34 +368,37 @@ class SaberServer:
         timeout = self.config.tenant_idle_timeout
         assert timeout is not None
         interval = max(min(timeout / 4.0, 1.0), 0.05)
-        while not self._stats_stop.wait(interval):
-            now = time.monotonic()
-            with self._lock:
-                if self._draining:
-                    return
-                idle = [
-                    tenant
-                    for tenant in self._tenants.values()
-                    if now - tenant.last_activity > timeout
-                ]
-                for tenant in idle:
-                    del self._tenants[tenant.name]
+        while not self._stats_stop.wait(interval) and not self._draining:
+            self._evict_idle(timeout)
+
+    def _evict_idle(self, timeout: float) -> None:
+        """One eviction sweep — in its own frame, so this long-lived
+        thread keeps no evicted tenant alive in a loop variable."""
+        now = time.monotonic()
+        with self._lock:
+            if self._draining:
+                return
+            idle = [
+                tenant
+                for tenant in self._tenants.values()
+                if now - tenant.last_activity > timeout
+            ]
             for tenant in idle:
-                self.tenants_evicted.inc(tenant=tenant.name)
-                logger.info("evicting idle tenant %r", tenant.name)
-                try:
-                    tenant.shutdown(
-                        drain=True, drain_timeout=self.config.drain_timeout
-                    )
-                except SaberError as exc:
-                    logger.warning("tenant %r eviction: %s", tenant.name, exc)
+                del self._tenants[tenant.name]
+        for tenant in idle:
+            self.tenants_evicted.inc(tenant=tenant.name)
+            logger.info("evicting idle tenant %r", tenant.name)
+            try:
+                tenant.shutdown(drain=True, drain_timeout=self.config.drain_timeout)
+            except SaberError as exc:
+                logger.warning("tenant %r eviction: %s", tenant.name, exc)
 
     def _stats_loop(self) -> None:
         while not self._stats_stop.wait(self.config.stats_interval):
             snapshot = self.stats()
-            ingest = self.registry.counter("saber_ingest_rows_total").total()
-            rows = self.registry.counter("saber_result_rows_total").total()
-            tasks = self.registry.counter("saber_tasks_completed_total").total()
+            ingest = self.registry.total("saber_ingest_rows_total")
+            rows = self.registry.total("saber_result_rows_total")
+            tasks = self.registry.total("saber_tasks_completed_total")
             logger.info(
                 "stats: connections=%d tenants=%d ingest_rows=%d "
                 "result_rows=%d tasks=%d errors=%d",

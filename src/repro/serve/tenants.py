@@ -19,9 +19,14 @@ callback appends every ordered output chunk (rows materialised to
 plain dicts on the emitting worker) and ``results`` requests drain
 them.  The backlog cap (:attr:`TenantQuotas.max_result_backlog_chunks`)
 bounds a slow consumer's memory; overflow drops the *oldest* chunk and
-counts it on ``saber_result_backlog_dropped_total`` — under the
+counts it (``saber_result_backlog_dropped_total``) — under the
 ``block`` ingest policy and a live consumer this never fires, which is
 exactly what the soak test asserts.
+
+Metrics are read, not pushed: each tenant registers one collector with
+the server's registry (:meth:`Tenant._samples` — its engine's series
+plus ingress and backlog depths, all labelled ``tenant``) and
+unregisters it on shutdown, so an evicted tenant leaves nothing behind.
 
 Load shedding composes from the PR 3 backpressure SPI: every stream is
 a :class:`~repro.io.PushSource` whose per-tenant default policy
@@ -36,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Iterator
 
 from ..analysis.lockdep import make_condition, make_lock
 from ..api import SaberSession
@@ -52,8 +57,8 @@ from ..errors import (
 from ..io.base import BackpressurePolicy
 from ..io.push import PushSource
 from ..io.records import batch_to_rows
+from ..metrics import MetricsRegistry, engine_samples
 from ..relational.schema import Schema
-from .metrics import MetricsRegistry, SessionInstruments
 from .protocol import ProtocolError
 
 __all__ = ["TenantQuotas", "Tenant"]
@@ -113,17 +118,14 @@ class _ResultQueue:
         #: chunks discarded because the backlog hit its cap.
         self.dropped = 0
 
-    def append(self, rows: Any) -> bool:
-        """Queue one chunk; returns False if an oldest chunk was dropped."""
+    def append(self, rows: Any) -> None:
+        """Queue one chunk, dropping (and counting) the oldest when full."""
         with self._cond:
-            clean = True
             if len(self._chunks) >= self._cap:
                 self._chunks.popleft()
                 self.dropped += 1
-                clean = False
             self._chunks.append(rows)
             self._cond.notify_all()
-            return clean
 
     def wake(self) -> None:
         """Wake blocked drainers (used when the tenant shuts down)."""
@@ -173,7 +175,6 @@ class Tenant:
             buffer_capacity_tasks=quotas.buffer_capacity_tasks,
             task_size_bytes=quotas.task_size_bytes,
         )
-        self.session.attach_metrics(SessionInstruments(registry, tenant=name))
         self._lock = make_lock("serve.tenants.Tenant._lock")
         self._streams: "dict[str, PushSource]" = {}
         self._queries: "dict[str, _ResultQueue]" = {}
@@ -183,26 +184,7 @@ class Tenant:
         #: tenant; the server's idle-eviction loop compares it against
         #: :attr:`~repro.serve.server.ServeConfig.tenant_idle_timeout`.
         self.last_activity = time.monotonic()
-        self.ingest_rows = registry.counter(
-            "saber_ingest_rows_total",
-            "Rows accepted into ingress queues via push frames.",
-        )
-        self.ingest_queued = registry.gauge(
-            "saber_ingress_queued_tuples",
-            "Tuples currently queued in a stream's ingress queue.",
-        )
-        self.ingest_dropped = registry.gauge(
-            "saber_ingress_dropped_tuples_total",
-            "Tuples evicted from ingress queues under drop_oldest.",
-        )
-        self.backlog_depth = registry.gauge(
-            "saber_result_backlog_chunks",
-            "Output chunks queued awaiting results requests.",
-        )
-        self.backlog_dropped = registry.counter(
-            "saber_result_backlog_dropped_total",
-            "Output chunks discarded because a result backlog was full.",
-        )
+        self._collector = registry.register_collector(self._samples)
 
     # -- registration ----------------------------------------------------------
 
@@ -250,13 +232,6 @@ class Tenant:
             source = PushSource(schema, capacity_tuples=cap, policy=chosen)
             self.session.register_stream(stream, source)
             self._streams[stream] = source
-            labels = {"tenant": self.name, "stream": stream}
-            self.ingest_queued.set_function(
-                lambda s=source: s.queued_tuples, **labels
-            )
-            self.ingest_dropped.set_function(
-                lambda s=source: s.dropped_tuples, **labels
-            )
             return {
                 "stream": stream,
                 "capacity": cap,
@@ -306,26 +281,21 @@ class Tenant:
                 raise ProtocolError("bad-cql", str(exc)) from None
             except (QueryError, SchemaError, SessionError) as exc:
                 raise ProtocolError("bad-cql", str(exc)) from None
+            # Sinks run on the emitting worker thread: only materialise
+            # and enqueue there.
             if windows:
                 handle.query.force_assembly = True
                 handle.add_window_sink(
-                    lambda wid, rows, _b=backlog, _q=query_name: self._on_window(
-                        _q, _b, wid, rows
+                    lambda wid, rows: backlog.append(
+                        {"window": int(wid), "rows": batch_to_rows(rows)}
                     )
                 )
                 # The window sink carries every output row; a no-op row
                 # sink keeps the handle from double-buffering chunks.
                 handle.add_sink(lambda batch: None)
             else:
-                handle.add_sink(
-                    lambda batch, _b=backlog, _q=query_name: self._on_chunk(
-                        _q, _b, batch
-                    )
-                )
+                handle.add_sink(lambda batch: backlog.append(batch_to_rows(batch)))
             self._queries[query_name] = backlog
-            self.backlog_depth.set_function(
-                lambda b=backlog: len(b), tenant=self.name, query=query_name
-            )
             out = handle.query.output_schema
             return {
                 "query": query_name,
@@ -333,20 +303,6 @@ class Tenant:
                     f"{a.name}:{a.type_name}" for a in out.attributes
                 ),
             }
-
-    def _on_chunk(self, query: str, backlog: _ResultQueue, batch: Any) -> None:
-        """Per-query sink: runs on the emitting worker thread — only
-        materialise and enqueue here."""
-        if not backlog.append(batch_to_rows(batch)):
-            self.backlog_dropped.inc(tenant=self.name, query=query)
-
-    def _on_window(
-        self, query: str, backlog: _ResultQueue, wid: int, rows: Any
-    ) -> None:
-        """Windows-mode sink: one backlog entry per finalised window."""
-        entry = {"window": int(wid), "rows": batch_to_rows(rows)}
-        if not backlog.append(entry):
-            self.backlog_dropped.inc(tenant=self.name, query=query)
 
     # -- the data plane --------------------------------------------------------
 
@@ -356,7 +312,7 @@ class Tenant:
         source = self._stream(stream)
         self._maybe_activate()
         try:
-            accepted = source.push(rows)
+            return source.push(rows)
         except BackpressureError as exc:
             raise ProtocolError("backpressure", str(exc)) from None
         except ValidationError as exc:
@@ -364,8 +320,6 @@ class Tenant:
             raise ProtocolError(code, str(exc)) from None
         except (TypeError, ValueError, KeyError) as exc:
             raise ProtocolError("bad-rows", f"rows do not fit the schema: {exc}") from None
-        self.ingest_rows.inc(accepted, tenant=self.name, stream=stream)
-        return accepted
 
     def results(
         self,
@@ -458,6 +412,53 @@ class Tenant:
             "queries": queries,
         }
 
+    def _samples(self) -> "Iterator[tuple]":
+        """The tenant's registry collector: the engine's series plus the
+        ingress queues and result backlogs, read at scrape time."""
+        with self._lock:
+            streams = list(self._streams.items())
+            queries = list(self._queries.items())
+        yield from engine_samples(self.session.engine, tenant=self.name)
+        for stream, source in streams:
+            labels = {"tenant": self.name, "stream": stream}
+            yield (
+                "saber_ingest_rows_total",
+                "counter",
+                "Rows accepted into ingress queues via push frames.",
+                labels,
+                source.pushed_tuples,
+            )
+            yield (
+                "saber_ingress_queued_tuples",
+                "gauge",
+                "Tuples currently queued in a stream's ingress queue.",
+                labels,
+                source.queued_tuples,
+            )
+            yield (
+                "saber_ingress_dropped_tuples_total",
+                "counter",
+                "Tuples evicted from ingress queues under drop_oldest.",
+                labels,
+                source.dropped_tuples,
+            )
+        for query, backlog in queries:
+            labels = {"tenant": self.name, "query": query}
+            yield (
+                "saber_result_backlog_chunks",
+                "gauge",
+                "Output chunks queued awaiting results requests.",
+                labels,
+                len(backlog),
+            )
+            yield (
+                "saber_result_backlog_dropped_total",
+                "counter",
+                "Output chunks discarded because a result backlog was full.",
+                labels,
+                backlog.dropped,
+            )
+
     def _check_open(self) -> None:
         if self._closed:
             raise ProtocolError("closed", f"tenant {self.name!r} session is closed")
@@ -492,5 +493,6 @@ class Tenant:
             try:
                 self.session.close()
             finally:
+                self.registry.unregister_collector(self._collector)
                 for backlog in self._queries.values():
                     backlog.wake()

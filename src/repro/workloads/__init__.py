@@ -13,7 +13,7 @@ from .synthetic import (
     spa_query,
     window_bytes,
 )
-from .cluster import (
+from .cluster_monitoring import (
     TASK_EVENTS_SCHEMA,
     ClusterMonitoringSource,
     cm1_query,

@@ -10,7 +10,7 @@ any application query by name::
 from __future__ import annotations
 
 from ..core.query import Query
-from . import cluster, linearroad, smartgrid
+from . import cluster_monitoring, linearroad, smartgrid
 
 
 def build(
@@ -26,12 +26,12 @@ def build(
         "tuples_per_second": tuples_per_second
     }
     if name == "CM1":
-        return cluster.cm1_query(), [
-            cluster.ClusterMonitoringSource(seed=seed, **rate)
+        return cluster_monitoring.cm1_query(), [
+            cluster_monitoring.ClusterMonitoringSource(seed=seed, **rate)
         ]
     if name == "CM2":
-        return cluster.cm2_query(), [
-            cluster.ClusterMonitoringSource(seed=seed, **rate)
+        return cluster_monitoring.cm2_query(), [
+            cluster_monitoring.ClusterMonitoringSource(seed=seed, **rate)
         ]
     if name == "SG1":
         return smartgrid.sg1_query(), [smartgrid.SmartGridSource(seed=seed, **rate)]

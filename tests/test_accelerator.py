@@ -162,11 +162,6 @@ def test_hybrid_config_requires_both_slots():
         SaberConfig(execution="hybrid", use_cpu=False)
 
 
-def test_negative_throttle_rejected_in_config():
-    with pytest.raises(SimulationError):
-        SaberConfig(execution="hybrid", accelerator_throttle_seconds=-1.0)
-
-
 def test_non_accelerator_backends_have_no_device():
     for execution in ("sim", "threads"):
         assert SaberEngine(SaberConfig(execution=execution)).accelerator is None
@@ -291,17 +286,19 @@ def test_hybrid_beats_both_single_devices_on_two_workloads():
 
 
 def _hybrid_counts(throttle_seconds, seed=31, n_tasks=40):
-    make = lambda: select_query(8, pass_rate=0.5)  # noqa: E731
-    out, engine = run_backend(
-        "hybrid",
-        make,
-        [seed],
-        task_tuples=128,
-        n_tasks=n_tasks,
-        cpu_workers=2,
-        queue_capacity=8,
-        accelerator_throttle_seconds=throttle_seconds,
+    engine = SaberEngine(
+        SaberConfig(
+            execution="hybrid",
+            task_size_bytes=128 * TUPLE_SIZE,
+            cpu_workers=2,
+            queue_capacity=8,
+        )
     )
+    # The skew knob lives on the device, not in the engine configuration.
+    engine.accelerator.throttle_seconds = throttle_seconds
+    query = select_query(8, pass_rate=0.5)
+    engine.add_query(query, [SyntheticSource(seed=seed)])
+    out = engine.run(tasks_per_query=n_tasks).outputs[query.name]
     gpu_tasks = sum(1 for r in engine.measurements.records if r.processor == GPU)
     return out, engine, gpu_tasks
 
@@ -353,10 +350,15 @@ def test_unthrottled_hybrid_keeps_device_productive():
 # -- metrics export ------------------------------------------------------------
 
 
-def test_accelerator_metrics_exported():
-    from repro.serve.metrics import MetricsRegistry, SessionInstruments
+def _engine_registry(engine):
+    from repro.metrics import MetricsRegistry, engine_samples
 
     registry = MetricsRegistry()
+    registry.register_collector(lambda: engine_samples(engine, tenant="t"))
+    return registry
+
+
+def test_accelerator_metrics_exported():
     engine = SaberEngine(
         SaberConfig(
             execution="hybrid",
@@ -365,42 +367,43 @@ def test_accelerator_metrics_exported():
             queue_capacity=8,
         )
     )
-    engine.attach_metrics(SessionInstruments(registry, tenant="t"))
+    registry = _engine_registry(engine)
     query = select_query(4, pass_rate=0.5)
     engine.add_query(query, [SyntheticSource(seed=41)])
     engine.run(tasks_per_query=30)
 
     snapshot = engine.accelerator.stats.snapshot()
-    instruments = SessionInstruments(registry, tenant="t")
-    assert instruments.accel_tasks.value(tenant="t") == snapshot["tasks"]
-    assert instruments.accel_bytes.value(tenant="t", direction="in") == snapshot[
-        "bytes_in"
-    ]
-    assert instruments.accel_transfer_seconds.value(
-        tenant="t", kind="modeled"
+    assert registry.value("saber_accel_tasks_total", tenant="t") == snapshot["tasks"]
+    assert (
+        registry.value("saber_accel_bytes_total", tenant="t", direction="in")
+        == snapshot["bytes_in"]
+    )
+    assert registry.value(
+        "saber_accel_transfer_seconds_total", tenant="t", kind="modeled"
     ) == pytest.approx(snapshot["transfer_seconds_modeled"])
     expected_jit = 1.0 if jit.HAVE_NUMBA else 0.0
-    assert instruments.accel_jit_enabled.value(tenant="t") == expected_jit
+    assert registry.value("saber_accel_jit_enabled", tenant="t") == expected_jit
     # The HLS matrix series expose every (query, processor) cell.
     matrix = engine.scheduler.matrix
     for processor in (CPU, GPU):
-        assert instruments.hls_matrix_throughput.value(
-            tenant="t", query=query.name, processor=processor
+        assert registry.value(
+            "saber_hls_matrix_throughput",
+            tenant="t",
+            query=query.name,
+            processor=processor,
         ) == pytest.approx(matrix.value(query.name, processor))
-    assert instruments.hls_matrix_refreshes.value(tenant="t") == len(matrix.history)
+    assert registry.value("saber_hls_matrix_refreshes_total", tenant="t") == len(
+        matrix.history
+    )
     rendered = registry.render()
-    assert "saber_accel_tasks_total" in rendered
+    assert "# TYPE saber_accel_tasks_total counter" in rendered
     assert "saber_hls_matrix_throughput" in rendered
 
 
 def test_non_accelerator_engine_exports_no_accel_series():
-    from repro.serve.metrics import MetricsRegistry, SessionInstruments
-
-    registry = MetricsRegistry()
     engine = SaberEngine(SaberConfig(execution="threads", cpu_workers=2))
-    engine.attach_metrics(SessionInstruments(registry, tenant="t"))
-    # Registered (the catalogue is stable) but with no series wired.
-    assert registry.gauge("saber_accel_tasks_total").samples() == {}
+    snapshot = _engine_registry(engine).snapshot()
+    assert not any(name.startswith("saber_accel_") for name in snapshot)
 
 
 # -- CLI surface ---------------------------------------------------------------
@@ -437,13 +440,3 @@ class TestCli:
         out = self._run(capsys, "--execution", "accelerator")
         assert "devices    : GPGPU:acceleratorx1" in out
 
-    def test_accelerator_flag_is_hybrid_shorthand(self, capsys):
-        out = self._run(capsys, "--accelerator")
-        assert "GPGPU:acceleratorx1" in out
-
-    def test_accelerator_flag_conflicts(self, capsys):
-        from repro.cli import main
-
-        base = ["run", "CM1", "--tasks", "2", "--accelerator"]
-        assert main(base + ["--no-gpu"]) == 2
-        assert main(base + ["--execution", "processes"]) == 2

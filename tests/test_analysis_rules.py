@@ -617,6 +617,42 @@ class TestMetricsCoherence:
         )
         assert MetricsCoherenceRule().check(project, config) == []
 
+    def test_collector_samples_are_registration_and_write_site(self, tmp_path):
+        project = make_project(
+            tmp_path,
+            {
+                "metrics_app.py": """
+                    def helper_samples(owner):
+                        yield ("saber_depth", "gauge", "queue depth", {}, owner.depth)
+
+                    class Owner:
+                        def __init__(self, registry):
+                            registry.register_collector(self._samples)
+
+                        def _samples(self):
+                            yield ("saber_pulled_total", "counter", "pulled", {}, 1)
+                            yield from helper_samples(self)
+
+                    def orphan_samples():
+                        yield ("saber_orphan_total", "counter", "nobody asks", {}, 0)
+                        return ("saber_not_a_sample", "text", "wrong kind", {}, 0)
+                    """,
+            },
+            docs={
+                "ops.md": """
+                    | `saber_pulled_total` | counter |
+                    | `saber_depth` | gauge |
+                    | `saber_orphan_total` | counter |
+                    """,
+            },
+        )
+        config = AnalysisConfig(
+            metrics_modules=("metrics_app",), metrics_catalogue="ops.md"
+        )
+        findings = MetricsCoherenceRule().check(project, config)
+        assert [f.symbol for f in findings] == ["saber_orphan_total"]
+        assert "reachable from a register_collector call" in findings[0].message
+
     def test_out_of_scope_registrations_are_ignored(self, tmp_path):
         project = make_project(
             tmp_path,

@@ -439,7 +439,7 @@ class TestSession:
             session.run(tasks_per_query=4)
             later = [
                 r.completed
-                for r in session.engine.measurements.records[4:]
+                for r in list(session.engine.measurements.records)[4:]
             ]
             assert min(later) > first
 

@@ -28,7 +28,7 @@ from repro.operators.join import ThetaJoin
 from repro.operators.projection import Projection
 from repro.relational.expressions import col
 from repro.windows.definition import WindowDefinition
-from repro.workloads.cluster import TASK_EVENTS_SCHEMA
+from repro.workloads.cluster_monitoring import TASK_EVENTS_SCHEMA
 from repro.workloads.linearroad import FEET_PER_SEGMENT, POS_SPEED_SCHEMA
 from repro.workloads.queries import APPLICATION_QUERIES, SMOKE_RATES, build
 from repro.workloads.smartgrid import (

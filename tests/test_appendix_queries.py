@@ -16,7 +16,7 @@ from repro.operators.compose import FilteredWindows
 from repro.operators.groupby import GroupedAggregation
 from repro.operators.join import ThetaJoin
 from repro.operators.projection import Projection
-from repro.workloads.cluster import TASK_EVENTS_SCHEMA
+from repro.workloads.cluster_monitoring import TASK_EVENTS_SCHEMA
 from repro.workloads.linearroad import POS_SPEED_SCHEMA
 from repro.workloads.smartgrid import (
     GLOBAL_LOAD_SCHEMA,

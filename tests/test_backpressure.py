@@ -18,7 +18,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.relational.schema import Schema
-from repro.workloads.cluster import ClusterMonitoringSource, cm1_query
+from repro.workloads.cluster_monitoring import ClusterMonitoringSource, cm1_query
 from repro.workloads.synthetic import SyntheticSource, select_query
 
 TASK_BYTES = 16 << 10

@@ -228,7 +228,7 @@ class TestDistinctWhere:
 class TestEndToEnd:
     def test_parsed_query_runs(self):
         from repro.core.engine import SaberConfig, SaberEngine
-        from repro.workloads.cluster import ClusterMonitoringSource, TASK_EVENTS_SCHEMA
+        from repro.workloads.cluster_monitoring import ClusterMonitoringSource, TASK_EVENTS_SCHEMA
 
         q = compile_statement(
             "select timestamp, category, sum(cpu) as totalCpu "

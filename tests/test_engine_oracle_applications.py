@@ -6,7 +6,7 @@ import pytest
 import reference
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.windows.definition import WindowDefinition
-from repro.workloads.cluster import ClusterMonitoringSource, cm1_query
+from repro.workloads.cluster_monitoring import ClusterMonitoringSource, cm1_query
 from repro.workloads.linearroad import LinearRoadSource, lrb3_query
 from repro.workloads.smartgrid import SmartGridSource, sg1_query
 

@@ -69,7 +69,7 @@ def test_complete_accounts_identically_on_every_execution(execution, execute_dat
     # One latency sample per ordered output chunk; per task when no data ran.
     chunks = len(run.result_stage.emitted) if execute_data else TASKS
     assert chunks > 0
-    assert len(report.measurements.latencies) == chunks
+    assert report.measurements.latency.count(query=query.name) == chunks
     # One positive throughput sample per task, for the processor that ran it.
     assert sorted(p for __, p, __ in feedback) == sorted(r.processor for r in records)
     assert sorted(task_id for task_id, __, __ in feedback) == list(range(TASKS))
@@ -152,7 +152,8 @@ def test_engine_holds_no_event_loop_or_cost_model_code():
     imported = {
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
     }
-    assert not imported & {"sim.loop", "hardware.cpu", "hardware.gpu", "gpu.pipeline"}
+    assert not imported & {"hardware.cpu", "hardware.gpu", "gpu.pipeline"}
+    assert "EventLoop" not in (SRC / "core" / "engine.py").read_text()
     (engine_class,) = [
         n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SaberEngine"
     ]
@@ -175,3 +176,71 @@ def test_one_task_record_construction_site():
                 if name == "TaskRecord":
                     sites.append(str(path.relative_to(SRC)))
     assert sites == ["core/engine.py"]
+
+
+# -- metrics layering: one neutral package, read by pull -------------------------
+
+
+def _imported_modules(path):
+    """Absolute dotted names of everything ``path`` imports."""
+    package = ["repro", *path.relative_to(SRC).parts[:-1]]
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join([*base, *([node.module] if node.module else [])])
+            # ``from . import x`` may name submodules: count each one.
+            names.append(module)
+            names.extend(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _under(name, package):
+    return name == package or name.startswith(package + ".")
+
+
+def test_metrics_package_is_neutral():
+    """``repro.metrics`` sits below every layer that reports through it."""
+    allowed_repro = ("repro.metrics", "repro.analysis.lockdep")
+    stdlib_and_numpy = {
+        "__future__", "bisect", "collections", "dataclasses", "logging", "typing", "numpy",
+    }
+    for path in sorted((SRC / "metrics").glob("*.py")):
+        for name in _imported_modules(path):
+            if _under(name, "repro"):
+                assert any(_under(name, ok) for ok in allowed_repro), (path.name, name)
+            else:
+                assert name.split(".")[0] in stdlib_and_numpy, (path.name, name)
+
+
+def test_only_the_serving_entry_points_import_repro_serve():
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith("serve/") or relative in ("cli.py", "cluster/shards.py"):
+            continue
+        assert not [n for n in _imported_modules(path) if _under(n, "repro.serve")], relative
+
+
+def test_guard_resolves_relative_imports():
+    path = SRC / "cluster" / "shards.py"
+    assert any(_under(n, "repro.serve") for n in _imported_modules(path))
+    assert "repro.analysis.lockdep" in _imported_modules(SRC / "metrics" / "registry.py")
+
+
+def test_no_metrics_hook_attributes_are_assigned():
+    """The hook protocol is gone: nothing in ``src/`` stores a callable
+    under the three attribute names the old per-task hooks used."""
+    hooks = {"on_task", "on_task_cut", "on_metrics"}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    assert not (
+                        isinstance(target, ast.Attribute) and target.attr in hooks
+                    ), (path.relative_to(SRC).as_posix(), node.lineno, target.attr)
+            # A dataclass field of that name is the same thing declared.
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                assert node.target.id not in hooks, path.relative_to(SRC).as_posix()

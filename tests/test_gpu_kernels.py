@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import jit
-from repro.gpu.kernels import gpu_kernel, gpu_selection, reduction_tree
+from repro.gpu.kernels import gpu_kernel, gpu_selection
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
@@ -32,24 +32,6 @@ def batch(n, seed=0):
 
 def windowed(data, window):
     return [StreamSlice(data, assign_count_windows(window, 0, len(data)), 0)]
-
-
-class TestReductionTree:
-    @pytest.mark.parametrize("combine,ref", [("sum", np.sum), ("min", np.min), ("max", np.max)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100, 255])
-    def test_matches_numpy(self, combine, ref, n):
-        rng = np.random.default_rng(n)
-        values = rng.random(n)
-        assert reduction_tree(values, combine) == pytest.approx(ref(values))
-
-    def test_empty_identities(self):
-        assert reduction_tree(np.array([]), "sum") == 0.0
-        assert reduction_tree(np.array([]), "min") == np.inf
-        assert reduction_tree(np.array([]), "max") == -np.inf
-
-    def test_unknown_combine(self):
-        with pytest.raises(ValueError):
-            reduction_tree(np.arange(4), "median")
 
 
 class TestKernelEquivalence:

@@ -406,7 +406,7 @@ class TestSocketCorruption:
 class TestSessionClosesSources:
     def test_session_close_releases_registered_sources(self, tmp_path):
         from repro.api import SaberSession
-        from repro.workloads.cluster import TASK_EVENTS_SCHEMA
+        from repro.workloads.cluster_monitoring import TASK_EVENTS_SCHEMA
 
         sock_src = SocketSource(TASK_EVENTS_SCHEMA)
         file_src = FileReplaySource(

@@ -19,7 +19,7 @@ from repro.api import SaberSession
 from repro.core.engine import SaberConfig
 from repro.io import FileReplaySource, FileSink, MemorySink, MemorySource
 from repro.io import write_batch
-from repro.workloads.cluster import (
+from repro.workloads.cluster_monitoring import (
     TASK_EVENTS_SCHEMA,
     ClusterMonitoringSource,
     cm1_query,

@@ -21,7 +21,7 @@ from repro.baselines.sparklike import SparkLikeEngine
 from repro.core.scheduler import CPU, GPU, HlsScheduler, ThroughputMatrix
 from repro.hardware.specs import DEFAULT_SPEC
 from repro.relational.expressions import col
-from repro.workloads.cluster import (
+from repro.workloads.cluster_monitoring import (
     TASK_EVENTS_SCHEMA,
     ClusterMonitoringSource,
     surge_select_query,

@@ -5,6 +5,7 @@ Every test binds ephemeral ports (port 0) and uses the blocking
 actual ``python -m repro serve`` process and asserts a graceful drain.
 """
 
+import gc
 import json
 import os
 import signal
@@ -14,6 +15,7 @@ import sys
 import threading
 import time
 import urllib.request
+import weakref
 from pathlib import Path
 
 import pytest
@@ -341,9 +343,10 @@ class TestSoak:
             with urllib.request.urlopen(f"http://{host}:{port}/metrics") as reply:
                 assert reply.status == 200 and b"saber_" in reply.read()
             registry = server.registry
-            assert registry.counter("saber_result_backlog_dropped_total").total() == 0
-            dropped = registry.gauge("saber_ingress_dropped_tuples_total").samples()
-            assert sum(dropped.values()) == 0
+            assert len(registry.snapshot()["saber_result_backlog_dropped_total"]) == tenants
+            assert registry.total("saber_result_backlog_dropped_total") == 0
+            assert registry.total("saber_ingress_dropped_tuples_total") == 0
+            assert registry.total("saber_ingest_rows_total") == rows * connections
         finally:
             server.shutdown(drain=True)
 
@@ -373,6 +376,62 @@ class TestIdleEviction:
                 time.sleep(0.05)
             assert srv.tenants_evicted.total() == 1.0
             assert srv.stats()["tenants"] == []
+
+    def test_evicted_tenant_leaves_nothing_behind(self):
+        """After the idle timeout reaps a tenant its session is garbage
+        and ``/metrics`` names it on the eviction counter only."""
+        config = ServeConfig(
+            port=0, metrics_port=0, stats_interval=None, tenant_idle_timeout=0.3
+        )
+        with SaberServer(config) as srv:
+            with connect(srv, tenant="t1") as client:
+                client.register("s", SCHEMA)
+                client.submit(SUM_CQL.format(stream="s"), name="q")
+                push_rows(client, "s", 128)
+                assert 'tenant="t1"' in srv.registry.render()
+            session = weakref.ref(srv.admit("t1").session)
+            deadline = time.monotonic() + 15.0
+            while srv.tenants_evicted.total() < 1.0 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert srv.tenants_evicted.total() == 1.0
+            # The counter ticks before the drain finishes: wait it out.
+            while session() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.05)
+            assert session() is None
+            host, port = srv.metrics_address
+            with urllib.request.urlopen(f"http://{host}:{port}/metrics") as reply:
+                text = reply.read().decode()
+            assert [line for line in text.splitlines() if '"t1"' in line] == [
+                'saber_server_tenants_evicted_total{tenant="t1"} 1'
+            ]
+
+    def test_tenant_churn_leaves_only_the_servers_collector(self):
+        config = ServeConfig(
+            port=0, metrics_port=None, stats_interval=None, tenant_idle_timeout=0.2
+        )
+        with SaberServer(config) as srv:
+            refs = []
+            for i in range(50):
+                tenant = srv.admit(f"churn{i}")
+                tenant.register("s", SCHEMA)
+                tenant.submit(SUM_CQL.format(stream="s"), name="q")
+                refs += [weakref.ref(tenant), weakref.ref(tenant.session)]
+            del tenant
+            assert len(srv.registry._collectors) == 51
+            deadline = time.monotonic() + 30.0
+            while (
+                srv.tenants_evicted.total() < 50 or len(srv.registry._collectors) > 1
+            ) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert srv.tenants_evicted.total() == 50
+            # Exactly one collector left — the server's own — and no
+            # tenant or session object survives anywhere, let alone
+            # reachable from the registry.
+            assert len(srv.registry._collectors) == 1
+            gc.collect()
+            assert [ref for ref in refs if ref() is not None] == []
+            assert srv.registry.value("saber_server_tenants") == 0
 
     def test_active_tenant_is_not_evicted(self):
         config = ServeConfig(

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core.executor_sim import EventLoop
 from repro.errors import SimulationError
-from repro.sim.loop import EventLoop
-from repro.sim.measurements import Measurements, TaskRecord
+from repro.metrics import RECORDS_KEPT, Measurements, TaskRecord
 
 
 class TestEventLoop:
@@ -113,10 +113,11 @@ class TestMeasurements:
 
     def test_latency_stats(self):
         m = Measurements()
-        for lat in [0.1, 0.2, 0.3]:
-            m.record_latency(emit_time=1.0 + lat, data_time=1.0)
+        for query, lat in [("a", 0.1), ("b", 0.2), ("a", 0.3)]:
+            m.record_latency(query, emit_time=1.0 + lat, data_time=1.0)
         assert m.latency_mean() == pytest.approx(0.2)
-        assert m.latency_percentile(50) == pytest.approx(0.2)
+        assert m.latency.count(query="a") == 2
+        assert m.latency.sum(query="b") == pytest.approx(0.2)
 
     def test_throughput_series_buckets(self):
         m = Measurements()
@@ -140,3 +141,34 @@ class TestMeasurements:
         assert m.processor_share() == {}
         t, s = m.throughput_series(1.0)
         assert len(t) == 0 and len(s) == 0
+
+    def test_records_are_bounded_and_totals_stay_exact(self):
+        m = Measurements()
+        n = 200_000
+        for i in range(n):
+            m.record_task(
+                record(
+                    query="a" if i % 4 else "b",
+                    proc="CPU" if i % 2 else "GPGPU",
+                    completed=float(i + 1),
+                    size=100 + i % 3,
+                    tuples=10,
+                )
+            )
+        assert len(m.records) == RECORDS_KEPT == 65536
+        assert m.records[0].completed == float(n - RECORDS_KEPT + 1)  # most recent kept
+        totals = m.task_totals()
+        assert set(totals) == {("a", "CPU"), ("a", "GPGPU"), ("b", "GPGPU")}
+        assert sum(tasks for tasks, __, __ in totals.values()) == n
+        assert sum(nbytes for __, nbytes, __ in totals.values()) == sum(
+            100 + i % 3 for i in range(n)
+        )
+        assert sum(tuples for __, __, tuples in totals.values()) == 10 * n
+        assert totals["b", "GPGPU"][0] == n // 4
+        # The derived metrics still answer, over the retained window.
+        assert m.throughput_bytes() == pytest.approx(101.0, rel=0.01)
+        shares = m.processor_share()
+        assert shares["CPU"] == pytest.approx(0.5, abs=0.01)
+        times, series = m.throughput_series(bucket_seconds=10_000.0)
+        assert len(times) == len(series) and series[-1] > 0
+        assert series[0] == 0.0  # the evicted prefix is no longer in the series

@@ -13,7 +13,7 @@ from repro.workloads import (
     build,
     surge_select_query,
 )
-from repro.workloads.cluster import EVENT_FAIL
+from repro.workloads.cluster_monitoring import EVENT_FAIL
 from repro.workloads.smartgrid import DerivedLoadSource
 from repro.workloads.synthetic import (
     SYNTHETIC_SCHEMA,

@@ -9,7 +9,9 @@ README.md, docs/*.md and the verify skill.
 every root-level ``*.json`` named alone in an inline code span — must
 exist, so deleting a file fails the gate until its mentions go too.
 ``<placeholders>`` and run outputs (``benchmarks/saberbench/out/``)
-are skipped.
+are skipped.  A root-level ``UPPERCASE.md`` named without a directory
+must exist too, and for that one check ``src/**/*.py`` is scanned as
+well — docstrings are where pointers to long-gone design notes linger.
 
 **Blocks.**  Every ```python fenced block is **compiled** (syntax-checked),
 and — unless the nearest non-blank line above the fence is the marker
@@ -50,6 +52,8 @@ NO_RUN = "<!-- docs: no-run -->"
 _PATH = re.compile(r"(?<![\w/.-])(?:benchmarks|docs|examples|scripts|src|tests)/[\w./*<>-]*")
 #: a root-level JSON file named alone in an inline code span.
 _ROOT_JSON = re.compile(r"`([\w.-]+\.json)`")
+#: a root-level UPPERCASE.md named without a directory (README.md, CHANGES.md).
+_ROOT_MD = re.compile(r"(?<![\w/.-])[A-Z][A-Z_]*\.md\b")
 #: written by running the program, absent from a fresh checkout.
 _GENERATED = ("benchmarks/saberbench/out/",)
 
@@ -61,11 +65,12 @@ def default_files() -> "list[Path]":
 
 
 def missing_paths(path: Path) -> "list[str]":
-    """``file:line: path`` for every mentioned repo path that does not exist."""
+    """``file:line: path`` for every mentioned repo path that does not exist
+    (in a ``.py`` file, only the root-level ``UPPERCASE.md`` names)."""
+    patterns = (_ROOT_MD,) if path.suffix == ".py" else (_PATH, _ROOT_JSON, _ROOT_MD)
     missing = []
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        mentions = [m.rstrip(".") for m in _PATH.findall(line)] + _ROOT_JSON.findall(line)
-        for mention in mentions:
+        for mention in (m.rstrip(".") for p in patterns for m in p.findall(line)):
             if "<" in mention or mention.startswith(_GENERATED):
                 continue
             if not glob.glob(str(_ROOT / mention)):
@@ -177,7 +182,8 @@ def main(argv=None) -> int:
             print(f"{label}  [{mode}]  ({len(block['code'].splitlines())} lines)")
         return 0
 
-    missing = [m for f in files for m in missing_paths(f)]
+    sources = [] if args.files else sorted((_ROOT / "src").rglob("*.py"))
+    missing = [m for f in files + sources for m in missing_paths(f)]
     if missing:
         print(f"DOCS GATE FAILED ({len(missing)} missing path(s)):", file=sys.stderr)
         for entry in missing:

@@ -2,8 +2,9 @@
 
 A Python reproduction of *SABER: Window-Based Hybrid Stream Processing
 for Heterogeneous Architectures* (Koliousis et al., SIGMOD 2016).  See
-DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+``docs/architecture.md`` for the system inventory and
+``tests/test_paper_shapes.py`` for the paper shapes the cost model
+reproduces.
 
 Quickstart — the public surface is :mod:`repro.api` (fluent ``Stream``
 builder + long-lived ``SaberSession``)::
@@ -25,9 +26,9 @@ builder + long-lived ``SaberSession``)::
         print(handle.output())
 
 The same query in the CQL dialect goes through ``session.sql(...)``
-after ``session.register_stream("S", source)``.  The pre-existing entry
-points (hand-built ``Query``, direct ``SaberEngine`` wiring) remain as
-deprecated shims — see ``docs/api.md``.
+after ``session.register_stream("S", source)``.  A hand-built ``Query``
+is the escape hatch for operators the builder does not express
+(``session.submit(query, sources=...)``) — see ``docs/api.md``.
 """
 
 from .errors import SaberError

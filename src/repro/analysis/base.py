@@ -5,13 +5,9 @@ the invariant it guards, and a ``check(project, config)`` method that
 returns :class:`Finding` objects.  Rules register themselves with
 :func:`register` so the CLI and tests can enumerate them.
 
-Findings are suppressed two ways (see ``docs/analysis.md``):
-
-* inline — a ``# repro: allow(<rule>) -- <reason>`` comment on the
-  flagged line or the line directly above it;
-* baseline — a committed JSON file keyed by stable fingerprints
-  (:mod:`repro.analysis.baseline`), so the gate is strict on new code
-  while legacy findings carry a written justification.
+A finding is accepted one way (see ``docs/analysis.md``): inline, by a
+``# repro: allow(<rule>) -- <reason>`` comment on the flagged line or
+the line directly above it.
 """
 
 from __future__ import annotations
@@ -37,8 +33,8 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baselining: ignores line numbers so
-        unrelated edits don't invalidate suppressions."""
+        """Stable identity in the JSON report: ignores line numbers so
+        unrelated edits don't change it."""
         basis = "|".join((self.rule, self.path, self.symbol, self.message))
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
@@ -267,7 +263,6 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "operators.aggregation.Aggregation.assemble_windows",
     # One-pass θ-join kernel (per task, and per cross term at assembly).
     "operators.join.ThetaJoin.process_batch",
-    "operators.join.ThetaJoin.join_task",
     "operators.join.ThetaJoin.join_segments",
     "operators.join.ThetaJoin.merge_partials",
     # Result stage (in-order drain, one batched assembly per task, emit).
@@ -320,7 +315,6 @@ class CheckResult:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:

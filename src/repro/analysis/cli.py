@@ -2,7 +2,7 @@
 
 Exit codes: 0 — clean (all findings suppressed or none); 1 — findings;
 2 — usage error.  See ``docs/analysis.md`` for the rule catalogue and
-suppression formats.
+the inline suppression format.
 """
 
 from __future__ import annotations
@@ -13,20 +13,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .base import AnalysisConfig, CheckResult, DEFAULT_CONFIG, Finding, all_rules
-from .baseline import Baseline
+from .base import AnalysisConfig, CheckResult, DEFAULT_CONFIG, all_rules
 from .locks import build_lock_graph
 from .project import Project
 
 __all__ = ["main", "run_check"]
 
-_BASELINE_NAME = "analysis-baseline.json"
-
 
 def run_check(
     project: Project,
     config: AnalysisConfig,
-    baseline: "Baseline | None" = None,
     rule_names: "Sequence[str] | None" = None,
 ) -> CheckResult:
     """Run the (selected) registered rules over ``project``."""
@@ -41,22 +37,10 @@ def run_check(
             allowed = suppressions.get(finding.path, {}).get(finding.line, set())
             if finding.rule in allowed:
                 result.suppressed.append(finding)
-            elif baseline is not None and baseline.matches(finding):
-                result.baselined.append(finding)
             else:
                 result.findings.append(finding)
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return result
-
-
-def _default_baseline(paths: "list[Path]") -> Path:
-    """``analysis-baseline.json`` next to the scanned tree, else CWD."""
-    first = paths[0]
-    root = first if first.is_dir() else first.parent
-    for candidate in (root.parent / _BASELINE_NAME, root / _BASELINE_NAME):
-        if candidate.is_file():
-            return candidate
-    return root.parent / _BASELINE_NAME
 
 
 def _verify_lockdep_report(
@@ -86,16 +70,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"suppression baseline file (default: {_BASELINE_NAME} next to the tree)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--format",
@@ -150,21 +124,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"repro check: cannot parse {exc.filename}: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else _default_baseline(paths)
-    baseline = Baseline.load(baseline_path)
     config = DEFAULT_CONFIG
-    result = run_check(project, config, baseline=baseline, rule_names=args.rule)
-
-    if args.write_baseline:
-        baseline.write(baseline_path, result.findings + result.baselined)
-        print(
-            f"wrote {len(result.findings) + len(result.baselined)} suppression(s) "
-            f"to {baseline_path}"
-        )
-        return 0
-
+    result = run_check(project, config, rule_names=args.rule)
     exit_code = 0 if result.clean else 1
-    stale = baseline.unused(result.findings + result.baselined)
 
     if args.format == "json":
         payload = {
@@ -180,26 +142,16 @@ def main(argv: "Sequence[str] | None" = None) -> int:
                 for f in result.findings
             ],
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline_entries": stale,
             "ok": result.clean,
         }
         print(json.dumps(payload, indent=2))
     else:
         for finding in result.findings:
             print(finding.render())
-        summary = (
+        print(
             f"repro check: {len(result.findings)} finding(s), "
-            f"{len(result.suppressed)} inline-suppressed, "
-            f"{len(result.baselined)} baselined"
+            f"{len(result.suppressed)} inline-suppressed"
         )
-        print(summary)
-        if stale:
-            print(
-                f"repro check: {len(stale)} stale baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} no longer match anything; "
-                "regenerate with --write-baseline"
-            )
 
     if args.lockdep_report:
         report_path = Path(args.lockdep_report)
@@ -212,8 +164,3 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             exit_code = 1
 
     return exit_code
-
-
-def _render_findings(findings: "list[Finding]") -> str:
-    """Text rendering used by tests."""
-    return "\n".join(finding.render() for finding in findings)

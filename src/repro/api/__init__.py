@@ -10,9 +10,8 @@ This package is the one supported way to express and run queries:
   incrementally over the ``sim`` or ``threads`` backend, stream results
   per query, stop/drain.
 
-The older entry points (hand-built ``Query`` objects, direct
-``SaberEngine`` wiring) remain as thin deprecated shims; see
-``docs/api.md`` for the deprecation policy.
+A hand-built ``Query`` stays the escape hatch for custom operators the
+builder does not express; see ``docs/api.md``.
 """
 
 from . import agg

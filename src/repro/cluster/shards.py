@@ -24,9 +24,11 @@ retained sub-stream onto a replacement (see
 from __future__ import annotations
 
 import os
+import select
 import subprocess
 import sys
 import threading
+import time
 from typing import Any, Callable
 
 from ..api import SaberSession
@@ -222,31 +224,55 @@ class ProcessShard:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
         )
-        host, port = self._await_listening(spawn_timeout)
-        # Two connections, one tenant: the protocol is strictly
-        # request/response per connection, so the ingest path and the
-        # long-polling result pump must not share a socket (interleaved
-        # replies would cross-deliver).
-        self._client = ServeClient(host, port, tenant=f"shard{shard_id}")
-        self._results_client = ServeClient(
-            host, port, tenant=f"shard{shard_id}"
-        )
-        schema_spec = ", ".join(
-            f"{a.name}:{a.type_name}" for a in schema.attributes
-        )
-        self._client.register(stream, schema_spec, capacity=capacity_tuples)
-        reply = self._client.submit(cql, name=query_name, windows=True)
-        self._output_schema = Schema.parse(reply["schema"], name=query_name)
+        self._clients: "list[ServeClient]" = []
         self._pump: "threading.Thread | None" = None
+        try:
+            host, port = self._await_listening(spawn_timeout)
+            # Two connections, one tenant: the protocol is strictly
+            # request/response per connection, so the ingest path and the
+            # long-polling result pump must not share a socket (interleaved
+            # replies would cross-deliver).
+            for _ in range(2):
+                self._clients.append(
+                    ServeClient(host, port, tenant=f"shard{shard_id}")
+                )
+            self._client, self._results_client = self._clients
+            schema_spec = ", ".join(
+                f"{a.name}:{a.type_name}" for a in schema.attributes
+            )
+            self._client.register(stream, schema_spec, capacity=capacity_tuples)
+            reply = self._client.submit(cql, name=query_name, windows=True)
+            self._output_schema = Schema.parse(reply["schema"], name=query_name)
+        except BaseException:
+            # A failed start leaves nothing behind: sockets closed, the
+            # child killed *and* reaped, its pipe closed.
+            self._close_clients()
+            self._reap(grace=0.0)
+            raise
 
     def _await_listening(self, timeout: float) -> "tuple[str, int]":
-        """Parse the child's ``listening on host:port`` banner."""
+        """Parse the child's ``listening on host:port`` banner, waiting
+        at most ``timeout`` seconds for it."""
         assert self._process.stdout is not None
-        line = self._process.stdout.readline()
+        fd = self._process.stdout.fileno()
+        deadline = time.monotonic() + timeout
+        banner = b""
+        while b"\n" not in banner:
+            ready, _, _ = select.select(
+                [fd], [], [], max(0.0, deadline - time.monotonic())
+            )
+            if not ready:
+                raise SaberError(
+                    f"shard {self.shard_id}: serve child printed no banner "
+                    f"within {timeout:g} s"
+                )
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break  # EOF: the child exited before announcing a port
+            banner += chunk
+        line = banner.decode(errors="replace").partition("\n")[0]
         if not line.startswith("listening on "):
-            self._process.kill()
             raise SaberError(
                 f"shard {self.shard_id}: serve child failed to start "
                 f"(got {line!r})"
@@ -315,10 +341,15 @@ class ProcessShard:
     def shutdown(self) -> None:
         """Close the clients and terminate the child (idempotent)."""
         self._close_clients()
+        self._reap(grace=10.0)
+
+    def _reap(self, grace: float) -> None:
+        """Terminate the child (``grace`` seconds to exit, then SIGKILL),
+        wait for it and close its stdout pipe."""
         if self._process.poll() is None:
             self._process.terminate()
             try:
-                self._process.wait(timeout=10.0)
+                self._process.wait(timeout=grace)
             except subprocess.TimeoutExpired:
                 self._process.kill()
                 self._process.wait()
@@ -328,7 +359,7 @@ class ProcessShard:
     def _close_clients(self) -> None:
         from ..serve.protocol import ProtocolError
 
-        for client in (self._client, self._results_client):
+        for client in self._clients:
             try:
                 client.close()
             except (ProtocolError, OSError):

@@ -62,6 +62,14 @@ class SaberConfig:
     queue_capacity: int = 32
     scheduler: str = "hls"  # "hls" | "fcfs" | "static"
     static_assignment: "dict[str, str] | None" = None
+    #: how many consecutive preferred-processor executions before a task
+    #: of the query is forced onto the other processor (keeps both
+    #: observable).  Each forced task runs on a potentially much slower
+    #: processor, so the default keeps forced switches rare; delay-rule
+    #: diversions still refresh the non-preferred column.  The Fig. 16
+    #: shape test (``tests/test_paper_shapes.py``) lowers it to 10 to make
+    #: the calm-phase GPGPU contribution visible, as the paper describes,
+    #: and shows what 1 and 1000 cost under a changing workload.
     switch_threshold: int = 1000
     #: the paper refreshes the throughput matrix every 100 ms (Fig. 16);
     #: simulated runs cover far less virtual time, so the default is

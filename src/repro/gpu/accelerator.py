@@ -3,9 +3,7 @@
 :mod:`repro.gpu.kernels` defines what a task computes on the GPGPU
 slot; this module is the **executable** device around those kernels: it
 really runs each query task's operator as whole-batch numpy operations
-— numba-jitted where available (:mod:`repro.gpu.jit`), pure numpy
-otherwise — behind an explicit host↔device transfer stage standing in
-for PCIe.
+behind an explicit host↔device transfer stage standing in for PCIe.
 
 One :class:`AcceleratorDevice` occupies the engine's GPGPU worker slot
 under ``SaberConfig(execution="accelerator")`` (accelerator-only) and
@@ -44,7 +42,6 @@ import numpy as np
 from ..analysis.lockdep import make_lock
 from ..operators.base import BatchResult, Operator, StreamSlice
 from ..relational.tuples import TupleBatch
-from . import jit
 from .kernels import gpu_kernel
 from .pcie import DEFAULT_PCIE, PcieBus
 
@@ -110,11 +107,6 @@ class AcceleratorDevice:
         self.pcie = pcie
         self.throttle_seconds = throttle_seconds
         self.stats = AcceleratorStats()
-
-    @property
-    def jit_enabled(self) -> bool:
-        """Whether the numba-compiled kernel path is live on this host."""
-        return jit.HAVE_NUMBA
 
     # -- per-task path ------------------------------------------------------
 

@@ -14,13 +14,11 @@ paper's OpenCL kernels algorithmically:
   identical;
 * **join** — the two-step count-then-compact technique borrowed from
   in-memory column stores [32]: match counts per tuple, a scan to obtain
-  write offsets, then compaction — here the one task-level kernel of
-  :mod:`repro.operators.join` with :func:`~repro.gpu.jit.compact_mask`
-  over each block's row-major candidate lanes, which orders survivors
-  exactly as the per-tuple offsets would.
-
-The compaction primitive comes from :mod:`repro.gpu.jit`
-(numba-compiled where available, numpy otherwise; both exact).
+  write offsets, then compaction — which is how the one task-level
+  kernel of :mod:`repro.operators.join` already works on every
+  processor (``np.flatnonzero`` over each block's row-major candidate
+  lanes orders survivors exactly as the per-tuple offsets would), so
+  the join has no kernel of its own here.
 
 :func:`gpu_kernel` is the one dispatch every GPGPU slot goes through —
 directly for the simulated device and the plain thread/process GPGPU
@@ -34,33 +32,24 @@ paper.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..operators.base import BatchResult, Operator, StreamSlice
-from ..operators.join import ThetaJoin
 from ..operators.selection import Selection
-from . import jit
 
 
 def gpu_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResult:
-    """Scan-compacted selection kernel.
+    """Scan-compacted selection kernel: select vector → compact → gather.
 
-    Both compaction paths of :func:`repro.gpu.jit.compact_mask` are
-    exact, so the output is bitwise identical to the CPU operator's.
+    Bitwise identical to the CPU operator's boolean ``filter``.
     """
     slice_ = inputs[0]
     batch = slice_.batch
     mask = operator.predicate.evaluate(batch)  # all lanes, no short-circuit
-    survivors = jit.compact_mask(mask)
+    survivors = np.flatnonzero(mask)
     out = batch.take(survivors)
     selectivity = float(mask.mean()) if len(batch) else 0.0
     return BatchResult(complete=out, stats={"selectivity": selectivity})
-
-
-def gpu_join(operator: ThetaJoin, inputs: "list[StreamSlice]") -> BatchResult:
-    """Count-then-compact join: the operator's task-level kernel, with
-    :func:`~repro.gpu.jit.compact_mask` — the whole count / scan / write
-    sequence over the row-major candidate lanes — compacting each
-    block's predicate mask, so survivors keep left-major order."""
-    return operator.join_task(inputs, jit.compact_mask)
 
 
 def gpu_kernel(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
@@ -68,12 +57,11 @@ def gpu_kernel(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
 
     Operators without a specialised kernel (projection's arithmetic map
     is identical on both processors; aggregation's and GROUP-BY's shared
-    vectorised implementation never re-orders a float reduction) fall
+    vectorised implementation never re-orders a float reduction; the
+    join's task kernel is count-then-compact everywhere) fall
     back to the CPU implementation — the *results* are defined to be
     processor-independent, and tests enforce it.
     """
     if isinstance(operator, Selection):
         return gpu_selection(operator, inputs)
-    if isinstance(operator, ThetaJoin):
-        return gpu_join(operator, inputs)
     return operator.process_batch(inputs)

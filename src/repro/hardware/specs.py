@@ -71,8 +71,7 @@ class HardwareSpec:
     #: slowdown per excess worker beyond the physical cores (Fig. 14 plateau)
     cpu_oversubscription_penalty: float = 0.03
 
-    # -- GPGPU kernel costs (seconds) -------------------------------------------
-    gpu_core_op: float = 1.0e-9             # one op on one of 2304 cores
+    # -- GPGPU kernel costs (seconds; `*_ops` in GpuDeviceSpec core ops) -----------
     gpu_tuple_base_ops: float = 4.0         # load/deserialise ops per tuple
     gpu_aggregate_ops: float = 6.0          # reduction-tree ops per tuple
     #: projection arithmetic reads/writes tuple attributes in global
@@ -97,18 +96,6 @@ class HardwareSpec:
     #: with small (4 KB) windows remain viable (Fig. 10b).
     gpu_boundary_per_window: float = 2e-6
     gpu_boundary_join_tuples_sq: float = 3e-12
-
-    # -- scheduler defaults ---------------------------------------------------
-    #: how many consecutive preferred-processor executions before a task
-    #: of the query is forced onto the other processor (keeps both
-    #: observable).  Each forced task runs on a potentially much slower
-    #: processor, so the default keeps forced switches rare; delay-rule
-    #: diversions still refresh the non-preferred column.  The Fig. 16
-    #: shape test (``tests/test_paper_shapes.py``) lowers it to 10 to make
-    #: the calm-phase GPGPU contribution visible, as the paper describes,
-    #: and shows what 1 and 1000 cost under a changing workload.
-    switch_threshold: int = 1000
-    matrix_refresh_seconds: float = 0.1     # Fig. 16 uses 100 ms
 
     # -- baseline engines -----------------------------------------------------
     #: per-event cost of a globally synchronised CEP engine: ordering lock,

@@ -127,13 +127,6 @@ def engine_samples(engine: Any, **labels: str) -> "Iterator[tuple]":
             labels,
             stats["kernel_seconds"],
         )
-        yield (
-            "saber_accel_jit_enabled",
-            "gauge",
-            "1 when the numba-jitted kernel path is live, 0 on numpy fallback.",
-            labels,
-            1.0 if accelerator.jit_enabled else 0.0,
-        )
     matrix = getattr(engine.scheduler, "matrix", None)
     if matrix is not None:
         yield (

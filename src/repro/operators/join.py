@@ -49,7 +49,7 @@ defined" case (§3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,6 @@ from .base import BatchResult, CostProfile, Operator, StreamSlice, concat_ranges
 #: 3.4 ms and 256 Ki at 5.0 ms (10 MiB transient); below 8 Ki the
 #: per-block Python overhead shows.
 _BLOCK_PAIRS = 1 << 14
-
-_Compact = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -252,16 +250,13 @@ class ThetaJoin(Operator):
         le: np.ndarray,
         rs: np.ndarray,
         re: np.ndarray,
-        compact: _Compact = np.flatnonzero,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Join left rows ``[ls[s], le[s])`` with right rows ``[rs[s], re[s])``
         for every segment *s* in one pass.
 
         Returns the matching output rows — segment-major, then left row,
         then right row — and the number of rows per segment.  No range
-        may be reversed (``le >= ls``, ``re >= rs``).  ``compact``
-        turns the predicate mask of a candidate block into the ascending
-        indices of its true lanes.
+        may be reversed (``le >= ls``, ``re >= rs``).
         """
         n_left = le - ls
         # One entry per (segment, left row); its candidates are a range
@@ -287,7 +282,7 @@ class ThetaJoin(Operator):
             pairs = _PairColumns(
                 self._where, (left, right), (row[entries], rights), len(rights)
             )
-            keep = compact(self.predicate.evaluate(pairs))
+            keep = np.flatnonzero(self.predicate.evaluate(pairs))
             kept_entries.append(entries[keep])
             kept_rights.append(rights[keep])
         if not kept_entries:
@@ -315,12 +310,6 @@ class ThetaJoin(Operator):
 
     def process_batch(self, inputs: "list[StreamSlice]") -> BatchResult:
         """All window pairs of the task through one pass of the kernel."""
-        return self.join_task(inputs, np.flatnonzero)
-
-    def join_task(self, inputs: "list[StreamSlice]", compact: _Compact) -> BatchResult:
-        """The batch operator function, with the kernel's mask compaction
-        supplied by the caller (the GPGPU slot passes its scan-compaction
-        primitive)."""
         if len(inputs) != 2:
             raise ExecutionError("ThetaJoin expects exactly two inputs")
         left, right = inputs
@@ -331,7 +320,7 @@ class ThetaJoin(Operator):
         lw = _Segments.of(left.windows, slot[: len(left.windows)], len(ids))
         rw = _Segments.of(right.windows, slot[len(left.windows):], len(ids))
         rows, matches = self.join_segments(
-            left.batch.data, right.batch.data, lw.start, lw.stop, rw.start, rw.stop, compact
+            left.batch.data, right.batch.data, lw.start, lw.stop, rw.start, rw.stop
         )
         final = lw.final & rw.final
         boundary = np.flatnonzero(~final)

@@ -10,8 +10,7 @@ Queries:
 * LRB1 — segment projection over an unbounded window;
 * LRB2 — distinct vehicle/segment entries over ω(30, 1) (the paper pairs
   a 30 s window with a partition-by-vehicle rows-1 window; we reproduce
-  the per-window distinct-vehicle semantics with the distinct projection,
-  documented in DESIGN.md);
+  the per-window distinct-vehicle semantics with the distinct projection);
 * LRB3 — congested segments: per-segment average speed with HAVING;
 * LRB4 — per-segment vehicle counts (the inner GROUP-BY of the nested
   Appendix A.3 query; the outer count is a cheap post-aggregation).

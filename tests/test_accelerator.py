@@ -5,10 +5,9 @@ accelerator ("accelerator" alone on the GPGPU slot, "hybrid" next to
 CPU worker threads under HLS) must stay *invisible* to query semantics
 — every workload here runs through sim and the new backends and
 demands bitwise-identical windows.  On top of that the suite pins the
-backend's own machinery: the jitted/numpy kernel primitives are exact,
-the transfer stage accounts its bytes and seconds, HLS throughput-
-matrix feedback migrates tasks off a deliberately skewed (throttled)
-device, and the ``saber_accel_*``/``saber_hls_*`` series export the
+backend's own machinery: the transfer stage accounts its bytes and
+seconds, HLS throughput-matrix feedback migrates tasks off a
+deliberately skewed (throttled) device, and the ``saber_accel_*``/``saber_hls_*`` series export the
 device's state.
 """
 
@@ -20,7 +19,6 @@ import pytest
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.scheduler import CPU, GPU
 from repro.errors import SimulationError
-from repro.gpu import jit
 from repro.gpu.accelerator import AcceleratorDevice
 from repro.hardware.slots import DeviceSlot, device_slots
 from repro.operators.base import StreamSlice
@@ -69,32 +67,6 @@ def assert_identical(expected, actual):
         return
     assert len(expected) == len(actual)
     assert np.array_equal(expected.data, actual.data)
-
-
-# -- kernel primitives ---------------------------------------------------------
-
-
-def test_compact_mask_matches_nonzero():
-    rng = np.random.default_rng(3)
-    for n in (0, 1, 7, 1000):
-        mask = rng.random(n) < 0.4
-        expected = np.nonzero(mask)[0]
-        assert np.array_equal(jit.compact_mask(mask), expected)
-
-
-def test_jit_flag_reports_fallback_state():
-    # Wherever this runs, the flag must agree with numba's importability
-    # (REPRO_NO_NUMBA forces False; CI runs both sides of the matrix).
-    assert isinstance(jit.HAVE_NUMBA, bool)
-    try:
-        import numba  # noqa: F401
-
-        import os
-
-        expected = not os.environ.get("REPRO_NO_NUMBA")
-    except ImportError:
-        expected = False
-    assert jit.HAVE_NUMBA is expected
 
 
 # -- the device in isolation ---------------------------------------------------
@@ -239,7 +211,7 @@ def test_hybrid_repeated_runs_shake_out_races():
     "the devices time-slice and the comparison is noise",
 )
 def test_hybrid_beats_both_single_devices_on_two_workloads():
-    """The paper's headline claim in wall-clock time (nightly only)."""
+    """The paper's headline claim in wall-clock time (``slow``: run by hand with ``-m slow``)."""
     workloads = {
         "PROJ4": (lambda: proj_query(4), [31]),
         "SELECT16": (lambda: select_query(16, pass_rate=0.5), [32]),
@@ -381,8 +353,6 @@ def test_accelerator_metrics_exported():
     assert registry.value(
         "saber_accel_transfer_seconds_total", tenant="t", kind="modeled"
     ) == pytest.approx(snapshot["transfer_seconds_modeled"])
-    expected_jit = 1.0 if jit.HAVE_NUMBA else 0.0
-    assert registry.value("saber_accel_jit_enabled", tenant="t") == expected_jit
     # The HLS matrix series expose every (query, processor) cell.
     matrix = engine.scheduler.matrix
     for processor in (CPU, GPU):

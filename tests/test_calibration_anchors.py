@@ -58,7 +58,7 @@ class TestFig10Anchors:
         assert TASK / per_task == pytest.approx(7.2e9, rel=0.1)
 
     def test_selection_cpu_decay_formula(self):
-        # ~480/(10 + 7n) GB/s (DESIGN.md's calibration note).
+        # ~480/(10 + 7n) GB/s (the calibration anchors in ``hardware/specs.py``).
         from repro.relational.expressions import col, conjunction
 
         for n in (8, 16, 64):

@@ -7,6 +7,9 @@ pre-ingest rebalances, and a mid-stream shard kill with resubmit.
 """
 
 import os
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -22,8 +25,10 @@ from repro.cluster import (
     reference_output,
     run_cluster,
 )
+from repro.cluster.shards import ProcessShard
 from repro.errors import (
     ExecutionError,
+    SaberError,
     SessionError,
     ValidationError,
 )
@@ -411,6 +416,69 @@ class TestShardFailureRecovery:
         )
         assert_byte_identical(merged, groupby_reference)
         assert stats["resubmits"] >= 1
+
+
+class TestProcessShardStartup:
+    @pytest.fixture
+    def spawn(self, monkeypatch, groupby_data):
+        """``spawn(script, spawn_timeout)`` starts a ``ProcessShard`` whose
+        child runs ``script`` instead of ``repro serve``; ``spawn.children``
+        holds every process started."""
+        popen = subprocess.Popen
+        children = []
+
+        def spawn(script, spawn_timeout):
+            def scripted_child(argv, **kwargs):
+                children.append(popen([sys.executable, "-c", script], **kwargs))
+                return children[-1]
+
+            monkeypatch.setattr(subprocess, "Popen", scripted_child)
+            return ProcessShard(
+                3, GROUP_BY.stream, groupby_data.schema, GROUP_BY.cql,
+                GROUP_BY.name, lambda wid, rows: None, lambda: None,
+                spawn_timeout=spawn_timeout,
+            )
+
+        spawn.children = children
+        return spawn
+
+    def test_silent_child_hits_spawn_timeout_and_is_reaped(self, spawn):
+        """A serve child that never prints its banner: a typed error at
+        the deadline, and nothing — child, pipe, thread — left behind."""
+        threads_before = set(threading.enumerate())
+        raised = []
+
+        def start_shard():
+            try:
+                spawn("import time; time.sleep(60)", spawn_timeout=0.5)
+            except SaberError as exc:
+                raised.append(exc)
+
+        # The guard: a start-up that ignores its deadline blocks on the
+        # child's stdout for the full 60 s, so it runs beside the test.
+        began = time.monotonic()
+        starter = threading.Thread(target=start_shard, daemon=True)
+        starter.start()
+        starter.join(10.0)
+        elapsed = time.monotonic() - began
+        (child,) = spawn.children
+        if starter.is_alive():
+            child.kill()  # EOF on the pipe releases the stuck reader
+            starter.join(5.0)
+            pytest.fail("ProcessShard start-up ignored spawn_timeout and hung")
+        assert elapsed < 3.0
+        assert len(raised) == 1
+        assert "shard 3" in str(raised[0]) and "0.5 s" in str(raised[0])
+        assert child.poll() is not None  # killed *and* waited for
+        assert child.stdout.closed
+        assert set(threading.enumerate()) - threads_before == set()
+
+    def test_bad_banner_reaps_the_child(self, spawn):
+        script = "import time; print('nope', flush=True); time.sleep(60)"
+        with pytest.raises(SaberError, match="failed to start .*nope"):
+            spawn(script, spawn_timeout=10.0)
+        (child,) = spawn.children
+        assert child.poll() is not None and child.stdout.closed
 
 
 # -- cluster metrics -----------------------------------------------------------

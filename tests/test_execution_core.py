@@ -7,14 +7,17 @@ split is held in place by an AST guard rather than by convention.
 """
 
 import ast
+import dataclasses
 import multiprocessing
 import pathlib
+import re
 
 import pytest
 
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.scheduler import FcfsScheduler, HlsScheduler
 from repro.hardware.slots import EXECUTION_MODES
+from repro.hardware.specs import HardwareSpec
 from repro.workloads.synthetic import TUPLE_SIZE, SyntheticSource, select_query
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -244,3 +247,33 @@ def test_no_metrics_hook_attributes_are_assigned():
             # A dataclass field of that name is the same thing declared.
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 assert node.target.id not in hooks, path.relative_to(SRC).as_posix()
+
+
+# -- one kernel path, no dead calibration ---------------------------------------
+
+
+def test_no_optional_jit_import_and_no_kernel_path_switch():
+    """The executable kernels are numpy, unconditionally: nothing imports
+    the optional jit, and no ``REPRO_NO_*`` environment switch is named."""
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        assert "numba" not in {n.split(".")[0] for n in _imported_modules(path)}, relative
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not re.fullmatch(r"REPRO_NO_\w*", node.value), (relative, node.lineno)
+
+
+def test_every_hardware_spec_field_has_a_reader():
+    """A calibration constant nothing reads is not calibration: every
+    ``HardwareSpec`` field is loaded as an attribute outside ``specs.py``
+    — by a cost model, or by the shape tests that anchor on it
+    (``default_cpu_workers`` and ``network_bandwidth`` are read only there)."""
+    read = set()
+    for path in [*SRC.rglob("*.py"), *pathlib.Path(__file__).parent.glob("test_*.py")]:
+        if path != SRC / "hardware" / "specs.py":
+            read.update(
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    assert [f.name for f in dataclasses.fields(HardwareSpec) if f.name not in read] == []

@@ -3,7 +3,6 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.jit import compact_mask
 from repro.operators.aggregate_functions import Accumulator
 from repro.relational.buffer import CircularTupleBuffer
 from repro.relational.schema import Schema
@@ -85,14 +84,6 @@ class TestWindowAssignerProperties:
             lo, hi = wid * window.slide, wid * window.slide + window.size
             expected = [i for i, t in enumerate(ts) if lo <= t < hi]
             assert rows == expected
-
-
-class TestScanProperties:
-    @given(st.lists(st.booleans(), max_size=300))
-    @settings(max_examples=100, deadline=None)
-    def test_compaction_equals_nonzero(self, mask):
-        arr = np.asarray(mask, dtype=bool)
-        assert np.array_equal(compact_mask(arr), np.nonzero(arr)[0])
 
 
 class TestRangeAggregatorProperties:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.api import SaberSession
 from repro.core.engine import SaberConfig, SaberEngine
-from repro.gpu import jit
 from repro.gpu.accelerator import AcceleratorDevice
 from repro.io import PushSource
 from repro.metrics import Counter, Gauge, Histogram, MetricsRegistry, engine_samples
@@ -305,8 +304,7 @@ def _golden_engine():
     return engine
 
 
-def test_exposition_matches_the_parent_commit_byte_for_byte(monkeypatch):
-    monkeypatch.setattr(jit, "HAVE_NUMBA", False)  # as when the golden was taken
+def test_exposition_matches_the_parent_commit_byte_for_byte():
     engine = _golden_engine()
     registry = MetricsRegistry()
     registry.register_collector(lambda: engine_samples(engine, tenant="golden"))

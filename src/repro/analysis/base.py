@@ -252,6 +252,11 @@ HOT_FUNCTIONS: tuple[str, ...] = (
     "relational.buffer.CircularTupleBuffer.insert",
     "relational.buffer.CircularTupleBuffer.read",
     "relational.buffer.CircularTupleBuffer.release",
+    # The whole-row moves every operator leans on (rows move as bytes).
+    "relational.tuples.TupleBatch.copy",
+    "relational.tuples.TupleBatch.take",
+    "relational.tuples.TupleBatch.filter",
+    "relational.tuples.TupleBatch.concat",
     # Fused single-pass kernels.
     "core.fusion.FusedKernel.process_batch",
     "core.fusion.FusedKernel.assemble_windows",

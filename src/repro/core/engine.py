@@ -422,10 +422,14 @@ class SaberEngine:
         ``copy=False`` reads task batches as zero-copy views of the
         circular buffers — the worker-process path, where the buffer is a
         shared segment and the range stays retained until the task's
-        result has been processed by the parent.
+        result has been processed by the parent.  A task bound for the
+        accelerator is read in place too: the device's movein is the
+        copy, so nothing it computes on can alias the ring after release.
         """
         if not self.config.execute_data:
             return None
+        if processor == GPU and self.accelerator is not None:
+            copy = False
         query = task.query
         slices = []
         for ref, window in zip(task.batches, query.windows):

@@ -37,11 +37,8 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..analysis.lockdep import make_lock
 from ..operators.base import BatchResult, Operator, StreamSlice
-from ..relational.tuples import TupleBatch
 from .kernels import gpu_kernel
 from .pcie import DEFAULT_PCIE, PcieBus
 
@@ -117,8 +114,7 @@ class AcceleratorDevice:
         for slice_ in inputs:
             batch = slice_.batch
             bytes_in += batch.size_bytes
-            device_batch = TupleBatch(batch.schema, np.copy(batch.data))
-            staged.append(StreamSlice(device_batch, slice_.windows, slice_.global_start))
+            staged.append(StreamSlice(batch.copy(), slice_.windows, slice_.global_start))
         return staged, bytes_in
 
     def execute(self, operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
@@ -136,9 +132,7 @@ class AcceleratorDevice:
         if result.complete is not None:
             # Moveout: the complete rows leave device storage by copy.
             bytes_out = result.complete.size_bytes
-            result.complete = TupleBatch(
-                result.complete.schema, np.copy(result.complete.data)
-            )
+            result.complete = result.complete.copy()
         moveout_measured = time.perf_counter() - m0
 
         modeled = self.pcie.transfer_seconds(bytes_in) + self.pcie.transfer_seconds(

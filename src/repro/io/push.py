@@ -87,7 +87,7 @@ class PushSource(SourceConnector):
         # caller's array — producers commonly reuse their push buffer
         # before the dispatcher drains, and _drain keeps sub-slices
         # queued across pulls.
-        data = np.array(batch.data, dtype=self.schema.dtype, copy=True)
+        data = batch.copy().data
         with self._cond:
             if self._closed:
                 raise ValidationError(f"stream {self.schema.name!r} is closed; cannot push")
@@ -189,8 +189,8 @@ class PushSource(SourceConnector):
                 self._segments.appendleft(segment[needed:])
                 needed = 0
         self._queued -= count
-        data = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return TupleBatch(self.schema, data)
+        batches = [TupleBatch(self.schema, part) for part in parts]
+        return batches[0] if len(batches) == 1 else TupleBatch.concat(batches)
 
 
 class PushHandle:

@@ -112,10 +112,16 @@ class Aggregation(Operator):
             mins[name] = SparseTableRangeAggregator(values, "min").query(starts, ends)
             maxs[name] = SparseTableRangeAggregator(values, "max").query(starts, ends)
 
+        # Stand-ins for a column no spec sums / takes extrema of, built
+        # once per call rather than once per lookup.
+        zeros = np.zeros(m)
+        pos_inf = np.full(m, np.inf)
+        neg_inf = np.full(m, -np.inf)
+
         def spec_values(spec: AggregateSpec, sel: np.ndarray) -> np.ndarray:
-            total = sums.get(spec.column, np.zeros(m))[sel] if spec.column else None
-            minimum = mins.get(spec.column, np.full(m, np.inf))[sel] if spec.column else None
-            maximum = maxs.get(spec.column, np.full(m, -np.inf))[sel] if spec.column else None
+            total = sums.get(spec.column, zeros)[sel] if spec.column else None
+            minimum = mins.get(spec.column, pos_inf)[sel] if spec.column else None
+            maximum = maxs.get(spec.column, neg_inf)[sel] if spec.column else None
             return finalize(spec.function, total, counts[sel], minimum, maximum)
 
         complete_mask = windows.mask(FragmentState.COMPLETE) & nonempty
@@ -145,14 +151,14 @@ class Aggregation(Operator):
                     # ±inf identities instead, so a later fragment's
                     # real extremum survives the merge.
                     columns[name] = Accumulator(
-                        total=float(sums.get(name, np.zeros(m))[idx]),
+                        total=float(sums.get(name, zeros)[idx]),
                         count=counts[idx],
                         minimum=np.inf
                         if empty
-                        else float(mins.get(name, np.full(m, np.inf))[idx]),
+                        else float(mins.get(name, pos_inf)[idx]),
                         maximum=-np.inf
                         if empty
-                        else float(maxs.get(name, np.full(m, -np.inf))[idx]),
+                        else float(maxs.get(name, neg_inf)[idx]),
                     )
                 payload = WindowAccumulator(
                     columns=columns,

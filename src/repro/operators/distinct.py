@@ -56,7 +56,7 @@ class DistinctProjection(Operator):
         slice_ = self._single_input(inputs)
         projected = self._projection.process_batch(inputs).complete
         windows = slice_.windows
-        chunks: list[np.ndarray] = []
+        chunks: list[TupleBatch] = []
         partials: dict[int, DistinctPartial] = {}
         closed: list[int] = []
         for idx in range(len(windows)):
@@ -66,13 +66,12 @@ class DistinctProjection(Operator):
             rows = np.unique(projected.data[start:stop])
             if state == int(FragmentState.COMPLETE):
                 if len(rows):
-                    chunks.append(rows)
+                    chunks.append(TupleBatch(self.output_schema, rows))
             else:
                 partials[wid] = DistinctPartial(rows=rows)
                 if state == int(FragmentState.CLOSING):
                     closed.append(wid)
-        data = np.concatenate(chunks) if chunks else np.empty(0, dtype=self.output_schema.dtype)
-        complete = TupleBatch(self.output_schema, data)
+        complete = TupleBatch.concat(chunks) if chunks else TupleBatch.empty(self.output_schema)
         stats = {
             "selectivity": 1.0,
             "fragments": float(len(windows)),
@@ -81,7 +80,10 @@ class DistinctProjection(Operator):
         return BatchResult(complete=complete, partials=partials, closed_ids=closed, stats=stats)
 
     def merge_partials(self, first: DistinctPartial, second: DistinctPartial) -> DistinctPartial:
-        return DistinctPartial(rows=np.unique(np.concatenate([first.rows, second.rows])))
+        both = TupleBatch.concat(
+            [TupleBatch(self.output_schema, first.rows), TupleBatch(self.output_schema, second.rows)]
+        )
+        return DistinctPartial(rows=np.unique(both.data))
 
     def finalize_window(self, window_id: int, payload: DistinctPartial) -> "TupleBatch | None":
         if len(payload.rows) == 0:

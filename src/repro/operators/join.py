@@ -158,13 +158,6 @@ class ThetaJoin(Operator):
                 right_schema.attribute_names,
             )
         )
-        # Both layouts are packed, so an output row is a left row followed
-        # by a right row: survivors are gathered side by side, as opaque
-        # bytes (numpy copies a structured row field by field, ~6× slower).
-        self._row_bytes = (
-            np.dtype(f"V{left_schema.tuple_size}"),
-            np.dtype(f"V{right_schema.tuple_size}"),
-        )
         self._equi = self._equi_key()
 
     @property
@@ -291,7 +284,9 @@ class ThetaJoin(Operator):
                 np.zeros(len(ls), dtype=np.int64),
             )
         entries = np.concatenate(kept_entries)
-        l_bytes, r_bytes = self._row_bytes
+        # Both layouts are packed, so an output row is a left row followed
+        # by a right row: survivors are gathered side by side, as opaque rows.
+        l_bytes, r_bytes = self.left_schema.row_dtype, self.right_schema.row_dtype
         out = np.empty(len(entries), dtype=[("l", l_bytes), ("r", r_bytes)])
         out["l"] = left.view(l_bytes)[row[entries]]
         out["r"] = right.view(r_bytes)[np.concatenate(kept_rights)]
@@ -325,12 +320,11 @@ class ThetaJoin(Operator):
         final = lw.final & rw.final
         boundary = np.flatnonzero(~final)
         pairs = float(((lw.stop - lw.start) * (rw.stop - rw.start)).sum())
+        output = TupleBatch(self._output_schema, rows)
         return BatchResult(
-            complete=TupleBatch(
-                self._output_schema, rows if final.all() else rows[np.repeat(final, matches)]
-            ),
+            complete=output if final.all() else output.filter(np.repeat(final, matches)),
             partials=self._boundary_partials(
-                left.batch, right.batch, rows, matches, ids, lw, rw, boundary
+                left.batch, right.batch, output, matches, ids, lw, rw, boundary
             ),
             closed_ids=[int(w) for w in ids[boundary[(lw.done & rw.done)[boundary]]]],
             stats={
@@ -345,7 +339,7 @@ class ThetaJoin(Operator):
         self,
         left: TupleBatch,
         right: TupleBatch,
-        rows: np.ndarray,
+        output: TupleBatch,
         matches: np.ndarray,
         ids: np.ndarray,
         lw: "_Segments",
@@ -363,11 +357,9 @@ class ThetaJoin(Operator):
         partials = {}
         for s in boundary:
             partials[int(ids[s])] = JoinPartial(
-                result=TupleBatch(
-                    self._output_schema, rows[stops[s] - matches[s]:stops[s]].copy()
-                ),
-                left=TupleBatch(self.left_schema, left.data[lw.start[s]:lw.stop[s]].copy()),
-                right=TupleBatch(self.right_schema, right.data[rw.start[s]:rw.stop[s]].copy()),
+                result=output.slice(stops[s] - matches[s], stops[s]).copy(),
+                left=left.slice(lw.start[s], lw.stop[s]).copy(),
+                right=right.slice(rw.start[s], rw.stop[s]).copy(),
                 left_done=bool(lw.done[s]),
                 right_done=bool(rw.done[s]),
             )

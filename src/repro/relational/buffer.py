@@ -240,12 +240,17 @@ class CircularTupleBuffer:
             end = first + n
             # The written region is entirely free (beyond ``tail``), so
             # concurrent readers of retained ranges never observe it.
+            # Slots and batch are both viewed as opaque rows so the copy
+            # is a memcpy (per call: a shared store must not keep a view
+            # alive past ``close``).
+            row = self.schema.row_dtype
+            slots, rows = store.array.view(row), batch.data.view(row)
             if end <= self.capacity:
-                store.array[first:end] = batch.data
+                slots[first:end] = rows
             else:
                 split = self.capacity - first
-                store.array[first:] = batch.data[:split]
-                store.array[: end - self.capacity] = batch.data[split:]
+                slots[first:] = rows[:split]
+                slots[: end - self.capacity] = rows[split:]
             store.tail = start + n
         return start
 
@@ -271,15 +276,14 @@ class CircularTupleBuffer:
         n = stop - start
         first = start % self.capacity
         end = first + n
+        slots = store.array.view(self.schema.row_dtype)
         if end <= self.capacity:
-            data = store.array[first:end]
+            rows = slots[first:end]
             if copy:
-                data = data.copy()
+                rows = rows.copy()
         else:
-            data = np.concatenate(
-                [store.array[first:], store.array[: end - self.capacity]]
-            )
-        return TupleBatch(self.schema, data)
+            rows = np.concatenate([slots[first:], slots[: end - self.capacity]])
+        return TupleBatch(self.schema, rows.view(self.schema.dtype))
 
     def release(self, free_pointer: int) -> None:
         """Advance the start pointer: data before ``free_pointer`` is gone.

@@ -11,6 +11,7 @@ dispatcher and the hardware cost models reason about (e.g. the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,28 +106,42 @@ class Schema:
 
     # -- lookups ----------------------------------------------------------
 
-    @property
+    # Derived layout facts are read ~20 times per task on the GIL-held
+    # path, so each is computed once per schema.  ``cached_property``
+    # stores into the instance ``__dict__`` (allowed on a frozen
+    # dataclass); equality and hashing look at the fields only.
+
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    @property
+    @cached_property
     def tuple_size(self) -> int:
         """Size of one tuple in bytes under the fixed-width layout."""
         return sum(a.size_bytes for a in self.attributes)
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
         """Packed numpy structured dtype matching the binary layout."""
         return np.dtype(
             [(a.name, a.dtype) for a in self.attributes], align=False
         )
 
-    @property
+    @cached_property
+    def row_dtype(self) -> np.dtype:
+        """A tuple as one opaque ``tuple_size``-byte record.
+
+        numpy moves a structured row field by field; viewed through this
+        dtype the same bytes move at memcpy speed.  Every whole-row copy,
+        gather and concatenate in the engine goes through a
+        ``.view(schema.row_dtype)`` — same itemsize, so the view is free
+        and works on strided 1-D arrays too.
+        """
+        return np.dtype((np.void, self.tuple_size))
+
+    @cached_property
     def has_timestamp(self) -> bool:
-        return (
-            bool(self.attributes)
-            and self.attributes[0].name == TIMESTAMP_ATTRIBUTE
-        )
+        return self.attributes[0].name == TIMESTAMP_ATTRIBUTE
 
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name, raising :class:`SchemaError`."""
@@ -152,7 +167,7 @@ class Schema:
         raise SchemaError(f"schema {self.name!r} has no attribute {name!r}")
 
     def __contains__(self, name: object) -> bool:
-        return any(a.name == name for a in self.attributes)
+        return name in self.attribute_names
 
     # -- derivation -------------------------------------------------------
 

@@ -5,6 +5,12 @@ per attribute (§5.1).  :class:`TupleBatch` mirrors that design on top of
 numpy: the backing store is a packed structured array (byte-compatible
 with the schema layout), and columns are materialised as views only when
 an operator touches them.
+
+**Rows move as bytes.**  numpy copies a structured row field by field
+(7–20× slower than the same bytes as one record), so every whole-row
+move here — copy, gather, mask, concatenate, (de)serialise — goes through
+a view of the data as :attr:`Schema.row_dtype` and views the result back.
+The bytes are the same either way; per-*column* work stays columnar.
 """
 
 from __future__ import annotations
@@ -74,7 +80,11 @@ class TupleBatch:
         for b in batches[1:]:
             if b.schema.dtype != schema.dtype:
                 raise SchemaError("cannot concatenate batches of differing schemas")
-        return cls(schema, np.concatenate([b.data for b in batches]))
+        rows = schema.row_dtype
+        return cls(
+            schema,
+            np.concatenate([b.data.view(rows) for b in batches]).view(schema.dtype),
+        )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -106,19 +116,36 @@ class TupleBatch:
         """Zero-copy sub-batch ``[start, stop)``."""
         return TupleBatch(self.schema, self.data[start:stop])
 
+    def copy(self) -> "TupleBatch":
+        """Batch owning a fresh contiguous copy of the rows."""
+        schema = self.schema
+        return TupleBatch(
+            schema, self.data.view(schema.row_dtype).copy().view(schema.dtype)
+        )
+
     def take(self, indices: np.ndarray) -> "TupleBatch":
         """Batch containing the rows selected by ``indices`` (copies)."""
-        return TupleBatch(self.schema, self.data[indices])
+        schema = self.schema
+        rows = self.data.view(schema.row_dtype)
+        if isinstance(indices, np.ndarray) and indices.dtype.kind == "i":
+            # Same rows and errors as fancy indexing, at a third the cost.
+            rows = rows.take(indices)
+        else:
+            rows = rows[indices]
+        return TupleBatch(schema, rows.view(schema.dtype))
 
     def filter(self, mask: np.ndarray) -> "TupleBatch":
         """Batch containing rows where ``mask`` is true (copies)."""
-        return TupleBatch(self.schema, self.data[mask])
+        schema = self.schema
+        return TupleBatch(
+            schema, self.data.view(schema.row_dtype)[mask].view(schema.dtype)
+        )
 
     # -- serialisation ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialised byte representation (the on-wire/in-buffer form)."""
-        return np.ascontiguousarray(self.data).tobytes()
+        return self.data.view(self.schema.row_dtype).tobytes()
 
     @classmethod
     def from_bytes(cls, schema: Schema, raw: bytes) -> "TupleBatch":
@@ -127,7 +154,8 @@ class TupleBatch:
                 f"{len(raw)} bytes is not a whole number of "
                 f"{schema.tuple_size}-byte tuples"
             )
-        return cls(schema, np.frombuffer(raw, dtype=schema.dtype).copy())
+        rows = np.frombuffer(raw, dtype=schema.row_dtype).copy()
+        return cls(schema, rows.view(schema.dtype))
 
     def to_rows(self) -> list[tuple]:
         """Materialise as Python tuples (tests/examples only: slow)."""

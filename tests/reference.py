@@ -8,9 +8,13 @@ first principles.
 
 from __future__ import annotations
 
+import timeit
+
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.operators.aggregate_functions import finalize
+from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.windows.assigner import FragmentState
 from repro.windows.definition import WindowDefinition
@@ -420,3 +424,72 @@ def collect(source, total: int, chunk: int) -> TupleBatch:
         chunks.append(source.next_tuples(n))
         remaining -= n
     return TupleBatch.concat(chunks)
+
+
+#: every attribute type a schema may carry
+ATTRIBUTE_TYPES = ("long", "int", "float", "double")
+
+
+# -- whole-row moves, field by field ---------------------------------------------
+#
+# The statements ``TupleBatch`` and ``CircularTupleBuffer`` used before rows
+# moved as opaque records (``Schema.row_dtype``): plain numpy on the
+# structured array, which walks every field of every row.  They are the
+# byte-for-byte oracles (and the time base) for the row-view forms.
+
+
+def fieldwise_copy(data: np.ndarray) -> np.ndarray:
+    return data.copy()
+
+
+def fieldwise_take(data: np.ndarray, indices) -> np.ndarray:
+    return data[indices]
+
+
+def fieldwise_filter(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return data[mask]
+
+
+def fieldwise_concat(parts: "list[np.ndarray]") -> np.ndarray:
+    return np.concatenate(parts)
+
+
+def fieldwise_ring_insert(slots: np.ndarray, first: int, data: np.ndarray) -> None:
+    """Write ``data`` into the ring ``slots`` from physical slot ``first``."""
+    capacity = len(slots)
+    end = first + len(data)
+    if end <= capacity:
+        slots[first:end] = data
+    else:
+        split = capacity - first
+        slots[first:] = data[:split]
+        slots[: end - capacity] = data[split:]
+
+
+def fieldwise_ring_read(slots: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Copy of ``count`` rows of the ring from physical slot ``first``."""
+    capacity = len(slots)
+    end = first + count
+    if end <= capacity:
+        return slots[first:end].copy()
+    return np.concatenate([slots[first:], slots[: end - capacity]])
+
+
+@st.composite
+def schemas_and_rows(draw, max_rows: int = 48) -> "tuple[Schema, np.ndarray]":
+    """A random schema (1–8 attributes over every supported type, so 4- to
+    64-byte tuples) and rows of arbitrary bytes under it — contiguous or a
+    strided / reversed view, possibly empty."""
+    types = draw(st.lists(st.sampled_from(ATTRIBUTE_TYPES), min_size=1, max_size=8))
+    schema = Schema.parse(", ".join(f"a{i}:{t}" for i, t in enumerate(types)))
+    n = draw(st.integers(0, max_rows))
+    step = draw(st.sampled_from([1, 1, 2, 3, -1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.bytes(n * abs(step) * schema.tuple_size)
+    return schema, np.frombuffer(raw, dtype=schema.dtype)[::step]
+
+
+def best_of(move, repeat: int = 5, number: int = 20) -> float:
+    """Best-of-``repeat`` seconds for ``number`` calls of ``move`` — the
+    minimum is what a loaded box disturbs least."""
+    return min(timeit.repeat(move, repeat=repeat, number=number))

@@ -194,6 +194,33 @@ def test_accelerator_executes_every_task():
     assert all(r.processor == GPU for r in engine.measurements.records)
 
 
+def test_movein_is_the_only_copy_of_a_device_bound_task():
+    """A task bound for the device is read in place (a view of the ring)
+    and staged by movein: what the kernel sees never aliases the ring."""
+    engine = SaberEngine(
+        SaberConfig(execution="accelerator", task_size_bytes=333 * TUPLE_SIZE)
+    )
+    query = select_query(8, pass_rate=0.5)
+    engine.add_query(query, [SyntheticSource(seed=19)])
+    (ring,) = engine.runs[0].dispatcher.buffers
+    stage_in = engine.accelerator._stage_in
+    seen = []
+
+    def spy(inputs):
+        staged, bytes_in = stage_in(inputs)
+        seen.append(
+            (
+                np.shares_memory(inputs[0].batch.data, ring._store.array),
+                np.shares_memory(staged[0].batch.data, ring._store.array),
+            )
+        )
+        return staged, bytes_in
+
+    engine.accelerator._stage_in = spy
+    engine.run(tasks_per_query=10)
+    assert seen == [(True, False)] * 10  # 10 tasks do not wrap the 96-task ring
+
+
 def test_hybrid_repeated_runs_shake_out_races():
     """Many tasks + tiny queue vary the CPU/accelerator interleavings."""
     for seed in (1, 2, 3):

@@ -155,3 +155,25 @@ class TestFragmentsAndAssembly:
 
         result = op.process_batch([StreamSlice(batch(0, 4), WindowSet.empty(), 0)])
         assert len(result.complete) == 0
+
+    def test_identity_arrays_are_built_once_per_call(self, monkeypatch):
+        """``np.full``/``np.zeros`` stand-ins for a column no spec sums or
+        takes extrema of are per call, not per boundary window per column."""
+        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v"), AggregateSpec("count", None)])
+        calls = []
+        full = np.full
+        monkeypatch.setattr(np, "full", lambda *a, **k: calls.append(a) or full(*a, **k))
+
+        def fulls_for(slide):
+            w = WindowDefinition.rows(32, slide)
+            del calls[:]
+            result = run_window(op, w, 0, 33)
+            return len(calls), result
+
+        few, sparse = fulls_for(8)
+        many, dense = fulls_for(2)
+        assert (len(sparse.partials), len(dense.partials)) == (4, 16)
+        assert many == few <= 4
+        # Sum-only column: the partial carries the ±inf identities.
+        last = dense.partials[16].columns["v"]
+        assert (last.total, last.count, last.minimum, last.maximum) == (32.0, 1.0, np.inf, -np.inf)

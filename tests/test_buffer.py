@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from reference import best_of, fieldwise_ring_insert, fieldwise_ring_read, schemas_and_rows
 from repro.errors import BufferError_
-from repro.relational.buffer import CircularTupleBuffer
+from repro.relational.buffer import BACKINGS, CircularTupleBuffer
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 
@@ -106,3 +108,56 @@ class TestPointers:
         assert buf.free_slots == 0
         buf.release(3)
         assert buf.free_slots == 3
+
+
+class TestRowsMoveAsBytes:
+    """``insert``/``read`` move opaque rows; the field-wise ring
+    statements they replaced are the oracle, on both backings."""
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    @given(schemas_and_rows(), st.data())
+    def test_ring_equals_the_fieldwise_reference_byte_for_byte(self, backing, drawn, data):
+        schema, rows = drawn
+        n = len(rows)
+        capacity = data.draw(st.integers(max(n, 1), max(n, 1) + 8))
+        position = data.draw(st.integers(0, 2 * capacity))  # wraps or not
+        buf = CircularTupleBuffer(schema, capacity, backing=backing)
+        try:
+            # Walk the ring to ``position`` so the batch lands anywhere,
+            # including across the physical end.
+            for step in [capacity] * (position // capacity) + [position % capacity]:
+                buf.insert(TupleBatch(schema, np.zeros(step, dtype=schema.dtype)))
+                buf.release(buf.tail)
+            expected_slots = np.zeros(capacity, dtype=schema.dtype)
+            fieldwise_ring_insert(expected_slots, position % capacity, rows)
+
+            start = buf.insert(TupleBatch(schema, rows))
+            assert start == position
+            slots = buf._store.array.tobytes()
+            assert slots == expected_slots.tobytes()
+
+            expected = fieldwise_ring_read(expected_slots, position % capacity, n)
+            out = buf.read(start, start + n, copy=True)
+            assert out.data.tobytes() == expected.tobytes()
+            assert out.data.dtype == schema.dtype
+            assert not np.shares_memory(out.data, buf._store.array)
+            view = buf.read(start, start + n, copy=False)
+            assert view.data.tobytes() == expected.tobytes()
+            del view
+        finally:
+            buf.close()
+
+    def test_insert_runs_at_memcpy_speed(self):
+        """16 384 packed 32-byte tuples: ``insert`` (checks, lock and all)
+        takes under a third of the field-wise slot assignment's time."""
+        schema = Schema.parse("timestamp:long, a:int, b:int, c:int, d:float, e:float, f:float")
+        assert schema.tuple_size == 32
+        task = TupleBatch(schema, np.zeros(16384, dtype=schema.dtype))
+        buf = CircularTupleBuffer(schema, 4 * len(task))
+        slots = np.zeros(buf.capacity, dtype=schema.dtype)
+
+        def insert():
+            buf.release(buf.tail)
+            buf.insert(task)
+
+        assert best_of(insert) < best_of(lambda: fieldwise_ring_insert(slots, 100, task.data)) / 3

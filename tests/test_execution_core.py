@@ -277,3 +277,63 @@ def test_every_hardware_spec_field_has_a_reader():
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             )
     assert [f.name for f in dataclasses.fields(HardwareSpec) if f.name not in read] == []
+
+
+# -- rows move as bytes: one rule, one owner --------------------------------------
+
+
+def _opaque_row_spellings(tree):
+    """Line numbers where ``tree`` spells an opaque-row dtype (``np.void``,
+    ``"V32"``, ``f"V{n}"``, ``"V{}".format``) on its own."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "void":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.JoinedStr):
+            head = node.values[0] if node.values else None
+            if isinstance(head, ast.Constant) and head.value == "V" and len(node.values) > 1:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\|?V(\d+|\{.*\}|%d)", node.value):
+                lines.append(node.lineno)
+    return lines
+
+
+def _fieldwise_batch_copies(tree):
+    """Line numbers of ``np.copy(...)`` and ``<x>.data.copy()`` calls."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        target = node.func.value
+        if node.func.attr == "copy" and (
+            (isinstance(target, ast.Name) and target.id in ("np", "numpy"))
+            or (isinstance(target, ast.Attribute) and target.attr == "data")
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_schema_alone_spells_the_opaque_row_dtype():
+    """Whole rows move through ``Schema.row_dtype``: no other module
+    builds its own opaque-row dtype, and outside ``relational/`` nothing
+    copies a batch's structured array field by field."""
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        if relative != "relational/schema.py":
+            assert _opaque_row_spellings(tree) == [], relative
+        if not relative.startswith("relational/"):
+            assert _fieldwise_batch_copies(tree) == [], relative
+
+
+def test_guard_sees_a_private_row_dtype_and_a_fieldwise_copy():
+    tree = ast.parse(
+        'self._row_bytes = np.dtype(f"V{schema.tuple_size}")\n'
+        'other = np.dtype("V32"), np.dtype((np.void, 8))\n'
+        "staged = np.copy(batch.data)\n"
+        "kept = batch.data.copy()\n"
+    )
+    assert _opaque_row_spellings(tree) == [1, 2, 2]
+    assert _fieldwise_batch_copies(tree) == [3, 4]
+    assert _opaque_row_spellings(ast.parse("zero.copy(); x = 'V'; y = f'{v}V'")) == []

@@ -1,5 +1,7 @@
 """Unit tests for relational schemas and the binary tuple layout."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
@@ -99,3 +101,32 @@ class TestSchema:
         right = Schema.parse("a:int")
         with pytest.raises(SchemaError):
             left.concat(right)
+
+
+class TestCachedLayout:
+    """Derived layout facts are computed once per schema (they are read
+    ~20 times per task) and survive the trip to a worker process."""
+
+    def test_layout_is_computed_once(self):
+        schema = Schema.parse("timestamp:long, a:int, b:float")
+        assert schema.dtype is schema.dtype
+        assert schema.row_dtype is schema.row_dtype
+        assert schema.attribute_names is schema.attribute_names
+        assert schema.tuple_size == 16 and schema.has_timestamp
+
+    def test_row_dtype_is_one_opaque_record_per_tuple(self):
+        for spec in ("a:int", "timestamp:long, a:int, b:float", "a:double, b:double, c:long"):
+            schema = Schema.parse(spec)
+            assert schema.row_dtype.itemsize == schema.tuple_size == schema.dtype.itemsize
+            assert schema.row_dtype.kind == "V" and schema.row_dtype.names is None
+
+    def test_caches_do_not_leak_into_equality_hash_or_pickle(self):
+        warm = Schema.parse("timestamp:long, a:int")
+        cold = Schema.parse("timestamp:long, a:int")
+        warm.dtype, warm.row_dtype, warm.tuple_size
+        assert warm == cold and hash(warm) == hash(cold)
+        for schema in (warm, cold):
+            restored = pickle.loads(pickle.dumps(schema))
+            assert restored == schema
+            assert restored.dtype == schema.dtype and restored.row_dtype == schema.row_dtype
+            assert restored.dtype is restored.dtype

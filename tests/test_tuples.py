@@ -2,7 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from reference import (
+    best_of,
+    fieldwise_concat,
+    fieldwise_copy,
+    fieldwise_filter,
+    fieldwise_take,
+    schemas_and_rows,
+)
 from repro.errors import SchemaError
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -128,3 +137,56 @@ class TestCombinators:
     def test_to_rows(self):
         rows = make_batch(2).to_rows()
         assert rows[0][0] == 0 and rows[1][0] == 1
+
+
+class TestRowsMoveAsBytes:
+    """Every whole-row move goes through ``Schema.row_dtype``; the
+    field-wise numpy statements it replaced are the oracle."""
+
+    @given(schemas_and_rows(), st.data())
+    def test_moves_equal_the_fieldwise_reference_byte_for_byte(self, drawn, data):
+        schema, rows = drawn
+        batch = TupleBatch(schema, rows)
+        n = len(rows)
+
+        copied = batch.copy()
+        assert copied.data.tobytes() == fieldwise_copy(rows).tobytes()
+        assert copied.data.dtype == schema.dtype
+        assert copied.data.flags.c_contiguous and not np.shares_memory(copied.data, rows)
+
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        assert batch.filter(mask).data.tobytes() == fieldwise_filter(rows, mask).tobytes()
+
+        picks = data.draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)) if n else []
+        for indices in (np.array(picks, dtype=np.int64), np.array(picks, dtype=np.int32), picks):
+            assert batch.take(indices).data.tobytes() == fieldwise_take(rows, indices).tobytes()
+
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+        parts = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        joined = TupleBatch.concat([TupleBatch(schema, part) for part in parts])
+        assert joined.data.tobytes() == fieldwise_concat(parts).tobytes()
+
+        assert batch.to_bytes() == np.ascontiguousarray(rows).tobytes()
+        restored = TupleBatch.from_bytes(schema, batch.to_bytes())
+        assert restored.data.tobytes() == batch.to_bytes()
+        assert restored.data.flags.writeable
+
+    def test_take_and_filter_keep_numpy_index_semantics(self):
+        batch = make_batch(6)
+        with pytest.raises(IndexError):
+            batch.take(np.array([6]))
+        with pytest.raises(IndexError):
+            batch.take([-7])
+        with pytest.raises(IndexError):
+            batch.filter(np.ones(5, dtype=bool))
+        assert np.array_equal(batch.take(np.array([-1, 0])).column("timestamp"), [5, 0])
+        assert len(batch.take([])) == 0
+        assert len(batch.take(np.array([], dtype=np.int64))) == 0
+
+    def test_copy_runs_at_memcpy_speed(self):
+        """16 384 packed 32-byte tuples: the row-view copy takes under a
+        third of the field-wise statement's time (measured 10–20×)."""
+        schema = Schema.with_timestamp("a:int, b:int, c:int, d:float, e:float, f:float")
+        assert schema.tuple_size == 32
+        batch = TupleBatch(schema, np.zeros(16384, dtype=schema.dtype))
+        assert best_of(batch.copy) < best_of(lambda: fieldwise_copy(batch.data)) / 3

@@ -36,7 +36,7 @@ import sys
 
 from .api import SaberSession
 from .core.engine import SaberConfig
-from .hardware.slots import EXECUTION_MODES, device_slots
+from .hardware.slots import EXECUTIONS, device_slots
 from .hardware.specs import DEFAULT_SPEC
 from .io import FileReplaySource, FileSink, write_batch
 from .workloads import cluster_monitoring, linearroad, smartgrid
@@ -82,12 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--execution",
-        choices=list(EXECUTION_MODES),
+        choices=EXECUTIONS,
         default="sim",
-        help="execution backend: virtual-time simulation, real threads, "
-             "forked worker processes (shared memory, POSIX only), the "
-             "executable batch-kernel accelerator alone, or hybrid "
-             "(CPU threads + accelerator under HLS dispatch)",
+        help="execution substrate: virtual-time simulation, real threads, "
+             "or forked worker processes (shared memory, POSIX only); "
+             "outside sim the GPGPU slot is the executable accelerator",
     )
     run.add_argument(
         "--fusion", choices=["auto", "off"], default="auto",
@@ -135,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--no-gpu", action="store_true", help="disable the GPGPU")
     replay.add_argument(
         "--execution",
-        choices=list(EXECUTION_MODES),
+        choices=EXECUTIONS,
         default="threads",
         help="execution backend (threads by default: replay is real I/O)",
     )
@@ -298,7 +297,7 @@ def _command_hardware() -> int:
 
 def _clock(execution: str) -> str:
     """Which clock a run's reported times are on."""
-    return "virtual" if EXECUTION_MODES[execution].substrate == "sim" else "wall-clock"
+    return "virtual" if execution == "sim" else "wall-clock"
 
 
 def _command_run(args: argparse.Namespace) -> int:

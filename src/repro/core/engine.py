@@ -6,13 +6,17 @@ result stage), the scheduler, the measurements and the report — plus the
 two per-task entry points every executor calls,
 :meth:`SaberEngine.execute` and :meth:`SaberEngine.complete`.  *When*
 tasks run, on which workers and by which clock, is the executor's
-business: :mod:`repro.hardware.slots` resolves ``SaberConfig.execution``
-into a substrate — virtual time (:mod:`repro.core.executor_sim`), worker
-threads (:mod:`repro.core.executor`) or forked worker processes
-(:mod:`repro.core.executor_mp`) — and a device-slot table.
+business: ``SaberConfig.execution`` names the substrate — virtual time
+(:mod:`repro.core.executor_sim`), worker threads
+(:mod:`repro.core.executor`) or forked worker processes
+(:mod:`repro.core.executor_mp`) — and ``use_cpu``/``use_gpu`` the
+topology; :mod:`repro.hardware.slots` combines them into a device-slot
+table.  Outside ``sim`` the GPGPU slot is one
+:class:`~repro.gpu.accelerator.AcceleratorDevice`.
 
-Outputs are identical across all five ``execution`` values: the result
-stage emits in task-id order whatever completes first.
+Outputs are identical across all three ``execution`` values and every
+topology: the result stage emits in task-id order whatever completes
+first.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from ..errors import SaberError, SimulationError
 from ..gpu.accelerator import AcceleratorDevice
 from ..gpu.kernels import gpu_kernel
-from ..hardware.slots import EXECUTION_MODES, DeviceSlot, device_slots
+from ..hardware.slots import DeviceSlot, device_slots
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
 from ..io.base import BackpressurePolicy
 from ..metrics import Measurements, TaskRecord
@@ -47,8 +51,8 @@ from .scheduler import (
 )
 from .task import QueryTask
 
-#: substrate (:class:`~repro.hardware.slots.ExecutionMode`) -> executor.
-_EXECUTORS = {"sim": SimExecutor, "thread": ThreadedExecutor, "process": ProcessExecutor}
+#: ``SaberConfig.execution`` (the substrate) -> executor.
+_EXECUTORS = {"sim": SimExecutor, "threads": ThreadedExecutor, "processes": ProcessExecutor}
 
 
 @dataclass
@@ -82,16 +86,14 @@ class SaberConfig:
     pipelined: bool = True
     execute_data: bool = True
     collect_output: bool = True
-    #: how tasks run: ``"sim"`` (virtual-time discrete-event loop),
-    #: ``"threads"`` (real worker threads, wall-clock timing),
-    #: ``"processes"`` (forked worker processes over shared-memory
-    #: buffers — GIL-free operator parallelism; POSIX only),
-    #: ``"accelerator"`` (the executable batch-kernel accelerator alone,
-    #: on the GPGPU worker slot) or ``"hybrid"`` (CPU worker threads +
-    #: the accelerator simultaneously, HLS picking the device per task).
-    #: :data:`repro.hardware.slots.EXECUTION_MODES` is the table behind
-    #: these names.  Outputs are identical across all of them; only the
-    #: timing source and the parallelism substrate differ.
+    #: the substrate tasks run on: ``"sim"`` (virtual-time
+    #: discrete-event loop), ``"threads"`` (real worker threads,
+    #: wall-clock timing) or ``"processes"`` (forked worker processes
+    #: over shared-memory buffers — GIL-free operator parallelism; POSIX
+    #: only).  ``use_cpu``/``use_gpu`` choose the slots that come up on
+    #: it; outside ``sim`` the GPGPU slot is the executable accelerator.
+    #: Outputs are identical across all of them; only the timing source
+    #: and the parallelism substrate differ.
     execution: str = "sim"
     #: what the dispatcher does when a query's circular input buffers
     #: are full: ``"block"`` waits for the result stage to release space
@@ -115,12 +117,14 @@ class SaberConfig:
     spec: HardwareSpec = DEFAULT_SPEC
 
     def __post_init__(self) -> None:
-        # The slot table validates execution/use_cpu/use_gpu/cpu_workers;
-        # the flags are then normalised to the slots that come up (the
-        # accelerator-only mode never runs CPU workers).
-        processors = {slot.processor for slot in device_slots(self)}
-        self.use_cpu, self.use_gpu = CPU in processors, GPU in processors
-        if EXECUTION_MODES[self.execution].substrate == "process" and not fork_available():
+        if self.execution == "hybrid":
+            # An older spelling of threads with both slots live (the
+            # saberbench sizes table uses it); nothing reads it past here.
+            if not (self.use_cpu and self.use_gpu):
+                raise SimulationError("execution='hybrid' needs use_cpu and use_gpu")
+            self.execution = "threads"
+        device_slots(self)  # validates execution/use_cpu/use_gpu/cpu_workers
+        if self.execution == "processes" and not fork_available():
             raise SimulationError(
                 "execution='processes' requires the fork start method "
                 "(POSIX); use execution='threads' on this platform"
@@ -132,6 +136,12 @@ class SaberConfig:
             raise SimulationError(str(exc)) from None
         if self.buffer_capacity_tasks <= 0:
             raise SimulationError("buffer_capacity_tasks must be positive")
+        if self.queue_capacity <= 0:
+            raise SimulationError("queue_capacity must be positive")
+        if self.scheduler not in ("hls", "fcfs", "static"):
+            raise SimulationError(f"unknown scheduler {self.scheduler!r}")
+        if self.scheduler == "static" and not self.static_assignment:
+            raise SimulationError("static scheduling needs an assignment map")
         if self.fusion not in ("auto", "off"):
             raise SimulationError(f"unknown fusion mode {self.fusion!r} (expected 'auto' or 'off')")
 
@@ -201,9 +211,8 @@ class SaberEngine:
         self.runs: list[QueryRun] = []
         self._runs_by_query: "dict[int, QueryRun]" = {}
         slots = self.device_slots()
-        #: the executable accelerator occupying the GPGPU worker slot
-        #: under ``execution="accelerator"``/``"hybrid"``; None elsewhere
-        #: (the slot then runs the bare GPGPU kernels).
+        #: the executable accelerator on a real substrate's GPGPU slot;
+        #: None under ``sim`` (the cost model times the bare kernels).
         self.accelerator = (
             AcceleratorDevice() if any(slot.kind == "accelerator" for slot in slots) else None
         )
@@ -224,10 +233,9 @@ class SaberEngine:
         #: end-of-stream operation — running further tasks afterwards
         #: would re-emit those windows with only their tail fragments.
         self._drained = False
-        self._substrate = EXECUTION_MODES[self.config.execution].substrate
         #: owns time and workers; lives as long as the engine so virtual
         #: and wall-clock time accumulate across incremental runs.
-        self._executor = _EXECUTORS[self._substrate](self)
+        self._executor = _EXECUTORS[self.config.execution](self)
 
     # -- set-up ------------------------------------------------------------------
 
@@ -236,18 +244,13 @@ class SaberEngine:
         return device_slots(self.config)
 
     def _build_scheduler(self) -> Scheduler:
-        cfg = self.config
-        hybrid = cfg.use_cpu and cfg.use_gpu
-        if cfg.scheduler == "fcfs" or not hybrid:
+        cfg = self.config  # (validated: with one slot up every policy is FCFS)
+        if cfg.scheduler == "fcfs" or not (cfg.use_cpu and cfg.use_gpu):
             return FcfsScheduler()
         if cfg.scheduler == "static":
-            if not cfg.static_assignment:
-                raise SimulationError("static scheduling needs an assignment map")
             return StaticScheduler(cfg.static_assignment)
-        if cfg.scheduler == "hls":
-            matrix = ThroughputMatrix(refresh_seconds=cfg.matrix_refresh_seconds)
-            return HlsScheduler(matrix, switch_threshold=cfg.switch_threshold)
-        raise SimulationError(f"unknown scheduler {cfg.scheduler!r}")
+        matrix = ThroughputMatrix(refresh_seconds=cfg.matrix_refresh_seconds)
+        return HlsScheduler(matrix, switch_threshold=cfg.switch_threshold)
 
     def add_query(
         self,
@@ -294,7 +297,7 @@ class SaberEngine:
             buffer_capacity_tasks=self.config.buffer_capacity_tasks,
             # Worker processes read task ranges across the fork boundary,
             # so their buffers must live in OS shared memory.
-            buffer_backing="shared" if self._substrate == "process" else "local",
+            buffer_backing="shared" if self.config.execution == "processes" else "local",
         )
         result_stage = ResultStage(
             query,

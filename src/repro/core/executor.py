@@ -1,11 +1,11 @@
 """Threaded executor: §4's worker model on real threads.
 
-``SaberConfig(execution="threads")`` — and ``"accelerator"``/``"hybrid"``,
-which run on this substrate with the executable accelerator on the GPGPU
-slot — drives the shared task lifecycle (:meth:`SaberEngine.execute` /
-:meth:`SaberEngine.complete`) from one **dispatcher thread** plus one
-worker thread per device-slot worker (``engine.device_slots()``).  What
-is specific to this executor:
+``SaberConfig(execution="threads")`` drives the shared task lifecycle
+(:meth:`SaberEngine.execute` / :meth:`SaberEngine.complete`) from one
+**dispatcher thread** plus one worker thread per device-slot worker
+(``engine.device_slots()``): ``saber-cpu-<i>`` per CPU worker and
+``saber-accel`` driving the executable accelerator when the GPGPU slot is
+up.  What is specific to this executor:
 
 * the dispatcher alone pulls source data, appends to the circular input
   buffers (single-writer discipline, §4.1) and cuts fixed-size query
@@ -50,11 +50,9 @@ _WAIT_TIMEOUT = 0.05
 
 
 def _worker_name(slot: "DeviceSlot", index: int) -> str:
-    """``saber-cpu-<i>`` for CPU workers; the GPGPU slot's one worker is
-    ``saber-accel`` when it drives the accelerator, else ``saber-gpgpu``."""
-    if slot.processor == CPU:
-        return f"saber-cpu-{index}"
-    return "saber-accel" if slot.kind == "accelerator" else "saber-gpgpu"
+    """``saber-cpu-<i>`` for CPU workers; ``saber-accel`` for the GPGPU
+    slot's one worker, which drives the accelerator."""
+    return f"saber-cpu-{index}" if slot.processor == CPU else "saber-accel"
 
 
 class ThreadedExecutor:

@@ -19,6 +19,9 @@ to this executor:
   ``Scheduler.select`` at the latest possible moment, sending the chosen
   task's *descriptor* (pointer ranges, not data) down a per-processor
   task queue;
+* the GPGPU slot's worker (``saber-accel``) runs the inherited
+  :class:`~repro.gpu.accelerator.AcceleratorDevice`, whose movein copies
+  the task out of the shared segment into the child's private memory;
 * workers send the :class:`~repro.operators.base.BatchResult` back over
   a **completion queue** — window partials cross it as compact columnar
   numpy payloads: a grouped task's boundary windows are
@@ -46,10 +49,11 @@ import sys
 import threading
 import time
 import traceback
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SimulationError
-from .executor import _WAIT_TIMEOUT, ThreadedExecutor
+from .executor import _WAIT_TIMEOUT, ThreadedExecutor, _worker_name
 from .task import BatchRef, QueryTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
@@ -117,7 +121,7 @@ class ProcessExecutor(ThreadedExecutor):
                     worker = ctx.Process(
                         target=self._worker_main,
                         args=(slot.processor, tasks, completions),
-                        name=f"saber-{slot.processor.lower()}-{index}",
+                        name=_worker_name(slot, index),
                         daemon=True,
                     )
                     try:
@@ -205,8 +209,10 @@ class ProcessExecutor(ThreadedExecutor):
         # Emission happens in the parent, so emit (latency) times use the
         # parent's clock — latency honestly includes the completion-queue
         # hop the processes backend pays.
-        __, processor, query_index, task_id, result, duration, completed = message
+        __, processor, query_index, task_id, result, duration, completed, transfer = message
         task = self._dispatched.pop((query_index, task_id))
+        if transfer is not None:
+            self.engine.accelerator.stats.record(*transfer)
         self.engine.complete(
             self.engine.runs[query_index], task, result, processor, duration, completed, self._now()
         )
@@ -262,6 +268,14 @@ class ProcessExecutor(ThreadedExecutor):
         """
         engine = self.engine
         try:
+            transfers: "list[tuple]" = []
+            if engine.accelerator is not None:
+                # A parent thread (a /metrics scrape) may have held the
+                # stats lock at fork time, and this copy of it is never
+                # released: the device accounts into a list here instead;
+                # each task's numbers ride its "done" message and the
+                # parent folds them in through AcceleratorStats.record.
+                engine.accelerator.stats = SimpleNamespace(record=lambda *n: transfers.append(n))
             while True:
                 message = tasks.get()
                 if message is None:
@@ -291,6 +305,7 @@ class ProcessExecutor(ThreadedExecutor):
                         result,
                         duration,
                         self._now(),
+                        transfers.pop() if transfers else None,
                     )
                 )
         except BaseException:  # noqa: BLE001 - crosses the process boundary

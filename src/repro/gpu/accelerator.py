@@ -6,10 +6,10 @@ really runs each query task's operator as whole-batch numpy operations
 behind an explicit host↔device transfer stage standing in for PCIe.
 
 One :class:`AcceleratorDevice` occupies the engine's GPGPU worker slot
-under ``SaberConfig(execution="accelerator")`` (accelerator-only) and
-``execution="hybrid"`` (CPU worker threads + the accelerator, with HLS
-picking the device per task from observed throughput feedback).  Its
-:meth:`~AcceleratorDevice.execute` is the per-task path:
+on every real substrate (``execution="threads"`` or ``"processes"``
+with ``use_gpu``) — alone under ``use_cpu=False``, or next to the CPU
+workers with HLS picking the device per task from observed throughput
+feedback.  Its :meth:`~AcceleratorDevice.execute` is the per-task path:
 
 * **movein** — every input batch is staged into fresh device-side
   storage (a real memcpy, the wall-clock stand-in for the DMA
@@ -17,8 +17,8 @@ picking the device per task from observed throughput feedback).  Its
   (:meth:`~repro.gpu.pcie.PcieBus.transfer_seconds`) is recorded next
   to the measured copy time;
 * **kernel** — :func:`repro.gpu.kernels.gpu_kernel`, the same dispatch
-  every other GPGPU slot runs — which is what keeps outputs **bitwise
-  identical** to the sim/threads/processes backends (float reductions
+  the simulated GPGPU slot runs — which is what keeps outputs **bitwise
+  identical** to the sim backend and the CPU workers (float reductions
   are never re-ordered);
 * **moveout** — complete output rows are copied back out of the staged
   storage, with the modelled PCIe cost of the output bytes recorded
@@ -27,7 +27,10 @@ picking the device per task from observed throughput feedback).  Its
 The device keeps cumulative :class:`AcceleratorStats` (tasks, bytes
 each way, measured vs modelled transfer seconds, kernel seconds) that
 :func:`repro.metrics.engine_samples` exports as ``saber_accel_*``
-series at scrape time.  ``throttle_seconds`` artificially slows every task — the knob
+series at scrape time.  On ``processes`` the device runs in a forked
+worker, which hands each task's accounting back to the parent instead
+of taking the stats lock (:mod:`repro.core.executor_mp`).
+``throttle_seconds`` artificially slows every task — the knob
 the HLS skew tests (``tests/test_accelerator.py``) use to prove that
 throughput-matrix feedback migrates tasks back to the CPU workers when
 the accelerator degrades.

@@ -21,9 +21,9 @@ paper's OpenCL kernels algorithmically:
   the join has no kernel of its own here.
 
 :func:`gpu_kernel` is the one dispatch every GPGPU slot goes through —
-directly for the simulated device and the plain thread/process GPGPU
-workers, behind the transfer stage for
-:class:`~repro.gpu.accelerator.AcceleratorDevice`.  Kernels return the
+directly for the simulated device, behind the transfer stage for
+:class:`~repro.gpu.accelerator.AcceleratorDevice` on the threads and
+processes substrates.  Kernels return the
 exact same :class:`~repro.operators.base.BatchResult` as the CPU
 implementations (property-tested); only the *cost* differs.
 Window-result assembly always runs on a CPU worker thread, as in the

@@ -10,8 +10,8 @@ scrape because ``engine.runs`` is walked every time::
     registry.register_collector(lambda: engine_samples(engine, tenant="acme"))
 
 Present only where the engine has the thing: the ``saber_accel_*``
-series under the ``accelerator``/``hybrid`` executions, the
-``saber_hls_*`` series under the HLS scheduler.
+series whenever ``use_gpu`` is on a real substrate (``threads`` or
+``processes``), the ``saber_hls_*`` series under the HLS scheduler.
 """
 
 from __future__ import annotations

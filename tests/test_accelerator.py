@@ -1,17 +1,20 @@
-"""Executable accelerator backend: kernels, hybrid HLS dispatch, metrics.
+"""Executable accelerator: kernels, hybrid HLS dispatch, metrics.
 
-The acceptance bar mirrors the threads/processes backends: the
-accelerator ("accelerator" alone on the GPGPU slot, "hybrid" next to
-CPU worker threads under HLS) must stay *invisible* to query semantics
-— every workload here runs through sim and the new backends and
-demands bitwise-identical windows.  On top of that the suite pins the
-backend's own machinery: the transfer stage accounts its bytes and
-seconds, HLS throughput-matrix feedback migrates tasks off a
-deliberately skewed (throttled) device, and the ``saber_accel_*``/``saber_hls_*`` series export the
-device's state.
+The accelerator occupies the GPGPU slot on both real substrates
+(``threads`` and ``processes``), alone (``use_cpu=False``) or next to
+the CPU workers under HLS (the hybrid topology), and must stay
+*invisible* to query semantics — every workload here runs through sim
+and both substrates and demands bitwise-identical windows.  On top of
+that the suite pins the device's own machinery: the transfer stage
+accounts its bytes and seconds (in the parent, even when the device
+runs in a forked worker), HLS throughput-matrix feedback migrates tasks
+off a deliberately skewed (throttled) device, and the
+``saber_accel_*``/``saber_hls_*`` series export the device's state.
 """
 
-import os
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,12 +29,30 @@ from repro.windows.assigner import WindowSet
 from repro.workloads.synthetic import (
     TUPLE_SIZE,
     SyntheticSource,
-    agg_query,
     groupby_query,
     join_query,
     proj_query,
     select_query,
 )
+
+
+#: the GPGPU topologies, by ``use_cpu``/``use_gpu``.
+TOPOLOGIES = {"accelerator": {"use_cpu": False}, "hybrid": {}}
+
+#: every topology on both real substrates; the threads legs keep the
+#: bare topology name.
+DEVICE_LEGS = [
+    pytest.param(
+        substrate, flags, id=name if substrate == "threads" else f"{name}-{substrate}"
+    )
+    for substrate in ("threads", "processes")
+    for name, flags in TOPOLOGIES.items()
+]
+
+
+def _needs_fork(execution):
+    if execution == "processes" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("processes backend needs POSIX fork")
 
 
 def run_backend(
@@ -45,6 +66,7 @@ def run_backend(
     source_kwargs=None,
     **config_kwargs,
 ):
+    _needs_fork(execution)
     engine = SaberEngine(
         SaberConfig(
             execution=execution,
@@ -57,7 +79,10 @@ def run_backend(
     query = make_query()
     sources = [SyntheticSource(seed=s, **(source_kwargs or {})) for s in seeds]
     engine.add_query(query, sources)
-    report = engine.run(tasks_per_query=n_tasks)
+    try:
+        report = engine.run(tasks_per_query=n_tasks)
+    finally:
+        engine.shutdown()
     return report.outputs[query.name], engine
 
 
@@ -118,10 +143,12 @@ def test_device_rejects_negative_throttle():
 # -- configuration surface -----------------------------------------------------
 
 
-def test_accelerator_config_forces_gpu_only_topology():
-    config = SaberConfig(execution="accelerator")
-    assert not config.use_cpu
-    assert config.use_gpu
+def test_execution_names_only_the_substrate():
+    """There is no ``"accelerator"`` value: the GPGPU slot alone is
+    ``use_cpu=False`` on a real substrate."""
+    with pytest.raises(SimulationError, match="unknown execution"):
+        SaberConfig(execution="accelerator")
+    config = SaberConfig(execution="threads", use_cpu=False)
     engine = SaberEngine(config)
     assert engine.accelerator is not None
     assert [(s.processor, s.workers) for s in engine.device_slots()] == [(GPU, 1)]
@@ -132,20 +159,24 @@ def test_hybrid_config_requires_both_slots():
         SaberConfig(execution="hybrid", use_gpu=False)
     with pytest.raises(SimulationError):
         SaberConfig(execution="hybrid", use_cpu=False)
+    # The spelling is accepted and normalised away: nothing reads it.
+    assert SaberConfig(execution="hybrid").execution == "threads"
 
 
 def test_non_accelerator_backends_have_no_device():
-    for execution in ("sim", "threads"):
-        assert SaberEngine(SaberConfig(execution=execution)).accelerator is None
+    assert SaberEngine(SaberConfig(execution="sim")).accelerator is None
+    for execution in ("threads", "processes"):
+        config = SaberConfig(execution=execution, use_gpu=False)
+        assert SaberEngine(config).accelerator is None
 
 
 def test_device_slots_table():
-    hybrid = device_slots(SaberConfig(execution="hybrid", cpu_workers=3))
-    assert hybrid == (
-        DeviceSlot("CPU", "thread", 3),
+    threads = device_slots(SaberConfig(execution="threads", cpu_workers=3))
+    assert threads == (
+        DeviceSlot("CPU", "threads", 3),
         DeviceSlot("GPGPU", "accelerator", 1),
     )
-    accel = device_slots(SaberConfig(execution="accelerator"))
+    accel = device_slots(SaberConfig(execution="processes", use_cpu=False))
     assert accel == (DeviceSlot("GPGPU", "accelerator", 1),)
     sim = device_slots(SaberConfig(execution="sim", cpu_workers=2))
     assert sim[-1] == DeviceSlot("GPGPU", "gpu-model", 1)
@@ -154,71 +185,137 @@ def test_device_slots_table():
 # -- backend equivalence (bitwise against sim) ---------------------------------
 
 
-@pytest.mark.parametrize("execution", ["accelerator", "hybrid"])
-def test_selection_equivalence(execution):
+@pytest.mark.parametrize("execution, topology", DEVICE_LEGS)
+def test_selection_equivalence(execution, topology):
     sim, __ = run_backend("sim", lambda: select_query(16, pass_rate=0.5), [7])
-    out, __ = run_backend(execution, lambda: select_query(16, pass_rate=0.5), [7])
+    out, __ = run_backend(
+        execution, lambda: select_query(16, pass_rate=0.5), [7], **topology
+    )
     assert_identical(sim, out)
 
 
-@pytest.mark.parametrize("execution", ["accelerator", "hybrid"])
-def test_projection_equivalence(execution):
+@pytest.mark.parametrize("execution, topology", DEVICE_LEGS)
+def test_projection_equivalence(execution, topology):
     sim, __ = run_backend("sim", lambda: proj_query(4), [9])
-    out, __ = run_backend(execution, lambda: proj_query(4), [9])
+    out, __ = run_backend(execution, lambda: proj_query(4), [9], **topology)
     assert_identical(sim, out)
 
 
-@pytest.mark.parametrize("execution", ["accelerator", "hybrid"])
-def test_groupby_equivalence(execution):
+@pytest.mark.parametrize("execution, topology", DEVICE_LEGS)
+def test_groupby_equivalence(execution, topology):
     make = lambda: groupby_query(5, functions=["cnt", "sum"])  # noqa: E731
     kwargs = dict(task_tuples=250, source_kwargs=dict(groups=5))
     sim, __ = run_backend("sim", make, [11], **kwargs)
-    out, __ = run_backend(execution, make, [11], **kwargs)
+    out, __ = run_backend(execution, make, [11], **kwargs, **topology)
     assert_identical(sim, out)
 
 
-@pytest.mark.parametrize("execution", ["accelerator", "hybrid"])
-def test_join_equivalence(execution):
+@pytest.mark.parametrize("execution, topology", DEVICE_LEGS)
+def test_join_equivalence(execution, topology):
     kwargs = dict(task_tuples=100, n_tasks=8)
     sim, __ = run_backend("sim", lambda: join_query(1), [17, 18], **kwargs)
-    out, __ = run_backend(execution, lambda: join_query(1), [17, 18], **kwargs)
+    out, __ = run_backend(execution, lambda: join_query(1), [17, 18], **kwargs, **topology)
     assert_identical(sim, out)
 
 
-def test_accelerator_executes_every_task():
-    """On the accelerator-only backend no task may bypass the device."""
+def test_accelerator_executes_every_task(execution="threads"):
+    """With the GPGPU slot alone no task may bypass the device."""
     __, engine = run_backend(
-        "accelerator", lambda: select_query(8, pass_rate=0.5), [19], n_tasks=10
+        execution, lambda: select_query(8, pass_rate=0.5), [19], n_tasks=10, use_cpu=False
     )
     assert engine.accelerator.stats.snapshot()["tasks"] == 10
     assert all(r.processor == GPU for r in engine.measurements.records)
 
 
-def test_movein_is_the_only_copy_of_a_device_bound_task():
-    """A task bound for the device is read in place (a view of the ring)
-    and staged by movein: what the kernel sees never aliases the ring."""
+def test_accelerator_executes_every_task_on_processes():
+    test_accelerator_executes_every_task("processes")
+
+
+def test_movein_is_the_only_copy_of_a_device_bound_task(execution="threads"):
+    """A task bound for the device is read in place (a view of the ring —
+    of the shared segment on processes) and staged by movein: what the
+    kernel sees never aliases the ring."""
+    _needs_fork(execution)
     engine = SaberEngine(
-        SaberConfig(execution="accelerator", task_size_bytes=333 * TUPLE_SIZE)
+        SaberConfig(execution=execution, use_cpu=False, task_size_bytes=333 * TUPLE_SIZE)
     )
     query = select_query(8, pass_rate=0.5)
     engine.add_query(query, [SyntheticSource(seed=19)])
     (ring,) = engine.runs[0].dispatcher.buffers
     stage_in = engine.accelerator._stage_in
-    seen = []
+    # [tasks, inputs aliasing the ring, staged copies aliasing the ring],
+    # in memory a forked device worker shares with this process.
+    seen = multiprocessing.Array("i", 3, lock=False)
 
     def spy(inputs):
         staged, bytes_in = stage_in(inputs)
-        seen.append(
-            (
-                np.shares_memory(inputs[0].batch.data, ring._store.array),
-                np.shares_memory(staged[0].batch.data, ring._store.array),
-            )
-        )
+        seen[0] += 1
+        seen[1] += np.shares_memory(inputs[0].batch.data, ring._store.array)
+        seen[2] += np.shares_memory(staged[0].batch.data, ring._store.array)
         return staged, bytes_in
 
     engine.accelerator._stage_in = spy
-    engine.run(tasks_per_query=10)
-    assert seen == [(True, False)] * 10  # 10 tasks do not wrap the 96-task ring
+    try:
+        engine.run(tasks_per_query=10)
+    finally:
+        engine.shutdown()
+    assert list(seen) == [10, 10, 0]  # 10 tasks do not wrap the 96-task ring
+
+
+def test_movein_is_the_only_copy_of_a_device_bound_task_on_processes():
+    test_movein_is_the_only_copy_of_a_device_bound_task("processes")
+
+
+def test_processes_device_stats_match_the_gpgpu_task_records():
+    """The device runs in a forked worker, but its accounting lands in
+    the parent's stats: one task and its input bytes per GPGPU record."""
+    __, engine = run_backend(
+        "processes", lambda: select_query(8, pass_rate=0.5), [23], n_tasks=30, cpu_workers=1
+    )
+    gpgpu = [r for r in engine.measurements.records if r.processor == GPU]
+    snapshot = engine.accelerator.stats.snapshot()
+    assert gpgpu
+    assert snapshot["tasks"] == len(gpgpu)
+    assert snapshot["bytes_in"] == sum(r.input_bytes for r in gpgpu)
+    assert snapshot["kernel_seconds"] > 0
+
+
+def test_processes_fork_while_a_parent_thread_holds_the_stats_lock():
+    """A ``/metrics`` scrape may hold the stats lock when the run forks;
+    the child's copy of that lock is never released, so a device worker
+    that took it would hang the run."""
+    _needs_fork("processes")
+    engine = SaberEngine(
+        SaberConfig(
+            execution="processes", use_cpu=False, task_size_bytes=128 * TUPLE_SIZE
+        )
+    )
+    query = select_query(4, pass_rate=0.5)
+    engine.add_query(query, [SyntheticSource(seed=29)])
+    held = threading.Event()
+
+    def scrape():
+        # Held well past the fork; the parent's own record waits for
+        # the release, the children must not need it.
+        with engine.accelerator.stats._lock:
+            held.set()
+            time.sleep(0.5)
+
+    scraper = threading.Thread(target=scrape)
+    scraper.start()
+    assert held.wait(timeout=5)
+    finished = []
+
+    def run():
+        finished.append(engine.run(tasks_per_query=8))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert finished, "the processes run hung on the inherited stats lock"
+    scraper.join()
+    engine.shutdown()
+    assert engine.accelerator.stats.snapshot()["tasks"] == 8
 
 
 def test_hybrid_repeated_runs_shake_out_races():
@@ -227,82 +324,37 @@ def test_hybrid_repeated_runs_shake_out_races():
         make = lambda: select_query(8, pass_rate=0.4)  # noqa: E731
         kwargs = dict(task_tuples=128, n_tasks=40, cpu_workers=4, queue_capacity=4)
         sim, __ = run_backend("sim", make, [seed], **kwargs)
-        hyb, __ = run_backend("hybrid", make, [seed], **kwargs)
+        hyb, __ = run_backend("threads", make, [seed], **kwargs)
         assert_identical(sim, hyb)
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 3,
-    reason="the hybrid leg runs 2 CPU workers + the accelerator: on fewer than 3 cores "
-    "the devices time-slice and the comparison is noise",
-)
-def test_hybrid_beats_both_single_devices_on_two_workloads():
-    """The paper's headline claim in wall-clock time (``slow``: run by hand with ``-m slow``)."""
-    workloads = {
-        "PROJ4": (lambda: proj_query(4), [31]),
-        "SELECT16": (lambda: select_query(16, pass_rate=0.5), [32]),
-        "AGG*": (
-            lambda: agg_query(["avg", "sum", "min", "max", "count"], name="AGGstar"),
-            [33],
-        ),
-        "GROUP-BY8": (lambda: groupby_query(8, functions=["cnt", "sum"]), [34]),
-        "JOIN1": (lambda: join_query(1), [35, 36]),
-    }
-    legs = {
-        "cpu": ("threads", {"use_gpu": False}),
-        "accelerator": ("accelerator", {}),
-        "hybrid": ("hybrid", {}),
-    }
-
-    def rate(execution, extra, make, seeds):
-        __, engine = run_backend(
-            execution,
-            make,
-            seeds,
-            task_tuples=8192,
-            n_tasks=64,
-            cpu_workers=2,
-            queue_capacity=16,
-            source_kwargs=dict(groups=8),
-            **extra,
-        )
-        return engine.measurements.throughput_bytes()
-
-    wins = []
-    for label, (make, seeds) in workloads.items():
-        # Best of three per leg: interference from the box only ever slows a run.
-        best = {
-            leg: max(rate(execution, extra, make, seeds) for __ in range(3))
-            for leg, (execution, extra) in legs.items()
-        }
-        if best["hybrid"] > max(best["cpu"], best["accelerator"]):
-            wins.append(label)
-    assert len(wins) >= 2, wins
 
 
 # -- HLS feedback under a skewed device ----------------------------------------
 
 
-def _hybrid_counts(throttle_seconds, seed=31, n_tasks=40):
+def _hybrid_counts(throttle_seconds, execution, seed=31, n_tasks=40):
+    _needs_fork(execution)
     engine = SaberEngine(
         SaberConfig(
-            execution="hybrid",
+            execution=execution,
             task_size_bytes=128 * TUPLE_SIZE,
             cpu_workers=2,
             queue_capacity=8,
         )
     )
-    # The skew knob lives on the device, not in the engine configuration.
+    # The skew knob lives on the device, not in the engine configuration
+    # (a forked device worker inherits it at run()).
     engine.accelerator.throttle_seconds = throttle_seconds
     query = select_query(8, pass_rate=0.5)
     engine.add_query(query, [SyntheticSource(seed=seed)])
-    out = engine.run(tasks_per_query=n_tasks).outputs[query.name]
+    try:
+        out = engine.run(tasks_per_query=n_tasks).outputs[query.name]
+    finally:
+        engine.shutdown()
     gpu_tasks = sum(1 for r in engine.measurements.records if r.processor == GPU)
     return out, engine, gpu_tasks
 
 
-def test_hls_migrates_off_throttled_accelerator():
+def test_hls_migrates_off_throttled_accelerator(execution="threads"):
     """A skewed device loses the schedule — and never the semantics.
 
     With the accelerator throttled to tens of milliseconds per task, its
@@ -322,7 +374,7 @@ def test_hls_migrates_off_throttled_accelerator():
         cpu_workers=2,
         queue_capacity=8,
     )
-    out, engine, gpu_tasks = _hybrid_counts(0.03, n_tasks=n_tasks)
+    out, engine, gpu_tasks = _hybrid_counts(0.03, execution, n_tasks=n_tasks)
     assert_identical(sim, out)
     # The throttled device must not win the schedule: the CPU workers
     # take the clear majority of tasks.
@@ -336,14 +388,22 @@ def test_hls_migrates_off_throttled_accelerator():
         assert matrix.value(query_name, GPU) < matrix.value(query_name, CPU)
 
 
-def test_unthrottled_hybrid_keeps_device_productive():
+def test_hls_migrates_off_throttled_accelerator_on_processes():
+    test_hls_migrates_off_throttled_accelerator("processes")
+
+
+def test_unthrottled_hybrid_keeps_device_productive(execution="threads"):
     """Without skew, sustained load reaches the accelerator too."""
-    out, engine, gpu_tasks = _hybrid_counts(0.0, n_tasks=60)
+    out, engine, gpu_tasks = _hybrid_counts(0.0, execution, n_tasks=60)
     assert out is not None
     # The backlog fallback alone guarantees the device sees work under
     # sustained dispatch; zero would mean the GPGPU slot is dead.
     assert gpu_tasks > 0
     assert engine.accelerator.stats.snapshot()["tasks"] == gpu_tasks
+
+
+def test_unthrottled_hybrid_keeps_device_productive_on_processes():
+    test_unthrottled_hybrid_keeps_device_productive("processes")
 
 
 # -- metrics export ------------------------------------------------------------
@@ -357,10 +417,11 @@ def _engine_registry(engine):
     return registry
 
 
-def test_accelerator_metrics_exported():
+def test_accelerator_metrics_exported(execution="threads"):
+    _needs_fork(execution)
     engine = SaberEngine(
         SaberConfig(
-            execution="hybrid",
+            execution=execution,
             task_size_bytes=128 * TUPLE_SIZE,
             cpu_workers=2,
             queue_capacity=8,
@@ -369,7 +430,10 @@ def test_accelerator_metrics_exported():
     registry = _engine_registry(engine)
     query = select_query(4, pass_rate=0.5)
     engine.add_query(query, [SyntheticSource(seed=41)])
-    engine.run(tasks_per_query=30)
+    try:
+        engine.run(tasks_per_query=30)
+    finally:
+        engine.shutdown()
 
     snapshot = engine.accelerator.stats.snapshot()
     assert registry.value("saber_accel_tasks_total", tenant="t") == snapshot["tasks"]
@@ -397,8 +461,12 @@ def test_accelerator_metrics_exported():
     assert "saber_hls_matrix_throughput" in rendered
 
 
+def test_accelerator_metrics_exported_on_processes():
+    test_accelerator_metrics_exported("processes")
+
+
 def test_non_accelerator_engine_exports_no_accel_series():
-    engine = SaberEngine(SaberConfig(execution="threads", cpu_workers=2))
+    engine = SaberEngine(SaberConfig(execution="threads", cpu_workers=2, use_gpu=False))
     snapshot = _engine_registry(engine).snapshot()
     assert not any(name.startswith("saber_accel_") for name in snapshot)
 
@@ -429,11 +497,19 @@ class TestCli:
         return capsys.readouterr().out
 
     def test_hybrid_execution(self, capsys):
-        out = self._run(capsys, "--execution", "hybrid")
-        assert "devices    : CPU:threadx2, GPGPU:acceleratorx1" in out
+        out = self._run(capsys, "--execution", "threads")
+        assert "devices    : CPU:threadsx2, GPGPU:acceleratorx1" in out
         assert "wall-clock" in out
 
-    def test_accelerator_only_execution(self, capsys):
-        out = self._run(capsys, "--execution", "accelerator")
-        assert "devices    : GPGPU:acceleratorx1" in out
+    def test_hybrid_execution_on_processes(self, capsys):
+        out = self._run(capsys, "--execution", "processes")
+        assert "devices    : CPU:processesx2, GPGPU:acceleratorx1" in out
+
+    def test_removed_execution_values_are_rejected(self, capsys):
+        from repro.cli import main
+
+        for value in ("accelerator", "hybrid"):
+            with pytest.raises(SystemExit):
+                main(["run", "CM1", "--execution", value])
+        assert "invalid choice" in capsys.readouterr().err
 

@@ -159,6 +159,21 @@ class TestSchedulers:
         with pytest.raises(SimulationError):
             SaberEngine(small_config(scheduler="priority"))
 
+    def test_unknown_scheduler_rejected_with_one_slot(self):
+        # One slot degenerates every policy to FCFS — but a typo is
+        # still a typo, not a silent FCFS run.
+        with pytest.raises(SimulationError, match="unknown scheduler"):
+            small_config(use_gpu=False, scheduler="hsl")
+
+    def test_static_requires_assignment_with_one_slot(self):
+        with pytest.raises(SimulationError, match="assignment"):
+            small_config(use_gpu=False, scheduler="static")
+
+    def test_zero_queue_capacity_rejected_at_construction(self):
+        # The threaded dispatcher would wait forever on len(queue) < 0.
+        with pytest.raises(SimulationError, match="queue_capacity"):
+            SaberConfig(execution="threads", queue_capacity=0)
+
     def test_hls_matrix_history_recorded(self):
         engine = SaberEngine(small_config(matrix_refresh_seconds=1e-4))
         engine.add_query(select_query(16), [SyntheticSource(seed=1)])

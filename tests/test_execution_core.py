@@ -2,7 +2,7 @@
 
 ``SaberEngine.complete`` is the only place a finished task is accounted
 for, whatever executor ran it — so the accounting must come out the same
-under all five ``execution`` values — and the engine / executor / device
+under all three ``execution`` values — and the engine / executor / device
 split is held in place by an AST guard rather than by convention.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.scheduler import FcfsScheduler, HlsScheduler
-from repro.hardware.slots import EXECUTION_MODES
+from repro.hardware.slots import EXECUTIONS
 from repro.hardware.specs import HardwareSpec
 from repro.workloads.synthetic import TUPLE_SIZE, SyntheticSource, select_query
 
@@ -57,7 +57,7 @@ def _run_with_feedback_spy(engine, query, sources):
 
 
 @pytest.mark.parametrize("execute_data", [True, False], ids=["data", "stat-model"])
-@pytest.mark.parametrize("execution", list(EXECUTION_MODES))
+@pytest.mark.parametrize("execution", EXECUTIONS)
 def test_complete_accounts_identically_on_every_execution(execution, execute_data):
     engine = _engine(execution, execute_data=execute_data)
     query = select_query(4, pass_rate=0.5)
@@ -99,7 +99,7 @@ class _CountingFcfs(FcfsScheduler):
         self.finished += 1
 
 
-@pytest.mark.parametrize("execution", list(EXECUTION_MODES))
+@pytest.mark.parametrize("execution", EXECUTIONS)
 def test_scheduler_swapped_after_construction_selects_and_gets_feedback(execution):
     """``engine.scheduler`` is an ablation hook
     (``test_paper_shapes.py::test_ablation_line12_fallback_beats_strict_lookahead``
@@ -167,6 +167,17 @@ def test_engine_holds_no_event_loop_or_cost_model_code():
     assert not any(
         isinstance(n, ast.Attribute) and n.attr == "execution" for n in ast.walk(run)
     )
+
+
+def test_only_the_config_reads_the_hybrid_spelling():
+    """``execution="hybrid"`` is normalised to ``"threads"`` by
+    ``SaberConfig``; no other code may branch on it."""
+    sites = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == "hybrid":
+                sites.append(str(path.relative_to(SRC)))
+    assert sites == ["core/engine.py"]
 
 
 def test_one_task_record_construction_site():

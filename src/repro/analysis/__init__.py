@@ -3,9 +3,10 @@
 This package machine-checks the concurrency disciplines the engine's
 correctness rests on (see ``docs/analysis.md``):
 
-* ``repro check`` — an AST-based static analyzer with a pluggable rule
-  registry (single-writer dispatch, lock ordering, hot-path hygiene,
-  shared-memory lifecycle, metrics coherence, annotation coverage);
+* ``repro check`` — an AST-based static analyzer running the five rules
+  of :data:`repro.analysis.rules.RULES` (single-writer dispatch, lock
+  ordering, shared-memory lifecycle, metrics coherence, annotation
+  coverage);
 * :mod:`repro.analysis.lockdep` — a lockdep-style instrumented lock
   that records the *actual* acquisition order while the test suite runs
   (``REPRO_LOCKDEP=1``) and asserts it against the static graph.

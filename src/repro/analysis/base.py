@@ -1,9 +1,9 @@
-"""Rule framework: findings, the rule registry, and the project config.
+"""Rule framework: findings, the rule base class, and the project config.
 
 A rule is a small class with a ``name``, a one-line ``description`` of
 the invariant it guards, and a ``check(project, config)`` method that
-returns :class:`Finding` objects.  Rules register themselves with
-:func:`register` so the CLI and tests can enumerate them.
+returns :class:`Finding` objects.  The rule set ``repro check`` runs is
+the explicit tuple :data:`repro.analysis.rules.RULES`.
 
 A finding is accepted one way (see ``docs/analysis.md``): inline, by a
 ``# repro: allow(<rule>) -- <reason>`` comment on the flagged line or
@@ -12,10 +12,9 @@ the line directly above it.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .project import Project
@@ -30,13 +29,6 @@ class Finding:
     line: int
     message: str
     symbol: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity in the JSON report: ignores line numbers so
-        unrelated edits don't change it."""
-        basis = "|".join((self.rule, self.path, self.symbol, self.message))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         """``path:line: rule: message`` — the CLI's text format."""
@@ -75,8 +67,6 @@ class AnalysisConfig:
     lock_order: tuple[str, ...] = ()
     #: Lock-order edges exercised only through dynamic dispatch.
     declared_edges: tuple[DeclaredEdge, ...] = ()
-    #: Fully qualified functions on the per-task hot path.
-    hot_functions: tuple[str, ...] = ()
     #: Module names (dotted, no trailing dot) allowed to mutate
     #: head/tail pointers and call buffer mutators.
     single_writer_buffer_modules: tuple[str, ...] = ()
@@ -117,23 +107,6 @@ class Rule:
     def check(self, project: "Project", config: AnalysisConfig) -> list[Finding]:
         """Return every violation of this rule in ``project``."""
         raise NotImplementedError
-
-
-#: name -> rule class, in registration order.
-RULE_REGISTRY: "dict[str, type[Rule]]" = {}
-
-
-def register(cls: "type[Rule]") -> "type[Rule]":
-    """Class decorator adding a rule to :data:`RULE_REGISTRY`."""
-    RULE_REGISTRY[cls.name] = cls
-    return cls
-
-
-def all_rules() -> list[Rule]:
-    """Instantiate every registered rule (importing the rule modules)."""
-    from . import rules  # noqa: F401  (registration side effect)
-
-    return [cls() for cls in RULE_REGISTRY.values()]
 
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(([a-z0-9_\-, ]+)\)")
@@ -229,60 +202,6 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
     ),
 )
 
-HOT_FUNCTIONS: tuple[str, ...] = (
-    # The per-task lifecycle every executor runs through.
-    "core.engine.SaberEngine.execute",
-    "core.engine.SaberEngine.complete",
-    # Executor task loops (sim dispatch/claim step, threads, processes).
-    "core.executor_sim.SimExecutor._dispatch_next",
-    "core.executor_sim.SimExecutor._worker_try",
-    "core.executor.ThreadedExecutor._dispatch_loop",
-    "core.executor.ThreadedExecutor._worker_loop",
-    "core.executor.ThreadedExecutor._claim",
-    "core.executor.ThreadedExecutor._execute",
-    "core.executor_mp.ProcessExecutor._feed",
-    "core.executor_mp.ProcessExecutor._handle_completion",
-    "core.executor_mp.ProcessExecutor._worker_main",
-    # The GPGPU slot's kernel dispatch and the accelerator around it.
-    "gpu.kernels.gpu_kernel",
-    "gpu.accelerator.AcceleratorDevice.execute",
-    # Single-writer dispatch and the circular buffers it feeds.
-    "core.dispatcher.Dispatcher.create_task",
-    "core.dispatcher.Dispatcher._pull_staged",
-    "relational.buffer.CircularTupleBuffer.insert",
-    "relational.buffer.CircularTupleBuffer.read",
-    "relational.buffer.CircularTupleBuffer.release",
-    # The whole-row moves every operator leans on (rows move as bytes).
-    "relational.tuples.TupleBatch.copy",
-    "relational.tuples.TupleBatch.take",
-    "relational.tuples.TupleBatch.filter",
-    "relational.tuples.TupleBatch.concat",
-    # Fused single-pass kernels.
-    "core.fusion.FusedKernel.process_batch",
-    "core.fusion.FusedKernel.assemble_windows",
-    # Segmented GROUP-BY kernel and the batched assembly functions.
-    "operators.groupby.GroupedAggregation.process_batch",
-    "operators.groupby.GroupedAggregation._fragment_tables",
-    "operators.groupby.GroupedAggregation._fold",
-    "operators.groupby.GroupedAggregation.assemble_windows",
-    "operators.aggregation.Aggregation.assemble_windows",
-    # One-pass θ-join kernel (per task, and per cross term at assembly).
-    "operators.join.ThetaJoin.process_batch",
-    "operators.join.ThetaJoin.join_segments",
-    "operators.join.ThetaJoin.merge_partials",
-    # Result stage (in-order drain, one batched assembly per task, emit).
-    "core.result_stage.ResultStage.submit",
-    "core.result_stage.ResultStage._process",
-    "core.result_stage.ResultStage._assemble",
-    "core.result_stage.ResultStage._emit",
-    # The one per-task accounting site, and the pushed instruments.
-    "metrics.measurements.Measurements.record_task",
-    "metrics.measurements.Measurements.record_latency",
-    "metrics.registry.Counter.inc",
-    "metrics.registry.Gauge.add",
-    "metrics.registry.Histogram.observe",
-)
-
 DEFAULT_CONFIG = AnalysisConfig(
     lock_modules=(
         "core",
@@ -296,7 +215,6 @@ DEFAULT_CONFIG = AnalysisConfig(
     ),
     lock_order=LOCK_ORDER,
     declared_edges=DECLARED_EDGES,
-    hot_functions=HOT_FUNCTIONS,
     single_writer_buffer_modules=("relational.buffer",),
     single_writer_dispatch_modules=(
         "core.dispatcher",
@@ -308,10 +226,6 @@ DEFAULT_CONFIG = AnalysisConfig(
     metrics_catalogue="operations.md",
     annotation_modules=("analysis", "serve.protocol"),
 )
-
-
-#: Signature every rule's check method satisfies (used by the CLI).
-CheckFn = Callable[["Project", AnalysisConfig], "list[Finding]"]
 
 
 @dataclass

@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .base import AnalysisConfig, CheckResult, DEFAULT_CONFIG, all_rules
+from .base import AnalysisConfig, CheckResult, DEFAULT_CONFIG
 from .locks import build_lock_graph
 from .project import Project
+from .rules import RULES
 
 __all__ = ["main", "run_check"]
 
@@ -25,12 +26,13 @@ def run_check(
     config: AnalysisConfig,
     rule_names: "Sequence[str] | None" = None,
 ) -> CheckResult:
-    """Run the (selected) registered rules over ``project``."""
+    """Run the (selected) rules of :data:`~repro.analysis.rules.RULES`
+    over ``project``."""
     result = CheckResult()
     suppressions = {
         str(mod.path): mod.suppressions() for mod in project.modules.values()
     }
-    for rule in all_rules():
+    for rule in RULES:
         if rule_names and rule.name not in rule_names:
             continue
         for finding in rule.check(project, config):
@@ -60,7 +62,8 @@ def _verify_lockdep_report(
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    """The ``repro check`` argument parser (reused by the main CLI)."""
+    """The ``repro check`` argument parser (``repro.cli.main`` hands
+    ``check`` and everything after it straight to :func:`main`)."""
     parser = argparse.ArgumentParser(
         prog="repro check",
         description="Static project-invariant analysis (see docs/analysis.md).",
@@ -72,21 +75,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format",
-    )
-    parser.add_argument(
         "--rule",
         action="append",
         default=None,
         help="run only this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--docs",
-        default=None,
-        help="docs directory for the metrics catalogue check",
     )
     parser.add_argument(
         "--lockdep-report",
@@ -96,7 +88,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list registered rules and exit",
+        help="list the rules and exit",
     )
     return parser
 
@@ -107,7 +99,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in all_rules():
+        for rule in RULES:
             print(f"{rule.name}: {rule.description}")
         return 0
 
@@ -117,9 +109,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"repro check: no such path: {missing[0]}", file=sys.stderr)
         return 2
 
-    docs_dir = Path(args.docs) if args.docs else None
     try:
-        project = Project.load(paths, docs_dir=docs_dir)
+        project = Project.load(paths)
     except SyntaxError as exc:
         print(f"repro check: cannot parse {exc.filename}: {exc}", file=sys.stderr)
         return 2
@@ -128,30 +119,12 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     result = run_check(project, config, rule_names=args.rule)
     exit_code = 0 if result.clean else 1
 
-    if args.format == "json":
-        payload = {
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "line": f.line,
-                    "symbol": f.symbol,
-                    "message": f.message,
-                    "fingerprint": f.fingerprint,
-                }
-                for f in result.findings
-            ],
-            "suppressed": len(result.suppressed),
-            "ok": result.clean,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for finding in result.findings:
-            print(finding.render())
-        print(
-            f"repro check: {len(result.findings)} finding(s), "
-            f"{len(result.suppressed)} inline-suppressed"
-        )
+    for finding in result.findings:
+        print(finding.render())
+    print(
+        f"repro check: {len(result.findings)} finding(s), "
+        f"{len(result.suppressed)} inline-suppressed"
+    )
 
     if args.lockdep_report:
         report_path = Path(args.lockdep_report)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .base import inline_suppressions
@@ -36,6 +37,11 @@ class Module:
     is_package: bool = False
     #: local name -> dotted target ("api.session.SaberSession", "threading", ...)
     imports: dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def nodes(self) -> "list[ast.AST]":
+        """Every node of the tree in ``ast.walk`` order, walked once."""
+        return list(ast.walk(self.tree))
 
     def suppressions(self) -> "dict[int, set[str]]":
         """Inline ``# repro: allow(...)`` comments, by line."""
@@ -73,6 +79,11 @@ class FunctionInfo:
     def key(self) -> str:
         """Project-wide function key, ``module.Class.method`` or ``module.func``."""
         return f"{self.module}.{self.qualname}" if self.module else self.qualname
+
+    @cached_property
+    def nodes(self) -> "list[ast.AST]":
+        """Every node of the definition in ``ast.walk`` order, walked once."""
+        return list(ast.walk(self.node))
 
 
 def _module_name(file: Path, root: Path) -> "tuple[str, bool]":
@@ -152,7 +163,7 @@ class Project:
         self._index_definitions(module)
 
     def _index_imports(self, module: Module) -> None:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     target = _strip_repro(alias.name)
@@ -361,7 +372,7 @@ class Project:
         ctx = _ExprContext(
             self_class=fn.cls.key if fn.cls else None, locals=self.param_types(fn)
         )
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -380,7 +391,7 @@ class Project:
                 if fn.cls is None:
                     continue
                 ctx = _ExprContext(self_class=fn.cls.key, locals=self.param_types(fn))
-                for node in ast.walk(fn.node):
+                for node in fn.nodes:
                     if not isinstance(node, ast.Assign):
                         continue
                     inferred = self.infer_expr_type(fn.module, node.value, ctx)

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import ast
 
-from ..base import AnalysisConfig, Finding, Rule, register
+from ..base import AnalysisConfig, Finding, Rule
 from ..project import Project
 
 __all__ = ["AnnotationsRule"]
 
 
-@register
 class AnnotationsRule(Rule):
     """Every parameter and return in scoped modules is annotated."""
 
@@ -29,10 +28,12 @@ class AnnotationsRule(Rule):
             if not config.in_annotation_scope(mod.name):
                 continue
             path = str(mod.path)
-            for node in ast.walk(mod.tree):
+            classes = [n for n in mod.nodes if isinstance(n, ast.ClassDef)]
+            methods = {item for cls in classes for item in cls.body}
+            for node in mod.nodes:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                in_class = _is_method(mod.tree, node)
+                in_class = node in methods
                 args = node.args
                 positional = [*args.posonlyargs, *args.args]
                 for index, arg in enumerate(positional):
@@ -81,11 +82,3 @@ class AnnotationsRule(Rule):
                         )
                     )
         return findings
-
-
-def _is_method(tree: ast.Module, target: ast.AST) -> bool:
-    """Whether ``target`` is a direct child of a class body."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and target in node.body:
-            return True
-    return False

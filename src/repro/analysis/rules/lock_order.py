@@ -4,14 +4,13 @@ named ``make_lock``/``make_condition`` factories."""
 
 from __future__ import annotations
 
-from ..base import AnalysisConfig, Finding, Rule, register
+from ..base import AnalysisConfig, Finding, Rule
 from ..locks import build_lock_graph, build_lock_model
 from ..project import Project
 
 __all__ = ["LockOrderRule"]
 
 
-@register
 class LockOrderRule(Rule):
     """Deadlock-freedom: no cycles, documented ranking, named factories."""
 

@@ -17,7 +17,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 
-from ..base import AnalysisConfig, Finding, Rule, register
+from ..base import AnalysisConfig, Finding, Rule
 from ..project import Project
 
 __all__ = ["MetricsCoherenceRule"]
@@ -43,7 +43,6 @@ class _Series:
     collectors: set[str] = field(default_factory=set)
 
 
-@register
 class MetricsCoherenceRule(Rule):
     """No dead or undocumented metric series."""
 
@@ -67,7 +66,7 @@ class MetricsCoherenceRule(Rule):
 
         for mod in project.modules.values():
             scan_registrations = config.in_metrics_scope(mod.name)
-            for fn in ast.walk(mod.tree):
+            for fn in mod.nodes:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 references.setdefault(fn.name, set()).update(_names(fn))
@@ -79,7 +78,7 @@ class MetricsCoherenceRule(Rule):
                         series.setdefault(
                             name, _Series(name=name, path=str(mod.path), line=node.lineno)
                         ).collectors.add(fn.name)
-            for node in ast.walk(mod.tree):
+            for node in mod.nodes:
                 if not isinstance(node, ast.Call) or not isinstance(
                     node.func, ast.Attribute
                 ):
@@ -98,7 +97,7 @@ class MetricsCoherenceRule(Rule):
                     )
                     # self.attr = registry.counter("name", ...) binds the
                     # series to an attribute we can match write sites on.
-                    parent = _assign_target_attr(mod.tree, node)
+                    parent = _assign_target_attr(mod.nodes, node)
                     if parent is not None:
                         entry.attrs.add(parent)
                 elif attr == "register_collector":
@@ -239,10 +238,10 @@ def _sample_name(node: ast.AST) -> "str | None":
     return None
 
 
-def _assign_target_attr(tree: ast.Module, call: ast.Call) -> "str | None":
-    """If ``call`` is the value of ``self.X = call`` (or ``X = call``),
-    return the bound attribute/variable name."""
-    for node in ast.walk(tree):
+def _assign_target_attr(nodes: "list[ast.AST]", call: ast.Call) -> "str | None":
+    """If ``call`` is the value of ``self.X = call`` (or ``X = call``)
+    among the module's ``nodes``, return the bound attribute/variable name."""
+    for node in nodes:
         if isinstance(node, ast.Assign) and node.value is call:
             for target in node.targets:
                 if isinstance(target, ast.Attribute):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from ..base import AnalysisConfig, Finding, Rule, register
+from ..base import AnalysisConfig, Finding, Rule
 from ..project import ClassInfo, FunctionInfo, Project, _dotted
 
 __all__ = ["ShmLifecycleRule"]
@@ -29,7 +29,6 @@ class _Creation:
     what: str
 
 
-@register
 class ShmLifecycleRule(Rule):
     """No shared-memory segment without a reachable release path."""
 
@@ -98,7 +97,7 @@ class ShmLifecycleRule(Rule):
         returned_names: set[str] = set()
         created_names: set[str] = set()
         direct = False
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Return) and node.value is not None:
                 if isinstance(node.value, ast.Call) and self._is_creator_call(
                     project, fn, node.value, creator_keys
@@ -119,7 +118,7 @@ class ShmLifecycleRule(Rule):
         if self._returns_creation(project, fn, creator_keys):
             return []  # the factory itself is exempt; call sites are checked
         out: list[_Creation] = []
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Call) and self._is_creator_call(
                 project, fn, node, creator_keys
             ):
@@ -176,7 +175,7 @@ class ShmLifecycleRule(Rule):
     def _binding(
         self, fn: FunctionInfo, call: ast.Call
     ) -> "tuple[str, str] | None":
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Assign) and node.value is call:
                 for target in node.targets:
                     if (
@@ -218,7 +217,7 @@ class ShmLifecycleRule(Rule):
     def _touches_attr(
         self, project: Project, fn: FunctionInfo, attr: str, depth: int
     ) -> bool:
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and node.attr == attr
@@ -242,7 +241,7 @@ class ShmLifecycleRule(Rule):
         return False
 
     def _local_released(self, fn: FunctionInfo, name: str) -> bool:
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
                 if node.value.id == name:
                     return True

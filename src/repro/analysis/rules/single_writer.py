@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import ast
 
-from ..base import AnalysisConfig, Finding, Rule, register
+from ..base import AnalysisConfig, Finding, Rule
 from ..project import Project
 
 __all__ = ["SingleWriterRule"]
@@ -18,7 +18,6 @@ _MUTATORS = ("insert", "release")
 _TASK_CUTTERS = ("create_task", "shed_task")
 
 
-@register
 class SingleWriterRule(Rule):
     """SABER's single dispatching writer per circular buffer (§4.1)."""
 
@@ -50,7 +49,7 @@ class SingleWriterRule(Rule):
             in_writer = mod.name in writer_modules
 
             if not in_buffer:
-                for node in ast.walk(mod.tree):
+                for node in mod.nodes:
                     target: "ast.expr | None" = None
                     if isinstance(node, ast.Assign):
                         for tgt in node.targets:
@@ -82,7 +81,7 @@ class SingleWriterRule(Rule):
                 if fn.module != mod.name:
                     continue
                 ctx = project.function_context(fn)
-                for node in ast.walk(fn.node):
+                for node in fn.nodes:
                     if not isinstance(node, ast.Call):
                         continue
                     func = node.func

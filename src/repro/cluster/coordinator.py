@@ -23,8 +23,11 @@ retained sub-stream (the coordinator logs every partitioned sub-batch)
 is replayed onto it.  Partitioning and shard engines are deterministic,
 so the replay reproduces the settled prefix bit-for-bit and the merged
 output is unchanged by the failure.  A shard that stops making progress
-after end-of-stream is declared dead by the completion timeout and
-resubmitted the same way.
+after end-of-stream — no window report for ``completion_timeout``
+seconds since end-of-stream or its last report — is declared dead and
+resubmitted the same way; if its replacement stalls as long again, the
+run fails with :class:`~repro.errors.ExecutionError` instead of
+replaying forever.
 
 **Threads and locks.**  Only the ingest pump pushes and only one actor
 recovers at a time — the pump while ingest is active (the monitor just
@@ -89,8 +92,9 @@ class ClusterConfig:
     task_size_bytes: int = 64 << 10
     #: shard liveness probe interval (seconds).
     liveness_interval: float = 0.25
-    #: after end-of-stream, seconds a shard may stay unfinished before
-    #: it is declared dead and resubmitted.
+    #: after end-of-stream, seconds a shard may go without reporting a
+    #: window before it is declared dead and resubmitted; a replacement
+    #: that stalls as long again fails the run.
     completion_timeout: float = 30.0
     #: resubmit dead shards' key ranges onto replacement engines; with
     #: recovery off a shard death fails the run instead.
@@ -108,10 +112,17 @@ class ClusterConfig:
                 f"unknown shard execution {self.execution!r}; "
                 f"expected one of {_EXECUTIONS}"
             )
-        if self.batch_tuples <= 0:
-            raise ValidationError(
-                f"batch_tuples must be positive, got {self.batch_tuples}"
-            )
+        for name in (
+            "cpu_workers",
+            "batch_tuples",
+            "capacity_tuples",
+            "task_size_bytes",
+            "liveness_interval",
+            "completion_timeout",
+        ):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
 
 
 class ClusterCoordinator:
@@ -163,7 +174,9 @@ class ClusterCoordinator:
         self._dead: "set[int]" = set()
         self._started = False
         self._ingest_active = False
-        self._eos_deadline: "float | None" = None
+        self._eos_at: "float | None" = None
+        #: slots already resubmitted for the completion timeout.
+        self._timed_out: "set[int]" = set()
         self._error: "str | None" = None
         self._stop = threading.Event()
         self._pump: "threading.Thread | None" = None
@@ -464,7 +477,7 @@ class ClusterCoordinator:
                     self._dead.add(slot)
         with self._lock:
             self._ingest_active = False
-            self._eos_deadline = time.monotonic() + self.config.completion_timeout
+            self._eos_at = time.monotonic()
 
     # -- failure detection and recovery ----------------------------------------
 
@@ -477,25 +490,15 @@ class ClusterCoordinator:
             with self._lock:
                 ingest = self._ingest_active
                 shards = list(enumerate(self._shards))
-                deadline = self._eos_deadline
                 flagged = set(self._dead)
             dead = flagged | {
                 slot
                 for slot, shard in shards
                 if shard is not None and not shard.alive
             }
-            if (
-                not ingest
-                and deadline is not None
-                and time.monotonic() > deadline
-            ):
-                # Completion timeout: shards that never closed their
-                # slot after end-of-stream are stuck — declare them dead.
-                dead |= {
-                    slot
-                    for slot, _ in shards
-                    if not self._merge.closed(slot)
-                }
+            # Completion timeout: shards silent for too long after
+            # end-of-stream are stuck — declare them dead.
+            dead |= {slot for slot, _ in shards if self._stalled(slot)}
             self.shards_live.set(self.config.shards - len(dead))
             if not dead:
                 continue
@@ -530,17 +533,18 @@ class ClusterCoordinator:
             old = self._shards[slot]
             log = list(self._log[slot])
             replay_and_close = not self._ingest_active
-            deadline = self._eos_deadline
             self._dead.discard(slot)
         if not force and old is not None and old.alive:
-            timed_out = (
-                replay_and_close
-                and deadline is not None
-                and time.monotonic() > deadline
-                and not self._merge.closed(slot)
-            )
-            if not timed_out:
+            if not self._stalled(slot):
                 return  # stale flag: the slot was already recovered
+            if slot in self._timed_out:
+                self._fail(
+                    f"shard {slot} reported no window for completion_timeout="
+                    f"{self.config.completion_timeout} s after end-of-stream, "
+                    "again after it was resubmitted for the same timeout"
+                )
+                return
+            self._timed_out.add(slot)
         if old is not None:
             old.kill()
             old.shutdown()
@@ -565,14 +569,18 @@ class ClusterCoordinator:
         except Exception:
             with self._lock:
                 self._dead.add(slot)  # replacement died too: go again
-        finally:
-            if replay_and_close:
-                # Give the replacement a fresh completion budget; the
-                # original deadline has typically long passed.
-                with self._lock:
-                    self._eos_deadline = (
-                        time.monotonic() + self.config.completion_timeout
-                    )
+
+    def _stalled(self, slot: int) -> bool:
+        """Whether the slot is past its completion timeout: unfinished,
+        with no window report since end-of-stream or its last report
+        for ``completion_timeout`` seconds."""
+        assert self._merge is not None
+        with self._lock:
+            eos_at = self._eos_at
+        if eos_at is None or self._merge.closed(slot):
+            return False
+        quiet_since = max(eos_at, self._merge.last_report(slot))
+        return time.monotonic() - quiet_since > self.config.completion_timeout
 
     def _fail(self, message: str) -> None:
         """Record a fatal cluster error and unblock every consumer."""

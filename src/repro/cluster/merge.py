@@ -66,6 +66,8 @@ class MergeStage:
         self._cond = make_condition("cluster.merge.MergeStage._cond")
         self._epochs = [0] * shards
         self._frontiers = [-1] * shards
+        #: monotonic time of each slot's last report this epoch.
+        self._reported = [0.0] * shards
         self._pending: "dict[int, dict[int, TupleBatch]]" = {}
         self._settled = -1
         self._backlog: "list[TupleBatch]" = []
@@ -91,6 +93,12 @@ class MergeStage:
         """Whether the slot has reported end-of-stream this epoch."""
         with self._cond:
             return self._frontiers[shard] >= _CLOSED_FRONTIER
+
+    def last_report(self, shard: int) -> float:
+        """Monotonic time the slot last reported a window this epoch
+        (replayed windows count), or was reset."""
+        with self._cond:
+            return self._reported[shard]
 
     def lag(self, shard: int) -> int:
         """Windows this shard trails the furthest shard by."""
@@ -118,6 +126,7 @@ class MergeStage:
         with self._cond:
             if self._done or epoch != self._epochs[shard]:
                 return
+            self._reported[shard] = time.monotonic()
             if wid <= self._settled:
                 return  # replayed window, already merged
             contributions = self._pending.setdefault(wid, {})
@@ -152,6 +161,7 @@ class MergeStage:
         with self._cond:
             self._epochs[shard] += 1
             self._frontiers[shard] = self._settled
+            self._reported[shard] = time.monotonic()
             for contributions in self._pending.values():
                 contributions.pop(shard, None)
             self._done = False

@@ -4,7 +4,7 @@ near-miss that must stay clean.
 Fixture trees are written to ``tmp_path`` and parsed with
 :class:`repro.analysis.project.Project` — nothing is imported or
 executed, so the fixtures are free to model violations (raw locks,
-leaked segments, pickling on hot paths) that the real tree bans.
+leaked segments, unannotated code) that the real tree bans.
 """
 
 import textwrap
@@ -14,7 +14,6 @@ from repro.analysis.base import AnalysisConfig, DeclaredEdge
 from repro.analysis.cli import run_check
 from repro.analysis.project import Project
 from repro.analysis.rules.annotations import AnnotationsRule
-from repro.analysis.rules.hot_path import HotPathRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.metrics_coherence import MetricsCoherenceRule
 from repro.analysis.rules.shm_lifecycle import ShmLifecycleRule
@@ -347,88 +346,6 @@ class TestLockOrder:
         )
         findings = LockOrderRule().check(project, config)
         assert any("lock-order cycle" in f.message for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# hot-path
-# ---------------------------------------------------------------------------
-
-
-class TestHotPath:
-    def test_pickle_and_per_row_loop_are_flagged(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "hp.py": """
-                    import pickle
-
-                    def work(batch):
-                        blob = pickle.dumps(batch)
-                        for row in batch.to_rows():
-                            blob += bytes(row)
-                        return blob
-
-                    def cold(batch):
-                        return pickle.dumps(batch)
-                    """,
-            },
-        )
-        config = AnalysisConfig(hot_functions=("hp.work",))
-        findings = HotPathRule().check(project, config)
-        messages = [f.message for f in findings]
-        assert any("pickle.dumps" in m for m in messages)
-        assert any("to_rows" in m for m in messages)
-        # The cold function uses pickle too, but is not tagged hot.
-        assert all(f.symbol != "hp.cold" for f in findings)
-
-    def test_loop_concatenation_flagged_only_inside_loops(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "hp.py": """
-                    import numpy as np
-
-                    def grow(chunks):
-                        out = chunks[0]
-                        for chunk in chunks[1:]:
-                            out = np.concatenate([out, chunk])
-                        return out
-
-                    def join(chunks):
-                        return np.concatenate(chunks)
-                    """,
-            },
-        )
-        config = AnalysisConfig(hot_functions=("hp.grow", "hp.join"))
-        findings = HotPathRule().check(project, config)
-        assert len(findings) == 1
-        assert findings[0].symbol == "hp.grow"
-        assert "inside a loop" in findings[0].message
-
-    def test_zip_star_per_row_iteration_is_flagged(self, tmp_path):
-        project = make_project(
-            tmp_path,
-            {
-                "hp.py": """
-                    def walk(columns):
-                        total = 0
-                        for row in zip(*columns):
-                            total += row[0]
-                        return total
-                    """,
-            },
-        )
-        config = AnalysisConfig(hot_functions=("hp.walk",))
-        findings = HotPathRule().check(project, config)
-        assert len(findings) == 1
-        assert "zip(*columns)" in findings[0].message
-
-    def test_stale_hot_function_config_is_flagged(self, tmp_path):
-        project = make_project(tmp_path, {"hp.py": "def work():\n    return 1\n"})
-        config = AnalysisConfig(hot_functions=("hp.gone",))
-        findings = HotPathRule().check(project, config)
-        assert len(findings) == 1
-        assert "does not exist" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

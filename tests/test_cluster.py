@@ -17,6 +17,7 @@ import pytest
 
 from repro.cluster import (
     CLUSTER_WORKLOADS,
+    ClusterConfig,
     ClusterCoordinator,
     ClusterSession,
     HashPartitioner,
@@ -32,7 +33,7 @@ from repro.errors import (
     SessionError,
     ValidationError,
 )
-from repro.io import PushSource
+from repro.io import MemorySource, PushSource
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.workloads.synthetic import SyntheticSource
@@ -270,6 +271,21 @@ class TestEligibility:
         with pytest.raises(ValidationError):
             ClusterCoordinator(execution="fibers")
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cpu_workers",
+            "capacity_tuples",
+            "task_size_bytes",
+            "liveness_interval",
+            "completion_timeout",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_sizes_and_intervals_are_refused(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ClusterConfig(**{field: value})
+
     def test_session_refuses_second_query(self):
         with ClusterSession(shards=2) as session:
             session.register_stream("Syn", SyntheticSource(seed=1, limit=64))
@@ -416,6 +432,34 @@ class TestShardFailureRecovery:
         )
         assert_byte_identical(merged, groupby_reference)
         assert stats["resubmits"] >= 1
+
+
+class TestCompletionTimeout:
+    def test_timeout_shorter_than_the_replay_drain_ends_the_run(self):
+        """A completion budget shorter than a replacement's re-drain of
+        the retained log used to resubmit the slot forever; now the run
+        finishes exact or fails naming the slot, after at most one
+        timeout resubmit per slot."""
+        data = materialise(CM1, 1 << 18)
+        reference = reference_output(CM1, data)
+        began = time.monotonic()
+        with ClusterSession(
+            shards=2, liveness_interval=0.01, completion_timeout=0.01
+        ) as session:
+            session.register_stream(CM1.stream, MemorySource(data.schema, data))
+            handle = session.sql(CM1.cql, name=CM1.name)
+            session.start()
+            try:
+                finished = session.wait(30.0)
+            except ExecutionError as exc:
+                assert "completion_timeout=0.01" in str(exc)
+                assert "shard " in str(exc)
+            else:
+                assert finished, "the run neither completed nor failed"
+                assert_byte_identical(handle.output(), reference)
+            stats = session.stats()
+        assert time.monotonic() - began < 30.0
+        assert stats["resubmits"] <= 2
 
 
 class TestProcessShardStartup:

@@ -34,7 +34,7 @@ from typing import Any, Callable
 from ..api import SaberSession
 from ..errors import SaberError
 from ..io.push import PushSource
-from ..io.records import batch_to_rows, rows_to_batch
+from ..io.records import rows_to_batch
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 
@@ -162,9 +162,9 @@ class ProcessShard:
     The child binds an ephemeral port and announces it on stdout
     (``listening on host:port``); the session then drives it over
     the serve protocol exactly as a remote engine would be driven over
-    TCP.  Ingest rows round-trip through JSON, which preserves every
-    value bit-for-bit (:mod:`repro.io.records`), so the merged output
-    stays byte-identical to a single-engine run.
+    TCP.  Ingest batches cross as binary push frames (the packed rows
+    themselves) and window results come back as binary chunks, so the
+    merged output stays byte-identical to a single-engine run.
     """
 
     transport = "serve"
@@ -238,10 +238,7 @@ class ProcessShard:
                     ServeClient(host, port, tenant=f"shard{shard_id}")
                 )
             self._client, self._results_client = self._clients
-            schema_spec = ", ".join(
-                f"{a.name}:{a.type_name}" for a in schema.attributes
-            )
-            self._client.register(stream, schema_spec, capacity=_CAPACITY_TUPLES)
+            self._client.register(stream, schema.spec, capacity=_CAPACITY_TUPLES)
             reply = self._client.submit(cql, name=query_name, windows=True)
             self._output_schema = Schema.parse(reply["schema"], name=query_name)
         except BaseException:
@@ -311,8 +308,8 @@ class ProcessShard:
                 return
 
     def push(self, batch: TupleBatch) -> int:
-        """Ingest one sub-batch over the serve protocol (JSONL rows)."""
-        accepted = self._client.push(self.stream, batch_to_rows(batch))
+        """Ingest one sub-batch over the serve protocol (a binary push)."""
+        accepted = self._client.push(self.stream, batch)
         self.tuples_pushed += accepted
         return accepted
 

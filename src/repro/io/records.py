@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -64,7 +65,40 @@ def as_batch(schema: Schema, records: Any) -> TupleBatch:
 
 
 def rows_to_batch(schema: Schema, rows: Iterable[Any]) -> TupleBatch:
-    """Build a batch from dict rows (by name) or sequence rows (by order)."""
+    """Build a batch from dict rows (by name) or sequence rows (by order).
+
+    Rows that are all tuples, all lists or all dicts are packed by one
+    ``np.array`` call; anything that call rejects takes the row-by-row
+    path, which converts column by column (numpy applies the same
+    per-value conversions either way) and names the offending row or
+    attribute in its :class:`ValidationError`.
+    """
+    rows = rows if isinstance(rows, list) else list(rows)
+    kinds = set(map(type, rows))
+    if len(kinds) == 1 and kinds <= {tuple, list, dict}:
+        try:
+            data = np.array(_as_tuples(schema, rows, kinds.pop()), dtype=schema.dtype)
+        except (ValueError, TypeError, OverflowError, KeyError):
+            pass
+        else:
+            return TupleBatch(schema, data)
+    return _rows_to_batch_by_row(schema, rows)
+
+
+def _as_tuples(schema: Schema, rows: "list[Any]", kind: type) -> "list[tuple]":
+    """Homogeneous rows as the tuples a structured ``np.array`` takes."""
+    if kind is tuple:
+        return rows
+    if kind is list:
+        return list(map(tuple, rows))
+    names = schema.attribute_names
+    if len(names) == 1:
+        return [(row[names[0]],) for row in rows]
+    return list(map(itemgetter(*names), rows))
+
+
+def _rows_to_batch_by_row(schema: Schema, rows: "list[Any]") -> TupleBatch:
+    """Row-at-a-time validation and column-wise conversion."""
     names = schema.attribute_names
     columns: "dict[str, list]" = {n: [] for n in names}
     count = 0

@@ -116,6 +116,11 @@ class Schema:
         return tuple(a.name for a in self.attributes)
 
     @cached_property
+    def spec(self) -> str:
+        """The ``"name:type, name:type"`` string :meth:`parse` reads."""
+        return ", ".join(f"{a.name}:{a.type_name}" for a in self.attributes)
+
+    @cached_property
     def tuple_size(self) -> int:
         """Size of one tuple in bytes under the fixed-width layout."""
         return sum(a.size_bytes for a in self.attributes)

@@ -1,8 +1,8 @@
 """``repro serve``: the long-lived multi-tenant serving layer.
 
 Everything a deployment needs to run SABER queries as a network
-service: the newline-delimited JSON frame protocol
-(:mod:`~repro.serve.protocol`), per-tenant session hosting with
+service: the newline-delimited JSON frame protocol, with binary row
+frames negotiated at ``hello`` (:mod:`~repro.serve.protocol`), per-tenant session hosting with
 admission control and load shedding (:mod:`~repro.serve.tenants`), the
 daemon itself (:mod:`~repro.serve.server`) and a blocking client
 (:mod:`~repro.serve.client`).  The ``/metrics`` endpoint renders a

@@ -21,6 +21,14 @@ documentation examples use::
         client.push("trades", [{"timestamp": i, "price": 1.0} for i in range(256)])
         client.close_stream("trades")
         chunks, done = client.results("sums", timeout=10.0)
+
+Rows cross the wire as bytes wherever the client can do it: it asks
+for binary ``chunk`` frames at ``hello`` and pushes every stream it
+registered itself as a binary ``push`` (rows packed in the stream's
+tuple layout).  Rows that do not pack, and streams registered on
+another connection, go as JSON rows, so the server validates them
+exactly as it validates any JSON client.  Binary chunks are decoded to
+the same dicts a JSON chunk carries.
 """
 
 from __future__ import annotations
@@ -29,7 +37,17 @@ import json
 import socket
 from typing import Any
 
-from .protocol import MAX_FRAME_BYTES, ProtocolError, encode_frame
+from ..errors import SaberError
+from ..io.records import as_batch, batch_to_rows
+from ..relational.schema import Schema
+from ..relational.tuples import TupleBatch
+from .protocol import (
+    MAX_FRAME_BYTES,
+    ProtocolError,
+    decode_binary,
+    encode_binary,
+    encode_frame,
+)
 
 __all__ = ["ServeClient"]
 
@@ -47,11 +65,21 @@ class ServeClient:
         """Connect and perform the ``hello`` handshake; ``timeout`` is
         the socket-level cap on waiting for any single server frame."""
         self.tenant = tenant
+        #: schemas of the streams registered on this connection.
+        self._schemas: "dict[str, Schema]" = {}
+        #: parsed ``schema`` specs of binary chunks seen so far.
+        self._chunk_schemas: "dict[str, Schema]" = {}
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("rb")
         self._closed = False
-        self.server_info = self.request({"type": "hello", "tenant": tenant})
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.server_info = self.request(
+                {"type": "hello", "tenant": tenant, "codec": "binary"}
+            )
+        except BaseException:
+            self._drop()
+            raise
 
     # -- plumbing --------------------------------------------------------------
 
@@ -59,18 +87,47 @@ class ServeClient:
         raw = self._reader.readline(MAX_FRAME_BYTES + 2)
         if not raw:
             raise ProtocolError("closed", "the server closed the connection")
-        frame = json.loads(raw)
+        try:
+            frame = json.loads(raw)
+        except ValueError:
+            frame = None
         if not isinstance(frame, dict) or "type" not in frame:
             raise ProtocolError("bad-frame", f"unintelligible server frame: {raw!r}")
+        if frame["type"] == "chunk" and "bytes" in frame:
+            frame["rows"] = self._read_chunk_rows(frame)
         return frame
+
+    def _read_chunk_rows(self, frame: "dict[str, Any]") -> "list[dict[str, Any]]":
+        """Read a binary chunk's payload and decode it to row dicts."""
+        size, spec = frame["bytes"], frame.get("schema")
+        if not isinstance(size, int) or size < 0 or not isinstance(spec, str):
+            raise ProtocolError("bad-frame", f"malformed binary chunk header: {frame!r}")
+        payload = self._reader.read(size)
+        if len(payload) < size:
+            raise ProtocolError(
+                "closed", f"the server closed the connection {len(payload)} "
+                f"bytes into a {size}-byte chunk"
+            )
+        schema = self._chunk_schemas.get(spec)
+        if schema is None:
+            try:
+                schema = Schema.parse(spec, name=str(frame.get("query")))
+            except SaberError as exc:
+                raise ProtocolError("bad-frame", f"bad chunk schema: {exc}") from None
+            self._chunk_schemas[spec] = schema
+        return batch_to_rows(decode_binary(schema, payload))
 
     def request(self, frame: "dict[str, Any]") -> "dict[str, Any]":
         """Send one frame and return the terminal ``ok`` frame's fields
         (raising :class:`ProtocolError` on an ``error`` frame).  Any
         ``chunk`` frames are collected under the key ``"chunks"``."""
+        return self._exchange(encode_frame(frame))
+
+    def _exchange(self, data: bytes) -> "dict[str, Any]":
+        """Send one encoded request and read frames up to its reply."""
         if self._closed:
             raise ProtocolError("closed", "client is closed")
-        self._sock.sendall(encode_frame(frame))
+        self._sock.sendall(data)
         chunks: "list[list[dict[str, Any]]]" = []
         windows: "list[int | None]" = []
         while True:
@@ -108,7 +165,10 @@ class ServeClient:
             frame["capacity"] = capacity
         if policy is not None:
             frame["policy"] = policy
-        return self.request(frame)
+        reply = self.request(frame)
+        # The server parsed the same spec, so this cannot fail.
+        self._schemas[stream] = Schema.parse(schema, name=stream)
+        return reply
 
     def submit(
         self, cql: str, name: "str | None" = None, windows: bool = False
@@ -125,8 +185,24 @@ class ServeClient:
             frame["windows"] = True
         return self.request(frame)
 
-    def push(self, stream: str, rows: "list[Any]") -> int:
-        """Push rows into a registered stream; returns tuples accepted."""
+    def push(self, stream: str, rows: "list[Any] | TupleBatch") -> int:
+        """Push rows (or a batch) into a registered stream; returns
+        tuples accepted.
+
+        A stream registered on this connection goes as one binary frame
+        when the rows pack into its schema; anything else goes as JSON
+        rows for the server to validate (and reject) as usual."""
+        schema = self._schemas.get(stream)
+        if schema is not None:
+            try:
+                batch = as_batch(schema, rows)
+            except (SaberError, TypeError, ValueError):
+                pass
+            else:
+                frame = {"type": "push", "stream": stream}
+                return int(self._exchange(encode_binary(frame, batch))["accepted"])
+        if isinstance(rows, TupleBatch):
+            rows = batch_to_rows(rows)
         reply = self.request({"type": "push", "stream": stream, "rows": rows})
         return int(reply["accepted"])
 
@@ -193,12 +269,14 @@ class ServeClient:
         except OSError:
             pass
         finally:
+            self._drop()
+
+    def _drop(self) -> None:
+        """Close the socket without a goodbye."""
+        self._closed = True
+        for closeable in (self._reader, self._sock):
             try:
-                self._reader.close()
-            except OSError:
-                pass
-            try:
-                self._sock.close()
+                closeable.close()
             except OSError:
                 pass
 

@@ -6,7 +6,9 @@ raw tuples to a small verb set.  Client-to-server frames carry a
 ``type`` field:
 
 =============  =============================================================
-``hello``      open a tenant context: ``{"type":"hello","tenant":"acme"}``
+``hello``      open a tenant context: ``{"type":"hello","tenant":"acme"}``;
+               optional ``codec`` (``json``/``binary``) picks how this
+               connection receives ``chunk`` frames (default ``json``)
 ``register``   register a push stream: ``stream``, ``schema`` (a
                ``"name:type, ..."`` spec), optional ``capacity`` (tuples)
                and ``policy`` (``block``/``error``/``drop_oldest``)
@@ -14,8 +16,9 @@ raw tuples to a small verb set.  Client-to-server frames carry a
                ``windows`` (bool) asks for *per-window* result chunks, each
                ``chunk`` frame then carrying the global window id in a
                ``window`` field (the cluster shard transport)
-``push``       ingest rows: ``stream``, ``rows`` (list of objects keyed by
-               attribute name, or arrays in schema order)
+``push``       ingest rows: ``stream`` and exactly one of ``rows`` (list of
+               objects keyed by attribute name, or arrays in schema order)
+               or ``bytes`` (a binary frame, below)
 ``results``    drain ordered output chunks: ``query``, optional
                ``max_chunks`` and ``timeout`` (seconds)
 ``close``      with ``stream``: end-of-stream for that stream; without:
@@ -29,6 +32,18 @@ Server-to-client frames are ``ok`` (request-specific fields), ``chunk``
 ``results`` request) and ``error`` (``code`` + ``message``).  Every
 request produces exactly one terminal ``ok``/``error`` frame, so a
 client can run the protocol strictly request-response.
+
+**Binary frames.**  A frame whose header line carries ``bytes: N`` is
+followed by exactly N raw bytes: rows packed in the stream's
+:attr:`~repro.relational.schema.Schema.dtype`, the engine's own tuple
+layout, read back with ``np.frombuffer``.  The server accepts a binary
+``push`` (``{"type":"push","stream":S,"bytes":N}``) on any connection,
+since the header describes itself.  It sends binary chunks
+(``{"type":"chunk","query":Q,"schema":SPEC,"bytes":N}``, plus
+``window`` in windows mode) only on a connection whose ``hello`` asked
+for ``"codec":"binary"``; that ``hello``'s ``ok`` echoes ``codec``.
+JSON stays the ``nc``-able debug path: a connection that never asks
+sees exactly the JSON frames above.
 
 Malformed input is rejected with a typed :class:`ProtocolError` whose
 ``code`` is stable for clients to dispatch on (``bad-json``,
@@ -44,25 +59,37 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from ..errors import SaberError
+from ..io.records import batch_to_rows
+from ..relational.schema import Schema
+from ..relational.tuples import TupleBatch
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "CODECS",
     "ProtocolError",
     "parse_frame",
     "encode_frame",
+    "encode_binary",
+    "decode_binary",
     "ok_frame",
     "error_frame",
     "chunk_frame",
+    "encode_chunk",
 ]
 
 #: protocol revision carried in the ``hello`` response.
 PROTOCOL_VERSION = 1
 
-#: reject lines longer than this before attempting to parse them; a
-#: push of ~64 K numeric rows stays comfortably below it.
+#: reject lines (and binary payloads) longer than this before reading
+#: them; a push of ~64 K numeric rows stays comfortably below it.
 MAX_FRAME_BYTES = 8 << 20
+
+#: the ``codec`` values a ``hello`` may ask for.
+CODECS = ("json", "binary")
 
 
 class ProtocolError(SaberError):
@@ -84,6 +111,7 @@ class ProtocolError(SaberError):
 _FRAME_FIELDS: "dict[str, dict[str, tuple[tuple[type, ...], bool]]]" = {
     "hello": {
         "tenant": ((str,), True),
+        "codec": ((str,), False),
     },
     "register": {
         "stream": ((str,), True),
@@ -98,7 +126,8 @@ _FRAME_FIELDS: "dict[str, dict[str, tuple[tuple[type, ...], bool]]]" = {
     },
     "push": {
         "stream": ((str,), True),
-        "rows": ((list,), True),
+        "rows": ((list,), False),
+        "bytes": ((int,), False),
     },
     "results": {
         "query": ((str,), True),
@@ -174,12 +203,50 @@ def parse_frame(line: "str | bytes") -> "dict[str, Any]":
                 f"{frame_type!r} frame field {name!r} must be {expected}, "
                 f"got {type(value).__name__}",
             )
+    if frame_type == "hello" and frame.get("codec", "json") not in CODECS:
+        raise ProtocolError(
+            "bad-field",
+            f"'hello' frame field 'codec' must be one of {list(CODECS)}, "
+            f"got {frame['codec']!r}",
+        )
+    if frame_type == "push":
+        # Carrying both is refused by the server once the payload has
+        # been read, so the connection stays in step.
+        if "rows" not in frame and "bytes" not in frame:
+            raise ProtocolError(
+                "bad-field", "'push' frame is missing field 'rows'"
+            )
+        if frame.get("bytes", 0) < 0:
+            raise ProtocolError(
+                "bad-field", f"'push' frame field 'bytes' is negative: {frame['bytes']}"
+            )
     return frame
 
 
 def encode_frame(frame: "dict[str, Any]") -> bytes:
     """Serialise a frame as one UTF-8 JSON line (trailing newline)."""
     return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def encode_binary(frame: "dict[str, Any]", batch: TupleBatch) -> bytes:
+    """A binary frame: ``frame`` plus ``bytes: N`` as the header line,
+    then the N bytes of ``batch``'s packed rows."""
+    payload = batch.data.tobytes()
+    return encode_frame({**frame, "bytes": len(payload)}) + payload
+
+
+def decode_binary(schema: Schema, payload: bytes) -> TupleBatch:
+    """The rows of a binary frame's payload, as a read-only batch view.
+
+    Raises ``bad-rows`` unless the payload is a whole number of tuples.
+    """
+    if len(payload) % schema.tuple_size:
+        raise ProtocolError(
+            "bad-rows",
+            f"{len(payload)} bytes is not a whole number of "
+            f"{schema.tuple_size}-byte tuples of {schema.name!r}",
+        )
+    return TupleBatch(schema, np.frombuffer(payload, dtype=schema.dtype))
 
 
 def ok_frame(**fields: Any) -> "dict[str, Any]":
@@ -201,3 +268,16 @@ def chunk_frame(
     if window is not None:
         frame["window"] = int(window)
     return frame
+
+
+def encode_chunk(
+    query: str, batch: TupleBatch, window: "int | None", binary: bool
+) -> bytes:
+    """One encoded ``chunk`` frame: JSON rows, or with ``binary`` the
+    batch's packed rows under a header naming their schema."""
+    if not binary:
+        return encode_frame(chunk_frame(query, batch_to_rows(batch), window))
+    header: "dict[str, Any]" = {"type": "chunk", "query": query, "schema": batch.schema.spec}
+    if window is not None:
+        header["window"] = int(window)
+    return encode_binary(header, batch)

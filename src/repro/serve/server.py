@@ -46,7 +46,7 @@ from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
-    chunk_frame,
+    encode_chunk,
     encode_frame,
     error_frame,
     ok_frame,
@@ -434,7 +434,7 @@ class SaberServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """One client connection: hello-first admission, then frames."""
-        tenant: "Tenant | None" = None
+        link = _Connection(conn)
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = conn.makefile("rb")
@@ -459,25 +459,43 @@ class SaberServer:
                     self.errors_total.inc(code=exc.code)
                     self._send(conn, error_frame(exc.code, str(exc)))
                     continue
+                payload = None
+                if frame["type"] == "push" and "bytes" in frame:
+                    size = frame["bytes"]
+                    if size > MAX_FRAME_BYTES:
+                        # Skipping the payload would mean reading it.
+                        self.errors_total.inc(code="frame-too-large")
+                        self._send(
+                            conn,
+                            error_frame(
+                                "frame-too-large",
+                                f"binary payload of {size} bytes exceeds the "
+                                f"{MAX_FRAME_BYTES}-byte limit",
+                            ),
+                        )
+                        return
+                    payload = reader.read(size)
+                    if len(payload) < size:
+                        return  # client went away mid-payload: push nothing
                 self.frames_total.inc(type=frame["type"])
                 if frame["type"] == "close" and "stream" not in frame:
                     self._send(conn, ok_frame(bye=True))
                     return
                 try:
-                    if tenant is None and frame["type"] != "hello":
+                    if link.tenant is None and frame["type"] != "hello":
                         raise ProtocolError(
                             "bad-frame",
                             "the first frame must be 'hello' naming a tenant",
                         )
-                    tenant = self._handle(conn, tenant, frame)
+                    self._handle(link, frame, payload)
                 except ProtocolError as exc:
                     self.errors_total.inc(code=exc.code)
                     self._send(conn, error_frame(exc.code, str(exc)))
                 except SaberError as exc:
                     self.errors_total.inc(code="internal")
                     self._send(conn, error_frame("internal", str(exc)))
-                if tenant is not None:
-                    tenant.touch()
+                if link.tenant is not None:
+                    link.tenant.touch()
         except (OSError, ValueError):
             return  # connection torn down mid-frame
         finally:
@@ -489,28 +507,33 @@ class SaberServer:
                 pass
 
     def _handle(
-        self, conn: socket.socket, tenant: "Tenant | None", frame: "dict[str, Any]"
-    ) -> "Tenant | None":
-        """Dispatch one parsed frame; returns the connection's tenant."""
+        self, link: "_Connection", frame: "dict[str, Any]", payload: "bytes | None"
+    ) -> None:
+        """Dispatch one parsed frame (``payload``: a binary push's rows)."""
         kind = frame["type"]
+        conn = link.sock
         if kind == "ping":
             self._send(conn, ok_frame(pong=True))
-            return tenant
+            return
         if kind == "hello":
-            tenant = self.admit(frame["tenant"])
+            link.tenant = self.admit(frame["tenant"])
+            fields = {"codec": frame["codec"]} if "codec" in frame else {}
+            link.binary = frame.get("codec") == "binary"
             self._send(
                 conn,
                 ok_frame(
                     server="repro-serve",
                     version=PROTOCOL_VERSION,
-                    tenant=tenant.name,
+                    tenant=link.tenant.name,
+                    **fields,
                 ),
             )
-            return tenant
+            return
+        tenant = link.tenant
         assert tenant is not None  # enforced by the caller
         if kind == "stats":
             self._send(conn, ok_frame(stats=self.stats()))
-            return tenant
+            return
         if self._draining and kind in ("register", "submit", "push"):
             raise ProtocolError(
                 "shutting-down", "the server is draining; no new work admitted"
@@ -531,34 +554,42 @@ class SaberServer:
             )
             self._send(conn, ok_frame(**fields))
         elif kind == "push":
-            accepted = tenant.push(frame["stream"], frame["rows"])
+            if payload is not None and "rows" in frame:
+                raise ProtocolError(
+                    "bad-field", "'push' frame carries both 'rows' and 'bytes'"
+                )
+            rows = frame["rows"] if payload is None else payload
+            accepted = tenant.push(frame["stream"], rows)
             self._send(conn, ok_frame(accepted=accepted))
         elif kind == "results":
+            query = frame["query"]
             chunks, done = tenant.results(
-                frame["query"],
+                query,
                 max_chunks=frame.get("max_chunks", 16),
                 timeout=float(frame.get("timeout", 5.0)),
             )
-            for entry in chunks:
-                if isinstance(entry, dict):  # windows-mode: {"window", "rows"}
-                    self._send(
-                        conn,
-                        chunk_frame(
-                            frame["query"], entry["rows"], window=entry["window"]
-                        ),
-                    )
-                else:
-                    self._send(conn, chunk_frame(frame["query"], entry))
-            self._send(
-                conn, ok_frame(query=frame["query"], chunks=len(chunks), done=done)
-            )
+            reply = [
+                encode_chunk(query, batch, window, link.binary)
+                for window, batch in chunks
+            ]
+            reply.append(encode_frame(ok_frame(query=query, chunks=len(chunks), done=done)))
+            conn.sendall(b"".join(reply))
         elif kind == "close":
             tenant.close_stream(frame["stream"])
             self._send(conn, ok_frame(stream=frame["stream"], closed=True))
         else:  # pragma: no cover - parse_frame already rejects unknowns
             raise ProtocolError("unknown-type", f"unhandled frame type {kind!r}")
-        return tenant
 
     @staticmethod
     def _send(conn: socket.socket, frame: "dict[str, Any]") -> None:
         conn.sendall(encode_frame(frame))
+
+
+class _Connection:
+    """One client connection's state: its socket, tenant and codec."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.tenant: "Tenant | None" = None
+        #: the ``hello`` asked for binary ``chunk`` frames.
+        self.binary = False

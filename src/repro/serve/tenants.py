@@ -15,10 +15,12 @@ contract is surfaced as a tenant *lifecycle*:
    windows flush, and the tenant's queries complete (``done``).
 
 Results are delivered through per-query bounded backlogs: a sink
-callback appends every ordered output chunk (rows materialised to
-plain dicts on the emitting worker) and ``results`` requests drain
-them.  The backlog cap (:attr:`TenantQuotas.max_result_backlog_chunks`)
-bounds a slow consumer's memory; overflow drops the *oldest* chunk and
+callback appends every ordered output chunk as the engine's own
+:class:`~repro.relational.tuples.TupleBatch` (no copy: emitted batches
+are never reused) and ``results`` requests drain them; rows become
+dicts only when a chunk goes out to a JSON connection.  The backlog
+cap (:attr:`TenantQuotas.max_result_backlog_chunks`) bounds a slow
+consumer's memory; overflow drops the *oldest* chunk and
 counts it (``saber_result_backlog_dropped_total``) — under the
 ``block`` ingest policy and a live consumer this never fires, which is
 exactly what the soak test asserts.
@@ -56,10 +58,10 @@ from ..errors import (
 )
 from ..io.base import BackpressurePolicy
 from ..io.push import PushSource
-from ..io.records import batch_to_rows
 from ..metrics import MetricsRegistry, engine_samples
 from ..relational.schema import Schema
-from .protocol import ProtocolError
+from ..relational.tuples import TupleBatch
+from .protocol import ProtocolError, decode_binary
 
 __all__ = ["TenantQuotas", "Tenant"]
 
@@ -107,24 +109,24 @@ class TenantQuotas:
 class _ResultQueue:
     """Bounded backlog of one query's output chunks.
 
-    Entries are row lists (rows as dicts); windows-mode queries queue
-    ``{"window": wid, "rows": [...]}`` dicts instead.
+    Entries are ``(window, rows)``: the global window id (windows-mode
+    queries only, else ``None``) and the chunk's batch.
     """
 
     def __init__(self, cap: int) -> None:
         self._cond = make_condition("serve.tenants._ResultQueue._cond")
-        self._chunks: "deque[Any]" = deque()
+        self._chunks: "deque[tuple[int | None, TupleBatch]]" = deque()
         self._cap = cap
         #: chunks discarded because the backlog hit its cap.
         self.dropped = 0
 
-    def append(self, rows: Any) -> None:
+    def append(self, window: "int | None", rows: TupleBatch) -> None:
         """Queue one chunk, dropping (and counting) the oldest when full."""
         with self._cond:
             if len(self._chunks) >= self._cap:
                 self._chunks.popleft()
                 self.dropped += 1
-            self._chunks.append(rows)
+            self._chunks.append((window, rows))
             self._cond.notify_all()
 
     def wake(self) -> None:
@@ -136,11 +138,13 @@ class _ResultQueue:
         with self._cond:
             return len(self._chunks)
 
-    def drain(self, max_chunks: int, timeout: float, done: Any) -> "list[Any]":
+    def drain(
+        self, max_chunks: int, timeout: float, done: Any
+    ) -> "list[tuple[int | None, TupleBatch]]":
         """Up to ``max_chunks`` chunks, waiting ``timeout`` seconds for
         the first one unless ``done()`` says the query has completed."""
         deadline = time.monotonic() + timeout
-        chunks: "list[Any]" = []
+        chunks: "list[tuple[int | None, TupleBatch]]" = []
         with self._cond:
             while not self._chunks:
                 if done():
@@ -250,11 +254,10 @@ class Tenant:
         ``windows=True`` switches the query to per-window delivery: the
         engine routes every window through the result-stage assembly
         path (:attr:`~repro.core.query.Query.force_assembly`) and the
-        backlog queues ``{"window": wid, "rows": [...]}`` entries — one
-        per finalised window, in strictly increasing window-id order —
-        instead of plain row lists.  The rows are byte-for-byte the same
-        either way; this is the cluster session's remote-shard
-        transport."""
+        backlog queues one chunk per finalised window, tagged with its
+        id, in strictly increasing window-id order.  The rows are
+        byte-for-byte the same either way; this is the cluster
+        session's remote-shard transport."""
         with self._lock:
             self._check_open()
             if self._active:
@@ -281,36 +284,33 @@ class Tenant:
                 raise ProtocolError("bad-cql", str(exc)) from None
             except (QueryError, SchemaError, SessionError) as exc:
                 raise ProtocolError("bad-cql", str(exc)) from None
-            # Sinks run on the emitting worker thread: only materialise
-            # and enqueue there.
+            # Sinks run on the emitting worker thread: only enqueue there.
             if windows:
                 handle.query.force_assembly = True
                 handle.add_window_sink(
-                    lambda wid, rows: backlog.append(
-                        {"window": int(wid), "rows": batch_to_rows(rows)}
-                    )
+                    lambda wid, rows: backlog.append(int(wid), rows)
                 )
                 # The window sink carries every output row; a no-op row
                 # sink keeps the handle from double-buffering chunks.
                 handle.add_sink(lambda batch: None)
             else:
-                handle.add_sink(lambda batch: backlog.append(batch_to_rows(batch)))
+                handle.add_sink(lambda batch: backlog.append(None, batch))
             self._queries[query_name] = backlog
-            out = handle.query.output_schema
             return {
                 "query": query_name,
-                "schema": ", ".join(
-                    f"{a.name}:{a.type_name}" for a in out.attributes
-                ),
+                "schema": handle.query.output_schema.spec,
             }
 
     # -- the data plane --------------------------------------------------------
 
-    def push(self, stream: str, rows: "list[Any]") -> int:
-        """Ingest rows; activates the session on first data.  Returns
-        the number of tuples accepted."""
+    def push(self, stream: str, rows: "list[Any] | bytes") -> int:
+        """Ingest rows — JSON rows, or a binary frame's packed payload;
+        activates the session on first data.  Returns the number of
+        tuples accepted."""
         source = self._stream(stream)
         self._maybe_activate()
+        if isinstance(rows, bytes):
+            rows = decode_binary(source.schema, rows)
         try:
             return source.push(rows)
         except BackpressureError as exc:
@@ -326,10 +326,10 @@ class Tenant:
         query: str,
         max_chunks: int = 16,
         timeout: float = 5.0,
-    ) -> "tuple[list[list[dict[str, Any]]], bool]":
-        """Drain up to ``max_chunks`` buffered chunks for ``query``,
-        waiting up to ``timeout`` seconds for the first one; returns
-        ``(chunks, done)``."""
+    ) -> "tuple[list[tuple[int | None, TupleBatch]], bool]":
+        """Drain up to ``max_chunks`` buffered ``(window, rows)`` chunks
+        for ``query``, waiting up to ``timeout`` seconds for the first
+        one; returns ``(chunks, done)``."""
         with self._lock:
             self._check_open()
             backlog = self._queries.get(query)

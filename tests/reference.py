@@ -9,10 +9,12 @@ first principles.
 from __future__ import annotations
 
 import timeit
+from collections.abc import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.errors import ValidationError
 from repro.operators.aggregate_functions import finalize
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -487,6 +489,53 @@ def schemas_and_rows(draw, max_rows: int = 48) -> "tuple[Schema, np.ndarray]":
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw = rng.bytes(n * abs(step) * schema.tuple_size)
     return schema, np.frombuffer(raw, dtype=schema.dtype)[::step]
+
+
+# -- rows to a batch, one row at a time -------------------------------------------
+#
+# ``repro.io.records.rows_to_batch`` before it packed homogeneous rows with one
+# ``np.array`` call: the byte-for-byte (and error-for-error) oracle.
+
+
+def rows_to_batch_by_row(schema: Schema, rows) -> TupleBatch:
+    """Build a batch from dict rows (by name) or sequence rows (by order)."""
+    names = schema.attribute_names
+    columns: "dict[str, list]" = {n: [] for n in names}
+    count = 0
+    for row in rows:
+        count += 1
+        if isinstance(row, dict):
+            try:
+                for n in names:
+                    columns[n].append(row[n])
+            except KeyError as exc:
+                raise ValidationError(
+                    f"row {count} is missing attribute {exc.args[0]!r} of "
+                    f"schema {schema.name!r}"
+                ) from None
+        elif isinstance(row, Sequence) and not isinstance(row, (str, bytes)):
+            if len(row) != len(names):
+                raise ValidationError(
+                    f"row {count} has {len(row)} values; schema "
+                    f"{schema.name!r} has {len(names)} attributes"
+                )
+            for n, value in zip(names, row):
+                columns[n].append(value)
+        else:
+            raise ValidationError(
+                f"row {count} is a {type(row).__name__}; expected a dict or "
+                "a sequence of attribute values"
+            )
+    data = np.empty(count, dtype=schema.dtype)
+    for attr in schema.attributes:
+        try:
+            data[attr.name] = np.asarray(columns[attr.name], dtype=attr.dtype)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValidationError(
+                f"attribute {attr.name!r} of schema {schema.name!r} cannot "
+                f"be converted to {attr.type_name}: {exc}"
+            ) from None
+    return TupleBatch(schema, data)
 
 
 def best_of(move, repeat: int = 5, number: int = 20) -> float:

@@ -5,6 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from reference import ATTRIBUTE_TYPES, rows_to_batch_by_row
 
 from repro.errors import (
     BackpressureError,
@@ -40,6 +43,43 @@ def batch(n, start=0):
         v=np.arange(start, start + n, dtype=np.int32),
         x=(np.arange(start, start + n) * 0.5).astype(np.float32),
     )
+
+
+_PAIR = Schema.parse("a0:long, a1:int", name="S")
+#: values every attribute type converts.
+_CLEAN = st.one_of(st.integers(-(2**31), 2**31 - 1), st.floats(-1e6, 1e6))
+#: values some or all attribute types reject (or convert surprisingly).
+_DIRTY = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["5", "-7", "1.5", "x", "nan", "", " 2 ", "1e5"]),
+    st.just([1]),
+)
+
+
+@st.composite
+def rows_and_schema(draw):
+    """A 1–4 attribute schema and up to six rows under it: tuples, lists
+    or dicts (sometimes mixed), clean or with dirty values, and now and
+    then a row one value short or long (a missing key, for a dict)."""
+    types = draw(st.lists(st.sampled_from(ATTRIBUTE_TYPES), min_size=1, max_size=4))
+    schema = Schema.parse(", ".join(f"a{i}:{t}" for i, t in enumerate(types)), name="S")
+    clean = draw(st.booleans())
+    values = _CLEAN if clean else st.one_of(_CLEAN, _DIRTY)
+    shape = draw(st.sampled_from(["tuple", "list", "dict", "mixed"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["tuple", "list", "dict"])) if shape == "mixed" else shape
+        row = [draw(values) for _ in types]
+        if not clean and draw(st.integers(0, 7)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + [0]
+        if kind == "dict":
+            rows.append(dict(zip(schema.attribute_names, row)))
+        else:
+            rows.append(tuple(row) if kind == "tuple" else row)
+    return schema, rows
 
 
 class TestRecords:
@@ -84,6 +124,33 @@ class TestRecords:
 
         with pytest.raises(ValidationError, match="not a valid int"):
             csv_to_rows(SCHEMA, ["1,notanint,0.5"])
+
+    @given(rows_and_schema())
+    @example((_PAIR, [(1, 2**31)]))  # int32 overflow, tuples
+    @example((_PAIR, [[2**63, 1]]))  # int64 overflow, lists
+    @example((_PAIR, [{"a0": float("nan"), "a1": 1}]))  # NaN into an int
+    @example((_PAIR, [{"a0": 1, "a1": None}]))  # None into an int
+    @example((_PAIR, [{"a0": 1}]))  # a missing key
+    @example((_PAIR, [(1, 2), (1, 2, 3)]))  # a wrong width
+    @example((_PAIR, [("5", "x")]))  # strings
+    def test_bulk_pack_matches_the_row_loop(self, case):
+        """The one-call pack builds the same bytes as the row-at-a-time
+        oracle, or fails with the same error type and message."""
+        schema, rows = case
+        try:
+            expected = rows_to_batch_by_row(schema, rows)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            with pytest.raises(type(exc)) as err:
+                rows_to_batch(schema, rows)
+            assert str(err.value) == str(exc)
+        else:
+            got = rows_to_batch(schema, rows)
+            assert got.data.dtype == expected.data.dtype
+            assert got.data.tobytes() == expected.data.tobytes()
+
+    def test_an_iterator_of_rows_is_accepted(self):
+        rows = batch_to_rows(batch(4))
+        assert rows_to_batch(SCHEMA, iter(rows)).data.tobytes() == batch(4).data.tobytes()
 
 
 class TestMemorySource:

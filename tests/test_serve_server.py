@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.io.records import batch_to_rows
 from repro.serve import (
     ProtocolError,
     SaberServer,
@@ -233,8 +234,8 @@ class TestGracefulShutdown:
         backlog = tenant._queries["q"]
         total = 0.0
         while len(backlog):
-            for rows in backlog.drain(64, 0.0, lambda: True):
-                total += sum(r["total"] for r in rows)
+            for _window, batch in backlog.drain(64, 0.0, lambda: True):
+                total += sum(r["total"] for r in batch_to_rows(batch))
         assert total == 256.0
 
     def test_shutdown_is_idempotent(self):

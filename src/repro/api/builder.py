@@ -31,9 +31,9 @@ plan shape                                compiled operator
 ``a.join(b, on=...)``                     ``ThetaJoin``
 ========================================  =====================================
 
-Compose chains (``FilteredWindows`` / ``ProjectedWindows``) are compiled
-further into one single-pass kernel by the engine's query-fusion layer
-(:mod:`repro.core.fusion`) unless ``SaberConfig(fusion="off")``.
+Compose chains (``FilteredWindows`` / ``ProjectedWindows``) run all
+their stages in one pass over the task's batch, with no intermediate
+batch between them (:mod:`repro.operators.compose`).
 
 Validation that the old ad-hoc ``Query`` wiring deferred to run time —
 unknown columns, HAVING without GROUP BY, missing windows, window/arity

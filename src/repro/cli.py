@@ -36,7 +36,7 @@ import sys
 
 from .api import SaberSession
 from .core.engine import SaberConfig
-from .errors import ValidationError
+from .errors import SaberError, ValidationError
 from .hardware.slots import EXECUTIONS, device_slots
 from .hardware.specs import DEFAULT_SPEC
 from .io import FileReplaySource, FileSink, write_batch
@@ -89,11 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "or forked worker processes (shared memory, POSIX only); "
              "outside sim the GPGPU slot is the executable accelerator",
     )
-    run.add_argument(
-        "--fusion", choices=["auto", "off"], default="auto",
-        help="query fusion: compile eligible operator chains into one "
-             "single-pass kernel (auto) or run the unfused chain (off)",
-    )
     run.add_argument("--seed", type=int, default=1, help="workload seed")
     run.add_argument(
         "--rate", type=int, default=256,
@@ -142,11 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--backpressure", choices=["block", "error", "drop_oldest"],
         default="block", help="policy when the input buffers fill",
-    )
-    replay.add_argument(
-        "--fusion", choices=["auto", "off"], default="auto",
-        help="query fusion: fused single-pass kernels (auto) or the "
-             "unfused operator chain (off)",
     )
     replay.add_argument(
         "--show-rows", type=int, default=5, help="result rows to print"
@@ -311,7 +301,6 @@ def _command_run(args: argparse.Namespace) -> int:
         use_gpu=not args.no_gpu,
         scheduler=args.scheduler,
         execution=args.execution,
-        fusion=args.fusion,
     )
     with SaberSession(config) as session:
         if args.cql:
@@ -356,7 +345,6 @@ def _command_replay(args: argparse.Namespace) -> int:
         use_gpu=not args.no_gpu,
         execution=args.execution,
         backpressure=args.backpressure,
-        fusion=args.fusion,
         collect_output=True,
     )
     sink = FileSink(args.sink) if args.sink else None
@@ -514,15 +502,19 @@ def main(argv: "list[str] | None" = None) -> int:
         return _command_list()
     if args.command == "hardware":
         return _command_hardware()
-    if args.command == "replay":
-        return _command_replay(args)
     if args.command == "record":
         return _command_record(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "cluster":
         return _command_cluster(args)
-    return _command_run(args)
+    command = _command_replay if args.command == "replay" else _command_run
+    try:
+        return command(args)
+    except SaberError as exc:
+        # Bad arguments (sizes, counts, CQL) surface as library errors.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

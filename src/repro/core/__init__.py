@@ -16,7 +16,6 @@ from .scheduler import (
 )
 from .result_stage import EmittedResult, ResultStage
 from .engine import Report, SaberConfig, SaberEngine
-from .fusion import FusedKernel, fuse_operator, fusion_eligible
 from .cql import compile_statement
 
 __all__ = [
@@ -41,8 +40,5 @@ __all__ = [
     "SaberConfig",
     "SaberEngine",
     "Report",
-    "FusedKernel",
-    "fuse_operator",
-    "fusion_eligible",
     "compile_statement",
 ]

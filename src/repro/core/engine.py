@@ -37,7 +37,6 @@ from .dispatcher import Dispatcher, Source
 from .executor import ThreadedExecutor
 from .executor_mp import ProcessExecutor, fork_available
 from .executor_sim import SimExecutor
-from .fusion import fuse_operator
 from .query import Query
 from .result_stage import ResultStage
 from .scheduler import (
@@ -106,14 +105,6 @@ class SaberConfig:
     backpressure: str = "block"
     #: circular input buffer capacity, in query tasks per input stream.
     buffer_capacity_tasks: int = 96
-    #: query fusion (:mod:`repro.core.fusion`): ``"auto"`` (default)
-    #: compiles eligible single-input operator chains (σ∘π, σ∘α,
-    #: σ∘π∘α, …) into one single-pass kernel at ``add_query``;
-    #: ``"off"`` runs the unfused compose chain with its intermediate
-    #: materialisations.  Outputs are bitwise-identical either way, on
-    #: every backend; joins and multi-input operators always run
-    #: unfused.
-    fusion: str = "auto"
     spec: HardwareSpec = DEFAULT_SPEC
 
     def __post_init__(self) -> None:
@@ -138,12 +129,12 @@ class SaberConfig:
             raise SimulationError("buffer_capacity_tasks must be positive")
         if self.queue_capacity <= 0:
             raise SimulationError("queue_capacity must be positive")
+        if self.task_size_bytes <= 0:
+            raise SimulationError("task_size_bytes must be positive")
         if self.scheduler not in ("hls", "fcfs", "static"):
             raise SimulationError(f"unknown scheduler {self.scheduler!r}")
         if self.scheduler == "static" and not self.static_assignment:
             raise SimulationError("static scheduling needs an assignment map")
-        if self.fusion not in ("auto", "off"):
-            raise SimulationError(f"unknown fusion mode {self.fusion!r} (expected 'auto' or 'off')")
 
 
 @dataclass
@@ -263,25 +254,12 @@ class SaberEngine:
         ``on_emit`` is forwarded to the query's :class:`ResultStage` as
         the per-query sink hook (called per ordered output chunk, on the
         emitting worker's thread).
-
-        Under ``SaberConfig(fusion="auto")`` the query's operator chain
-        is compiled here into a single-pass fused kernel when eligible
-        (``query.fused_operator``); every backend then executes the
-        fused kernel while ``query.operator`` remains the user-visible
-        plan.  Joins, multi-input operators and bare single-stage
-        operators are left unfused.
         """
         if self.config.execute_data and sources is None:
             raise SimulationError(
                 f"query {query.name!r}: sources are required unless "
                 "execute_data=False"
             )
-        # Set (or clear) the compiled kernel explicitly either way, so a
-        # query object re-submitted to an engine with a different fusion
-        # mode never carries a stale kernel along.
-        query.fused_operator = (
-            fuse_operator(query.operator) if self.config.fusion == "auto" else None
-        )
         if self.config.execute_data and sources is not None:
             for source in sources:
                 bind = getattr(source, "bind_stop", None)
@@ -450,7 +428,7 @@ class SaberEngine:
                     force_assembly=query.force_assembly,
                 )
             slices.append(StreamSlice(batch, windows, ref.start))
-        operator = query.execution_operator
+        operator = query.operator
         if processor == GPU:
             return self._gpu_device(operator, slices)
         return operator.process_batch(slices)

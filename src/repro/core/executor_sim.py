@@ -260,7 +260,7 @@ class SimExecutor:
         """Execute ``task`` now; schedule its completion in model time."""
         result = self.engine.execute(task, worker.processor)
         stats, output_bytes = self._task_stats(task, result)
-        profile = task.query.execution_operator.cost_profile()
+        profile = task.query.operator.cost_profile()
         if worker.processor == CPU:
             duration = self.cpu_model.task_seconds(profile, task.tuple_count, stats)
             duration *= self.cpu_model.contention_factor(self.config.cpu_workers)

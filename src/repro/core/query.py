@@ -68,14 +68,6 @@ class Query:
     #: the session registry resolves unbound inputs by these, falling back
     #: to the input schemas' names when absent (hand-built queries).
     stream_names: "list[str] | None" = field(default=None, repr=False, compare=False)
-    #: single-pass kernel compiled from the operator chain by the
-    #: query-fusion layer (:mod:`repro.core.fusion`); set by
-    #: ``SaberEngine.add_query`` under ``SaberConfig(fusion="auto")``
-    #: and ``None`` otherwise.  Execution stages run
-    #: :attr:`execution_operator`; :attr:`operator` remains the
-    #: user-visible (unfused) plan.  Outputs are bitwise-identical
-    #: either way — fusion only removes intermediate materialisations.
-    fused_operator: "Operator | None" = field(default=None, repr=False, compare=False)
     #: route *every* window through the result stage's assembly path
     #: (window fragments fully inside one task — COMPLETE — are
     #: classified CLOSING instead of taking the complete-batch fast
@@ -123,12 +115,9 @@ class Query:
 
     @property
     def execution_operator(self) -> Operator:
-        """The operator the execution stages actually run.
+        """Compatibility stub: the operator, as the engine runs it.
 
-        The fused kernel when fusion compiled one (its ``cost_profile``
-        presents the whole chain as one unit, so the hardware models and
-        HLS price the single fused pass), the user's operator otherwise.
-        Assembly payloads are exchangeable between the two, as the fused
-        kernel delegates its assembly hooks to the terminal operator.
+        Read only by ``benchmarks/saberbench/tracing.py``; delete it
+        when that file is next edited.
         """
-        return self.fused_operator if self.fused_operator is not None else self.operator
+        return self.operator

@@ -136,10 +136,7 @@ class ResultStage:
 
     def _process(self, slot: _Slot, now: float) -> "list[EmittedResult]":
         task, result = slot.task, slot.result
-        # Assembly runs through the operator that produced the payloads
-        # (the fused kernel delegates to its terminal, so fused and
-        # unfused payloads share one assembly algebra).
-        operator = self.query.execution_operator
+        operator = self.query.operator
         ready: list[int] = []
         self._closed_flags.update(result.closed_ids)
         for wid in sorted(result.partials):
@@ -172,7 +169,7 @@ class ResultStage:
         """Result rows of ``ready`` windows (ascending id), via the batched f_a."""
         if not ready:
             return None
-        rows, offsets = self.query.execution_operator.assemble_windows(ready)
+        rows, offsets = self.query.operator.assemble_windows(ready)
         if self.on_window is not None and rows is not None:
             for (wid, __), lo, hi in zip(ready, offsets[:-1], offsets[1:]):
                 if hi > lo:

@@ -47,17 +47,6 @@ class CpuModel:
             * profile.cpu_predicate_evaluations(selectivity)
             * s.cpu_predicate
         )
-        if profile.materialized_intermediates:
-            # Unfused operator chains compact survivors into a full
-            # intermediate batch per stage boundary; each surviving
-            # tuple is written out and re-deserialised by the next
-            # stage.  Fused kernels report 0 intermediates.
-            cost += (
-                tuples
-                * selectivity
-                * profile.materialized_intermediates
-                * s.cpu_materialize
-            )
         if profile.kind == "aggregation":
             cost += tuples * max(1, profile.aggregate_count) * s.cpu_aggregate
             if profile.has_group_by:

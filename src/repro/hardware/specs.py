@@ -59,14 +59,6 @@ class HardwareSpec:
     cpu_join_pair: float = 7e-9             # per candidate pair bookkeeping
     cpu_join_pair_predicate: float = 2e-9   # per extra join predicate per pair
     cpu_fragment_overhead: float = 250e-9   # per window fragment bookkeeping
-    #: write + re-read of one tuple of an intermediate batch between
-    #: unfused operator stages (σ∘π / σ∘α compose chains): the survivor
-    #: is copied into the compacted batch and the next stage lazily
-    #: deserialises it again — two extra memory touches, i.e. 2× the
-    #: per-tuple base cost.  Fused kernels (repro.core.fusion) skip the
-    #: intermediate entirely, which is what query fusion buys (§3's
-    #: single fused function per query).
-    cpu_materialize: float = 20e-9
     cpu_result_stage: float = 20e-6         # per-task result-stage work
     #: slowdown per excess worker beyond the physical cores (Fig. 14 plateau)
     cpu_oversubscription_penalty: float = 0.03

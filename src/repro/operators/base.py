@@ -85,15 +85,6 @@ class CostProfile:
         aggregate_count: number of aggregate functions maintained.
         has_group_by: whether a hash table is maintained per fragment.
         join_predicate_count: atomic predicates evaluated per tuple pair.
-        materialized_intermediates: intermediate ``TupleBatch``
-            materialisations the operator performs between chained
-            stages (an unfused σ∘π / σ∘α chain compacts survivors into
-            a full-width batch that the next stage re-reads).  The CPU
-            model charges a write + re-read per surviving tuple per
-            intermediate; a fused kernel
-            (:mod:`repro.core.fusion`) reports 0 here — the mechanism
-            that makes fusion visible to the calibrated simulation and
-            to HLS.
         cpu_evals_fn: optional map from the *measured* end-to-end
             selectivity to the number of atomic predicates a
             short-circuiting CPU evaluates per tuple.  Workloads set this
@@ -109,7 +100,6 @@ class CostProfile:
     aggregate_count: int = 0
     has_group_by: bool = False
     join_predicate_count: int = 0
-    materialized_intermediates: int = 0
     cpu_evals_fn: "Callable[[float], float] | None" = None
 
     @property

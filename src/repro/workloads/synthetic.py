@@ -285,9 +285,10 @@ def select_project_query(
 ) -> Query:
     """σ∘π: WHERE plus PROJ_m in one operator chain.
 
-    Compiles to ``FilteredWindows(σ, Projection)`` — the two-stage chain
-    the query-fusion layer collapses into one single-pass kernel.  The
-    stateless-heavy shape of Table 1's projection/selection mixes.
+    Compiles to ``FilteredWindows(σ, Projection)``, which runs both
+    stages in one pass: the projection reads gathered survivor columns,
+    with no intermediate batch.  The stateless-heavy shape of Table 1's
+    projection/selection mixes.
     """
     if not 1 <= m <= 6:
         raise ValueError("PROJ_m supports 1..6 attributes")
@@ -320,8 +321,8 @@ def spa_query(
 
     Survivors of the WHERE are projected through arithmetic expressions
     and the aggregates consume the *computed* column — the full
-    three-stage chain (``FilteredWindows(σ, ProjectedWindows(π, α))``)
-    whose two intermediate materialisations the fusion layer removes.
+    three-stage chain (``FilteredWindows(σ, ProjectedWindows(π, α))``),
+    run in one pass over lazily gathered and projected columns.
     """
     if isinstance(functions, str):
         functions = [functions]

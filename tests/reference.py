@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.operators.aggregate_functions import finalize
+from repro.operators.base import BatchResult, StreamSlice
+from repro.operators.compose import FilteredWindows, ProjectedWindows
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
-from repro.windows.assigner import FragmentState
+from repro.windows.assigner import FragmentState, WindowSet
 from repro.windows.definition import WindowDefinition
 
 
@@ -426,6 +428,42 @@ def collect(source, total: int, chunk: int) -> TupleBatch:
         chunks.append(source.next_tuples(n))
         remaining -= n
     return TupleBatch.concat(chunks)
+
+
+# -- composed operators, one materialised stage at a time ---------------------------
+#
+# ``FilteredWindows`` / ``ProjectedWindows`` before they ran in one pass: every
+# stage copies a full intermediate ``TupleBatch`` out for the next one.
+
+
+def process_materialised(operator, inputs: "list[StreamSlice]") -> BatchResult:
+    """``operator.process_batch(inputs)`` with each composed stage materialised."""
+    if isinstance(operator, FilteredWindows):
+        (slice_,) = inputs
+        batch, windows = slice_.batch, slice_.windows
+        mask = operator.predicate.evaluate(batch)
+        survivors = batch.filter(mask)
+        # Position i of the batch lands at prefix[i] survivors.
+        prefix = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum(mask, out=prefix[1:])
+        remapped = WindowSet(
+            window_ids=windows.window_ids,
+            starts=prefix[windows.starts],
+            ends=prefix[windows.ends],
+            states=windows.states,
+        )
+        result = process_materialised(
+            operator.inner, [StreamSlice(survivors, remapped, slice_.global_start)]
+        )
+        result.stats["selectivity"] = float(mask.mean()) if len(batch) else 0.0
+        return result
+    if isinstance(operator, ProjectedWindows):
+        (slice_,) = inputs
+        projected = operator.projection.process_batch(inputs).complete
+        return process_materialised(
+            operator.inner, [StreamSlice(projected, slice_.windows, slice_.global_start)]
+        )
+    return operator.process_batch(inputs)
 
 
 #: every attribute type a schema may carry

@@ -153,14 +153,13 @@ LEGACY_QUERIES = {
 }
 
 
-def _config(execution, fusion="auto"):
+def _config(execution):
     return dict(
         execution=execution,
         task_size_bytes=48 << 10,
         cpu_workers=4,
         queue_capacity=8,
         collect_output=True,
-        fusion=fusion,
     )
 
 
@@ -170,13 +169,8 @@ def fresh_sources(name):
 
 
 def run_legacy(name, tasks=TASKS, drain=False):
-    """The pre-refactor path: raw engine + hand-constructed operators.
-
-    Fusion is pinned off: this is the frozen pre-fusion oracle, so the
-    default-fused public path below is checked against genuinely
-    unfused execution.
-    """
-    engine = SaberEngine(SaberConfig(**_config("sim", fusion="off")))
+    """The pre-refactor path: raw engine + hand-constructed operators."""
+    engine = SaberEngine(SaberConfig(**_config("sim")))
     query = LEGACY_QUERIES[name]()
     engine.add_query(query, fresh_sources(name))
     report = engine.run(tasks_per_query=tasks)
@@ -185,10 +179,10 @@ def run_legacy(name, tasks=TASKS, drain=False):
     return report.outputs[name]
 
 
-def run_api(name, execution, tasks=TASKS, drain=False, fusion="auto"):
+def run_api(name, execution, tasks=TASKS, drain=False):
     """The public path: Stream-built workload query via SaberSession."""
     query, sources = build(name, seed=SEED, tuples_per_second=SMOKE_RATES[name])
-    with SaberSession(SaberConfig(**_config(execution, fusion=fusion))) as session:
+    with SaberSession(SaberConfig(**_config(execution))) as session:
         handle = session.submit(query, sources=sources)
         session.run(tasks_per_query=tasks)
         if drain:
@@ -217,44 +211,26 @@ def test_api_reproduces_legacy_results_on_both_backends(name):
     assert legacy is not None and len(legacy) > 0
 
 
-#: unfused sim-backend outputs at the processes-leg budget, one run per
-#: workload shared across the fusion-matrix parametrisations below.
-_UNFUSED_SIM: dict = {}
-
-
-def _unfused_sim(name):
-    if name not in _UNFUSED_SIM:
-        _UNFUSED_SIM[name] = run_api(
-            name, "sim", tasks=PROCESS_TASKS, drain=True, fusion="off"
-        )
-    return _UNFUSED_SIM[name]
-
-
-@pytest.mark.parametrize("execution", ["sim", "threads", "processes"])
-@pytest.mark.parametrize("name", APPLICATION_QUERIES)
-def test_fused_is_bitwise_identical_to_unfused(name, execution):
-    """Fusion acceptance gate: every Table-1 workload, every backend,
-    ``fusion="auto"`` ≡ ``fusion="off"`` bitwise (drained, so assembled
-    tail windows are covered too).  Ineligible plans (SG3's join) prove
-    the no-harm path; CM2-style chains prove the fused kernel."""
-    if execution == "processes" and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("processes backend needs POSIX fork")
-    fused = run_api(name, execution, tasks=PROCESS_TASKS, drain=True, fusion="auto")
-    unfused = _unfused_sim(name)
-    assert_identical(unfused, fused)
-    assert unfused is not None and len(unfused) > 0
-
-
-@pytest.mark.skipif(
+_NEEDS_FORK = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="processes backend needs POSIX fork",
 )
-@pytest.mark.parametrize("name", APPLICATION_QUERIES)
-def test_api_reproduces_legacy_results_on_processes(name):
-    """Forked workers over shared-memory buffers ≡ the sim oracle,
-    drained, on every Table-1 application query (see PROCESS_TASKS)."""
+
+#: the drained legs: forked workers over shared-memory buffers (these
+#: keep their original bare ids) and worker threads.
+DRAINED_LEGS = [
+    pytest.param(name, "processes", id=name, marks=_NEEDS_FORK)
+    for name in APPLICATION_QUERIES
+] + [pytest.param(name, "threads", id=f"{name}-threads") for name in APPLICATION_QUERIES]
+
+
+@pytest.mark.parametrize("name,execution", DRAINED_LEGS)
+def test_api_reproduces_legacy_results_on_processes(name, execution):
+    """Real workers ≡ the sim oracle, drained (so assembled tail windows
+    are covered too), on every Table-1 application query (see
+    PROCESS_TASKS)."""
     legacy = run_legacy(name, tasks=PROCESS_TASKS, drain=True)
-    via_processes = run_api(name, "processes", tasks=PROCESS_TASKS, drain=True)
-    assert_identical(legacy, via_processes)
+    via_workers = run_api(name, execution, tasks=PROCESS_TASKS, drain=True)
+    assert_identical(legacy, via_workers)
     # An accidentally-empty comparison would prove nothing.
     assert legacy is not None and len(legacy) > 0

@@ -66,6 +66,20 @@ class TestRun:
         with pytest.raises(KeyError):
             main(["run", "CM9", "--tasks", "2"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["CM1", "--task-size", "0"],
+            ["CM1", "--tasks", "0"],
+            ["CM1", "--workers", "0"],
+            ["--cql", "select timestamp from"],
+        ],
+        ids=["task-size", "tasks", "workers", "cql"],
+    )
+    def test_invalid_arguments_exit_2(self, argv, capsys):
+        assert main(["run", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestRecordReplay:
     def _record(self, tmp_path, tuples=4096):
@@ -111,6 +125,20 @@ class TestRecordReplay:
         assert main([
             "replay", str(trace), "CM1", "--cql", "select timestamp from S",
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["CM1", "--task-size", "0"],
+            ["CM1", "--workers", "0"],
+            ["--cql", "select timestamp from"],
+        ],
+        ids=["task-size", "workers", "cql"],
+    )
+    def test_invalid_arguments_exit_2(self, tmp_path, argv, capsys):
+        trace = self._record(tmp_path, tuples=256)
+        assert main(["replay", str(trace), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_replay_rejects_multi_input_queries(self, tmp_path, capsys):
         trace = self._record(tmp_path, tuples=256)

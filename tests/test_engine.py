@@ -174,6 +174,11 @@ class TestSchedulers:
         with pytest.raises(SimulationError, match="queue_capacity"):
             SaberConfig(execution="threads", queue_capacity=0)
 
+    def test_zero_task_size_rejected_at_construction(self):
+        # Used to surface only at add_query, from the dispatcher.
+        with pytest.raises(SimulationError, match="task_size_bytes"):
+            SaberConfig(task_size_bytes=0)
+
     def test_hls_matrix_history_recorded(self):
         engine = SaberEngine(small_config(matrix_refresh_seconds=1e-4))
         engine.add_query(select_query(16), [SyntheticSource(seed=1)])

@@ -290,6 +290,64 @@ def test_every_hardware_spec_field_has_a_reader():
     assert [f.name for f in dataclasses.fields(HardwareSpec) if f.name not in read] == []
 
 
+# -- composed operators run in one pass: no second path, no knob -------------------
+
+
+def _names(tree):
+    """Every identifier ``tree`` defines, reads, imports or spells as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def _fusion_sites(root):
+    """{name: sorted modules} for the names of the deleted fusion path."""
+    gone = {
+        "FusedKernel", "fusion_eligible", "fused_operator",
+        "materialized_intermediates", "cpu_materialize",
+    }
+    stubs = {"fuse_operator", "execution_operator"}
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        named = set(_names(ast.parse(path.read_text()))) & (gone | stubs)
+        for name in named:
+            sites.setdefault(name, []).append(path.relative_to(root).as_posix())
+    return sites
+
+
+def test_composed_operators_have_one_path():
+    """``FilteredWindows``/``ProjectedWindows`` are the single-pass
+    kernel: the compiled second path, its knob and its cost-model term
+    stay gone.  The two benchmark stubs live in their own modules only."""
+    sites = _fusion_sites(SRC)
+    for name in ("fuse_operator", "execution_operator"):
+        assert set(sites.pop(name, [])) <= {"core/fusion.py", "core/query.py"}, name
+    assert sites == {}
+    assert "fusion" not in {f.name for f in dataclasses.fields(SaberConfig)}
+
+
+def test_guard_sees_an_execution_operator_read(tmp_path):
+    (tmp_path / "engine.py").write_text("operator = query.execution_operator\n")
+    (tmp_path / "cpu.py").write_text("cost = spec.cpu_materialize\n")
+    assert _fusion_sites(tmp_path) == {
+        "execution_operator": ["engine.py"],
+        "cpu_materialize": ["cpu.py"],
+    }
+
+
 # -- rows move as bytes: one rule, one owner --------------------------------------
 
 

@@ -1,18 +1,23 @@
-"""Query-fusion layer: eligibility rules, bitwise equivalence, plumbing.
+"""Composed operators run in one pass: which chains compose, and
+bitwise equivalence with the materialising oracle.
 
-The fused kernel (`repro.core.fusion`) must be a pure optimisation:
-identical outputs (bitwise), identical assembly payloads, identical
-measured stats — only the intermediate materialisations (and their cost
-in the calibrated CPU model) disappear.
+``FilteredWindows`` / ``ProjectedWindows`` hand their inner operator
+lazily gathered / projected columns instead of an intermediate
+``TupleBatch``.  That must be invisible: identical complete rows,
+partial payloads, closed window ids and stats to running every stage
+materialised (``tests/reference.py::process_materialised``).
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
+from reference import process_materialised
 from repro.api import SaberSession, Stream, agg
 from repro.core.engine import SaberConfig, SaberEngine
-from repro.core.fusion import FusedKernel, fuse_operator, fusion_eligible
-from repro.errors import BuilderError, SimulationError
+from repro.core.fusion import fuse_operator
+from repro.errors import BuilderError, QueryError
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
@@ -32,7 +37,6 @@ from repro.workloads.synthetic import (
     SYNTHETIC_SCHEMA,
     SyntheticSource,
     select_project_query,
-    spa_query,
 )
 
 SCHEMA = Schema.with_timestamp("v:float, k:int, w:int")
@@ -55,9 +59,9 @@ def sl(data, window, start=0):
     return StreamSlice(data, ws, start)
 
 
-def chains():
-    """(label, unfused chain) pairs covering every fusable shape."""
-    predicate = col("k").eq(1) | (col("w") < 25)
+def chains(predicate=None):
+    """(label, composed chain) pairs covering every shape the builder emits."""
+    predicate = predicate if predicate is not None else col("k").eq(1) | (col("w") < 25)
     projection = Projection(
         SCHEMA,
         [("timestamp", col("timestamp")), ("scaled", col("v") * 3.0 + 1.0)],
@@ -98,21 +102,63 @@ def chains():
     ]
 
 
+LABELS = [label for label, __ in chains()]
+
+
+def stages(chain):
+    """(predicate or None, projection or None, terminal) of a chain."""
+    predicate = projection = None
+    if isinstance(chain, FilteredWindows):
+        predicate, chain = chain.predicate, chain.inner
+    if isinstance(chain, ProjectedWindows):
+        projection, chain = chain.projection, chain.inner
+    return predicate, projection, chain
+
+
+def assert_same_result(a, b):
+    """Bitwise: complete rows, partial payloads, closed ids and stats."""
+    assert (a.complete is None) == (b.complete is None)
+    if a.complete is not None:
+        assert a.complete.schema.attribute_names == b.complete.schema.attribute_names
+        assert a.complete.data.tobytes() == b.complete.data.tobytes()
+    assert sorted(a.partials) == sorted(b.partials)
+    for wid in a.partials:
+        assert pickle.dumps(a.partials[wid]) == pickle.dumps(b.partials[wid]), wid
+    assert a.closed_ids == b.closed_ids
+    assert a.stats == b.stats
+
+
+def udf_with_arity_one():
+    out = Schema.parse("n:long")
+    return WindowUdf(
+        [SCHEMA],
+        out,
+        lambda windows: TupleBatch.from_columns(
+            out, n=np.array([len(windows[0])], dtype=np.int64)
+        ),
+    )
+
+
 class TestEligibility:
+    """Both composers take only inner operators that read columns."""
+
     def test_bare_operators_decline(self):
-        # Single-stage operators are already one pass: nothing to fuse.
-        assert fuse_operator(Selection(SCHEMA, col("k").eq(0))) is None
-        assert fuse_operator(Projection(SCHEMA, [("v", col("v"))])) is None
-        assert fuse_operator(Aggregation(SCHEMA, [AggregateSpec("sum", "v")])) is None
-        assert (
-            fuse_operator(GroupedAggregation(SCHEMA, ["k"], [AggregateSpec("sum", "v")]))
-            is None
-        )
+        selection = Selection(SCHEMA, col("k").eq(0))
+        aggregation = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        with pytest.raises(QueryError, match="not Selection"):
+            FilteredWindows(col("w") < 5, selection)
+        with pytest.raises(QueryError, match="not Selection"):
+            ProjectedWindows(
+                Projection(SCHEMA, [(n, col(n)) for n in SCHEMA.attribute_names]), selection
+            )
+        # Two predicates are one conjunction, not a chain of composers.
+        with pytest.raises(QueryError, match="not FilteredWindows"):
+            FilteredWindows(col("w") < 5, FilteredWindows(col("k").eq(0), aggregation))
 
     def test_joins_decline(self):
         join = ThetaJoin(SCHEMA, SCHEMA.rename("R"), col("k").eq(col("r_k")))
-        assert fuse_operator(join) is None
-        assert not fusion_eligible(join)
+        with pytest.raises(QueryError, match="not ThetaJoin"):
+            FilteredWindows(col("k").eq(0), join)
 
     def test_multi_input_udfs_decline(self):
         out = Schema.parse("n:long")
@@ -120,156 +166,133 @@ class TestEligibility:
             [SCHEMA, SCHEMA], "k", out, lambda parts: TupleBatch.empty(out)
         )
         assert udf.arity == 2
-        assert fuse_operator(udf) is None
+        with pytest.raises(QueryError, match="not WindowUdf"):
+            FilteredWindows(col("k").eq(0), udf)
 
     def test_filtered_udf_declines(self):
         # Arity-1 UDFs slice raw fragment rows, which the lazy column
-        # views cannot serve — the chain must decline, not miscompile.
-        out = Schema.parse("n:long")
-        udf = WindowUdf(
-            [SCHEMA],
-            out,
-            lambda windows: TupleBatch.from_columns(
-                out, n=np.array([len(windows[0])], dtype=np.int64)
-            ),
-        )
-        assert fuse_operator(FilteredWindows(col("k").eq(0), udf)) is None
+        # views cannot serve: refused when the chain is built.
+        with pytest.raises(QueryError, match="not WindowUdf"):
+            FilteredWindows(col("k").eq(0), udf_with_arity_one())
 
-    @pytest.mark.parametrize("label,chain", chains(), ids=[c[0] for c in chains()])
-    def test_compose_chains_fuse(self, label, chain):
-        fused = fuse_operator(chain)
-        assert isinstance(fused, FusedKernel)
-        assert fused.output_schema.attribute_names == chain.output_schema.attribute_names
+    @pytest.mark.parametrize(
+        "projection",
+        [
+            Selection(SYNTHETIC_SCHEMA, col("a5") < 16384),
+            DistinctProjection(
+                SYNTHETIC_SCHEMA, [(n, col(n)) for n in SYNTHETIC_SCHEMA.attribute_names]
+            ),
+        ],
+        ids=["Selection", "DistinctProjection"],
+    )
+    def test_projection_that_drops_rows_is_rejected(self, projection):
+        # Fragment bounds carry over unchanged only for a 1:1 projection;
+        # this used to build and die in the first task with an IndexError.
+        with pytest.raises(QueryError, match="1:1 Projection"):
+            ProjectedWindows(
+                projection, Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("count", None)])
+            )
+
+    @pytest.mark.parametrize("label,chain", chains(), ids=LABELS)
+    def test_compose_chains_fuse(self, label, chain, monkeypatch):
+        # The terminal operator reads lazy columns, never an
+        # intermediate TupleBatch: no stage boundary is materialised.
+        predicate, __, terminal = stages(chain)
+        seen = []
+        run_terminal = terminal.process_batch
+
+        def spy(inputs):
+            seen.append(inputs[0].batch)
+            return run_terminal(inputs)
+
+        monkeypatch.setattr(terminal, "process_batch", spy)
+        data = batch(0, 64)
+        chain.process_batch([sl(data, WindowDefinition.rows(16, 4))])
+        assert len(seen) == 1 and not isinstance(seen[0], TupleBatch)
+        survivors = int(predicate.evaluate(data).sum()) if predicate is not None else len(data)
+        assert len(seen[0]) == survivors
+        assert chain.output_schema is terminal.output_schema
 
     def test_fused_cost_profile_is_one_unit(self):
+        # One profile for the whole chain: the predicate tree, summed
+        # arithmetic, the terminal's aggregate shape.
         for label, chain in chains():
-            unfused = chain.cost_profile()
-            fused = fuse_operator(chain).cost_profile()
-            assert unfused.materialized_intermediates >= 1, label
-            assert fused.materialized_intermediates == 0, label
-            assert fused.kind == unfused.kind, label
-            assert fused.ops_per_tuple == unfused.ops_per_tuple, label
-            assert fused.predicate_count == unfused.predicate_count, label
-            assert fused.aggregate_count == unfused.aggregate_count, label
-            assert fused.has_group_by == unfused.has_group_by, label
-
-    def test_fused_chain_is_cheaper_on_the_cpu_model(self):
-        from repro.hardware.cpu import CpuModel
-
-        model = CpuModel()
-        __, chain = chains()[-1]  # σ∘π∘α: two intermediates
-        stats = {"selectivity": 0.5, "fragments": 16.0}
-        unfused = model.task_seconds(chain.cost_profile(), 32768, stats)
-        fused = model.task_seconds(fuse_operator(chain).cost_profile(), 32768, stats)
-        assert unfused / fused >= 1.3
+            predicate, projection, terminal = stages(chain)
+            profile, inner = chain.cost_profile(), terminal.cost_profile()
+            ops = inner.ops_per_tuple
+            if projection is not None:
+                ops += projection.cost_profile().ops_per_tuple
+            assert profile.kind == inner.kind, label
+            assert profile.ops_per_tuple == ops, label
+            assert profile.predicate_tree is (predicate or inner.predicate_tree), label
+            assert profile.aggregate_count == inner.aggregate_count, label
+            assert profile.has_group_by == inner.has_group_by, label
 
 
 class TestBitwiseEquivalence:
-    """Same slices through the chain and the fused kernel: identical
-    complete rows, partial payloads, finalised windows and stats."""
+    """Same slices through the one-pass chain and the materialising
+    oracle: identical complete rows, partials, closed ids and stats."""
 
-    @pytest.mark.parametrize("label,chain", chains(), ids=[c[0] for c in chains()])
+    @pytest.mark.parametrize("label,chain", chains(), ids=LABELS)
     def test_single_task(self, label, chain):
-        fused = fuse_operator(chain)
         w = WindowDefinition.rows(16, 4)
         for start, stop in [(0, 64), (64, 100)]:
-            a = chain.process_batch([sl(batch(start, stop), w, start)])
-            b = fused.process_batch([sl(batch(start, stop), w, start)])
-            assert np.array_equal(a.complete.data, b.complete.data)
-            assert sorted(a.partials) == sorted(b.partials)
-            assert a.closed_ids == b.closed_ids
-            assert a.stats == b.stats
+            a = process_materialised(chain, [sl(batch(start, stop), w, start)])
+            b = chain.process_batch([sl(batch(start, stop), w, start)])
+            assert_same_result(a, b)
 
-    @pytest.mark.parametrize("label,chain", chains(), ids=[c[0] for c in chains()])
+    @pytest.mark.parametrize("label,chain", chains(), ids=LABELS)
     def test_cross_task_assembly(self, label, chain):
-        fused = fuse_operator(chain)
         w = WindowDefinition.rows(24, 24)
-        a1 = chain.process_batch([sl(batch(0, 15), w)])
-        a2 = chain.process_batch([sl(batch(15, 24), w, start=15)])
-        b1 = fused.process_batch([sl(batch(0, 15), w)])
-        b2 = fused.process_batch([sl(batch(15, 24), w, start=15)])
+        a1 = process_materialised(chain, [sl(batch(0, 15), w)])
+        a2 = process_materialised(chain, [sl(batch(15, 24), w, start=15)])
+        b1 = chain.process_batch([sl(batch(0, 15), w)])
+        b2 = chain.process_batch([sl(batch(15, 24), w, start=15)])
+        assert_same_result(a1, b1)
+        assert_same_result(a2, b2)
         if not a1.partials:
-            # Stateless terminals (π) emit per tuple: no window payloads
-            # to assemble, fused or not.
-            assert not b1.partials and not b2.partials
+            # Stateless terminals (π) emit per tuple: no window payloads.
+            assert label == "filter-project"
             return
         merged_a = chain.merge_partials(a1.partials[0], a2.partials[0])
-        merged_b = fused.merge_partials(b1.partials[0], b2.partials[0])
+        merged_b = chain.merge_partials(b1.partials[0], b2.partials[0])
         rows_a = chain.finalize_window(0, merged_a)
-        rows_b = fused.finalize_window(0, merged_b)
-        assert (rows_a is None) == (rows_b is None)
-        if rows_a is not None:
-            assert np.array_equal(rows_a.data, rows_b.data)
+        rows_b = chain.finalize_window(0, merged_b)
+        assert rows_a is not None and rows_b is not None
+        assert rows_a.data.tobytes() == rows_b.data.tobytes()
 
     def test_empty_batch(self):
         for label, chain in chains():
-            fused = fuse_operator(chain)
             w = WindowDefinition.rows(8, 8)
-            a = chain.process_batch([sl(batch(0, 0), w)])
-            b = fused.process_batch([sl(batch(0, 0), w)])
-            assert np.array_equal(a.complete.data, b.complete.data), label
+            a = process_materialised(chain, [sl(batch(0, 0), w)])
+            b = chain.process_batch([sl(batch(0, 0), w)])
+            assert_same_result(a, b)
 
     def test_nothing_survives_the_predicate(self):
-        chain = FilteredWindows(
-            col("w") < -1, Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
-        )
-        fused = fuse_operator(chain)
-        w = WindowDefinition.rows(8, 8)
-        a = chain.process_batch([sl(batch(0, 32), w)])
-        b = fused.process_batch([sl(batch(0, 32), w)])
-        assert np.array_equal(a.complete.data, b.complete.data)
-        assert a.stats["selectivity"] == b.stats["selectivity"] == 0.0
+        for label, chain in chains(predicate=col("w") < -1):
+            if not isinstance(chain, FilteredWindows):
+                continue
+            w = WindowDefinition.rows(8, 8)
+            a = process_materialised(chain, [sl(batch(0, 32), w)])
+            b = chain.process_batch([sl(batch(0, 32), w)])
+            assert_same_result(a, b)
+            assert b.stats["selectivity"] == 0.0, label
 
 
-class TestEnginePlumbing:
-    def _config(self, **kw):
-        return SaberConfig(
-            task_size_bytes=8 << 10, cpu_workers=2, collect_output=True, **kw
-        )
+def test_add_query_leaves_the_query_untouched():
+    query = select_project_query(3)
+    before = dict(vars(query))
+    engine = SaberEngine(SaberConfig(task_size_bytes=8 << 10, cpu_workers=2))
+    engine.add_query(query, [SyntheticSource(seed=1)])
+    engine.run(tasks_per_query=2)
+    assert vars(query) == before
 
-    def test_auto_compiles_eligible_queries(self):
-        query = select_project_query(3)
-        engine = SaberEngine(self._config(fusion="auto"))
-        engine.add_query(query, [SyntheticSource(seed=1)])
-        assert isinstance(query.fused_operator, FusedKernel)
-        assert query.execution_operator is query.fused_operator
 
-    def test_off_clears_a_stale_kernel(self):
-        query = select_project_query(3)
-        SaberEngine(self._config(fusion="auto")).add_query(query, [SyntheticSource(seed=1)])
-        assert query.fused_operator is not None
-        SaberEngine(self._config(fusion="off")).add_query(query, [SyntheticSource(seed=1)])
-        assert query.fused_operator is None
-        assert query.execution_operator is query.operator
-
-    def test_ineligible_queries_stay_unfused_under_auto(self):
-        from repro.workloads.synthetic import join_query
-
-        query = join_query(1)
-        engine = SaberEngine(self._config(fusion="auto"))
-        engine.add_query(query, [SyntheticSource(seed=1), SyntheticSource(seed=2)])
-        assert query.fused_operator is None
-
-    def test_unknown_fusion_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            SaberConfig(fusion="sometimes")
-
-    @pytest.mark.parametrize("execution", ["sim", "threads"])
-    def test_fused_run_matches_unfused_run(self, execution):
-        def run(fusion):
-            with SaberSession(
-                self._config(execution=execution, fusion=fusion)
-            ) as session:
-                handle = session.submit(
-                    spa_query(["sum", "max"], name="SPA"),
-                    sources=[SyntheticSource(seed=11)],
-                )
-                session.run(tasks_per_query=6)
-                return handle.output()
-
-        a, b = run("off"), run("auto")
-        assert a is not None and len(a)
-        assert np.array_equal(a.data, b.data)
+def test_benchmark_stubs_run_the_operator_as_is():
+    # The traced saberbench pass still calls these two names.
+    query = select_project_query(3)
+    assert fuse_operator(query.operator) is None
+    assert query.execution_operator is query.operator
 
 
 class TestBuilderProjectedAggregation:
@@ -282,8 +305,8 @@ class TestBuilderProjectedAggregation:
         )
         query = plan.build("pi-alpha")
         assert isinstance(query.operator, ProjectedWindows)
+        assert isinstance(query.operator.inner, Aggregation)
         assert query.operator.output_schema.attribute_names == ("timestamp", "total")
-        assert fusion_eligible(query.operator)
 
     def test_where_select_aggregate_compiles_to_full_chain(self):
         plan = (
@@ -296,7 +319,7 @@ class TestBuilderProjectedAggregation:
         operator = plan.build("spa").operator
         assert isinstance(operator, FilteredWindows)
         assert isinstance(operator.inner, ProjectedWindows)
-        assert fusion_eligible(operator)
+        assert isinstance(operator.inner.inner, Aggregation)
 
     def test_aggregate_over_unprojected_column_rejected(self):
         plan = (

@@ -26,6 +26,7 @@ from typing import Any, Callable
 
 from ..api import SaberSession
 from ..io.memory import MemorySource
+from ..io.push import PushSource
 from ..relational.tuples import TupleBatch
 from ..workloads.cluster_monitoring import ClusterMonitoringSource
 from ..workloads.synthetic import SyntheticSource
@@ -127,19 +128,27 @@ def run_cluster(
     ``kill_slot`` injects a shard failure once two windows have merged
     (so the kill lands mid-stream, with settled *and* in-flight state
     to recover); a slot outside the cluster is refused before any shard
-    starts.
+    starts.  The data is then pushed in two halves around the kill, so
+    the killed shard cannot have finished its input first.
     """
     with ClusterSession(**cluster_kwargs) as session:
-        if kill_slot is not None:
+        if kill_slot is None:
+            session.register_stream(
+                workload.stream, MemorySource(data.schema, data)
+            )
+            session.sql(workload.cql, name=workload.name)
+            session.start()
+        else:
             session.config.check_slot(kill_slot)
-        session.register_stream(
-            workload.stream, MemorySource(data.schema, data)
-        )
-        session.sql(workload.cql, name=workload.name)
-        session.start()
-        if kill_slot is not None:
+            half = len(data) // 2
+            session.register_stream(workload.stream, PushSource(data.schema))
+            session.sql(workload.cql, name=workload.name)
+            session.start()
+            session.push(workload.stream, data.slice(0, half))
             _await_merged_windows(session, 2, timeout=30.0)
             session.kill_shard(kill_slot)
+            session.push(workload.stream, data.slice(half, len(data)))
+            session.close_stream(workload.stream)
         session.wait(120.0)
         return session.output(), session.stats()
 

@@ -21,7 +21,7 @@ from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.query import Query
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.aggregation import Aggregation
-from repro.operators.compose import FilteredWindows
+from repro.operators.compose import FilteredWindows, ProjectedWindows
 from repro.operators.distinct import DistinctProjection
 from repro.operators.groupby import GroupedAggregation
 from repro.operators.join import ThetaJoin
@@ -36,6 +36,8 @@ from repro.workloads.smartgrid import (
     LOCAL_LOAD_SCHEMA,
     SMART_GRID_SCHEMA,
 )
+
+from reference import process_materialised
 
 SEED = 7
 TASKS = 10
@@ -209,6 +211,41 @@ def test_api_reproduces_legacy_results_on_both_backends(name):
     # The smoke rates are tuned so windows actually close within the run:
     # an accidentally-empty comparison would prove nothing.
     assert legacy is not None and len(legacy) > 0
+
+
+#: sim-backend outputs with every composed stage materialised, at the
+#: processes-leg budget, drained: one run per workload shared across the
+#: parametrisations below.
+_UNFUSED_SIM: dict = {}
+
+
+def _materialising(self, inputs):
+    return process_materialised(self, inputs)
+
+
+def _unfused_sim(name):
+    if name not in _UNFUSED_SIM:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FilteredWindows, "process_batch", _materialising)
+            patch.setattr(ProjectedWindows, "process_batch", _materialising)
+            _UNFUSED_SIM[name] = run_api(name, "sim", tasks=PROCESS_TASKS, drain=True)
+    return _UNFUSED_SIM[name]
+
+
+@pytest.mark.parametrize("execution", ["sim", "threads", "processes"])
+@pytest.mark.parametrize("name", APPLICATION_QUERIES)
+def test_fused_is_bitwise_identical_to_unfused(name, execution):
+    """Every Table-1 workload, every backend: the single-pass composed
+    operators ≡ the same plan with each σ / π stage copied out as a full
+    intermediate batch (``reference.process_materialised``), bitwise and
+    drained, so assembled tail windows are covered too.  Plans without a
+    chain (SG3's join) prove the no-harm path."""
+    if execution == "processes" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("processes backend needs POSIX fork")
+    fused = run_api(name, execution, tasks=PROCESS_TASKS, drain=True)
+    unfused = _unfused_sim(name)
+    assert_identical(unfused, fused)
+    assert unfused is not None and len(unfused) > 0
 
 
 _NEEDS_FORK = pytest.mark.skipif(

@@ -502,17 +502,19 @@ def main(argv: "list[str] | None" = None) -> int:
         return _command_list()
     if args.command == "hardware":
         return _command_hardware()
-    if args.command == "record":
-        return _command_record(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "cluster":
         return _command_cluster(args)
-    command = _command_replay if args.command == "replay" else _command_run
+    command = {
+        "run": _command_run, "replay": _command_replay, "record": _command_record,
+    }[args.command]
+    # Bad arguments (sizes, counts, rates, CQL, query names) surface as
+    # library errors; replay and record also write files the user named.
+    expected = SaberError if args.command == "run" else (SaberError, OSError)
     try:
         return command(args)
-    except SaberError as exc:
-        # Bad arguments (sizes, counts, CQL) surface as library errors.
+    except expected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

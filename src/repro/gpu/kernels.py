@@ -48,7 +48,7 @@ def gpu_selection(operator: Selection, inputs: "list[StreamSlice]") -> BatchResu
     mask = operator.predicate.evaluate(batch)  # all lanes, no short-circuit
     survivors = np.flatnonzero(mask)
     out = batch.take(survivors)
-    selectivity = float(mask.mean()) if len(batch) else 0.0
+    selectivity = len(survivors) / len(batch) if len(batch) else 0.0
     return BatchResult(complete=out, stats={"selectivity": selectivity})
 
 

@@ -114,6 +114,19 @@ class SourceConnector:
         return bool(check and check())
 
 
+def checked_rate(tuples_per_second: int) -> int:
+    """A generator's logical-time density: tuples per timestamp unit.
+
+    Timestamps are ``position // tuples_per_second``, so zero divides by
+    zero and a negative rate makes them decrease — neither is a stream.
+    """
+    if tuples_per_second <= 0:
+        raise ValidationError(
+            f"tuples_per_second must be positive, got {tuples_per_second}"
+        )
+    return tuples_per_second
+
+
 class GeneratorSource(SourceConnector):
     """Base for programmatic sources: subclass :meth:`generate`.
 

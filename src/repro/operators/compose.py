@@ -6,11 +6,14 @@ stream batch, with no intermediate batch handed between stages.  The
 composers here are that single pass.
 
 :class:`FilteredWindows` (σ inside windows — CM2's ``where eventType ==
-1 ... group by jobId``) evaluates the predicate mask once, remaps every
-window fragment boundary onto the survivor ranks with one prefix sum
-over the mask (the GPGPU selection kernel's compaction scan), and hands
-the inner operator a lazily *gathered* batch: a survivor column is
-copied out only when the inner operator reads it.
+1 ... group by jobId``) evaluates the predicate mask once, takes the
+survivor indices from it (the GPGPU selection kernel's compaction),
+remaps every window fragment boundary onto the survivor ranks by a
+binary search of those indices, and hands the inner operator a lazily
+*gathered* batch: a survivor column is copied out only when the inner
+operator reads it.  Only the mask and the gather scale with the batch:
+the remap is one binary search per fragment bound and the selectivity
+the survivor count over the batch length.
 :class:`ProjectedWindows` (π feeding an aggregation, how ``select(...)``
 expressions reach ``aggregate``) is 1:1, so fragment boundaries carry
 over unchanged and the inner operator reads lazily *evaluated* projected
@@ -175,18 +178,17 @@ class FilteredWindows(_Composed):
         slice_ = self._single_input(inputs)
         batch, windows = slice_.batch, slice_.windows
         mask = self.predicate.evaluate(batch)
-        # Survivor ranks: position i of the batch lands at prefix[i]
-        # survivors, so one scan remaps every fragment boundary.
-        prefix = np.zeros(len(batch) + 1, dtype=np.int64)
-        np.cumsum(mask, out=prefix[1:])
+        indices = np.flatnonzero(mask)
+        # Survivor ranks: position i of the batch lands at the number of
+        # survivors before it, a binary search of the sorted indices.
         remapped = WindowSet(
             window_ids=windows.window_ids,
-            starts=prefix[windows.starts],
-            ends=prefix[windows.ends],
+            starts=np.searchsorted(indices, windows.starts),
+            ends=np.searchsorted(indices, windows.ends),
             states=windows.states,
         )
-        survivors = _GatheredBatch(batch, np.nonzero(mask)[0])
-        selectivity = float(mask.mean()) if len(mask) else 0.0
+        survivors = _GatheredBatch(batch, indices)
+        selectivity = len(indices) / len(mask) if len(mask) else 0.0
         result = self.inner.process_batch(
             [StreamSlice(survivors, remapped, slice_.global_start)]
         )

@@ -50,7 +50,7 @@ class Selection(Operator):
         batch = slice_.batch
         mask = self.predicate.evaluate(batch)
         out = batch.filter(mask)
-        selectivity = float(mask.mean()) if len(batch) else 0.0
+        selectivity = len(out) / len(batch) if len(batch) else 0.0
         return BatchResult(complete=out, stats={"selectivity": selectivity})
 
     def merge_partials(self, first: Any, second: Any) -> Any:

@@ -1,4 +1,4 @@
-"""Window semantics: definitions, boundary assignment, incremental panes."""
+"""Window semantics: definitions, boundary assignment, incremental range aggregation."""
 
 from .definition import WindowDefinition, WindowMode
 from .assigner import (
@@ -8,12 +8,7 @@ from .assigner import (
     assign_time_windows,
     assign_windows,
 )
-from .panes import (
-    PrefixRangeAggregator,
-    SparseTableRangeAggregator,
-    pane_boundaries,
-    pane_partials,
-)
+from .panes import PrefixRangeAggregator, SparseTableRangeAggregator
 
 __all__ = [
     "WindowDefinition",
@@ -25,6 +20,4 @@ __all__ = [
     "assign_windows",
     "PrefixRangeAggregator",
     "SparseTableRangeAggregator",
-    "pane_boundaries",
-    "pane_partials",
 ]

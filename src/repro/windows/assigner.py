@@ -99,7 +99,7 @@ def assign_count_windows(
         raise WindowError("assign_count_windows needs a count-based window")
     if batch_end <= batch_start:
         return WindowSet.empty()
-    size, slide = window.size, window.slide
+    size, slide, length = window.size, window.slide, batch_end - batch_start
     # First window whose end extends past the batch start...
     first = max(0, (batch_start - size) // slide + 1)
     # ...through the last window starting before the batch end.
@@ -107,13 +107,24 @@ def assign_count_windows(
     if last < first:
         return WindowSet.empty()
     ids = np.arange(first, last + 1, dtype=np.int64)
-    w_start = ids * slide
-    w_end = w_start + size
-    starts = np.clip(w_start - batch_start, 0, batch_end - batch_start)
-    ends = np.clip(w_end - batch_start, 0, batch_end - batch_start)
-    opens = w_start >= batch_start  # w_start < batch_end holds by choice of `last`
-    closes = (w_end > batch_start) & (w_end <= batch_end)
-    return WindowSet(ids, starts, ends, _classify(opens, closes))
+    # Window starts form an arithmetic progression, so each state is a
+    # contiguous run of ids between two cuts: windows before ``opens_at``
+    # opened in an earlier batch, windows before ``closes_by`` end at or
+    # before ``batch_end`` (every chosen window ends after ``batch_start``).
+    opens_at = min(-(-batch_start // slide), last + 1) - first
+    closes_by = min(max((batch_end - size) // slide + 1, first), last + 1) - first
+    starts = ids * slide - batch_start
+    ends = starts + size
+    np.maximum(starts, 0, out=starts)
+    np.minimum(ends, length, out=ends)
+    states = np.empty(len(ids), dtype=np.int64)
+    low, high = min(opens_at, closes_by), max(opens_at, closes_by)
+    states[:low] = int(FragmentState.CLOSING)
+    states[low:high] = int(
+        FragmentState.COMPLETE if opens_at < closes_by else FragmentState.PENDING
+    )
+    states[high:] = int(FragmentState.OPENING)
+    return WindowSet(ids, starts, ends, states)
 
 
 def assign_time_windows(

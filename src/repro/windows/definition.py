@@ -15,7 +15,6 @@ onto these definitions.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from ..errors import WindowError
@@ -74,15 +73,6 @@ class WindowDefinition:
     @property
     def is_time_based(self) -> bool:
         return self.mode is WindowMode.RANGE
-
-    @property
-    def pane_size(self) -> int:
-        """Pane extent: gcd(size, slide), after Li et al. [41]."""
-        return math.gcd(self.size, self.slide)
-
-    @property
-    def panes_per_window(self) -> int:
-        return self.size // self.pane_size
 
     def window_start(self, window_id: int) -> int:
         """Inclusive start (index or timestamp) of window ``window_id``."""

@@ -1,4 +1,4 @@
-"""Pane-based incremental range aggregation ([41], [12], [50]; §5.3).
+"""Incremental range aggregation ([41], [12], [50]; §5.3).
 
 A sliding-window aggregation over a batch must compute one aggregate per
 window fragment.  Recomputing each fragment from scratch costs
@@ -14,8 +14,7 @@ provide the two classic strategies:
 
 Both answer vectorised range queries ``[starts, ends)`` and are exactly
 the computational skeleton of the paper's incremental batch operator
-functions.  :func:`pane_boundaries` exposes the classic pane (gcd)
-decomposition.
+functions.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import WindowError
-from .definition import WindowDefinition
 
 
 class PrefixRangeAggregator:
@@ -98,25 +96,3 @@ class SparseTableRangeAggregator:
             result[sel] = self._combine(left, right)
         out[nonempty] = result
         return out
-
-
-def pane_boundaries(window: WindowDefinition, batch_length: int) -> np.ndarray:
-    """Pane cut points within a batch (gcd decomposition, [41]).
-
-    Returns offsets ``0 = b_0 < b_1 < ... <= batch_length`` such that each
-    ``[b_i, b_i+1)`` lies within a single pane of the window definition.
-    Only meaningful for count-based windows (time panes depend on data).
-    """
-    if not window.is_count_based:
-        raise WindowError("pane boundaries are defined for count-based windows")
-    pane = window.pane_size
-    cuts = np.arange(0, batch_length + pane, pane)
-    cuts[-1] = batch_length
-    return np.unique(cuts)
-
-
-def pane_partials(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Per-pane sums given pane cut points (one pass over the batch)."""
-    values = np.asarray(values, dtype=np.float64)
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
-    return prefix[cuts[1:]] - prefix[cuts[:-1]]

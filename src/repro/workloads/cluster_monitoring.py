@@ -19,7 +19,7 @@ import numpy as np
 
 from ..api import Stream, agg
 from ..core.query import Query
-from ..io.base import GeneratorSource
+from ..io.base import GeneratorSource, checked_rate
 from ..relational.expressions import col, conjunction, disjunction
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
@@ -62,7 +62,7 @@ class ClusterMonitoringSource(GeneratorSource):
         super().__init__(TASK_EVENTS_SCHEMA, limit=limit)
         self._rng = np.random.default_rng(seed)
         self._position = 0
-        self._tuples_per_second = tuples_per_second
+        self._tuples_per_second = checked_rate(tuples_per_second)
         self._categories = categories
         self._jobs = jobs
         self._base_failure_rate = base_failure_rate

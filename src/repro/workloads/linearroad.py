@@ -22,7 +22,7 @@ import numpy as np
 
 from ..api import Stream, agg
 from ..core.query import Query
-from ..io.base import GeneratorSource
+from ..io.base import GeneratorSource, checked_rate
 from ..relational.expressions import col
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
@@ -52,7 +52,7 @@ class LinearRoadSource(GeneratorSource):
         super().__init__(POS_SPEED_SCHEMA, limit=limit)
         self._rng = np.random.default_rng(seed)
         self._position = 0
-        self._tuples_per_second = tuples_per_second
+        self._tuples_per_second = checked_rate(tuples_per_second)
         self._vehicles = vehicles
         self._highways = highways
         self._segments = segments

@@ -10,6 +10,7 @@ any application query by name::
 from __future__ import annotations
 
 from ..core.query import Query
+from ..errors import QueryError
 from . import cluster_monitoring, linearroad, smartgrid
 
 
@@ -51,7 +52,9 @@ def build(
         return linearroad.lrb3_query(), [linearroad.LinearRoadSource(seed=seed, **rate)]
     if name == "LRB4":
         return linearroad.lrb4_query(), [linearroad.LinearRoadSource(seed=seed, **rate)]
-    raise KeyError(f"unknown application query {name!r}")
+    raise QueryError(
+        f"unknown application query {name!r}; known: {', '.join(APPLICATION_QUERIES)}"
+    )
 
 
 #: per-query source rates that let time windows close within a short

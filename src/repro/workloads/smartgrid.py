@@ -13,7 +13,7 @@ import numpy as np
 
 from ..api import Stream, agg
 from ..core.query import Query
-from ..io.base import GeneratorSource
+from ..io.base import GeneratorSource, checked_rate
 from ..relational.expressions import col
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
@@ -52,7 +52,7 @@ class SmartGridSource(GeneratorSource):
         super().__init__(SMART_GRID_SCHEMA, limit=limit)
         self._rng = np.random.default_rng(seed)
         self._position = 0
-        self._tuples_per_second = tuples_per_second
+        self._tuples_per_second = checked_rate(tuples_per_second)
         self._houses = houses
         self._households = households_per_house
         self._plugs = plugs_per_household

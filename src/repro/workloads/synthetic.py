@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.query import Query
-from ..io.base import GeneratorSource
+from ..io.base import GeneratorSource, checked_rate
 from ..operators.aggregate_functions import AggregateSpec
 from ..operators.aggregation import Aggregation
 from ..operators.compose import FilteredWindows, ProjectedWindows
@@ -63,7 +63,7 @@ class SyntheticSource(GeneratorSource):
         super().__init__(schema, limit=limit)
         self._rng = np.random.default_rng(seed)
         self._position = 0
-        self._tuples_per_second = tuples_per_second
+        self._tuples_per_second = checked_rate(tuples_per_second)
         self._groups = groups
 
     def generate(self, count: int) -> TupleBatch:

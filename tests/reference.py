@@ -466,6 +466,37 @@ def process_materialised(operator, inputs: "list[StreamSlice]") -> BatchResult:
     return operator.process_batch(inputs)
 
 
+# -- count-window assignment, one mask per state ------------------------------------
+#
+# ``assign_count_windows`` before it cut the states in closed form: clip every
+# fragment bound into the batch and classify each window from two boolean masks.
+
+
+def assign_count_windows_by_masks(
+    window: WindowDefinition, batch_start: int, batch_end: int
+) -> WindowSet:
+    """Count-window fragments of ``[batch_start, batch_end)``, window by window."""
+    if batch_end <= batch_start:
+        return WindowSet.empty()
+    size, slide = window.size, window.slide
+    first = max(0, (batch_start - size) // slide + 1)
+    last = (batch_end - 1) // slide
+    if last < first:
+        return WindowSet.empty()
+    ids = np.arange(first, last + 1, dtype=np.int64)
+    w_start = ids * slide
+    w_end = w_start + size
+    starts = np.clip(w_start - batch_start, 0, batch_end - batch_start)
+    ends = np.clip(w_end - batch_start, 0, batch_end - batch_start)
+    opens = w_start >= batch_start
+    closes = (w_end > batch_start) & (w_end <= batch_end)
+    states = np.full(len(ids), int(FragmentState.PENDING), dtype=np.int64)
+    states[opens & closes] = int(FragmentState.COMPLETE)
+    states[opens & ~closes] = int(FragmentState.OPENING)
+    states[~opens & closes] = int(FragmentState.CLOSING)
+    return WindowSet(ids, starts, ends, states)
+
+
 #: every attribute type a schema may carry
 ATTRIBUTE_TYPES = ("long", "int", "float", "double")
 

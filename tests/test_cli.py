@@ -62,9 +62,29 @@ class TestRun:
             "--scheduler", "fcfs", "--workers", "2", "--show-rows", "0",
         ]) == 0
 
-    def test_unknown_query_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "CM9", "--tasks", "2"])
+    def test_unknown_query_raises(self, capsys):
+        assert main(["run", "CM9", "--tasks", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown application query 'CM9'")
+        assert "CM1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "CM1", "--tasks", "2", "--show-rows", "0"],
+            ["run", "--cql", "select timestamp from TaskEvents [rows 4]",
+             "--workload", "cluster", "--tasks", "2", "--show-rows", "0"],
+            ["record", "cluster", "{tmp}/x.jsonl", "--tuples", "16"],
+            ["record", "linearroad", "{tmp}/x.jsonl", "--tuples", "16"],
+        ],
+        ids=["run", "run-cql", "record-cluster", "record-linearroad"],
+    )
+    @pytest.mark.parametrize("rate", ["0", "-3"])
+    def test_non_positive_rate_exits_2(self, tmp_path, argv, rate, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main([*argv, "--rate", rate]) == 2
+        assert capsys.readouterr().err.startswith("error: tuples_per_second")
+        assert not (tmp_path / "x.jsonl").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -138,6 +158,28 @@ class TestRecordReplay:
     def test_invalid_arguments_exit_2(self, tmp_path, argv, capsys):
         trace = self._record(tmp_path, tuples=256)
         assert main(["replay", str(trace), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_replay_unknown_query_exits_2(self, tmp_path, capsys):
+        trace = self._record(tmp_path, tuples=256)
+        assert main(["replay", str(trace), "NOPE"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown application query 'NOPE'"
+        )
+
+    def test_replay_sink_in_missing_directory_exits_2(self, tmp_path, capsys):
+        trace = self._record(tmp_path, tuples=256)
+        sink = tmp_path / "missing" / "o.jsonl"
+        assert main(["replay", str(trace), "CM1", "--sink", str(sink)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_record_unknown_suffix_exits_2(self, tmp_path, capsys):
+        assert main(["record", "cluster", str(tmp_path / "out.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot infer format")
+
+    def test_record_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        assert main(["record", "cluster", str(out), "--tuples", "16"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_replay_rejects_multi_input_queries(self, tmp_path, capsys):

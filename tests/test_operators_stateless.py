@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
+from repro.gpu.kernels import gpu_selection
+from repro.operators.aggregate_functions import AggregateSpec
+from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
+from repro.operators.compose import FilteredWindows
 from repro.operators.projection import Projection, identity_projection
 from repro.operators.selection import Selection
 from repro.relational.expressions import col
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
-from repro.windows.assigner import WindowSet
+from repro.windows.assigner import WindowSet, assign_count_windows
+from repro.windows.definition import WindowDefinition
 
 SCHEMA = Schema.with_timestamp("a:float, b:int")
 
@@ -105,3 +110,37 @@ class TestSelection:
         p = (col("a") < 5) & (col("b") < 2)
         profile = Selection(SCHEMA, p).cost_profile()
         assert profile.cpu_predicate_evaluations(0.1) == 2.0
+
+
+class TestSelectivityIsTheSurvivorShare:
+    """Every σ reports the survivor count over n: the same float as the
+    mask's mean, and 0.0 for an empty batch."""
+
+    KERNELS = {
+        "selection": lambda p, s: Selection(SCHEMA, p).process_batch(s),
+        "gpu_selection": lambda p, s: gpu_selection(Selection(SCHEMA, p), s),
+        "filtered_windows": lambda p, s: FilteredWindows(
+            p, Aggregation(SCHEMA, [AggregateSpec("sum", "a")])
+        ).process_batch(s),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize(
+        "n, predicate",
+        [
+            (0, col("a") < 5),
+            (16, col("a") < 0),                        # all false
+            (16, col("a") >= 0),                       # all true
+            (7, col("b").eq(1)),                       # 2 of 7: not a dyadic fraction
+            (16_387, (col("a") % 3).eq(0) | col("b").eq(2)),
+        ],
+        ids=["empty", "all-false", "all-true", "two-of-seven", "large"],
+    )
+    def test_bitwise_equal_to_the_mask_mean(self, kernel, n, predicate):
+        data = batch(n)
+        slices = [StreamSlice(data, assign_count_windows(WindowDefinition.rows(4), 0, n), 0)]
+        mask = predicate.evaluate(data)
+        expected = float(mask.mean()) if n else 0.0
+        got = self.KERNELS[kernel](predicate, slices).stats["selectivity"]
+        assert type(got) is float
+        assert got.hex() == expected.hex()

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WindowError
-from repro.windows.definition import WindowDefinition
-from repro.windows.panes import (
-    PrefixRangeAggregator,
-    SparseTableRangeAggregator,
-    pane_boundaries,
-    pane_partials,
-)
+from repro.windows.panes import PrefixRangeAggregator, SparseTableRangeAggregator
 
 
 class TestPrefixRangeAggregator:
@@ -114,26 +108,3 @@ class TestSparseTableProperties:
                 assert not np.isinf(got)
             else:
                 assert got == fn(arr[s:e])
-
-
-class TestPanes:
-    def test_pane_boundaries_gcd(self):
-        w = WindowDefinition.rows(12, 8)  # pane = 4
-        cuts = pane_boundaries(w, 20)
-        assert list(cuts) == [0, 4, 8, 12, 16, 20]
-
-    def test_pane_boundaries_clip_tail(self):
-        w = WindowDefinition.rows(4, 4)
-        cuts = pane_boundaries(w, 10)
-        assert list(cuts) == [0, 4, 8, 10]
-
-    def test_pane_boundaries_time_mode_rejected(self):
-        with pytest.raises(WindowError):
-            pane_boundaries(WindowDefinition.time(4, 4), 10)
-
-    def test_pane_partials_sum_to_total(self):
-        values = np.arange(10, dtype=float)
-        cuts = np.array([0, 4, 8, 10])
-        partials = pane_partials(values, cuts)
-        assert partials.sum() == pytest.approx(values.sum())
-        assert partials[0] == pytest.approx(values[:4].sum())

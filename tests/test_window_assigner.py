@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from reference import assign_count_windows_by_masks
 from repro.errors import WindowError
 from repro.windows.assigner import (
     FragmentState,
@@ -85,6 +87,37 @@ class TestCountWindows:
             start = wid * 3
             expected = list(range(start, min(start + 7, 29)))
             assert rows == expected, f"window {wid}"
+
+
+@st.composite
+def count_batches(draw):
+    """(window, batch_start, batch_end): any slide <= size, any offset, and
+    batches from one tuple up to several windows long."""
+    size = draw(st.integers(1, 96))
+    slide = draw(st.integers(1, size))
+    start = draw(st.integers(0, 4 * size))
+    length = draw(st.one_of(st.integers(1, slide), st.integers(1, 3 * size)))
+    return WindowDefinition.rows(size, slide), start, start + length
+
+
+class TestCountWindowsMatchMasks:
+    """The closed-form state cuts equal the per-window masks they replaced."""
+
+    @given(count_batches())
+    @example((WindowDefinition.rows(1, 1), 0, 1))       # one tuple, one window
+    @example((WindowDefinition.rows(8, 8), 3, 4))       # one tuple mid-window
+    @example((WindowDefinition.rows(8, 3), 10, 11))     # shorter than the slide
+    @example((WindowDefinition.rows(50, 7), 20, 30))    # windows outlive the batch
+    @example((WindowDefinition.rows(4, 4), 8, 16))      # aligned tumbling
+    @example((WindowDefinition.rows(6, 2), 5, 9))       # closes exactly at the end
+    def test_values_and_dtypes(self, case):
+        window, start, end = case
+        got = assign_count_windows(window, start, end)
+        want = assign_count_windows_by_masks(window, start, end)
+        for name in ("window_ids", "starts", "ends", "states"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
 
 
 class TestTimeWindows:

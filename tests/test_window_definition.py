@@ -57,11 +57,6 @@ class TestGeometry:
             for wid in ids:
                 assert w.window_start(wid) <= pos < w.window_end(wid)
 
-    def test_pane_size_is_gcd(self):
-        assert WindowDefinition.rows(12, 8).pane_size == 4
-        assert WindowDefinition.rows(12, 8).panes_per_window == 3
-        assert WindowDefinition.rows(7, 7).pane_size == 7
-
     def test_str(self):
         assert "rows" in str(WindowDefinition.rows(4))
         assert "time" in str(WindowDefinition.time(4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SaberConfig, SaberEngine
+from repro.errors import QueryError, ValidationError
 from repro.workloads import (
     APPLICATION_QUERIES,
     ClusterMonitoringSource,
@@ -26,6 +27,17 @@ from repro.workloads.synthetic import (
 
 
 class TestSources:
+    @pytest.mark.parametrize(
+        "source",
+        [SyntheticSource, ClusterMonitoringSource, SmartGridSource, LinearRoadSource],
+    )
+    @pytest.mark.parametrize("rate", [0, -3])
+    def test_non_positive_rate_rejected(self, source, rate):
+        # Timestamps are position // rate: 0 divides by zero and a
+        # negative rate makes them decrease.
+        with pytest.raises(ValidationError, match="tuples_per_second must be positive"):
+            source(seed=1, tuples_per_second=rate)
+
     @pytest.mark.parametrize(
         "source",
         [
@@ -133,7 +145,7 @@ class TestApplicationRegistry:
         assert first[0] > 0
 
     def test_unknown_query_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(QueryError, match="'CM9'; known: CM1, CM2"):
             build("CM9")
 
     def test_surge_query_cost_structure(self):

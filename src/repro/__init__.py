@@ -44,7 +44,6 @@ from .relational import (
 from .windows import FragmentState, WindowDefinition, WindowSet, assign_windows
 from .operators import (
     AggregateSpec,
-    Aggregation,
     DistinctProjection,
     FilteredWindows,
     GroupedAggregation,
@@ -99,7 +98,6 @@ __all__ = [
     "FragmentState",
     "assign_windows",
     "AggregateSpec",
-    "Aggregation",
     "GroupedAggregation",
     "Projection",
     "Selection",

@@ -24,7 +24,8 @@ plan shape                                compiled operator
 ``select`` expressions                    ``Projection`` (wrapped in
                                           ``FilteredWindows`` under ``where``)
 ``select(...).distinct()``                ``DistinctProjection`` (idem)
-``aggregate(...)``                        ``Aggregation`` (idem)
+``aggregate(...)``                        ``GroupedAggregation`` over no
+                                          keys (idem)
 ``select(...).aggregate(...)``            ``ProjectedWindows`` — aggregates
                                           over the *projected* columns (idem)
 ``group_by(keys..., aggs...)``            ``GroupedAggregation`` (idem)
@@ -48,7 +49,6 @@ from typing import Any, Callable
 
 from ..errors import BuilderError
 from ..operators.aggregate_functions import AggregateSpec
-from ..operators.aggregation import Aggregation
 from ..operators.base import Operator
 from ..operators.compose import FilteredWindows, ProjectedWindows
 from ..operators.distinct import DistinctProjection
@@ -456,18 +456,15 @@ class Stream:
                         "keys and aggregates only (use derived keys for "
                         "computed grouping columns)"
                     )
-            if self._group_keys:
-                inner: Operator = GroupedAggregation(
-                    schema,
-                    list(self._group_keys),
-                    list(self._aggregates),
-                    having=self._having,
-                    derived_columns=dict(self._derived) or None,
-                )
-            else:
-                if self._having is not None:
-                    raise BuilderError("having() requires group_by()")
-                inner = Aggregation(schema, list(self._aggregates))
+            if self._having is not None and not self._group_keys:
+                raise BuilderError("having() requires group_by()")
+            inner: Operator = GroupedAggregation(
+                schema,
+                list(self._group_keys),
+                list(self._aggregates),
+                having=self._having,
+                derived_columns=dict(self._derived) or None,
+            )
             return FilteredWindows(self._where, inner) if self._where else inner
         if self._having is not None:
             raise BuilderError("having() requires group_by() with aggregates")
@@ -529,7 +526,7 @@ class Stream:
                     f"columns are {sorted(projected.attribute_names)}"
                 )
         inner: Operator = ProjectedWindows(
-            projection, Aggregation(projected, list(self._aggregates))
+            projection, GroupedAggregation(projected, [], list(self._aggregates))
         )
         return FilteredWindows(self._where, inner) if self._where else inner
 

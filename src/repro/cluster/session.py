@@ -258,10 +258,10 @@ class ClusterSession:
         operator = query.operator
         while hasattr(operator, "inner"):  # where/select wrappers commute
             operator = operator.inner
-        if not isinstance(operator, GroupedAggregation):
+        if not isinstance(operator, GroupedAggregation) or not operator.group_columns:
             raise ValidationError(
                 f"query {query.name!r}: key partitioning needs a GROUP-BY "
-                f"aggregation, got {type(operator).__name__}"
+                f"aggregation with keys, got {type(operator).__name__}"
             )
         group_columns = list(operator.group_columns)
         key = group_columns[0]

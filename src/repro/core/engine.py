@@ -21,6 +21,7 @@ first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import SaberError, SimulationError
@@ -131,6 +132,13 @@ class SaberConfig:
             raise SimulationError("queue_capacity must be positive")
         if self.task_size_bytes <= 0:
             raise SimulationError("task_size_bytes must be positive")
+        if self.ingest_bandwidth is not None and not 0 < self.ingest_bandwidth < math.inf:
+            raise SimulationError("ingest_bandwidth must be positive and finite, or None")
+        if self.switch_threshold < 0:
+            raise SimulationError("switch_threshold must be non-negative")
+        # 0 is meaningful: every completion refreshes the matrix.
+        if not 0 <= self.matrix_refresh_seconds < math.inf:
+            raise SimulationError("matrix_refresh_seconds must be non-negative and finite")
         if self.scheduler not in ("hls", "fcfs", "static"):
             raise SimulationError(f"unknown scheduler {self.scheduler!r}")
         if self.scheduler == "static" and not self.static_assignment:

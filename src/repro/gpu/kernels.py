@@ -6,12 +6,13 @@ paper's OpenCL kernels algorithmically:
 * **selection** — every atomic predicate is evaluated for every tuple
   (SIMD lanes do not short-circuit); survivors are compacted to
   contiguous output by scan-compaction of the selection vector;
-* **aggregation** and **GROUP-BY** — the paper reduces each window
-  fragment in a work group (a reduction tree; a per-fragment
-  open-addressing hash table for groups).  Here both run the CPU
-  operators' shared vectorised implementation, which never re-orders a
-  float reduction — that is what keeps the two processors bitwise
-  identical;
+* **aggregation** (GROUP-BY over zero or more keys) — the paper
+  reduces each window fragment in a work group (a reduction tree; a
+  per-fragment open-addressing hash table for groups).  Here it runs
+  the CPU operator's vectorised implementation, whose sums equal a
+  sequential fold per fragment bit for bit (prefix differences only
+  under an exactness certificate) — that is what keeps the two
+  processors bitwise identical;
 * **join** — the two-step count-then-compact technique borrowed from
   in-memory column stores [32]: match counts per tuple, a scan to obtain
   write offsets, then compaction — which is how the one task-level
@@ -56,9 +57,9 @@ def gpu_kernel(operator: Operator, inputs: "list[StreamSlice]") -> BatchResult:
     """Run a query task's batch operator function through the GPGPU path.
 
     Operators without a specialised kernel (projection's arithmetic map
-    is identical on both processors; aggregation's and GROUP-BY's shared
-    vectorised implementation never re-orders a float reduction; the
-    join's task kernel is count-then-compact everywhere) fall
+    is identical on both processors; aggregation's sums are bitwise a
+    sequential fold per fragment on every path; the join's task kernel
+    is count-then-compact everywhere) fall
     back to the CPU implementation — the *results* are defined to be
     processor-independent, and tests enforce it.
     """

@@ -4,7 +4,6 @@ from .base import BatchResult, CostProfile, Operator, StreamSlice
 from .aggregate_functions import Accumulator, AggregateSpec, SUPPORTED_FUNCTIONS
 from .projection import Projection, identity_projection
 from .selection import Selection
-from .aggregation import Aggregation, WindowAccumulator
 from .groupby import GroupedAggregation, GroupedWindowAccumulator
 from .join import JoinPartial, ThetaJoin
 from .distinct import DistinctProjection
@@ -22,8 +21,6 @@ __all__ = [
     "Projection",
     "identity_projection",
     "Selection",
-    "Aggregation",
-    "WindowAccumulator",
     "GroupedAggregation",
     "GroupedWindowAccumulator",
     "ThetaJoin",

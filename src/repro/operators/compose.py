@@ -22,10 +22,9 @@ cross-task window semantics are the inner operator's own.
 
 The lazy batches serve ``column``/``timestamps``/``len`` only, so both
 composers accept only inner operators that read a batch that way —
-``Projection``, ``DistinctProjection``, ``Aggregation``,
-``GroupedAggregation`` and :class:`ProjectedWindows`; joins, UDFs that
-slice raw fragment rows and selections raise :class:`QueryError` at
-construction.
+``Projection``, ``DistinctProjection``, ``GroupedAggregation`` and
+:class:`ProjectedWindows`; joins, UDFs that slice raw fragment rows and
+selections raise :class:`QueryError` at construction.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from ..relational.expressions import Expression, Predicate
 from ..relational.schema import TIMESTAMP_ATTRIBUTE, Schema
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import WindowSet
-from .aggregation import Aggregation
 from .base import BatchResult, CostProfile, Operator, StreamSlice
 from .distinct import DistinctProjection
 from .groupby import GroupedAggregation
@@ -47,7 +45,7 @@ from .projection import Projection
 
 #: bare operators whose batch functions read columns, timestamps and
 #: ``len`` only — never raw rows — and so run on the lazy batches below.
-_COLUMN_READERS = (Projection, DistinctProjection, Aggregation, GroupedAggregation)
+_COLUMN_READERS = (Projection, DistinctProjection, GroupedAggregation)
 
 
 class _GatheredBatch:
@@ -121,7 +119,7 @@ class _ProjectedBatch:
 def _require_column_reader(composer: str, inner: Operator) -> None:
     if not isinstance(inner, (*_COLUMN_READERS, ProjectedWindows)):
         raise QueryError(
-            f"{composer} composes Projection, DistinctProjection, Aggregation, "
+            f"{composer} composes Projection, DistinctProjection, "
             f"GroupedAggregation or ProjectedWindows, not {type(inner).__name__}"
         )
 

@@ -1,34 +1,50 @@
-"""GROUP-BY aggregation γ with optional HAVING (§5.3).
+"""Windowed aggregation γ: GROUP-BY over zero or more keys, with HAVING (§5.3).
+
+One operator serves grouped and ungrouped queries: with no key columns
+every tuple falls in the one group, and the output schema is
+``timestamp`` plus the aggregates.
 
 The batch operator function computes the group tables of *all* window
-fragments of a query task in **one segmented pass**: the task's group
-keys are encoded once (``np.unique`` over the task's key rows), every
-distinct fragment range is laid out fragment-major in tuple order, and
-the flat sequence is reduced on ``bin = fragment · G + code`` with
-``np.bincount`` (count / sum) and ``ufunc.at`` (min / max, only for
-columns an aggregate needs) — the dense equivalent of the paper's
-pooled hash tables, without a Python step per window.  ``bincount``
-adds sequentially in input order, so every (fragment, group) cell
-performs exactly the float additions a per-fragment scan from 0.0
-would, in the same order: results are bitwise those of the naive
-per-window algorithm (kept as the test oracle in ``tests/reference.py``).
-A prefix-sum / pane *difference* would not be — it changes rounding.
+fragments of a query task at once, on one of two paths the data picks:
 
-The memory shape of the pass is decided from the input: fragments are
-processed in blocks of about :data:`_BLOCK_ELEMENTS` flat elements so
-transient arrays stay under a megabyte however large ``range / slide``
-is; fragments sharing a ``(start, stop)`` range (every PENDING window
-of a task) are computed once; a dense ``fragments × groups`` table is
-only allocated when it is no larger than the block it reduces (high
-key cardinalities rank-compact the occupied cells instead); and
-fragments that tile the batch (tumbling windows) skip the gather.
+* **Prefix tables** — the paper's incremental computation.  Per group,
+  one ``(n + 1)``-long prefix table of counts and one of each summed
+  column, then every (fragment, group) cell is ``P[g, stop] −
+  P[g, start]``: O(1) per cell however long the window.  min / max read
+  a per-group sparse table (two overlapping power-of-two blocks).
+* **Segmented pass** — every distinct fragment range laid out
+  fragment-major in tuple order and reduced on ``bin = fragment · G +
+  code`` with ``np.bincount`` (count / sum) and ``ufunc.at`` (min / max),
+  in blocks of about :data:`_BLOCK_ELEMENTS` flat elements; fragments
+  that tile the batch (tumbling windows) skip the gather, and a dense
+  ``fragments × groups`` table is only allocated when it is no larger
+  than the block it reduces.
 
-Boundary fragments (OPENING / CLOSING / PENDING) leave the task as
-:class:`GroupedWindowAccumulator` payloads — row references into one
-columnar :class:`GroupBlock` per task — which the assembly operator
-function folds across tasks for all ready windows at once
-(:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot runs this
-same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
+Both paths are bitwise those of the naive per-window algorithm (a
+sequential fold per fragment, kept as the test oracle in
+``tests/reference.py``).  The segmented pass is so by construction:
+``bincount`` adds each cell's values from 0.0 in tuple order.  A prefix
+difference is so only under an **exactness certificate**, decided per
+task and summed column: every value is finite and a multiple of
+``2**(E - 53)``, where ``Σ|v| < 2**E``.  Every partial sum of such values
+is then a multiple of ``2**(E - 53)`` below ``2**E`` in magnitude, i.e.
+an integer below ``2**53`` times a power of two — exactly representable,
+so no prefix, no difference and no sequential fold ever rounds.  Counts
+are integer prefixes, and min / max pick an element (the last of equal
+ones, as ``ufunc.at`` does), so neither needs a certificate.  The
+prefix path runs when every summed column is certified and its tables
+hold no more elements than the segmented pass would reduce (nor than
+:data:`_TABLE_ELEMENTS`); anything else — NaN / inf, a wide dynamic
+range, tumbling tasks whose fragments touch every tuple once — takes
+the segmented pass.
+
+Fragments sharing a ``(start, stop)`` range (every PENDING window of a
+task) are computed once.  Boundary fragments (OPENING / CLOSING /
+PENDING) leave the task as :class:`GroupedWindowAccumulator` payloads —
+row references into one columnar :class:`GroupBlock` per task — which
+the assembly operator function folds across tasks for all ready windows
+at once (:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot
+runs this same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
 
 HAVING re-uses the selection machinery: the predicate is evaluated over
 the emitted (timestamp, groups, aggregates) rows.
@@ -55,6 +71,10 @@ from .base import BatchResult, CostProfile, Operator, StreamSlice, concat_ranges
 #: on slide-1 and tumbling tasks, 5 % slower at range / slide = 2048.
 _BLOCK_ELEMENTS = 1 << 14
 
+#: elements a task's prefix (or sparse) tables may hold, 8 MiB of
+#: float64: past it the blocked segmented pass bounds memory instead.
+_TABLE_ELEMENTS = 1 << 20
+
 #: partial aggregates kept per (window, group) cell besides the tuple
 #: count, and the aggregate functions that need each.
 _ACCUMULATOR_OF = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}
@@ -63,11 +83,59 @@ _FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 
 def _encode_keys(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Distinct rows of ``keys`` in lexicographic order, and every row's rank."""
+    if keys.shape[1] == 0:  # ungrouped: every row is in the one group
+        return keys[:1], np.zeros(len(keys), dtype=np.intp)
     if keys.shape[1] == 1:
         distinct, codes = np.unique(keys[:, 0], return_inverse=True)
         return distinct[:, None], codes
     distinct, codes = np.unique(keys, axis=0, return_inverse=True)
     return distinct, codes.ravel()
+
+
+def _certified(values: np.ndarray) -> bool:
+    """Whether every prefix sum of ``values``, and every difference of two,
+    is exact: all finite, all multiples of ``2**(E - 53)``, ``Σ|v| < 2**E``.
+
+    ``E`` is one above the computed sum's exponent, which absorbs the
+    sum's own rounding.  Scaling by ``2**(52 - exponent)`` is exact
+    unless it scales down into underflow, which only a value that is no
+    such multiple can suffer — the nonzero count catches one that
+    underflows to zero.
+    """
+    with np.errstate(over="ignore"):
+        total = np.abs(values).sum()
+    if not np.isfinite(total):
+        return False
+    exponent = np.frexp(total)[1]
+    scaled = np.ldexp(values, 52 - exponent)
+    return bool(
+        np.array_equal(scaled, np.trunc(scaled))
+        and (exponent <= 52 or np.count_nonzero(scaled) == np.count_nonzero(values))
+    )
+
+
+def _range_fold(
+    kind: str, rows: np.ndarray, first: np.ndarray, length: np.ndarray
+) -> np.ndarray:
+    """min / max of ``rows[first[i] : first[i] + length[i]]`` for every i.
+
+    A sparse table: level ``k`` folds ``2**k`` consecutive rows, and a
+    range folds the two level-``floor(log2(length))`` blocks that cover
+    it.  Every length must be positive.
+    """
+    ufunc = _FOLDS[kind][0]
+    depth = np.frexp(length)[1] - 1  # floor(log2), exact for integers
+    asked = np.bincount(depth) > 0
+    out = np.empty(len(first))
+    level = rows
+    for k in range(len(asked)):
+        if k:
+            half = 1 << (k - 1)
+            level = ufunc(level[:-half], level[half:])
+        if asked[k]:
+            at = np.flatnonzero(depth == k)
+            out[at] = ufunc(level[first[at]], level[first[at] + length[at] - (1 << k)])
+    return out
 
 
 class _Cells:
@@ -162,11 +230,13 @@ class GroupedWindowAccumulator:
 
 
 class GroupedAggregation(Operator):
-    """γ: GROUP-BY over one or more key columns, with aggregates.
+    """γ: aggregates per window, grouped by zero or more key columns.
 
-    Output schema: ``timestamp``, the group columns (input types), then one
-    float column per aggregate.  One output row per (window, group), rows
-    of a window sorted by group key for determinism.
+    Output schema: ``timestamp`` (the greatest tuple timestamp in the
+    window), the group columns (input types), then one float column per
+    aggregate.  One output row per non-empty (window, group), rows of a
+    window sorted by group key for determinism; with no group columns,
+    one row per non-empty window.
     """
 
     def __init__(
@@ -181,10 +251,8 @@ class GroupedAggregation(Operator):
         ``(expression, type_name)`` pair evaluated per batch — e.g. LRB3's
         ``segment = position / 5280`` grouping key."""
         super().__init__(input_schema)
-        if not group_columns:
-            raise QueryError("GROUP-BY needs at least one key column")
         if not specs:
-            raise QueryError("GROUP-BY needs at least one aggregate function")
+            raise QueryError("aggregation needs at least one aggregate function")
         self.derived_columns = dict(derived_columns or {})
         for name in group_columns:
             if name not in input_schema and name not in self.derived_columns:
@@ -214,8 +282,9 @@ class GroupedAggregation(Operator):
             for name in self.group_columns
         ]
         attributes += [Attribute(s.alias, s.output_type) for s in self.specs]
+        suffix = "groupby" if self.group_columns else "agg"
         self._output_schema = Schema(
-            tuple(attributes), name=f"{input_schema.name}_groupby"
+            tuple(attributes), name=f"{input_schema.name}_{suffix}"
         )
         if having is not None:
             unknown = having.references() - set(self._output_schema.attribute_names)
@@ -232,7 +301,7 @@ class GroupedAggregation(Operator):
         return CostProfile(
             kind="aggregation",
             aggregate_count=len(self.specs),
-            has_group_by=True,
+            has_group_by=bool(self.group_columns),
             predicate_tree=self.having,
         )
 
@@ -265,7 +334,6 @@ class GroupedAggregation(Operator):
         ascending within a fragment — and the row count per fragment.
         """
         lengths = np.maximum(stops - starts, 0)
-        offsets = np.cumsum(lengths) - lengths
         total = int(lengths.sum())
         if total == 0:
             return self._empty_block(), np.zeros(len(lengths), dtype=np.int64)
@@ -274,7 +342,79 @@ class GroupedAggregation(Operator):
             column: np.asarray(batch.column(column), dtype=np.float64)
             for column in {column for __, column in self._partials}
         }
-        cuts = np.searchsorted(offsets, np.arange(0, total, _BLOCK_ELEMENTS))
+        # The tables hold G × (n + 1) elements, times the sparse tables'
+        # levels for min / max; the segmented pass reduces ``total``.
+        extrema = any(kind != "sum" for kind, __ in self._partials)
+        levels = 1 + len(batch).bit_length() if extrema else 1
+        tables = len(distinct) * (len(batch) + 1) * levels
+        if tables <= min(total, _TABLE_ELEMENTS) and all(
+            _certified(values[column]) for kind, column in self._partials if kind == "sum"
+        ):
+            return self._prefix_tables(distinct, codes, values, starts, starts + lengths)
+        return self._segmented_tables(distinct, codes, values, starts, lengths)
+
+    def _prefix_tables(
+        self,
+        distinct: np.ndarray,
+        codes: np.ndarray,
+        values: "dict[str, np.ndarray]",
+        starts: np.ndarray,
+        stops: np.ndarray,
+    ) -> "tuple[GroupBlock, np.ndarray]":
+        """:meth:`_fragment_tables` read off per-group prefix and sparse tables.
+
+        Group ``g``'s table is row ``g`` of one flat ``G × (n + 1)``
+        array — its slot ``i + 1`` holds tuple ``i`` if the tuple is in
+        the group — so each table is built by one 1-D pass.  A prefix
+        then also counts the rows before ``g``, which every difference
+        cancels exactly: the counts are integers, and the sums are
+        certified, so no partial sum of any subset of them rounds.
+        """
+        width = len(codes) + 1
+        base = np.arange(len(distinct)) * width
+        if len(distinct) == 1:  # every tuple is in the one group
+            slot = slice(1, None)
+            rows = (stops - starts)[:, None]
+        else:
+            slot = codes * width + np.arange(1, width)
+            prefix = np.zeros(len(distinct) * width, dtype=np.int64)
+            prefix[slot] = 1
+            np.cumsum(prefix, out=prefix)
+            rows = prefix[base + stops[:, None]] - prefix[base + starts[:, None]]
+        # Row-major over (fragment, group): fragment-major, keys ascending.
+        fragment, group = np.nonzero(rows)
+        lo, hi = base[group] + starts[fragment], base[group] + stops[fragment]
+        partials = {}
+        for kind, column in self._partials:
+            if kind == "sum":
+                # Accumulated from a leading +0.0, no prefix and so no
+                # difference is ever -0.0, just as no fold from 0.0 is.
+                table = np.zeros(len(distinct) * width)
+                table[slot] = values[column]
+                np.cumsum(table, out=table)
+                partials[kind, column] = table[hi] - table[lo]
+            else:
+                # Other groups' slots hold the fold's identity.
+                table = np.full(len(distinct) * width, _FOLDS[kind][1])
+                table[slot] = values[column]
+                partials[kind, column] = _range_fold(kind, table, lo + 1, hi - lo)
+        block = GroupBlock(
+            distinct[group], rows[fragment, group].astype(np.float64), partials
+        )
+        return block, np.bincount(fragment, minlength=len(starts))
+
+    def _segmented_tables(
+        self,
+        distinct: np.ndarray,
+        codes: np.ndarray,
+        values: "dict[str, np.ndarray]",
+        starts: np.ndarray,
+        lengths: np.ndarray,
+    ) -> "tuple[GroupBlock, np.ndarray]":
+        """:meth:`_fragment_tables` by one segmented reduction per block."""
+        stops = starts + lengths
+        offsets = np.cumsum(lengths) - lengths
+        cuts = np.searchsorted(offsets, np.arange(0, int(lengths.sum()), _BLOCK_ELEMENTS))
         cuts = np.append(cuts, len(lengths))
         fragments, group_codes, counts = [], [], []
         partials = {partial: [] for partial in self._partials}

@@ -105,6 +105,16 @@ class TenantQuotas:
     #: stream could never satisfy a dispatcher pull before end-of-stream.
     task_size_bytes: int = 64 << 10
 
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name == "backpressure":
+                BackpressurePolicy.of(value)
+            elif isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValidationError(
+                    f"TenantQuotas.{field.name} must be a positive integer, got {value!r}"
+                )
+
 
 class _ResultQueue:
     """Bounded backlog of one query's output chunks.

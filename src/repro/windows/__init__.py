@@ -1,4 +1,4 @@
-"""Window semantics: definitions, boundary assignment, incremental range aggregation."""
+"""Window semantics: definitions and boundary assignment."""
 
 from .definition import WindowDefinition, WindowMode
 from .assigner import (
@@ -8,7 +8,6 @@ from .assigner import (
     assign_time_windows,
     assign_windows,
 )
-from .panes import PrefixRangeAggregator, SparseTableRangeAggregator
 
 __all__ = [
     "WindowDefinition",
@@ -18,6 +17,4 @@ __all__ = [
     "assign_count_windows",
     "assign_time_windows",
     "assign_windows",
-    "PrefixRangeAggregator",
-    "SparseTableRangeAggregator",
 ]

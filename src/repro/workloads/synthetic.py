@@ -20,7 +20,6 @@ import numpy as np
 from ..core.query import Query
 from ..io.base import GeneratorSource, checked_rate
 from ..operators.aggregate_functions import AggregateSpec
-from ..operators.aggregation import Aggregation
 from ..operators.compose import FilteredWindows, ProjectedWindows
 from ..operators.groupby import GroupedAggregation
 from ..operators.join import ThetaJoin
@@ -231,7 +230,7 @@ def agg_query(
     specs = [
         AggregateSpec(fn, None if fn == "count" else "a1") for fn in functions
     ]
-    operator = Aggregation(SYNTHETIC_SCHEMA, specs)
+    operator = GroupedAggregation(SYNTHETIC_SCHEMA, [], specs)
     label = name or f"AGG{'_'.join(functions)}"
     w = window or _window(32 << 10, 32 << 10)
     return Query(
@@ -337,7 +336,7 @@ def spa_query(
     specs = [
         AggregateSpec(fn, None if fn == "count" else "scaled") for fn in functions
     ]
-    aggregation = Aggregation(projection.output_schema, specs)
+    aggregation = GroupedAggregation(projection.output_schema, [], specs)
     operator = FilteredWindows(
         _pass_rate_predicate(pass_rate), ProjectedWindows(projection, aggregation)
     )

@@ -14,13 +14,16 @@ from collections.abc import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.core.query import Query
+from repro.core.result_stage import ResultStage
+from repro.core.task import QueryTask
 from repro.errors import ValidationError
 from repro.operators.aggregate_functions import finalize
 from repro.operators.base import BatchResult, StreamSlice
 from repro.operators.compose import FilteredWindows, ProjectedWindows
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
-from repro.windows.assigner import FragmentState, WindowSet
+from repro.windows.assigner import FragmentState, WindowSet, assign_windows
 from repro.windows.definition import WindowDefinition
 
 
@@ -65,34 +68,37 @@ def window_ranges(
     return out
 
 
+def sequential_fold(function: str, values: np.ndarray) -> float:
+    """``function`` over ``values`` the way a streaming scan computes it:
+    sums are a left fold from 0.0 in row order (``np.sum`` is pairwise)."""
+    if function == "count":
+        return float(len(values))
+    if function == "min":
+        return float(values.min())
+    if function == "max":
+        return float(values.max())
+    total = float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+    if function == "sum":
+        return total
+    if function == "avg":
+        return total / len(values)
+    raise ValueError(function)
+
+
 def sliding_aggregate(
     window: WindowDefinition,
     data: TupleBatch,
     column: str,
     function: str,
 ) -> "list[tuple[int, float]]":
-    """Per-closed-window aggregate values: (last timestamp, value)."""
+    """Per-closed-window :func:`sequential_fold` values: (last timestamp, value)."""
     values = np.asarray(data.column(column), dtype=np.float64)
     ts = np.asarray(data.timestamps)
-    out = []
-    for __, start, end in window_ranges(window, data):
-        if end <= start:
-            continue
-        chunk = values[start:end]
-        if function == "sum":
-            v = float(chunk.sum())
-        elif function == "count":
-            v = float(len(chunk))
-        elif function == "avg":
-            v = float(chunk.mean())
-        elif function == "min":
-            v = float(chunk.min())
-        elif function == "max":
-            v = float(chunk.max())
-        else:
-            raise ValueError(function)
-        out.append((int(ts[end - 1]), v))
-    return out
+    return [
+        (int(ts[end - 1]), sequential_fold(function, values[start:end]))
+        for __, start, end in window_ranges(window, data)
+        if end > start
+    ]
 
 
 def grouped_aggregate(
@@ -102,7 +108,8 @@ def grouped_aggregate(
     column: "str | None",
     function: str,
 ) -> "list[tuple[int, tuple, float]]":
-    """Per-(closed window, group): (last ts, group key, value), key-sorted."""
+    """Per-(closed window, group): (last ts, group key, value), key-sorted;
+    values are :func:`sequential_fold` over the group's rows."""
     ts = np.asarray(data.timestamps)
     keys = np.column_stack(
         [np.asarray(data.column(c), dtype=np.int64) for c in group_columns]
@@ -121,19 +128,7 @@ def grouped_aggregate(
         uniq, inverse = np.unique(k, axis=0, return_inverse=True)
         last_ts = int(ts[end - 1])
         for g in range(len(uniq)):
-            sel = v[inverse == g]
-            if function == "sum":
-                value = float(sel.sum())
-            elif function == "count":
-                value = float(len(sel))
-            elif function == "avg":
-                value = float(sel.mean())
-            elif function == "min":
-                value = float(sel.min())
-            elif function == "max":
-                value = float(sel.max())
-            else:
-                raise ValueError(function)
+            value = sequential_fold(function, v[inverse.ravel() == g])
             out.append((last_ts, tuple(uniq[g]), value))
     return out
 
@@ -255,6 +250,34 @@ def grouped_by_window(op, tasks: "list[tuple]") -> "tuple[list[bytes], list[tupl
     if out:
         chunks.append(TupleBatch.concat(out).data.tobytes())
     return chunks, finalised
+
+
+def cut_tasks(data, window, task_size, force_assembly=False):
+    """``[(batch, window set)]`` the way the engine's execution stage cuts them."""
+    tasks, previous = [], None
+    for start in range(0, len(data), task_size):
+        part = data.slice(start, start + task_size)
+        windows = assign_windows(
+            window, start, start + len(part), part.timestamps, previous, force_assembly
+        )
+        previous = int(part.timestamps[-1])
+        tasks.append((part, windows))
+    return tasks
+
+
+def run_engine_path(op, tasks, collect_output=True):
+    """Kernel + ``ResultStage`` (the batched hook): chunks, windows, stage."""
+    query = Query("q", op, [WindowDefinition.rows(1, 1)])
+    stage = ResultStage(query, collect_output=collect_output)
+    chunks, windows = [], []
+    stage.on_emit = lambda record: chunks.append(record.rows.data.tobytes())
+    stage.on_window = lambda wid, rows: windows.append((wid, rows.data.tobytes()))
+    for task_id, (batch, window_set) in enumerate(tasks):
+        result = op.process_batch([StreamSlice(batch, window_set, 0)])
+        stage.submit(QueryTask(query, task_id, [], 0.0, 1), result, 0.0)
+    stage.flush(0.0)
+    return chunks, windows, stage
+
 
 
 # -- the retired per-window θ-join, kept as the bitwise oracle ---------------------

@@ -1,11 +1,11 @@
-"""Unit tests for windowed aggregation with fragments and assembly."""
+"""Unit tests for ungrouped windowed aggregation (GroupedAggregation over no keys)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import QueryError
 from repro.operators.aggregate_functions import Accumulator, AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation, GroupedWindowAccumulator
 from repro.operators.base import StreamSlice
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -67,7 +67,7 @@ class TestAccumulator:
 
 class TestCompleteWindows:
     def test_tumbling_sums(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         w = WindowDefinition.rows(4, 4)
         result = run_window(op, w, 0, 12)
         out = result.complete
@@ -82,7 +82,7 @@ class TestCompleteWindows:
             AggregateSpec("min", "v"),
             AggregateSpec("max", "v"),
         ]
-        op = Aggregation(SCHEMA, specs)
+        op = GroupedAggregation(SCHEMA, [], specs)
         w = WindowDefinition.rows(4, 2)
         out = run_window(op, w, 0, 10).complete
         # Complete windows: [0,4), [2,6), [4,8), [6,10)
@@ -93,21 +93,21 @@ class TestCompleteWindows:
         assert np.allclose(out.column("max_v"), [3, 5, 7, 9])
 
     def test_output_schema(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("avg", "v", "m")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("avg", "v", "m")])
         assert op.output_schema.attribute_names == ("timestamp", "m")
 
     def test_unknown_column_rejected(self):
         with pytest.raises(QueryError):
-            Aggregation(SCHEMA, [AggregateSpec("sum", "nope")])
+            GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "nope")])
 
     def test_no_specs_rejected(self):
         with pytest.raises(QueryError):
-            Aggregation(SCHEMA, [])
+            GroupedAggregation(SCHEMA, [], [])
 
 
 class TestFragmentsAndAssembly:
     def test_partials_for_boundary_windows(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         w = WindowDefinition.rows(8, 4)
         result = run_window(op, w, 0, 10)
         # Window 0 [0,8) complete; window 1 [4,12) opening; window 2 [8,16) opening.
@@ -116,7 +116,7 @@ class TestFragmentsAndAssembly:
         assert result.closed_ids == []
 
     def test_cross_task_merge_equals_single_task(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])
         w = WindowDefinition.rows(8, 4)
         r1 = run_window(op, w, 0, 6)
         r2 = run_window(op, w, 6, 14)
@@ -127,19 +127,17 @@ class TestFragmentsAndAssembly:
         assert rows.timestamps[0] == 7
 
     def test_closed_ids_on_closing_fragment(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         w = WindowDefinition.rows(8, 4)
         r2 = run_window(op, w, 6, 14)
         assert 0 in r2.closed_ids
 
     def test_finalize_empty_payload_returns_none(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
-        from repro.operators.aggregation import WindowAccumulator
-
-        assert op.finalize_window(0, WindowAccumulator()) is None
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
+        assert op.finalize_window(0, GroupedWindowAccumulator()) is None
 
     def test_merge_is_associative(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v"), AggregateSpec("min", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("min", "v")])
         w = WindowDefinition.rows(12, 12)
         parts = [run_window(op, w, a, b).partials[0] for a, b in [(0, 4), (4, 8), (8, 11)]]
         left = op.merge_partials(op.merge_partials(parts[0], parts[1]), parts[2])
@@ -150,30 +148,8 @@ class TestFragmentsAndAssembly:
         assert np.allclose(a.column("min_v"), b.column("min_v"))
 
     def test_empty_window_set(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         from repro.windows.assigner import WindowSet
 
         result = op.process_batch([StreamSlice(batch(0, 4), WindowSet.empty(), 0)])
         assert len(result.complete) == 0
-
-    def test_identity_arrays_are_built_once_per_call(self, monkeypatch):
-        """``np.full``/``np.zeros`` stand-ins for a column no spec sums or
-        takes extrema of are per call, not per boundary window per column."""
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v"), AggregateSpec("count", None)])
-        calls = []
-        full = np.full
-        monkeypatch.setattr(np, "full", lambda *a, **k: calls.append(a) or full(*a, **k))
-
-        def fulls_for(slide):
-            w = WindowDefinition.rows(32, slide)
-            del calls[:]
-            result = run_window(op, w, 0, 33)
-            return len(calls), result
-
-        few, sparse = fulls_for(8)
-        many, dense = fulls_for(2)
-        assert (len(sparse.partials), len(dense.partials)) == (4, 16)
-        assert many == few <= 4
-        # Sum-only column: the partial carries the ±inf identities.
-        last = dense.partials[16].columns["v"]
-        assert (last.total, last.count, last.minimum, last.maximum) == (32.0, 1.0, np.inf, -np.inf)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import SaberSession, Stream, agg
 from repro.errors import BuilderError, QueryError, SaberError, SessionError
-from repro.operators.aggregation import Aggregation
 from repro.operators.compose import FilteredWindows
 from repro.operators.distinct import DistinctProjection
 from repro.operators.groupby import GroupedAggregation
@@ -63,7 +62,8 @@ class TestBuilderCompilation:
 
     def test_aggregate_without_keys(self):
         q = plan().window(time=3600, slide=1).aggregate(agg.avg("cpu")).build()
-        assert isinstance(q.operator, Aggregation)
+        assert isinstance(q.operator, GroupedAggregation)
+        assert q.operator.group_columns == []
 
     def test_bare_where_compiles_to_selection(self):
         q = plan().window(rows=1024).where(col("cpu") > 0.5).build()

@@ -20,7 +20,6 @@ from repro.api import SaberSession
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.query import Query
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
 from repro.operators.compose import FilteredWindows, ProjectedWindows
 from repro.operators.distinct import DistinctProjection
 from repro.operators.groupby import GroupedAggregation
@@ -84,8 +83,8 @@ LEGACY_QUERIES = {
     ),
     "SG1": lambda: Query(
         "SG1",
-        Aggregation(
-            SMART_GRID_SCHEMA, [AggregateSpec("avg", "value", "globalAvgLoad")]
+        GroupedAggregation(
+            SMART_GRID_SCHEMA, [], [AggregateSpec("avg", "value", "globalAvgLoad")]
         ),
         [WindowDefinition.time(3600, 1)],
     ),

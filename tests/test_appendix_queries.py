@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.cql import compile_statement
 from repro.errors import CQLSyntaxError
-from repro.operators.aggregation import Aggregation
 from repro.operators.compose import FilteredWindows
 from repro.operators.groupby import GroupedAggregation
 from repro.operators.join import ThetaJoin
@@ -70,7 +69,8 @@ class TestSmartGrid:
             """,
             SCHEMAS, name="SG1",
         )
-        assert isinstance(q.operator, Aggregation)
+        assert isinstance(q.operator, GroupedAggregation)
+        assert q.operator.group_columns == []
         assert q.windows[0].size == 3600
 
     def test_sg2(self):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.cql import compile_statement
 from repro.errors import CQLSyntaxError
-from repro.operators.aggregation import Aggregation
 from repro.operators.compose import FilteredWindows
 from repro.operators.distinct import DistinctProjection
 from repro.operators.groupby import GroupedAggregation
@@ -47,7 +46,8 @@ class TestSingleStream:
         q = compile_statement(
             "select timestamp, avg(cpu) from S [range 3600 slide 1]", SCHEMAS
         )
-        assert isinstance(q.operator, Aggregation)
+        assert isinstance(q.operator, GroupedAggregation)
+        assert q.operator.group_columns == []
 
     def test_having(self):
         q = compile_statement(

@@ -7,7 +7,7 @@ from repro.operators.base import StreamSlice
 from repro.operators.compose import FilteredWindows
 from repro.operators.distinct import DistinctProjection
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation
 from repro.operators.udf import WindowUdf, partition_join
 from repro.relational.expressions import col
 from repro.relational.schema import Schema
@@ -62,7 +62,7 @@ class TestDistinct:
 
 class TestFilteredWindows:
     def test_filter_then_aggregate(self):
-        inner = Aggregation(SCHEMA, [AggregateSpec("count", None, "n")])
+        inner = GroupedAggregation(SCHEMA, [], [AggregateSpec("count", None, "n")])
         op = FilteredWindows(col("k").eq(0), inner)
         w = WindowDefinition.rows(6, 6)
         result = op.process_batch([sl(batch(0, 12), w)])
@@ -70,7 +70,7 @@ class TestFilteredWindows:
         assert result.stats["selectivity"] == pytest.approx(1 / 3)
 
     def test_fragment_remapping_preserves_window_contents(self):
-        inner = Aggregation(SCHEMA, [AggregateSpec("sum", "v", "s")])
+        inner = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v", "s")])
         op = FilteredWindows(col("v") < 3, inner)
         w = WindowDefinition.rows(5, 5)
         result = op.process_batch([sl(batch(0, 10), w)])
@@ -79,7 +79,7 @@ class TestFilteredWindows:
         assert np.allclose(result.complete.column("s"), [3.0, 3.0])
 
     def test_assembly_delegates_to_inner(self):
-        inner = Aggregation(SCHEMA, [AggregateSpec("count", None, "n")])
+        inner = GroupedAggregation(SCHEMA, [], [AggregateSpec("count", None, "n")])
         op = FilteredWindows(col("k").eq(1), inner)
         w = WindowDefinition.rows(10, 10)
         r1 = op.process_batch([sl(batch(0, 6), w)])
@@ -90,12 +90,12 @@ class TestFilteredWindows:
         assert rows.column("n")[0] == (idx % 3 == 1).sum()
 
     def test_output_schema_is_inner(self):
-        inner = Aggregation(SCHEMA, [AggregateSpec("count", None, "n")])
+        inner = GroupedAggregation(SCHEMA, [], [AggregateSpec("count", None, "n")])
         op = FilteredWindows(col("k").eq(0), inner)
         assert op.output_schema is inner.output_schema
 
     def test_cost_profile_combines(self):
-        inner = Aggregation(SCHEMA, [AggregateSpec("count", None)])
+        inner = GroupedAggregation(SCHEMA, [], [AggregateSpec("count", None)])
         op = FilteredWindows((col("k") < 1) & (col("v") < 2), inner)
         profile = op.cost_profile()
         assert profile.kind == "aggregation"

@@ -179,6 +179,28 @@ class TestSchedulers:
         with pytest.raises(SimulationError, match="task_size_bytes"):
             SaberConfig(task_size_bytes=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ingest_bandwidth", 0),  # used to be a ZeroDivisionError at run time
+            ("ingest_bandwidth", -5.0),  # used to be ignored on threads
+            ("ingest_bandwidth", float("nan")),
+            ("ingest_bandwidth", float("inf")),
+            ("switch_threshold", -1),
+            ("matrix_refresh_seconds", -1e-3),
+            ("matrix_refresh_seconds", float("nan")),
+            ("matrix_refresh_seconds", float("inf")),
+        ],
+    )
+    def test_bad_numeric_field_rejected_at_construction(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            SaberConfig(execution="threads", **{field: value})
+
+    def test_boundary_numeric_fields_accepted(self):
+        # switch_threshold=0 forces a switch every task; a 0 s refresh
+        # period refreshes the matrix on every completion.
+        SaberConfig(ingest_bandwidth=1.0, switch_threshold=0, matrix_refresh_seconds=0.0)
+
     def test_hls_matrix_history_recorded(self):
         engine = SaberEngine(small_config(matrix_refresh_seconds=1e-4))
         engine.add_query(select_query(16), [SyntheticSource(seed=1)])

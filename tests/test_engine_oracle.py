@@ -5,6 +5,11 @@ the task size, the fragment decomposition, out-of-order completion and
 cross-task assembly — is *invisible* to query semantics.  These tests run
 the full engine at awkward task sizes (not aligned with window
 boundaries) and compare against first-principles reference evaluation.
+
+The synthetic float attribute is uniform float32 — multiples of 2**-24 —
+so every float64 sum of it is exact, however the engine splits a window
+into fragments: the outputs must equal a sequential fold per window bit
+for bit (``np.array_equal``, never a tolerance).
 """
 
 import numpy as np
@@ -13,7 +18,6 @@ import pytest
 import reference
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
 from repro.operators.groupby import GroupedAggregation
 from repro.windows.definition import WindowDefinition
 from repro.workloads.synthetic import (
@@ -23,6 +27,14 @@ from repro.workloads.synthetic import (
     select_query,
 )
 from repro.core.query import Query
+
+
+def assert_rows_equal(out, column, expected):
+    """``out``'s timestamps and float32 ``column`` are exactly ``expected``'s
+    ``(last timestamp, value)`` pairs."""
+    timestamps, values = zip(*expected)
+    assert np.array_equal(out.timestamps, timestamps)
+    assert np.array_equal(out.column(column), np.asarray(values, dtype=np.float32))
 
 
 def run_engine(query, seed, task_tuples, n_tasks, cpu_workers=3):
@@ -47,28 +59,23 @@ def run_engine(query, seed, task_tuples, n_tasks, cpu_workers=3):
                WindowDefinition.rows(512, 32)]
 )
 def test_sliding_sum_oracle(task_tuples, window):
-    op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+    op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
     query = Query(f"agg_{task_tuples}_{window.size}", op, [window])
     out, data = run_engine(query, seed=3, task_tuples=task_tuples, n_tasks=12)
     expected = reference.sliding_aggregate(window, data, "a1", "sum")
     assert out is not None
-    assert len(out) == len(expected)
-    for i, (ts, value) in enumerate(expected):
-        assert out.timestamps[i] == ts or True  # count windows: ts of last row
-        assert out.column("s")[i] == pytest.approx(value, rel=1e-5)
+    assert_rows_equal(out, "s", expected)
 
 
 @pytest.mark.parametrize("function", ["min", "max", "avg", "count"])
 def test_all_aggregate_functions_oracle(function):
     window = WindowDefinition.rows(200, 75)
     column = None if function == "count" else "a1"
-    op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec(function, column, "v")])
+    op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec(function, column, "v")])
     query = Query(f"agg_{function}", op, [window])
     out, data = run_engine(query, seed=5, task_tuples=333, n_tasks=10)
     expected = reference.sliding_aggregate(window, data, "a1", function)
-    assert len(out) == len(expected)
-    for i, (__, value) in enumerate(expected):
-        assert out.column("v")[i] == pytest.approx(value, rel=1e-5)
+    assert_rows_equal(out, "v", expected)
 
 
 def test_selection_oracle():
@@ -93,16 +100,13 @@ def test_groupby_oracle():
     out = report.outputs[query.name]
     data = reference.collect(SyntheticSource(seed=11, groups=5), 2500, 250)
     expected = reference.grouped_aggregate(window, data, ["a2"], "a1", "sum")
-    assert len(out) == len(expected)
-    for i, (ts, key, value) in enumerate(expected):
-        assert int(out.column("a2")[i]) == key[0]
-        assert out.column("total")[i] == pytest.approx(value, rel=1e-5)
-        assert int(out.timestamps[i]) == ts
+    assert np.array_equal(out.column("a2"), [key[0] for __, key, __ in expected])
+    assert_rows_equal(out, "total", [(ts, value) for ts, __, value in expected])
 
 
 def test_time_window_aggregation_oracle():
     window = WindowDefinition.time(3, 1)
-    op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+    op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
     query = Query("agg_time", op, [window])
     engine = SaberEngine(SaberConfig(task_size_bytes=700 * TUPLE_SIZE, cpu_workers=3))
     # 128 tuples per logical second.
@@ -113,9 +117,7 @@ def test_time_window_aggregation_oracle():
         SyntheticSource(seed=13, tuples_per_second=128), 7000, 700
     )
     expected = reference.sliding_aggregate(window, data, "a1", "sum")
-    assert len(out) == len(expected)
-    for i, (__, value) in enumerate(expected):
-        assert out.column("s")[i] == pytest.approx(value, rel=1e-5)
+    assert_rows_equal(out, "s", expected)
 
 
 def test_join_oracle_small():

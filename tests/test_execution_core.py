@@ -348,6 +348,51 @@ def test_guard_sees_an_execution_operator_read(tmp_path):
     }
 
 
+# -- one aggregation operator ------------------------------------------------------
+
+
+def _aggregation_sites(root):
+    """{name: sorted modules} for the names of the deleted ungrouped path:
+    its operator, payload and range aggregators, and imports of its modules."""
+    gone = {
+        "Aggregation", "WindowAccumulator", "PrefixRangeAggregator", "SparseTableRangeAggregator",
+    }
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = set(_names(tree)) & gone
+        named |= {
+            node.module.rsplit(".", 1)[-1]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        } & {"aggregation", "panes"}
+        for name in named:
+            sites.setdefault(name, []).append(path.relative_to(root).as_posix())
+    return sites
+
+
+def test_aggregation_is_one_operator():
+    """Ungrouped aggregation is ``GroupedAggregation`` over zero keys: the
+    second operator, its dict payload and the range aggregators stay gone."""
+    assert _aggregation_sites(SRC) == {}
+    assert not (SRC / "operators" / "aggregation.py").exists()
+    assert not (SRC / "windows" / "panes.py").exists()
+
+
+def test_guard_sees_an_aggregation_use(tmp_path):
+    (tmp_path / "builder.py").write_text(
+        "from .operators.aggregation import X\nop = Aggregation(schema, specs)\n"
+    )
+    (tmp_path / "window.py").write_text(
+        "from ..windows import panes\nt = panes.SparseTableRangeAggregator\n"
+    )
+    assert _aggregation_sites(tmp_path) == {
+        "aggregation": ["builder.py"],
+        "Aggregation": ["builder.py"],
+        "SparseTableRangeAggregator": ["window.py"],
+    }
+
+
 # -- rows move as bytes: one rule, one owner --------------------------------------
 
 

@@ -25,7 +25,7 @@ from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.query import Query
 from repro.errors import SimulationError
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation
 from repro.windows.definition import WindowDefinition
 from repro.workloads.synthetic import (
     SYNTHETIC_SCHEMA,
@@ -117,7 +117,7 @@ def test_projection_equivalence_hybrid():
 )
 def test_sliding_aggregation_equivalence_cpu(window):
     def make():
-        op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+        op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
         return Query(f"agg_{window.size}_{window.slide}", op, [window])
 
     sim, processes = run_both(make, seeds=[3], use_gpu=False)
@@ -137,7 +137,7 @@ def test_groupby_equivalence_cpu():
 
 def test_time_window_equivalence_cpu():
     def make():
-        op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+        op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
         return Query("agg_time", op, [WindowDefinition.time(3, 1)])
 
     sim, processes = run_both(
@@ -317,7 +317,7 @@ def test_session_close_unlinks_shared_memory():
 # -- failure propagation -------------------------------------------------------
 
 
-class _ExplodingOperator(Aggregation):
+class _ExplodingOperator(GroupedAggregation):
     """Raises inside the worker process on the third task it sees."""
 
     def process_batch(self, slices):
@@ -335,7 +335,7 @@ def test_worker_failure_surfaces_in_parent():
             use_gpu=False,
         )
     )
-    op = _ExplodingOperator(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+    op = _ExplodingOperator(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
     query = Query("boom", op, [WindowDefinition.rows(100, 100)])
     engine.add_query(query, [SyntheticSource(seed=1)])
     try:

@@ -23,7 +23,7 @@ from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.query import Query
 from repro.errors import SimulationError
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation
 from repro.windows.definition import WindowDefinition
 from repro.workloads.synthetic import (
     SYNTHETIC_SCHEMA,
@@ -106,7 +106,7 @@ def test_projection_equivalence_hybrid():
 )
 def test_sliding_aggregation_equivalence_cpu(window):
     def make():
-        op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+        op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
         return Query(f"agg_{window.size}_{window.slide}", op, [window])
 
     sim, threads = run_both(make, seeds=[3], use_gpu=False)
@@ -117,7 +117,7 @@ def test_sliding_aggregation_equivalence_cpu(window):
 def test_aggregate_functions_equivalence_cpu(function):
     def make():
         column = None if function == "count" else "a1"
-        op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec(function, column, "v")])
+        op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec(function, column, "v")])
         return Query(f"agg_{function}", op, [WindowDefinition.rows(200, 75)])
 
     sim, threads = run_both(make, seeds=[5], use_gpu=False)
@@ -135,7 +135,7 @@ def test_aggregation_equivalence_hybrid():
     """
 
     def make():
-        op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+        op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
         return Query("agg_hybrid", op, [WindowDefinition.rows(256, 64)])
 
     sim, threads = run_both(make, seeds=[3])
@@ -155,7 +155,7 @@ def test_groupby_equivalence_cpu():
 
 def test_time_window_equivalence_cpu():
     def make():
-        op = Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("sum", "a1", "s")])
+        op = GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("sum", "a1", "s")])
         return Query("agg_time", op, [WindowDefinition.time(3, 1)])
 
     sim, threads = run_both(

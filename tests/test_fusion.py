@@ -19,7 +19,6 @@ from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.fusion import fuse_operator
 from repro.errors import BuilderError, QueryError
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
 from repro.operators.compose import FilteredWindows, ProjectedWindows
 from repro.operators.distinct import DistinctProjection
@@ -67,8 +66,9 @@ def chains(predicate=None):
         [("timestamp", col("timestamp")), ("scaled", col("v") * 3.0 + 1.0)],
         output_types={"scaled": "float"},
     )
-    aggregation = Aggregation(
+    aggregation = GroupedAggregation(
         projection.output_schema,
+        [],
         [AggregateSpec("sum", "scaled"), AggregateSpec("min", "scaled")],
     )
     return [
@@ -84,7 +84,9 @@ def chains(predicate=None):
             "filter-aggregate",
             FilteredWindows(
                 predicate,
-                Aggregation(SCHEMA, [AggregateSpec("avg", "v"), AggregateSpec("max", "v")]),
+                GroupedAggregation(
+                    SCHEMA, [], [AggregateSpec("avg", "v"), AggregateSpec("max", "v")]
+                ),
             ),
         ),
         (
@@ -144,7 +146,7 @@ class TestEligibility:
 
     def test_bare_operators_decline(self):
         selection = Selection(SCHEMA, col("k").eq(0))
-        aggregation = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        aggregation = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         with pytest.raises(QueryError, match="not Selection"):
             FilteredWindows(col("w") < 5, selection)
         with pytest.raises(QueryError, match="not Selection"):
@@ -190,7 +192,7 @@ class TestEligibility:
         # this used to build and die in the first task with an IndexError.
         with pytest.raises(QueryError, match="1:1 Projection"):
             ProjectedWindows(
-                projection, Aggregation(SYNTHETIC_SCHEMA, [AggregateSpec("count", None)])
+                projection, GroupedAggregation(SYNTHETIC_SCHEMA, [], [AggregateSpec("count", None)])
             )
 
     @pytest.mark.parametrize("label,chain", chains(), ids=LABELS)
@@ -305,7 +307,8 @@ class TestBuilderProjectedAggregation:
         )
         query = plan.build("pi-alpha")
         assert isinstance(query.operator, ProjectedWindows)
-        assert isinstance(query.operator.inner, Aggregation)
+        assert isinstance(query.operator.inner, GroupedAggregation)
+        assert query.operator.inner.group_columns == []
         assert query.operator.output_schema.attribute_names == ("timestamp", "total")
 
     def test_where_select_aggregate_compiles_to_full_chain(self):
@@ -319,7 +322,8 @@ class TestBuilderProjectedAggregation:
         operator = plan.build("spa").operator
         assert isinstance(operator, FilteredWindows)
         assert isinstance(operator.inner, ProjectedWindows)
-        assert isinstance(operator.inner.inner, Aggregation)
+        assert isinstance(operator.inner.inner, GroupedAggregation)
+        assert operator.inner.inner.group_columns == []
 
     def test_aggregate_over_unprojected_column_rejected(self):
         plan = (

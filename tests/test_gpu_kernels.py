@@ -5,7 +5,6 @@ import pytest
 
 from repro.gpu.kernels import gpu_kernel, gpu_selection
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
 from repro.operators.groupby import GroupedAggregation
 from repro.operators.join import ThetaJoin
@@ -81,7 +80,7 @@ class TestKernelEquivalence:
             assert cpu.closed_ids == gpu.closed_ids and cpu.stats == gpu.stats
 
     def test_aggregation_path_matches(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])
         data = batch(512)
         slices = windowed(data, WindowDefinition.rows(128, 32))
         cpu = op.process_batch(slices)

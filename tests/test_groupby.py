@@ -63,8 +63,8 @@ class TestGrouping:
         assert list(out.timestamps) == [2, 2, 2, 5, 5, 5, 8, 8, 8]
 
     def test_validation(self):
-        with pytest.raises(QueryError):
-            GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
+        # No keys is ungrouped aggregation (one group), not an error.
+        assert GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")]).group_columns == []
         with pytest.raises(QueryError):
             GroupedAggregation(SCHEMA, ["nope"], [AggregateSpec("sum", "v")])
         with pytest.raises(QueryError):

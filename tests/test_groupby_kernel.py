@@ -12,10 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import grouped_by_window
-from repro.core.query import Query
-from repro.core.result_stage import ResultStage
-from repro.core.task import QueryTask
+from reference import cut_tasks, grouped_by_window, run_engine_path
 from repro.operators import groupby as groupby_module
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.base import StreamSlice
@@ -75,33 +72,6 @@ def make_operator(keys, aggregates, having=False) -> GroupedAggregation:
         having=(col("a0") > 0.5) if having else None,
         derived_columns={"bucket": (col("v") / 4, "int")} if "bucket" in keys else None,
     )
-
-
-def cut_tasks(data, window, task_size, force_assembly=False):
-    """``[(batch, window set)]`` the way the engine's execution stage cuts them."""
-    tasks, previous = [], None
-    for start in range(0, len(data), task_size):
-        part = data.slice(start, start + task_size)
-        windows = assign_windows(
-            window, start, start + len(part), part.timestamps, previous, force_assembly
-        )
-        previous = int(part.timestamps[-1])
-        tasks.append((part, windows))
-    return tasks
-
-
-def run_engine_path(op, tasks, collect_output=True):
-    """Kernel + ``ResultStage`` (the batched hook): chunks, windows, stage."""
-    query = Query("q", op, [WindowDefinition.rows(1, 1)])
-    stage = ResultStage(query, collect_output=collect_output)
-    chunks, windows = [], []
-    stage.on_emit = lambda record: chunks.append(record.rows.data.tobytes())
-    stage.on_window = lambda wid, rows: windows.append((wid, rows.data.tobytes()))
-    for task_id, (batch, window_set) in enumerate(tasks):
-        result = op.process_batch([StreamSlice(batch, window_set, 0)])
-        stage.submit(QueryTask(query, task_id, [], 0.0, 1), result, 0.0)
-    stage.flush(0.0)
-    return chunks, windows, stage
 
 
 def run_pairwise_path(op, tasks):

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import QueryError
 from repro.gpu.kernels import gpu_selection
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation
 from repro.operators.base import StreamSlice
 from repro.operators.compose import FilteredWindows
 from repro.operators.projection import Projection, identity_projection
@@ -120,7 +120,7 @@ class TestSelectivityIsTheSurvivorShare:
         "selection": lambda p, s: Selection(SCHEMA, p).process_batch(s),
         "gpu_selection": lambda p, s: gpu_selection(Selection(SCHEMA, p), s),
         "filtered_windows": lambda p, s: FilteredWindows(
-            p, Aggregation(SCHEMA, [AggregateSpec("sum", "a")])
+            p, GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "a")])
         ).process_batch(s),
     }
 

@@ -9,7 +9,6 @@ from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.windows.assigner import FragmentState, assign_count_windows, assign_time_windows
 from repro.windows.definition import WindowDefinition
-from repro.windows.panes import PrefixRangeAggregator, SparseTableRangeAggregator
 
 SCHEMA = Schema.parse("timestamp:long, v:int")
 
@@ -84,41 +83,6 @@ class TestWindowAssignerProperties:
             lo, hi = wid * window.slide, wid * window.slide + window.size
             expected = [i for i, t in enumerate(ts) if lo <= t < hi]
             assert rows == expected
-
-
-class TestRangeAggregatorProperties:
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200),
-        st.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_prefix_matches_slice_sum(self, values, data):
-        arr = np.asarray(values)
-        n = len(arr)
-        start = data.draw(st.integers(min_value=0, max_value=n))
-        end = data.draw(st.integers(min_value=start, max_value=n))
-        agg = PrefixRangeAggregator(arr)
-        out = agg.query(np.array([start]), np.array([end]))[0]
-        assert out == np.float64(arr[start:end].sum()) or abs(
-            out - arr[start:end].sum()
-        ) < 1e-6 * max(1.0, abs(arr[start:end]).sum())
-
-    @given(
-        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200),
-        st.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_sparse_table_matches_slice_extrema(self, values, data):
-        arr = np.asarray(values)
-        n = len(arr)
-        start = data.draw(st.integers(min_value=0, max_value=n - 1))
-        end = data.draw(st.integers(min_value=start + 1, max_value=n))
-        assert SparseTableRangeAggregator(arr, "max").query(
-            np.array([start]), np.array([end])
-        )[0] == arr[start:end].max()
-        assert SparseTableRangeAggregator(arr, "min").query(
-            np.array([start]), np.array([end])
-        )[0] == arr[start:end].min()
 
 
 class TestAccumulatorProperties:

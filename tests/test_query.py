@@ -5,7 +5,7 @@ import pytest
 from repro.core.query import Query, StreamFunction, default_stream_function
 from repro.errors import QueryError
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation
 from repro.operators.join import ThetaJoin
 from repro.operators.projection import identity_projection
 from repro.operators.selection import Selection
@@ -26,7 +26,7 @@ class TestStreamFunctionDefaults:
         assert default_stream_function(op) is StreamFunction.ISTREAM
 
     def test_aggregation_defaults_to_rstream(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         q = Query("a", op, [WindowDefinition.rows(4)])
         assert q.stream_function is StreamFunction.RSTREAM
 
@@ -49,7 +49,7 @@ class TestValidation:
             Query("bad", op, [WindowDefinition.rows(4)])
 
     def test_unbounded_window_requires_stateless(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         with pytest.raises(QueryError):
             Query("bad", op, [None])
 
@@ -85,6 +85,6 @@ class TestIntrospection:
         assert a.query_id != b.query_id
 
     def test_output_schema_delegates(self):
-        op = Aggregation(SCHEMA, [AggregateSpec("sum", "v", "s")])
+        op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v", "s")])
         q = Query("a", op, [WindowDefinition.rows(4)])
         assert "s" in q.output_schema

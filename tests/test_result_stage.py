@@ -8,8 +8,8 @@ from repro.core.result_stage import ResultStage
 from repro.core.task import QueryTask
 from repro.errors import ExecutionError
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
 from repro.operators.base import StreamSlice
+from repro.operators.groupby import GroupedAggregation
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.windows.assigner import assign_count_windows
@@ -20,7 +20,7 @@ WINDOW = WindowDefinition.rows(8, 4)
 
 
 def make_query():
-    op = Aggregation(SCHEMA, [AggregateSpec("sum", "v", "s")])
+    op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v", "s")])
     return Query("q", op, [WINDOW])
 
 
@@ -162,7 +162,6 @@ def group_batch(start, stop):
 
 def contract_operators():
     from repro.operators.distinct import DistinctProjection
-    from repro.operators.groupby import GroupedAggregation
     from repro.relational.expressions import col
 
     return {
@@ -172,7 +171,7 @@ def contract_operators():
             GROUP_SCHEMA, ["k"], [AggregateSpec("sum", "v", "s")], having=col("s") > 20.0
         ),
         # overrides it (merge chain + one vectorised finalise)
-        "aggregation": Aggregation(GROUP_SCHEMA, [AggregateSpec("avg", "v", "a")]),
+        "aggregation": GroupedAggregation(GROUP_SCHEMA, [], [AggregateSpec("avg", "v", "a")]),
         # base-class default: merge_partials chain + finalize_window loop
         "distinct": DistinctProjection(GROUP_SCHEMA, [("k", col("k"))]),
     }

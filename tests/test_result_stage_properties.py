@@ -7,7 +7,7 @@ from repro.core.query import Query
 from repro.core.result_stage import ResultStage
 from repro.core.task import QueryTask
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.aggregation import Aggregation
+from repro.operators.groupby import GroupedAggregation
 from repro.operators.base import StreamSlice
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -25,7 +25,7 @@ def make_batch(start, stop):
 
 
 def run_stage(window, edges, order):
-    op = Aggregation(SCHEMA, [AggregateSpec("sum", "v", "s")])
+    op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v", "s")])
     query = Query(f"prop_{window.size}_{window.slide}", op, [window])
     stage = ResultStage(query)
     tasks = []

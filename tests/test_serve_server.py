@@ -5,6 +5,7 @@ Every test binds ephemeral ports (port 0) and uses the blocking
 actual ``python -m repro serve`` process and asserts a graceful drain.
 """
 
+import dataclasses
 import gc
 import json
 import os
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.io.records import batch_to_rows
 from repro.serve import (
     ProtocolError,
@@ -126,6 +128,34 @@ class TestEndToEnd:
         assert "saber_result_latency_seconds_bucket" in text
         with urllib.request.urlopen(f"http://{host}:{port}/healthz") as reply:
             assert reply.read() == b"ok\n"
+
+
+class TestTenantQuotas:
+    INTEGER_FIELDS = [
+        "max_queries",
+        "max_streams",
+        "buffer_capacity_tasks",
+        "push_capacity_tuples",
+        "max_result_backlog_chunks",
+        "cpu_workers",
+        "task_size_bytes",
+    ]
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_non_positive_or_non_integer_field_rejected(self, field, value):
+        # max_result_backlog_chunks=0 used to raise IndexError on the
+        # first result chunk; the others were accepted silently.
+        with pytest.raises(ValidationError, match=field):
+            TenantQuotas(**{field: value})
+
+    def test_unknown_backpressure_rejected(self):
+        with pytest.raises(ValidationError, match="backpressure"):
+            TenantQuotas(backpressure="drop_newest")
+
+    def test_every_field_is_checked(self):
+        fields = {f.name for f in dataclasses.fields(TenantQuotas)}
+        assert fields == set(self.INTEGER_FIELDS) | {"backpressure"}
 
 
 class TestErrorFrames:

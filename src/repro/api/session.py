@@ -52,7 +52,7 @@ from ..analysis.lockdep import make_condition, make_lock
 from ..core.cql import compile_statement
 from ..core.engine import Report, SaberConfig, SaberEngine
 from ..core.query import Query
-from ..errors import SessionError
+from ..errors import SessionError, positive_int
 from ..io.base import SinkConnector, validate_source
 from ..io.push import PushHandle
 from ..relational.tuples import TupleBatch
@@ -481,8 +481,7 @@ class SaberSession:
                 "end-of-stream): flushed windows would re-emit from their "
                 "tail fragments — create a new session to keep processing"
             )
-        if n <= 0:
-            raise SessionError("tasks_per_query must be positive")
+        positive_int(n, "tasks_per_query", SessionError)
         if not self._handles:
             raise SessionError("no queries submitted")
         # Clear a stale stop *before* the run becomes stoppable, so a

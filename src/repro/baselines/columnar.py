@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import SimulationError, positive_int
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
 
 
@@ -53,9 +53,7 @@ class ColumnarEngine:
         costs: "ColumnarCosts | None" = None,
         spec: HardwareSpec = DEFAULT_SPEC,
     ) -> None:
-        if threads <= 0:
-            raise SimulationError("threads must be positive")
-        self.threads = threads
+        self.threads = positive_int(threads, "threads", SimulationError)
         self.costs = costs or ColumnarCosts()
         self.spec = spec
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import SimulationError
+from ..errors import SimulationError, positive_finite
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
 
 
@@ -49,8 +49,8 @@ class SparkLikeEngine:
         ``X = slide/T``; substituting yields
         ``T² - o·T - window·slide/r = 0``.
         """
-        if slide_tuples <= 0 or window_seconds <= 0:
-            raise SimulationError("slide and window must be positive")
+        positive_finite(slide_tuples, "slide_tuples", SimulationError)
+        positive_finite(window_seconds, "window_seconds", SimulationError)
         o = self.spec.spark_batch_overhead
         r = self._rate()
         t = (o + math.sqrt(o * o + 4.0 * window_seconds * slide_tuples / r)) / 2.0

@@ -35,11 +35,14 @@ import logging
 import sys
 
 from .api import SaberSession
+from .cluster import CLUSTER_WORKLOADS, ClusterConfig, materialise, reference_output, run_cluster
 from .core.engine import SaberConfig
-from .errors import SaberError, ValidationError
-from .hardware.slots import EXECUTIONS, device_slots
+from .errors import QueryError, SaberError
+from .hardware.slots import EXECUTIONS, WALL_CLOCK_EXECUTIONS, device_slots
 from .hardware.specs import DEFAULT_SPEC
 from .io import FileReplaySource, FileSink, write_batch
+from .io.base import POLICIES
+from .serve import SaberServer, ServeConfig, TenantQuotas
 from .workloads import cluster_monitoring, linearroad, smartgrid
 from .workloads.queries import APPLICATION_QUERIES, build
 
@@ -135,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution backend (threads by default: replay is real I/O)",
     )
     replay.add_argument(
-        "--backpressure", choices=["block", "error", "drop_oldest"],
+        "--backpressure", choices=POLICIES,
         default="block", help="policy when the input buffers fill",
     )
     replay.add_argument(
@@ -188,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default ingress queue capacity per stream, in tuples",
     )
     serve.add_argument(
-        "--backpressure", choices=["block", "error", "drop_oldest"],
+        "--backpressure", choices=POLICIES,
         default="block",
         help="default ingress policy when a stream's queue fills "
              "(overridable per register frame)",
@@ -201,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query task size phi in bytes (per tenant session)",
     )
     serve.add_argument(
-        "--execution", choices=["threads", "processes"], default="threads",
+        "--execution", choices=WALL_CLOCK_EXECUTIONS, default="threads",
         help="execution backend for tenant sessions",
     )
     serve.add_argument(
@@ -224,19 +227,19 @@ def _build_parser() -> argparse.ArgumentParser:
              "check the merged output against a single engine",
     )
     cluster.add_argument(
-        "--workload", choices=["GROUP-BY", "CM1"], default="GROUP-BY",
+        "--workload", choices=list(CLUSTER_WORKLOADS), default="GROUP-BY",
         help="cluster-eligible Table-1 workload",
     )
     cluster.add_argument(
         "--shards", type=int, default=2, help="shard engine count"
     )
     cluster.add_argument(
-        "--transport", choices=["local", "serve"], default="local",
+        "--transport", choices=ClusterConfig.TRANSPORTS, default="local",
         help="shard transport: in-process engines or spawned "
              "'repro serve' daemons",
     )
     cluster.add_argument(
-        "--execution", choices=["threads", "processes"], default="threads",
+        "--execution", choices=WALL_CLOCK_EXECUTIONS, default="threads",
         help="engine backend inside each local shard",
     )
     cluster.add_argument(
@@ -271,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     for name in APPLICATION_QUERIES:
         query, __ = build(name)
         profile = query.operator.cost_profile()
@@ -280,10 +283,15 @@ def _command_list() -> int:
     return 0
 
 
-def _command_hardware() -> int:
+def _command_hardware(args: argparse.Namespace) -> int:
     for field in dataclasses.fields(DEFAULT_SPEC):
         print(f"{field.name:32s} {getattr(DEFAULT_SPEC, field.name)}")
     return 0
+
+
+def _one_query(args: argparse.Namespace) -> None:
+    if bool(args.query) == bool(args.cql):
+        raise QueryError("pass either a query name or --cql")
 
 
 def _clock(execution: str) -> str:
@@ -292,9 +300,7 @@ def _clock(execution: str) -> str:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    if bool(args.query) == bool(args.cql):
-        print("error: pass either a query name or --cql", file=sys.stderr)
-        return 2
+    _one_query(args)
     config = SaberConfig(
         task_size_bytes=args.task_size,
         cpu_workers=args.workers,
@@ -336,9 +342,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_replay(args: argparse.Namespace) -> int:
-    if bool(args.query) == bool(args.cql):
-        print("error: pass either a query name or --cql", file=sys.stderr)
-        return 2
+    _one_query(args)
     config = SaberConfig(
         task_size_bytes=args.task_size,
         cpu_workers=args.workers,
@@ -361,12 +365,10 @@ def _command_replay(args: argparse.Namespace) -> int:
         else:
             query, __ = build(args.query)
             if query.arity != 1:
-                print(
-                    f"error: {args.query} takes {query.arity} input streams; "
-                    "replay supports single-input queries",
-                    file=sys.stderr,
+                raise QueryError(
+                    f"{args.query} takes {query.arity} input streams; "
+                    "replay supports single-input queries"
                 )
-                return 2
             replay_source = FileReplaySource(
                 args.input, query.input_schemas[0],
                 format=args.format, rate=args.rate,
@@ -395,9 +397,6 @@ def _command_replay(args: argparse.Namespace) -> int:
 
 
 def _command_record(args: argparse.Namespace) -> int:
-    if args.tuples <= 0:
-        print("error: --tuples must be positive", file=sys.stderr)
-        return 2
     stream, __, make_source = _WORKLOADS[args.workload]
     source = make_source(args.seed, args.rate)
     write_batch(args.output, source.next_tuples(args.tuples))
@@ -406,12 +405,6 @@ def _command_record(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    # Imported here: the serve layer is only needed by this subcommand.
-    from .serve import SaberServer, ServeConfig, TenantQuotas
-
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
-    )
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -431,6 +424,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         tenant_idle_timeout=args.tenant_idle_timeout,
     )
+    logging.basicConfig(
+        level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
+    )
     server = SaberServer(config).start()
     host, port = server.address
     print(f"listening on {host}:{port}", flush=True)
@@ -443,29 +439,15 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_cluster(args: argparse.Namespace) -> int:
-    # Imported here: the cluster layer is only needed by this subcommand.
-    from .cluster import (
-        CLUSTER_WORKLOADS,
-        materialise,
-        reference_output,
-        run_cluster,
+    config = ClusterConfig(
+        shards=args.shards,
+        transport=args.transport,
+        execution=args.execution,
+        cpu_workers=args.workers,
     )
-
     workload = CLUSTER_WORKLOADS[args.workload]
     data = materialise(workload, args.tuples, seed=args.seed)
-    try:
-        merged, stats = run_cluster(
-            workload,
-            data,
-            kill_slot=args.kill_shard,
-            shards=args.shards,
-            transport=args.transport,
-            execution=args.execution,
-            cpu_workers=args.workers,
-        )
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    merged, stats = run_cluster(workload, data, kill_slot=args.kill_shard, config=config)
     merge = stats["merge"] or {}
     print(
         f"{workload.name}: {args.tuples} tuples over {args.shards} "
@@ -498,23 +480,17 @@ def main(argv: "list[str] | None" = None) -> int:
 
         return _check_main(list(argv[1:]))
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "hardware":
-        return _command_hardware()
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "cluster":
-        return _command_cluster(args)
     command = {
         "run": _command_run, "replay": _command_replay, "record": _command_record,
+        "serve": _command_serve, "cluster": _command_cluster,
+        "list": _command_list, "hardware": _command_hardware,
     }[args.command]
-    # Bad arguments (sizes, counts, rates, CQL, query names) surface as
-    # library errors; replay and record also write files the user named.
-    expected = SaberError if args.command == "run" else (SaberError, OSError)
+    # Every bad argument surfaces as a library error before anything
+    # binds, forks or spawns; files and sockets the user named fail as
+    # OSError.
     try:
         return command(args)
-    except expected as exc:
+    except (SaberError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from ..analysis.lockdep import make_condition
-from ..errors import ExecutionError
+from ..errors import ExecutionError, positive_int
 from ..relational.schema import TIMESTAMP_ATTRIBUTE
 from ..relational.tuples import TupleBatch
 
@@ -59,9 +59,7 @@ class MergeStage:
     """
 
     def __init__(self, shards: int, group_columns: "list[str]") -> None:
-        if shards <= 0:
-            raise ExecutionError(f"merge stage needs at least one shard, got {shards}")
-        self.shards = shards
+        self.shards = positive_int(shards, "shards", ExecutionError)
         self.group_columns = list(group_columns)
         self._cond = make_condition("cluster.merge.MergeStage._cond")
         self._epochs = [0] * shards

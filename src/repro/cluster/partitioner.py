@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, positive_int
 from ..relational.tuples import TupleBatch
 
 __all__ = ["HashPartitioner"]
@@ -42,9 +42,8 @@ class HashPartitioner:
     """
 
     def __init__(self, shards: int, buckets: int = 64) -> None:
-        if shards <= 0:
-            raise ValidationError(f"shard count must be positive, got {shards}")
-        if buckets < shards:
+        positive_int(shards, "shards")
+        if positive_int(buckets, "buckets") < shards:
             raise ValidationError(
                 f"need at least one bucket per shard: {buckets} buckets "
                 f"for {shards} shards"

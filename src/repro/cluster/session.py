@@ -62,6 +62,7 @@ from typing import Any, Iterator
 
 from ..analysis.lockdep import make_lock
 from ..core.cql import compile_statement
+from ..core.engine import worker_count
 from ..errors import (
     EndOfStream,
     ExecutionError,
@@ -70,6 +71,8 @@ from ..errors import (
     SessionError,
     ValidationError,
 )
+from ..errors import check_fields, checked, choice, positive_int, wait_seconds
+from ..hardware.slots import WALL_CLOCK_EXECUTIONS
 from ..io.base import validate_source
 from ..metrics import MetricsRegistry
 from ..operators.groupby import GroupedAggregation
@@ -80,9 +83,6 @@ from .shards import LocalShard, ProcessShard
 
 __all__ = ["ClusterConfig", "ClusterSession"]
 
-_TRANSPORTS = ("local", "serve")
-_EXECUTIONS = ("threads", "processes")
-
 #: fan-out granularity: tuples pulled from the source per batch.
 _BATCH_TUPLES = 4096
 
@@ -91,39 +91,27 @@ _BATCH_TUPLES = 4096
 class ClusterConfig:
     """Sizing and policy knobs for a key-partitioned cluster."""
 
+    TRANSPORTS = ("local", "serve")
+
     #: number of shard engines.
-    shards: int = 2
+    shards: int = checked(2, positive_int)
     #: shard transport: ``local`` (in-process engines) or ``serve``
     #: (one spawned ``repro serve`` daemon per shard — the remote shape).
-    transport: str = "local"
+    transport: str = checked("local", choice(TRANSPORTS))
     #: engine backend inside each *local* shard (``threads`` or
     #: ``processes``); serve shards always run the threads backend.
-    execution: str = "threads"
+    execution: str = checked("threads", choice(WALL_CLOCK_EXECUTIONS))
     #: worker threads/processes per shard engine.
-    cpu_workers: int = 2
+    cpu_workers: int = checked(2, worker_count)
     #: shard liveness probe interval (seconds).
-    liveness_interval: float = 0.25
+    liveness_interval: float = checked(0.25, wait_seconds)
     #: after end-of-stream, seconds a shard may go without reporting a
     #: window before it is declared dead and resubmitted; a replacement
     #: that stalls as long again fails the run.
-    completion_timeout: float = 30.0
+    completion_timeout: float = checked(30.0, wait_seconds)
 
     def __post_init__(self) -> None:
-        if self.shards <= 0:
-            raise ValidationError(f"shard count must be positive, got {self.shards}")
-        if self.transport not in _TRANSPORTS:
-            raise ValidationError(
-                f"unknown transport {self.transport!r}; expected one of {_TRANSPORTS}"
-            )
-        if self.execution not in _EXECUTIONS:
-            raise ValidationError(
-                f"unknown shard execution {self.execution!r}; "
-                f"expected one of {_EXECUTIONS}"
-            )
-        for name in ("cpu_workers", "liveness_interval", "completion_timeout"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
+        check_fields(self, ValidationError)
 
     def check_slot(self, slot: int) -> None:
         """Raise :class:`~repro.errors.ValidationError` unless ``slot``

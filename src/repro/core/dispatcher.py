@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from ..errors import BackpressureError, DispatchError, EndOfStream
+from ..errors import BackpressureError, DispatchError, EndOfStream, positive_int
 from ..relational.buffer import CircularTupleBuffer
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
@@ -71,11 +71,9 @@ class Dispatcher:
         buffer_capacity_tasks: int = 96,
         buffer_backing: str = "local",
     ) -> None:
-        if task_size_bytes <= 0:
-            raise DispatchError("task size must be positive")
         self.query = query
         self.sources = sources
-        self.task_size_bytes = int(task_size_bytes)
+        self.task_size_bytes = positive_int(task_size_bytes, "task_size_bytes", DispatchError)
         #: tasks cut so far (the next task's id) and their total input
         #: bytes; written only by the dispatching thread.
         self.tasks_cut = 0

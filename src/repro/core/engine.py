@@ -21,15 +21,16 @@ first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..errors import SaberError, SimulationError
+from ..errors import INT64_MAX, SimulationError, boolean, check_fields, checked, choice
+from ..errors import instance_of, int_range, non_negative_finite, optional, positive_finite
+from ..errors import positive_int
 from ..gpu.accelerator import AcceleratorDevice
 from ..gpu.kernels import gpu_kernel
-from ..hardware.slots import DeviceSlot, device_slots
+from ..hardware.slots import EXECUTIONS, DeviceSlot, device_slots
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
-from ..io.base import BackpressurePolicy
+from ..io.base import POLICIES
 from ..metrics import Measurements, TaskRecord
 from ..operators.base import BatchResult, StreamSlice
 from ..relational.tuples import TupleBatch
@@ -39,7 +40,7 @@ from .executor import ThreadedExecutor
 from .executor_mp import ProcessExecutor, fork_available
 from .executor_sim import SimExecutor
 from .query import Query
-from .result_stage import ResultStage
+from .result_stage import RESULT_SLOTS, ResultStage
 from .scheduler import (
     CPU,
     GPU,
@@ -55,17 +56,33 @@ from .task import QueryTask
 _EXECUTORS = {"sim": SimExecutor, "threads": ThreadedExecutor, "processes": ProcessExecutor}
 
 
+#: Every worker, the accelerator's included, holds at most one task in
+#: flight, and the result stage needs more slots than tasks in flight.
+worker_count = int_range(1, RESULT_SLOTS - 2)
+#: A query holds at most its ring's tasks in flight, so a ring never
+#: holds more tasks than the result stage has slots.
+ring_tasks = int_range(1, RESULT_SLOTS)
+#: The ring (``ring_tasks`` tasks of this many bytes) must be addressable
+#: as one numpy array of int64-counted bytes.
+task_bytes = int_range(1, INT64_MAX // RESULT_SLOTS)
+
+SCHEDULERS = ("hls", "fcfs", "static")
+#: an older spelling of ``threads`` with both slots live (the saberbench
+#: sizes table uses it); nothing reads it past ``SaberConfig``.
+_HYBRID = "hybrid"
+
+
 @dataclass
 class SaberConfig:
     """Engine configuration (defaults mirror §6.1's server)."""
 
-    cpu_workers: int = 15
-    use_cpu: bool = True
-    use_gpu: bool = True
-    task_size_bytes: int = 1 << 20
-    queue_capacity: int = 32
-    scheduler: str = "hls"  # "hls" | "fcfs" | "static"
-    static_assignment: "dict[str, str] | None" = None
+    cpu_workers: int = checked(15, worker_count)
+    use_cpu: bool = checked(True, boolean)
+    use_gpu: bool = checked(True, boolean)
+    task_size_bytes: int = checked(1 << 20, task_bytes)
+    queue_capacity: int = checked(32, positive_int)
+    scheduler: str = checked("hls", choice(SCHEDULERS))
+    static_assignment: "dict[str, str] | None" = checked(None, optional(instance_of(dict)))
     #: how many consecutive preferred-processor executions before a task
     #: of the query is forced onto the other processor (keeps both
     #: observable).  Each forced task runs on a potentially much slower
@@ -74,18 +91,19 @@ class SaberConfig:
     #: shape test (``tests/test_paper_shapes.py``) lowers it to 10 to make
     #: the calm-phase GPGPU contribution visible, as the paper describes,
     #: and shows what 1 and 1000 cost under a changing workload.
-    switch_threshold: int = 1000
+    switch_threshold: int = checked(1000, positive_int)
     #: the paper refreshes the throughput matrix every 100 ms (Fig. 16);
     #: simulated runs cover far less virtual time, so the default is
     #: proportionally tighter.  The Fig. 16 shape test
     #: (``tests/test_paper_shapes.py``) covers 20 ms of virtual time and
     #: passes 0.1 ms; at the paper's 0.1 s the matrix would never
-    #: refresh within the run.
-    matrix_refresh_seconds: float = 0.001
-    ingest_bandwidth: "float | None" = None  # bytes/s cap (e.g. 10 GbE)
-    pipelined: bool = True
-    execute_data: bool = True
-    collect_output: bool = True
+    #: refresh within the run.  0 refreshes on every completion.
+    matrix_refresh_seconds: float = checked(0.001, non_negative_finite)
+    #: bytes/s ingest cap (e.g. 10 GbE); ``None`` is uncapped.
+    ingest_bandwidth: "float | None" = checked(None, optional(positive_finite))
+    pipelined: bool = checked(True, boolean)
+    execute_data: bool = checked(True, boolean)
+    collect_output: bool = checked(True, boolean)
     #: the substrate tasks run on: ``"sim"`` (virtual-time
     #: discrete-event loop), ``"threads"`` (real worker threads,
     #: wall-clock timing) or ``"processes"`` (forked worker processes
@@ -94,7 +112,7 @@ class SaberConfig:
     #: it; outside ``sim`` the GPGPU slot is the executable accelerator.
     #: Outputs are identical across all of them; only the timing source
     #: and the parallelism substrate differ.
-    execution: str = "sim"
+    execution: str = checked("sim", choice((*EXECUTIONS, _HYBRID)))
     #: what the dispatcher does when a query's circular input buffers
     #: are full: ``"block"`` waits for the result stage to release space
     #: (lossless, the default), ``"error"`` raises a typed
@@ -103,44 +121,24 @@ class SaberConfig:
     #: ``Dispatcher.shed_tuples``; data already referenced by tasks is
     #: never dropped).  Bounded *ingress* queues (push/socket sources)
     #: carry their own per-connector policy.
-    backpressure: str = "block"
+    backpressure: str = checked("block", choice(POLICIES))
     #: circular input buffer capacity, in query tasks per input stream.
-    buffer_capacity_tasks: int = 96
-    spec: HardwareSpec = DEFAULT_SPEC
+    buffer_capacity_tasks: int = checked(96, ring_tasks)
+    spec: HardwareSpec = checked(DEFAULT_SPEC, instance_of(HardwareSpec))
 
     def __post_init__(self) -> None:
-        if self.execution == "hybrid":
-            # An older spelling of threads with both slots live (the
-            # saberbench sizes table uses it); nothing reads it past here.
+        check_fields(self, SimulationError)
+        if self.execution == _HYBRID:
             if not (self.use_cpu and self.use_gpu):
                 raise SimulationError("execution='hybrid' needs use_cpu and use_gpu")
             self.execution = "threads"
-        device_slots(self)  # validates execution/use_cpu/use_gpu/cpu_workers
+        if not (self.use_cpu or self.use_gpu):
+            raise SimulationError("enable at least one processor type")
         if self.execution == "processes" and not fork_available():
             raise SimulationError(
                 "execution='processes' requires the fork start method "
                 "(POSIX); use execution='threads' on this platform"
             )
-        try:
-            # One policy vocabulary, shared with the ingress queues.
-            self.backpressure = BackpressurePolicy.of(self.backpressure).value
-        except SaberError as exc:
-            raise SimulationError(str(exc)) from None
-        if self.buffer_capacity_tasks <= 0:
-            raise SimulationError("buffer_capacity_tasks must be positive")
-        if self.queue_capacity <= 0:
-            raise SimulationError("queue_capacity must be positive")
-        if self.task_size_bytes <= 0:
-            raise SimulationError("task_size_bytes must be positive")
-        if self.ingest_bandwidth is not None and not 0 < self.ingest_bandwidth < math.inf:
-            raise SimulationError("ingest_bandwidth must be positive and finite, or None")
-        if self.switch_threshold < 0:
-            raise SimulationError("switch_threshold must be non-negative")
-        # 0 is meaningful: every completion refreshes the matrix.
-        if not 0 <= self.matrix_refresh_seconds < math.inf:
-            raise SimulationError("matrix_refresh_seconds must be non-negative and finite")
-        if self.scheduler not in ("hls", "fcfs", "static"):
-            raise SimulationError(f"unknown scheduler {self.scheduler!r}")
         if self.scheduler == "static" and not self.static_assignment:
             raise SimulationError("static scheduling needs an assignment map")
 
@@ -301,8 +299,7 @@ class SaberEngine:
         """Dispatch and process ``tasks_per_query`` tasks per query."""
         if not self.runs:
             raise SimulationError("no queries registered")
-        if tasks_per_query <= 0:
-            raise SimulationError("tasks_per_query must be positive")
+        positive_int(tasks_per_query, "tasks_per_query", SimulationError)
         if self._drained:
             raise SimulationError(
                 "engine was drained (flush emitted still-open windows): "

@@ -204,10 +204,12 @@ class ThreadedExecutor:
                 if ingest is not None:
                     # Token-bucket pacing against the ingest cap: each
                     # task spends size/rate seconds of wall-clock budget.
+                    # Slept in quanta so a stop request interrupts it.
                     ingest_credit = max(ingest_credit, self._now()) + task.size_bytes / ingest
                     delay = ingest_credit - self._now()
-                    if delay > 0:
-                        time.sleep(delay)
+                    while delay > 0 and not self.engine.stop_requested:
+                        time.sleep(min(delay, _WAIT_TIMEOUT))
+                        delay = ingest_credit - self._now()
         except BaseException as exc:  # propagated to run() by _fail
             self._fail(exc)
         finally:

@@ -38,6 +38,11 @@ from .query import Query
 from .task import QueryTask
 
 
+#: result-buffer slots per query.  More slots than tasks in flight is an
+#: invariant: a slot is always consumed before its reuse.
+RESULT_SLOTS = 1024
+
+
 @dataclass
 class EmittedResult:
     """One ordered chunk of a query's output stream."""
@@ -61,7 +66,7 @@ class ResultStage:
     def __init__(
         self,
         query: Query,
-        slots: int = 1024,
+        slots: int = RESULT_SLOTS,
         collect_output: bool = True,
         on_release: "Callable[[QueryTask], None] | None" = None,
         on_emit: "Callable[[EmittedResult], None] | None" = None,

@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..analysis.lockdep import make_lock
-from ..errors import SchedulingError
+from ..errors import SchedulingError, non_negative_finite, positive_finite, positive_int
 from .task import QueryTask
 
 CPU = "CPU"
@@ -48,10 +48,10 @@ class ThroughputMatrix:
     """
 
     def __init__(self, initial: float = 1000.0, refresh_seconds: float = 0.1) -> None:
-        if initial <= 0:
-            raise SchedulingError("initial throughput must be positive")
-        self.initial = initial
-        self.refresh_seconds = refresh_seconds
+        self.initial = positive_finite(initial, "initial", SchedulingError)
+        self.refresh_seconds = non_negative_finite(
+            refresh_seconds, "refresh_seconds", SchedulingError
+        )
         self._values: dict[tuple[str, str], float] = {}
         self._samples: dict[tuple[str, str], list[float]] = {}
         self._last_refresh = 0.0
@@ -146,10 +146,8 @@ class HlsScheduler(Scheduler):
         strict_lookahead: bool = False,
         fallback_backlog: int = 4,
     ) -> None:
-        if switch_threshold <= 0:
-            raise SchedulingError("switch threshold must be positive")
         self.matrix = matrix or ThroughputMatrix()
-        self.switch_threshold = switch_threshold
+        self.switch_threshold = positive_int(switch_threshold, "switch_threshold", SchedulingError)
         self.strict_lookahead = strict_lookahead
         self.fallback_backlog = fallback_backlog
         self.state = SchedulerState()

@@ -1,8 +1,14 @@
 """Exception hierarchy for the SABER reproduction.
 
 All library errors derive from :class:`SaberError` so that callers can
-catch library failures without masking programming errors.
+catch library failures without masking programming errors.  The field
+rules at the end are the one place that decides what a setting accepts.
 """
+
+import dataclasses
+import math
+import numbers
+import threading
 
 
 class SaberError(Exception):
@@ -110,3 +116,97 @@ class CQLSyntaxError(SaberError):
 
 class SimulationError(SaberError):
     """The discrete-event simulation reached an inconsistent state."""
+
+
+# -- field rules ---------------------------------------------------------------
+# A rule is ``rule(value, name, error)``: it returns ``value`` or raises
+# ``error("<name> must be …")``, refusing NaN, ±inf, bools for numbers and
+# the wrong type.  Config dataclasses declare one per field (``checked``)
+# and apply them with ``check_fields``; plain constructors call them.
+
+#: ``dataclasses.field(metadata=...)`` key that holds a field's rule.
+RULE = "rule"
+#: the largest integer a setting may take: counts and sizes end up in
+#: int64 numpy arithmetic (ring positions, task ids, seeds).
+INT64_MAX = 2**63 - 1
+
+
+def checked(default, rule):
+    """A dataclass field whose value ``rule`` validates."""
+    return dataclasses.field(default=default, metadata={RULE: rule})
+
+
+def check_fields(obj, error):
+    """Apply every field's declared rule to a dataclass instance."""
+    owner = type(obj).__name__
+    for field in dataclasses.fields(obj):
+        field.metadata[RULE](getattr(obj, field.name), f"{owner}.{field.name}", error)
+
+
+def _rule(accepts, what):
+    def rule(value, name, error=ValidationError):
+        if not accepts(value):
+            raise error(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return rule
+
+
+def _number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def int_range(low, high, what=None):
+    """An integer in ``[low, high]``."""
+    return _rule(
+        lambda v: _number(v, numbers.Integral) and low <= v <= high,
+        what or f"an integer in [{low}, {high}]",
+    )
+
+
+positive_int = int_range(1, INT64_MAX, "a positive 64-bit integer")
+non_negative_int = int_range(0, INT64_MAX, "a non-negative 64-bit integer")
+port = int_range(0, 65535)
+positive_finite = _rule(
+    lambda v: _number(v, numbers.Real) and 0 < v < math.inf, "positive and finite"
+)
+non_negative_finite = _rule(
+    lambda v: _number(v, numbers.Real) and 0 <= v < math.inf, "non-negative and finite"
+)
+#: a wait the engine hands to ``threading`` (which caps timeouts).
+wait_seconds = _rule(
+    lambda v: _number(v, numbers.Real) and 0 < v <= threading.TIMEOUT_MAX,
+    f"positive and at most {threading.TIMEOUT_MAX:.0f} s",
+)
+#: a generator's tuples per timestamp unit: it divides int64 positions.
+tuple_rate = _rule(
+    lambda v: _number(v, numbers.Real) and 0 < v <= INT64_MAX, "positive and at most 2**63 - 1"
+)
+
+
+def instance_of(cls):
+    """An instance of ``cls``."""
+    return _rule(lambda v: isinstance(v, cls), f"a {cls.__name__}")
+
+
+boolean = instance_of(bool)
+
+
+def optional(rule):
+    """``None`` (the setting is off) or a value ``rule`` accepts."""
+    return lambda value, name, error=ValidationError: (
+        None if value is None else rule(value, name, error)
+    )
+
+
+def choice(values):
+    """One of the strings ``values``."""
+
+    def rule(value, name, error=ValidationError):
+        if isinstance(value, str) and value in values:
+            return value
+        options = ", ".join(map(repr, values))
+        field = name.rsplit(".", 1)[-1]
+        raise error(f"{name} must be one of {options}; unknown {field} {value!r}")
+
+    return rule

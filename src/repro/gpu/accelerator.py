@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 
 from ..analysis.lockdep import make_lock
+from ..errors import non_negative_finite
 from ..operators.base import BatchResult, Operator, StreamSlice
 from .kernels import gpu_kernel
 from .pcie import DEFAULT_PCIE, PcieBus
@@ -102,10 +103,10 @@ class AcceleratorDevice:
         pcie: PcieBus = DEFAULT_PCIE,
         throttle_seconds: float = 0.0,
     ) -> None:
-        if throttle_seconds < 0:
-            raise ValueError("throttle_seconds must be non-negative")
         self.pcie = pcie
-        self.throttle_seconds = throttle_seconds
+        self.throttle_seconds = non_negative_finite(
+            throttle_seconds, "throttle_seconds", ValueError
+        )
         self.stats = AcceleratorStats()
 
     # -- per-task path ------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SimulationError
+from ..errors import SimulationError, positive_int
 
 STAGES = ("copyin", "movein", "execute", "moveout", "copyout")
 
@@ -63,8 +63,7 @@ class MovementPipeline:
     _task_counter: int = 0
 
     def __post_init__(self) -> None:
-        if self.buffer_slots <= 0:
-            raise SimulationError("pipeline needs at least one buffer slot")
+        positive_int(self.buffer_slots, "buffer_slots", SimulationError)
         self._stage_free = {stage: 0.0 for stage in STAGES}
         self._slot_release = [0.0] * self.buffer_slots
 

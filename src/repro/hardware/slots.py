@@ -6,8 +6,8 @@ to fill those slots.  Two orthogonal settings decide them:
 ``SaberConfig.execution`` names the substrate that runs the workers
 and owns the clock (:data:`EXECUTIONS`), and ``use_cpu``/``use_gpu``
 are the topology.  :func:`device_slots` is the single place the two
-are combined; ``SaberConfig`` validation, the executors' worker
-spawning, the engine's device wiring and the CLI banner all read it.
+are combined; the executors' worker spawning, the engine's device
+wiring and the CLI banner all read it.
 
 The processor names are string literals here (matching
 ``repro.core.scheduler.CPU``/``GPU``) rather than imports, because the
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import SimulationError
-
 #: processor slot names, mirroring ``repro.core.scheduler``.
 CPU_SLOT = "CPU"
 GPU_SLOT = "GPGPU"
@@ -27,6 +25,8 @@ GPU_SLOT = "GPGPU"
 #: the public ``execution`` values — the substrate: a virtual-time
 #: event loop, worker threads, or forked worker processes.
 EXECUTIONS = ("sim", "threads", "processes")
+#: the substrates that run on the wall clock (serving and cluster shards).
+WALL_CLOCK_EXECUTIONS = ("threads", "processes")
 
 
 @dataclass(frozen=True)
@@ -47,21 +47,8 @@ class DeviceSlot:
 
 
 def device_slots(config) -> "tuple[DeviceSlot, ...]":
-    """Slot table for a ``SaberConfig`` (duck-typed to avoid a cycle).
-
-    Raises :class:`~repro.errors.SimulationError` for a configuration
-    that brings up no workable topology — this is ``SaberConfig``'s
-    validation of ``execution``/``use_cpu``/``use_gpu``/``cpu_workers``.
-    """
-    if config.execution not in EXECUTIONS:
-        raise SimulationError(
-            f"unknown execution backend {config.execution!r} "
-            f"(expected one of {', '.join(map(repr, EXECUTIONS))})"
-        )
-    if not (config.use_cpu or config.use_gpu):
-        raise SimulationError("enable at least one processor type")
-    if config.use_cpu and config.cpu_workers <= 0:
-        raise SimulationError("cpu_workers must be positive when use_cpu")
+    """Slot table for a validated ``SaberConfig`` (duck-typed to avoid
+    a cycle)."""
     slots = []
     if config.use_cpu:
         slots.append(DeviceSlot(CPU_SLOT, config.execution, config.cpu_workers))

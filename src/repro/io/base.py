@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable
 
-from ..errors import EndOfStream, ValidationError
+from ..errors import EndOfStream, ValidationError, choice, non_negative_int, optional, positive_int
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 
@@ -59,15 +59,11 @@ class BackpressurePolicy(enum.Enum):
 
     @classmethod
     def of(cls, value: "BackpressurePolicy | str") -> "BackpressurePolicy":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            options = sorted(p.value for p in cls)
-            raise ValidationError(
-                f"unknown backpressure policy {value!r}; expected one of {options}"
-            ) from None
+        return value if isinstance(value, cls) else cls(choice(POLICIES)(value, "policy"))
+
+
+#: the policy names, as configs and the CLI spell them.
+POLICIES = tuple(policy.value for policy in BackpressurePolicy)
 
 
 class SourceConnector:
@@ -114,19 +110,6 @@ class SourceConnector:
         return bool(check and check())
 
 
-def checked_rate(tuples_per_second: int) -> int:
-    """A generator's logical-time density: tuples per timestamp unit.
-
-    Timestamps are ``position // tuples_per_second``, so zero divides by
-    zero and a negative rate makes them decrease — neither is a stream.
-    """
-    if tuples_per_second <= 0:
-        raise ValidationError(
-            f"tuples_per_second must be positive, got {tuples_per_second}"
-        )
-    return tuples_per_second
-
-
 class GeneratorSource(SourceConnector):
     """Base for programmatic sources: subclass :meth:`generate`.
 
@@ -138,10 +121,8 @@ class GeneratorSource(SourceConnector):
     """
 
     def __init__(self, schema: Schema, limit: "int | None" = None) -> None:
-        if limit is not None and limit < 0:
-            raise ValidationError(f"source limit must be >= 0, got {limit}")
         self.schema = schema
-        self._limit = limit
+        self._limit = optional(non_negative_int)(limit, "limit")
         self._produced = 0
 
     def generate(self, count: int) -> TupleBatch:
@@ -153,6 +134,7 @@ class GeneratorSource(SourceConnector):
         self._limit = self._produced
 
     def next_tuples(self, count: int) -> TupleBatch:
+        positive_int(count, "count")
         if self._limit is None:
             return self.generate(count)
         remaining = self._limit - self._produced

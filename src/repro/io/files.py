@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from ..errors import EndOfStream, IngestInterrupted, ValidationError
+from ..errors import EndOfStream, IngestInterrupted, ValidationError, choice, positive_finite
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from .base import SourceConnector, SinkConnector
@@ -31,6 +31,8 @@ __all__ = [
     "write_batch",
 ]
 
+#: the line formats files and sockets speak.
+FORMATS = ("jsonl", "csv")
 #: sleep quantum while pacing, so stop requests interrupt promptly.
 _SLEEP_QUANTUM = 0.02
 
@@ -38,9 +40,7 @@ _SLEEP_QUANTUM = 0.02
 def detect_format(path: "str | Path", format: "str | None") -> str:
     """Resolve an explicit or suffix-derived line format."""
     if format is not None:
-        if format not in ("jsonl", "csv"):
-            raise ValidationError(f"unknown file format {format!r}; expected 'jsonl' or 'csv'")
-        return format
+        return choice(FORMATS)(format, "format")
     suffix = Path(path).suffix.lower()
     if suffix in (".jsonl", ".ndjson", ".json"):
         return "jsonl"
@@ -67,9 +67,7 @@ class ReplayClock:
         now: "Callable[[], float]" = time.monotonic,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
-        if rate <= 0:
-            raise ValidationError(f"replay rate must be positive, got {rate}")
-        self.rate = float(rate)
+        self.rate = float(positive_finite(rate, "rate"))
         self._now = now
         self._sleep = sleep
         self._start: "float | None" = None

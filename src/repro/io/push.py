@@ -32,6 +32,7 @@ import numpy as np
 
 from ..analysis.lockdep import make_condition
 from ..errors import BackpressureError, EndOfStream, IngestInterrupted, ValidationError
+from ..errors import positive_int
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from .base import BackpressurePolicy, SourceConnector
@@ -60,10 +61,8 @@ class PushSource(SourceConnector):
         capacity_tuples: int = 1 << 16,
         policy: "BackpressurePolicy | str" = BackpressurePolicy.BLOCK,
     ) -> None:
-        if capacity_tuples <= 0:
-            raise ValidationError(f"push capacity must be positive, got {capacity_tuples}")
         self.schema = schema
-        self.capacity_tuples = int(capacity_tuples)
+        self.capacity_tuples = positive_int(capacity_tuples, "capacity_tuples")
         self.policy = BackpressurePolicy.of(policy)
         self._segments: "deque[np.ndarray]" = deque()
         self._queued = 0

@@ -18,11 +18,12 @@ import socket
 import threading
 from typing import Callable
 
-from ..errors import EndOfStream, ValidationError
+from ..errors import EndOfStream, ValidationError, choice
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from .base import BackpressurePolicy, SinkConnector, SourceConnector
 from .push import PushSource
+from .files import FORMATS
 from .records import batch_to_csv, batch_to_jsonl, csv_to_rows, jsonl_to_rows
 
 __all__ = ["SocketSource", "SocketSink"]
@@ -48,10 +49,8 @@ class SocketSource(SourceConnector):
         capacity_tuples: int = 1 << 16,
         policy: "BackpressurePolicy | str" = BackpressurePolicy.BLOCK,
     ) -> None:
-        if format not in ("jsonl", "csv"):
-            raise ValidationError(f"unknown socket format {format!r}; expected 'jsonl' or 'csv'")
         self.schema = schema
-        self.format = format
+        self.format = choice(FORMATS)(format, "format")
         self._queue = PushSource(schema, capacity_tuples=capacity_tuples, policy=policy)
         self._error: "ValidationError | None" = None
         self._server = socket.create_server((host, port))
@@ -131,11 +130,9 @@ class SocketSink(SinkConnector):
     """Writes batches as newline-delimited records to a TCP endpoint."""
 
     def __init__(self, host: str, port: int, format: str = "jsonl", timeout: float = 10.0) -> None:
-        if format not in ("jsonl", "csv"):
-            raise ValidationError(f"unknown socket format {format!r}; expected 'jsonl' or 'csv'")
+        self.format = choice(FORMATS)(format, "format")
         self.host = host
         self.port = int(port)
-        self.format = format
         self.timeout = timeout
         self._sock: "socket.socket | None" = None
         self.rows_written = 0

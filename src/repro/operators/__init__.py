@@ -1,7 +1,7 @@
 """Streaming relational operators with the fragment/assembly decomposition."""
 
 from .base import BatchResult, CostProfile, Operator, StreamSlice
-from .aggregate_functions import Accumulator, AggregateSpec, SUPPORTED_FUNCTIONS
+from .aggregate_functions import AggregateSpec, SUPPORTED_FUNCTIONS
 from .projection import Projection, identity_projection
 from .selection import Selection
 from .groupby import GroupedAggregation, GroupedWindowAccumulator
@@ -15,7 +15,6 @@ __all__ = [
     "StreamSlice",
     "BatchResult",
     "CostProfile",
-    "Accumulator",
     "AggregateSpec",
     "SUPPORTED_FUNCTIONS",
     "Projection",

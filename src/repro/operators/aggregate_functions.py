@@ -3,9 +3,9 @@
 SABER's window fragments force every aggregate into a *partial* form that
 can be (i) computed per fragment, (ii) merged associatively across
 fragments/tasks, and (iii) finalised into the query's output value (§3,
-§5.3).  We carry one uniform accumulator — ``(sum, count, min, max)`` —
-from which all supported functions (``sum``, ``count``, ``avg``, ``min``,
-``max``) finalise.  ``sum``/``count`` are invertible (prefix-sum friendly);
+§5.3).  Every partial carries the same fields — ``(sum, count, min, max)``
+— from which :func:`finalize` derives all supported functions (``sum``,
+``count``, ``avg``, ``min``, ``max``).  ``sum``/``count`` are invertible (prefix-sum friendly);
 ``min``/``max`` are merged via the sparse-table path.
 """
 
@@ -18,36 +18,6 @@ import numpy as np
 from ..errors import QueryError
 
 SUPPORTED_FUNCTIONS = ("sum", "count", "avg", "min", "max")
-
-
-@dataclass
-class Accumulator:
-    """Mergeable partial aggregate for one (window, group) cell."""
-
-    total: float = 0.0
-    count: float = 0.0
-    minimum: float = np.inf
-    maximum: float = -np.inf
-
-    def merge(self, other: "Accumulator") -> "Accumulator":
-        return Accumulator(
-            total=self.total + other.total,
-            count=self.count + other.count,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "Accumulator":
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) == 0:
-            return cls()
-        return cls(
-            total=float(values.sum()),
-            count=float(len(values)),
-            minimum=float(values.min()),
-            maximum=float(values.max()),
-        )
 
 
 @dataclass(frozen=True)
@@ -73,10 +43,6 @@ class AggregateSpec:
     @property
     def output_type(self) -> str:
         return "float"
-
-    def finalize(self, acc: Accumulator) -> float:
-        """Output value from a fully merged accumulator."""
-        return finalize(self.function, acc.total, acc.count, acc.minimum, acc.maximum)
 
 
 def finalize(function, total, count, minimum, maximum):

@@ -48,7 +48,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..analysis.lockdep import make_lock
-from ..errors import BackpressureError, BufferError_
+from ..errors import BackpressureError, BufferError_, positive_int
 from .schema import Schema
 from .tuples import TupleBatch
 
@@ -160,11 +160,15 @@ class SharedMemoryStore:
 
 
 def _make_store(backing: str, dtype: np.dtype, capacity: int):
-    if backing == "local":
-        return LocalStore(dtype, capacity)
-    if backing == "shared":
-        return SharedMemoryStore(dtype, capacity)
-    raise BufferError_(f"unknown buffer backing {backing!r} (expected {BACKINGS})")
+    stores = {"local": LocalStore, "shared": SharedMemoryStore}
+    if backing not in stores:
+        raise BufferError_(f"unknown buffer backing {backing!r} (expected {BACKINGS})")
+    try:
+        return stores[backing](dtype, capacity)
+    except (MemoryError, OSError):
+        raise BufferError_(
+            f"cannot allocate a ring of {capacity} tuples ({capacity * dtype.itemsize} bytes)"
+        ) from None
 
 
 class CircularTupleBuffer:
@@ -179,10 +183,8 @@ class CircularTupleBuffer:
     def __init__(
         self, schema: Schema, capacity_tuples: int, backing: str = "local"
     ) -> None:
-        if capacity_tuples <= 0:
-            raise BufferError_("buffer capacity must be positive")
         self.schema = schema
-        self.capacity = int(capacity_tuples)
+        self.capacity = positive_int(capacity_tuples, "capacity_tuples", BufferError_)
         self.backing = backing
         self._store = _make_store(backing, schema.dtype, self.capacity)
         self._lock = make_lock("relational.buffer.CircularTupleBuffer._lock")

@@ -40,7 +40,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator
 
 from ..analysis.lockdep import make_lock
-from ..errors import SaberError
+from ..errors import SaberError, ValidationError, check_fields, checked, choice, instance_of
+from ..errors import optional, positive_int, wait_seconds
+from ..errors import port as tcp_port
+from ..hardware.slots import WALL_CLOCK_EXECUTIONS
 from ..metrics import MetricsRegistry
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -64,28 +67,31 @@ class ServeConfig:
     """Daemon configuration (the ``repro serve`` CLI mirrors it 1:1)."""
 
     #: listen address; bind port 0 for an ephemeral port (tests).
-    host: str = "127.0.0.1"
-    port: int = 7070
+    host: str = checked("127.0.0.1", instance_of(str))
+    port: int = checked(7070, tcp_port)
     #: Prometheus endpoint port (``None`` disables it; 0 = ephemeral).
-    metrics_port: "int | None" = None
+    metrics_port: "int | None" = checked(None, optional(tcp_port))
     #: distinct tenants admitted concurrently.
-    max_sessions: int = 64
+    max_sessions: int = checked(64, positive_int)
     #: per-tenant resource quotas.
-    quotas: TenantQuotas = dataclasses.field(default_factory=TenantQuotas)
-    #: execution backend for tenant sessions (``threads``/``processes``/
-    #: ``sim`` — serving wants wall-clock backends).
-    execution: str = "threads"
+    quotas: TenantQuotas = checked(TenantQuotas(), instance_of(TenantQuotas))
+    #: execution backend for tenant sessions (``threads``/``processes``:
+    #: serving runs on the wall clock).
+    execution: str = checked("threads", choice(WALL_CLOCK_EXECUTIONS))
     #: seconds between ``--stats`` log lines (``None`` disables them).
-    stats_interval: "float | None" = None
+    stats_interval: "float | None" = checked(None, optional(wait_seconds))
     #: graceful-drain backstop per tenant on shutdown, in seconds.
-    drain_timeout: float = 30.0
+    drain_timeout: float = checked(30.0, wait_seconds)
     #: evict tenant sessions that have not seen a client frame for this
     #: many seconds (``None`` disables eviction).  An evicted tenant is
     #: drained like a shutdown — streams closed, tails flushed, engine
     #: resources released — and counted on
     #: ``saber_server_tenants_evicted_total``; a later ``hello`` for the
     #: same name admits a fresh session.
-    tenant_idle_timeout: "float | None" = None
+    tenant_idle_timeout: "float | None" = checked(None, optional(wait_seconds))
+
+    def __post_init__(self) -> None:
+        check_fields(self, ValidationError)
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
@@ -181,13 +187,13 @@ class SaberServer:
             )
             scrape.start()
             self._threads.append(scrape)
-        if self.config.stats_interval:
+        if self.config.stats_interval is not None:
             stats = threading.Thread(
                 target=self._stats_loop, name="serve-stats", daemon=True
             )
             stats.start()
             self._threads.append(stats)
-        if self.config.tenant_idle_timeout:
+        if self.config.tenant_idle_timeout is not None:
             evict = threading.Thread(
                 target=self._eviction_loop, name="serve-evict", daemon=True
             )

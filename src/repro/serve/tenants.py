@@ -47,6 +47,7 @@ from typing import Any, Iterator
 
 from ..analysis.lockdep import make_condition, make_lock
 from ..api import SaberSession
+from ..core.engine import ring_tasks, task_bytes, worker_count
 from ..errors import (
     BackpressureError,
     CQLSyntaxError,
@@ -56,7 +57,8 @@ from ..errors import (
     SessionError,
     ValidationError,
 )
-from ..io.base import BackpressurePolicy
+from ..errors import check_fields, checked, choice, positive_int
+from ..io.base import POLICIES, BackpressurePolicy
 from ..io.push import PushSource
 from ..metrics import MetricsRegistry, engine_samples
 from ..relational.schema import Schema
@@ -81,39 +83,32 @@ class TenantQuotas:
     """
 
     #: concurrent queries a tenant may submit.
-    max_queries: int = 8
+    max_queries: int = checked(8, positive_int)
     #: push streams a tenant may register.
-    max_streams: int = 8
+    max_streams: int = checked(8, positive_int)
     #: engine-side circular buffer capacity, in tasks per input stream
     #: (the :attr:`~repro.core.engine.SaberConfig.buffer_capacity_tasks`
     #: quota of the tenant's session).
-    buffer_capacity_tasks: int = 96
+    buffer_capacity_tasks: int = checked(96, ring_tasks)
     #: default ingress queue capacity per stream, in tuples
     #: (overridable per ``register`` frame, capped at this value).
-    push_capacity_tuples: int = 1 << 16
+    push_capacity_tuples: int = checked(1 << 16, positive_int)
     #: result chunks buffered per query awaiting ``results`` requests;
     #: beyond this the oldest chunk is dropped (and counted).
-    max_result_backlog_chunks: int = 4096
+    max_result_backlog_chunks: int = checked(4096, positive_int)
     #: default ingress backpressure policy: ``block`` | ``error`` |
     #: ``drop_oldest`` (overridable per ``register`` frame).
-    backpressure: str = "block"
+    backpressure: str = checked("block", choice(POLICIES))
     #: worker threads in the tenant's session.
-    cpu_workers: int = 2
+    cpu_workers: int = checked(2, worker_count)
     #: query task size phi, in bytes.  Serving keeps this well below the
     #: batch-oriented 1 MiB default: one task's tuple count must fit the
     #: ingress queue (:attr:`push_capacity_tuples`), or a ``block``
     #: stream could never satisfy a dispatcher pull before end-of-stream.
-    task_size_bytes: int = 64 << 10
+    task_size_bytes: int = checked(64 << 10, task_bytes)
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.name == "backpressure":
-                BackpressurePolicy.of(value)
-            elif isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-                raise ValidationError(
-                    f"TenantQuotas.{field.name} must be a positive integer, got {value!r}"
-                )
+        check_fields(self, ValidationError)
 
 
 class _ResultQueue:
@@ -233,15 +228,11 @@ class Tenant:
             except SchemaError as exc:
                 raise ProtocolError("bad-schema", str(exc)) from None
             cap = self.quotas.push_capacity_tuples
-            if capacity is not None:
-                if capacity <= 0:
-                    raise ProtocolError(
-                        "bad-field", f"capacity must be positive, got {capacity}"
-                    )
-                cap = min(capacity, self.quotas.push_capacity_tuples)
             try:
+                if capacity is not None:
+                    cap = min(positive_int(capacity, "capacity"), cap)
                 chosen = BackpressurePolicy.of(policy or self.quotas.backpressure)
-            except (SaberError, ValueError, KeyError) as exc:
+            except SaberError as exc:
                 raise ProtocolError("bad-field", str(exc)) from None
             source = PushSource(schema, capacity_tuples=cap, policy=chosen)
             self.session.register_stream(stream, source)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..errors import WindowError
+from ..errors import WindowError, instance_of, positive_int
 
 
 class WindowMode(enum.Enum):
@@ -36,10 +36,9 @@ class WindowDefinition:
     slide: int
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise WindowError(f"window size must be positive, got {self.size}")
-        if self.slide <= 0:
-            raise WindowError(f"window slide must be positive, got {self.slide}")
+        instance_of(WindowMode)(self.mode, "mode", WindowError)
+        positive_int(self.size, "size", WindowError)
+        positive_int(self.slide, "slide", WindowError)
         if self.slide > self.size:
             # Sampling windows (slide > size) exist in some systems but the
             # paper's model covers sliding (l < s) and tumbling (l = s) only.

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..api import Stream, agg
 from ..core.query import Query
-from ..io.base import GeneratorSource, checked_rate
+from ..errors import non_negative_int, tuple_rate
+from ..io.base import GeneratorSource
 from ..relational.expressions import col, conjunction, disjunction
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
@@ -60,9 +61,9 @@ class ClusterMonitoringSource(GeneratorSource):
         limit: "int | None" = None,
     ) -> None:
         super().__init__(TASK_EVENTS_SCHEMA, limit=limit)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(non_negative_int(seed, "seed"))
         self._position = 0
-        self._tuples_per_second = checked_rate(tuples_per_second)
+        self._tuples_per_second = tuple_rate(tuples_per_second, "tuples_per_second")
         self._categories = categories
         self._jobs = jobs
         self._base_failure_rate = base_failure_rate

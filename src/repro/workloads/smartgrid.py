@@ -13,7 +13,8 @@ import numpy as np
 
 from ..api import Stream, agg
 from ..core.query import Query
-from ..io.base import GeneratorSource, checked_rate
+from ..errors import non_negative_int, tuple_rate
+from ..io.base import GeneratorSource
 from ..relational.expressions import col
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
@@ -50,9 +51,9 @@ class SmartGridSource(GeneratorSource):
         limit: "int | None" = None,
     ) -> None:
         super().__init__(SMART_GRID_SCHEMA, limit=limit)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(non_negative_int(seed, "seed"))
         self._position = 0
-        self._tuples_per_second = checked_rate(tuples_per_second)
+        self._tuples_per_second = tuple_rate(tuples_per_second, "tuples_per_second")
         self._houses = houses
         self._households = households_per_house
         self._plugs = plugs_per_household

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.query import Query
-from ..io.base import GeneratorSource, checked_rate
+from ..errors import int_range, non_negative_int, positive_int, tuple_rate
+from ..io.base import GeneratorSource
 from ..operators.aggregate_functions import AggregateSpec
 from ..operators.compose import FilteredWindows, ProjectedWindows
 from ..operators.groupby import GroupedAggregation
@@ -60,9 +61,9 @@ class SyntheticSource(GeneratorSource):
         limit: "int | None" = None,
     ) -> None:
         super().__init__(schema, limit=limit)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(non_negative_int(seed, "seed"))
         self._position = 0
-        self._tuples_per_second = checked_rate(tuples_per_second)
+        self._tuples_per_second = tuple_rate(tuples_per_second, "tuples_per_second")
         self._groups = groups
 
     def generate(self, count: int) -> TupleBatch:
@@ -151,8 +152,7 @@ def proj_query(
     name: "str | None" = None,
 ) -> Query:
     """PROJ_m, optionally PROJ_m* with extra arithmetic per attribute."""
-    if not 1 <= m <= 6:
-        raise ValueError("PROJ_m supports 1..6 attributes")
+    int_range(1, 6)(m, "m", ValueError)
     columns: list[tuple[str, Expression]] = [("timestamp", col("timestamp"))]
     attrs = ["a1", "a2", "a3", "a4", "a5", "a6"][:m]
     for attr in attrs:
@@ -185,8 +185,7 @@ def select_query(
     still evaluates all n atoms (the Fig. 10a regime) while the output
     selectivity stays controllable.
     """
-    if n < 1:
-        raise ValueError("SELECT_n needs n >= 1")
+    positive_int(n, "n", ValueError)
     attrs = ["a3", "a4", "a5", "a6"]
     predicates: list[Predicate] = []
     for k in range(n - 1):
@@ -289,8 +288,7 @@ def select_project_query(
     with no intermediate batch.  The stateless-heavy shape of Table 1's
     projection/selection mixes.
     """
-    if not 1 <= m <= 6:
-        raise ValueError("PROJ_m supports 1..6 attributes")
+    int_range(1, 6)(m, "m", ValueError)
     attrs = ["a1", "a2", "a3", "a4", "a5", "a6"][:m]
     columns: "list[tuple[str, Expression]]" = [("timestamp", col("timestamp"))]
     columns += [(a, col(a)) for a in attrs]
@@ -355,8 +353,7 @@ def join_query(
     name: "str | None" = None,
 ) -> Query:
     """JOIN_r: θ-join of two synthetic streams with r predicates."""
-    if r < 1:
-        raise ValueError("JOIN_r needs r >= 1")
+    positive_int(r, "r", ValueError)
     left = SYNTHETIC_SCHEMA.rename("SynL")
     right = SYNTHETIC_SCHEMA.rename("SynR")
     attrs = ["a2", "a3", "a4", "a5", "a6"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.operators.aggregate_functions import Accumulator, AggregateSpec
+from repro.operators.aggregate_functions import AggregateSpec, finalize
 from repro.operators.groupby import GroupedAggregation, GroupedWindowAccumulator
 from repro.operators.base import StreamSlice
 from repro.relational.schema import Schema
@@ -46,23 +46,10 @@ class TestAggregateSpec:
             AggregateSpec("sum", None)
 
     def test_finalize_empty_count_is_zero(self):
-        assert AggregateSpec("count", None).finalize(Accumulator()) == 0
+        assert finalize("count", 0.0, 0.0, np.inf, -np.inf) == 0
 
     def test_finalize_empty_avg_is_nan(self):
-        assert np.isnan(AggregateSpec("avg", "v").finalize(Accumulator()))
-
-
-class TestAccumulator:
-    def test_of_and_merge(self):
-        a = Accumulator.of(np.array([1.0, 2.0]))
-        b = Accumulator.of(np.array([5.0]))
-        m = a.merge(b)
-        assert m.total == 8.0 and m.count == 3.0
-        assert m.minimum == 1.0 and m.maximum == 5.0
-
-    def test_empty(self):
-        a = Accumulator.of(np.array([]))
-        assert a.count == 0 and a.minimum == np.inf
+        assert np.isnan(finalize("avg", 0.0, 0.0, np.inf, -np.inf))
 
 
 class TestCompleteWindows:

@@ -197,9 +197,9 @@ class TestSchedulers:
             SaberConfig(execution="threads", **{field: value})
 
     def test_boundary_numeric_fields_accepted(self):
-        # switch_threshold=0 forces a switch every task; a 0 s refresh
+        # switch_threshold=1 forces a switch every task; a 0 s refresh
         # period refreshes the matrix on every completion.
-        SaberConfig(ingest_bandwidth=1.0, switch_threshold=0, matrix_refresh_seconds=0.0)
+        SaberConfig(ingest_bandwidth=1.0, switch_threshold=1, matrix_refresh_seconds=0.0)
 
     def test_hls_matrix_history_recorded(self):
         engine = SaberEngine(small_config(matrix_refresh_seconds=1e-4))

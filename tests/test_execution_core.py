@@ -353,9 +353,11 @@ def test_guard_sees_an_execution_operator_read(tmp_path):
 
 def _aggregation_sites(root):
     """{name: sorted modules} for the names of the deleted ungrouped path:
-    its operator, payload and range aggregators, and imports of its modules."""
+    its operator, payload and range aggregators, imports of its modules,
+    and the scalar ``Accumulator`` with its ``AggregateSpec.finalize``."""
     gone = {
         "Aggregation", "WindowAccumulator", "PrefixRangeAggregator", "SparseTableRangeAggregator",
+        "Accumulator",
     }
     sites = {}
     for path in sorted(root.rglob("*.py")):
@@ -366,6 +368,13 @@ def _aggregation_sites(root):
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module
         } & {"aggregation", "panes"}
+        named |= {
+            f"AggregateSpec.{item.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "AggregateSpec"
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "finalize"
+        }
         for name in named:
             sites.setdefault(name, []).append(path.relative_to(root).as_posix())
     return sites
@@ -386,10 +395,15 @@ def test_guard_sees_an_aggregation_use(tmp_path):
     (tmp_path / "window.py").write_text(
         "from ..windows import panes\nt = panes.SparseTableRangeAggregator\n"
     )
+    (tmp_path / "functions.py").write_text(
+        "class AggregateSpec:\n    def finalize(self, acc: Accumulator): pass\n"
+    )
     assert _aggregation_sites(tmp_path) == {
         "aggregation": ["builder.py"],
         "Aggregation": ["builder.py"],
         "SparseTableRangeAggregator": ["window.py"],
+        "Accumulator": ["functions.py"],
+        "AggregateSpec.finalize": ["functions.py"],
     }
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.operators.aggregate_functions import Accumulator
 from repro.relational.buffer import CircularTupleBuffer
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -83,33 +82,6 @@ class TestWindowAssignerProperties:
             lo, hi = wid * window.slide, wid * window.slide + window.size
             expected = [i for i, t in enumerate(ts) if lo <= t < hi]
             assert rows == expected
-
-
-class TestAccumulatorProperties:
-    values = st.lists(
-        st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=30
-    )
-
-    @given(values, values, values)
-    @settings(max_examples=100, deadline=None)
-    def test_merge_associative(self, a, b, c):
-        xa, xb, xc = (Accumulator.of(np.asarray(v)) for v in (a, b, c))
-        left = xa.merge(xb).merge(xc)
-        right = xa.merge(xb.merge(xc))
-        assert left.count == right.count
-        assert abs(left.total - right.total) < 1e-6
-        assert left.minimum == right.minimum
-        assert left.maximum == right.maximum
-
-    @given(values, values)
-    @settings(max_examples=100, deadline=None)
-    def test_merge_equals_whole(self, a, b):
-        merged = Accumulator.of(np.asarray(a)).merge(Accumulator.of(np.asarray(b)))
-        whole = Accumulator.of(np.asarray(a + b))
-        assert merged.count == whole.count
-        assert abs(merged.total - whole.total) < 1e-6
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
 
 
 class TestBufferProperties:

@@ -144,9 +144,8 @@ LOCK_ORDER: tuple[str, ...] = (
     "api.session.SaberSession._lock",
     "core.executor.ThreadedExecutor._mutex",
     "core.result_stage.ResultStage._lock",
-    "api.session.QueryHandle._cond",
-    "serve.tenants._ResultQueue._cond",
-    "cluster.merge.MergeStage._cond",
+    "cluster.merge.MergeStage._lock",
+    "api.session.ChunkBacklog._cond",
     "io.push.PushSource._cond",
     "relational.buffer.CircularTupleBuffer._lock",
     "core.scheduler.ThroughputMatrix._lock",
@@ -167,15 +166,10 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
     ),
     DeclaredEdge(
         "core.result_stage.ResultStage._lock",
-        "api.session.QueryHandle._cond",
-        "on_emit is wired to QueryHandle._on_emit, which appends the "
-        "chunk under the handle's condition.",
-    ),
-    DeclaredEdge(
-        "core.result_stage.ResultStage._lock",
-        "serve.tenants._ResultQueue._cond",
-        "Tenant result sinks run inside the result stage's emit path "
-        "and append to the tenant backlog queue.",
+        "api.session.ChunkBacklog._cond",
+        "on_emit is wired to QueryHandle._on_emit, and windowed delivery "
+        "wires on_window to ChunkBacklog.append; both append the chunk "
+        "under the backlog's condition.",
     ),
     DeclaredEdge(
         "serve.server.SaberServer._lock",
@@ -186,10 +180,10 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
     ),
     DeclaredEdge(
         "core.result_stage.ResultStage._lock",
-        "cluster.merge.MergeStage._cond",
+        "cluster.merge.MergeStage._lock",
         "Shard window sinks (ResultStage.on_window) are wired to "
         "MergeStage.on_window, which records the report under the merge "
-        "condition.",
+        "lock.",
     ),
     DeclaredEdge(
         "serve.tenants.Tenant._lock",

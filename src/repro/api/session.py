@@ -28,8 +28,9 @@ sinks and ``results()`` still receive every full output chunk
 (``collect_output`` governs engine-side *retention* for
 :meth:`QueryHandle.output`, not delivery).  Consumed chunks are
 released immediately; a query nobody consumes keeps at most the last
-``_MAX_BUFFERED_CHUNKS`` chunks (oldest dropped, counted on
-``handle.dropped_chunks``), so memory stays bounded either way.
+``max_buffered`` chunks in its :class:`ChunkBacklog` (oldest dropped,
+counted on ``handle.dropped_chunks``), so memory stays bounded either
+way.
 
 Source binding is three-way, checked in order: explicit ``sources=`` at
 :meth:`submit`; sources bound into the :class:`~repro.api.Stream` plan
@@ -58,19 +59,95 @@ from ..io.push import PushHandle
 from ..relational.tuples import TupleBatch
 from .builder import Stream
 
-__all__ = ["QueryHandle", "SaberSession"]
+__all__ = ["ChunkBacklog", "QueryHandle", "SaberSession"]
 
-#: results() poll interval: a belt-and-braces re-check of the session
-#: state; every emitted chunk and every run transition notifies waiters.
-_RESULTS_WAIT = 0.05
-
-#: backstop on the per-handle backlog of chunks emitted but not yet
-#: consumed by results(): beyond this, the oldest chunks are discarded
-#: (counted in :attr:`QueryHandle.dropped_chunks`) so an unconsumed
-#: query cannot grow memory without bound during a long-lived run.
-#: Queries that need every chunk either consume them (results(), sinks)
-#: or retain engine-side via ``collect_output=True`` + ``output()``.
+#: default cap on a backlog of chunks emitted but not yet consumed:
+#: beyond it the oldest chunks are discarded (and counted), so an
+#: unconsumed query cannot grow memory without bound during a long-lived
+#: run.  Queries that need every chunk consume them (results(), drain(),
+#: sinks) or retain engine-side via ``collect_output=True`` + ``output()``.
 _MAX_BUFFERED_CHUNKS = 8192
+
+
+class ChunkBacklog:
+    """Bounded, single-consumer queue of one query's output chunks.
+
+    The one place output waits for a consumer: a session's query
+    handles, serve tenants (through those handles) and the cluster merge
+    stage all queue here.  Entries are ``(window, rows)``: the global
+    window id under windowed delivery, else ``None``, and the chunk's
+    :class:`~repro.relational.tuples.TupleBatch` (no copy: emitted
+    batches are never reused).  A full backlog drops its oldest entry and
+    counts it in :attr:`dropped`.  The backlog is *open* while a producer
+    may still append; :meth:`close` wakes every waiting consumer.
+    """
+
+    def __init__(self, cap: int = _MAX_BUFFERED_CHUNKS) -> None:
+        positive_int(cap, "max_buffered", SessionError)
+        self._cond = make_condition("api.session.ChunkBacklog._cond")
+        self._chunks: "deque[tuple[int | None, TupleBatch]]" = deque(maxlen=cap)
+        self._open = True
+        #: entries discarded because the backlog was full.
+        self.dropped = 0
+
+    def append(self, window: "int | None", rows: TupleBatch) -> None:
+        """Queue one chunk, dropping (and counting) the oldest when full."""
+        with self._cond:
+            if len(self._chunks) == self._chunks.maxlen:
+                self.dropped += 1    # the deque discards the oldest
+            self._chunks.append((window, rows))
+            self._cond.notify_all()
+
+    def open(self) -> None:
+        """A producer is live again: consumers wait for its chunks."""
+        with self._cond:
+            self._open = True
+
+    def close(self) -> None:
+        """No producer is live: wake consumers; they drain what is left."""
+        with self._cond:
+            self._open = False
+            self._cond.notify_all()
+
+    @property
+    def exhausted(self) -> bool:
+        """Closed and empty: no chunk is queued and none is coming."""
+        with self._cond:
+            return not self._open and not self._chunks
+
+    def __len__(self) -> int:
+        with self._cond:
+            return len(self._chunks)
+
+    def drain(
+        self, max_chunks: int, timeout: "float | None" = None
+    ) -> "list[tuple[int | None, TupleBatch]]":
+        """Up to ``max_chunks`` entries, oldest first.  While the backlog
+        is open and empty, waits up to ``timeout`` seconds (``None``: no
+        limit) for the first; an empty list means the wait lapsed or the
+        backlog is :attr:`exhausted`."""
+        with self._cond:
+            self._wait(lambda: self._chunks or not self._open, timeout)
+            count = min(max_chunks, len(self._chunks))
+            return [self._chunks.popleft() for _ in range(count)]
+
+    def wait_closed(self, timeout: "float | None" = None) -> bool:
+        """Block until the backlog is closed; ``False`` on timeout."""
+        with self._cond:
+            return self._wait(lambda: not self._open, timeout)
+
+    def _wait(self, ready: "Callable[[], Any]", timeout: "float | None") -> Any:
+        """Wait for ``ready()`` (caller holds the condition).  A timeout
+        beyond what a lock wait accepts, such as a client's ``inf``,
+        waits without limit."""
+        if timeout is not None and timeout > threading.TIMEOUT_MAX:
+            timeout = None
+        return self._cond.wait_for(ready, timeout)
+
+    def __iter__(self) -> "Iterator[TupleBatch]":
+        """Each chunk's rows, once, until the backlog is exhausted."""
+        while chunks := self.drain(1):
+            yield chunks[0][1]
 
 
 class QueryHandle:
@@ -85,12 +162,11 @@ class QueryHandle:
         self._session = session
         self.query = query
         self.name = query.name
-        self._cond = make_condition("api.session.QueryHandle._cond")
-        self._chunks: "deque[TupleBatch]" = deque(maxlen=max_buffered)
+        #: output chunks awaiting a consumer (:meth:`results`, :meth:`drain`).
+        self.backlog = ChunkBacklog(max_buffered)
         self._sinks: "list[Callable[[TupleBatch], None]]" = []
         self._sink_connectors: "list[SinkConnector]" = []
-        #: chunks discarded because the results() backlog hit its cap.
-        self.dropped_chunks = 0
+        self._windowed = False
 
     # -- engine-facing ---------------------------------------------------------
 
@@ -98,24 +174,22 @@ class QueryHandle:
         """Result-stage sink hook (worker thread, result-stage lock).
 
         With sinks attached, the sinks *are* the consumers and nothing is
-        buffered; otherwise chunks queue for :meth:`results`, which
-        releases them as they are consumed — either way a long-lived
-        streaming run does not accumulate output in the handle.
+        buffered; otherwise row chunks queue in the backlog (windowed
+        delivery queues windows instead), which releases them as they
+        are consumed — either way a long-lived streaming run does not
+        accumulate output in the handle.
         """
         sinks = list(self._sinks)
         if sinks:
             for sink in sinks:
                 sink(record.rows)
-            return
-        with self._cond:
-            if len(self._chunks) == self._chunks.maxlen:
-                self.dropped_chunks += 1    # deque discards the oldest
-            self._chunks.append(record.rows)
-            self._cond.notify_all()
+        elif not self._windowed:
+            self.backlog.append(None, record.rows)
 
-    def _wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+    def _close(self) -> None:
+        for connector in self._sink_connectors:
+            connector.close()
+        self.backlog.close()
 
     # -- public ----------------------------------------------------------------
 
@@ -143,17 +217,22 @@ class QueryHandle:
             )
         return self
 
-    def add_window_sink(
-        self, sink: "Callable[[int, TupleBatch], None]"
+    def deliver_windows(
+        self, on_window: "Callable[[int, TupleBatch], None] | None" = None
     ) -> "QueryHandle":
-        """Register a per-*window* sink: called as ``sink(wid, rows)``
-        for every finalised window with non-empty rows, in strictly
-        increasing window-id order, on the emitting worker's thread (see
-        :attr:`~repro.core.result_stage.ResultStage.on_window`).  Only
-        windows routed through the assembly path surface here — set
-        ``query.force_assembly`` before submitting to see every window
-        (the cluster shard contract).  One sink per query."""
-        self._session.engine.run_for(self.query).result_stage.on_window = sink
+        """Switch to per-window delivery (before the session runs).
+
+        Every window travels the result stage's assembly path
+        (:attr:`~repro.core.query.Query.force_assembly`), and each
+        finalised window with non-empty rows is handed over as
+        ``(wid, rows)`` in strictly increasing window-id order: to
+        ``on_window`` on the emitting worker's thread, or else into the
+        backlog tagged with its id.  Row chunks stop being buffered; the
+        rows are byte-for-byte the same either way."""
+        self.query.force_assembly = True
+        self._windowed = True
+        stage = self._session.engine.run_for(self.query).result_stage
+        stage.on_window = on_window or self.backlog.append
         return self
 
     @property
@@ -163,9 +242,18 @@ class QueryHandle:
         flushed.  Always ``False`` for unbounded streams."""
         return self._session.engine.run_for(self.query).eos_flushed
 
-    def _close_sinks(self) -> None:
-        for connector in self._sink_connectors:
-            connector.close()
+    @property
+    def dropped_chunks(self) -> int:
+        """Chunks discarded because the backlog hit its cap."""
+        return self.backlog.dropped
+
+    def drain(
+        self, max_chunks: int, timeout: "float | None" = None
+    ) -> "list[tuple[int | None, TupleBatch]]":
+        """Up to ``max_chunks`` queued ``(window, rows)`` chunks, waiting
+        up to ``timeout`` seconds for the first while a run is live
+        (:meth:`ChunkBacklog.drain`); the batch form of :meth:`results`."""
+        return self.backlog.drain(max_chunks, timeout)
 
     def results(self) -> "Iterator[TupleBatch]":
         """Consume the query's ordered output chunks (single consumer).
@@ -181,15 +269,7 @@ class QueryHandle:
         the engine collects it.
         """
         self._session._ensure_ran()
-        while True:
-            with self._cond:
-                while not self._chunks and self._session.is_running:
-                    self._cond.wait(_RESULTS_WAIT)
-                if self._chunks:
-                    chunk = self._chunks.popleft()
-                else:
-                    return
-            yield chunk
+        yield from self.backlog
 
     def output(self) -> "TupleBatch | None":
         """The concatenated output stream (requires ``collect_output``)."""
@@ -207,7 +287,7 @@ class QueryHandle:
         return self._session.engine.run_for(self.query).tasks_completed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryHandle({self.name!r}, pending_chunks={len(self._chunks)})"
+        return f"QueryHandle({self.name!r}, pending_chunks={len(self.backlog)})"
 
 
 class SaberSession:
@@ -309,10 +389,16 @@ class SaberSession:
 
     # -- submission ------------------------------------------------------------
 
-    def sql(self, text: str, name: "str | None" = None) -> QueryHandle:
+    def sql(
+        self,
+        text: str,
+        name: "str | None" = None,
+        max_buffered: int = _MAX_BUFFERED_CHUNKS,
+    ) -> QueryHandle:
         """Parse a CQL statement against the registered streams and
         submit it; sources are resolved from the registry by FROM-clause
-        stream name."""
+        stream name.  ``max_buffered`` caps the handle's backlog of
+        unconsumed chunks."""
         schemas = {n: s.schema for n, s in self._streams.items()}
         query = compile_statement(
             text, schemas, name=name or f"query{len(self._handles)}"
@@ -321,7 +407,7 @@ class SaberSession:
         if self.config.execute_data:
             sources = [self._source_for(n) for n in query.stream_names]
             self._check_distinct_sources(query, sources)
-        return self._register(query, sources)
+        return self._register(query, sources, max_buffered)
 
     def submit(
         self,
@@ -388,7 +474,12 @@ class SaberSession:
                 "for self-joins"
             )
 
-    def _register(self, query: Query, sources: "list[Any] | None") -> QueryHandle:
+    def _register(
+        self,
+        query: Query,
+        sources: "list[Any] | None",
+        max_buffered: int = _MAX_BUFFERED_CHUNKS,
+    ) -> QueryHandle:
         if sources is not None and self.config.execute_data:
             names = query.stream_names or [s.name for s in query.input_schemas]
             for stream_name, source in zip(names, sources):
@@ -403,7 +494,7 @@ class SaberSession:
                 )
             if query.name in self._handles:
                 raise SessionError(f"duplicate query name {query.name!r}")
-            handle = QueryHandle(self, query)
+            handle = QueryHandle(self, query, max_buffered)
             self.engine.add_query(
                 query,
                 sources if self.config.execute_data else None,
@@ -439,8 +530,7 @@ class SaberSession:
         long-lived session alternates running and inspecting results.
         """
         n = self._default_tasks if tasks_per_query is None else tasks_per_query
-        with self._lock:
-            self._begin_run(n)
+        self._begin_run(n)
         try:
             return self._run_engine(flush)
         finally:
@@ -456,8 +546,7 @@ class SaberSession:
         """
         unbounded = tasks_per_query is None
         n = (1 << 62) - self._target if unbounded else tasks_per_query
-        with self._lock:
-            self._begin_run(n)
+        self._begin_run(n)
         self._thread = threading.Thread(
             target=self._background, name="saber-session", daemon=True
         )
@@ -465,33 +554,37 @@ class SaberSession:
         return self
 
     def _begin_run(self, n: int) -> None:
-        """Reserve the run slot (caller holds the lock)."""
-        if self._closed:
-            raise SessionError("session is closed")
-        if self._running:
-            raise SessionError("a run is already active; stop() it first")
-        if self._run_error is not None:
-            # A failed background run whose error was never retrieved via
-            # wait()/stop() must not be silently discarded.
-            error, self._run_error = self._run_error, None
-            raise error
-        if self.engine._drained:
-            raise SessionError(
-                "session was drained (stop(drain=True) / run(flush=True) is "
-                "end-of-stream): flushed windows would re-emit from their "
-                "tail fragments — create a new session to keep processing"
-            )
-        positive_int(n, "tasks_per_query", SessionError)
-        if not self._handles:
-            raise SessionError("no queries submitted")
-        # Clear a stale stop *before* the run becomes stoppable, so a
-        # stop() issued after this point is never lost to a reset:
-        # stop() keys off _running, which flips true under this lock.
-        self.engine.clear_stop()
-        self._target += n
-        self._run_seq += 1
-        self._running = True
-        self._run_done.clear()
+        """Reserve the run slot under the lock, then reopen the handles'
+        backlogs for the run's chunks."""
+        with self._lock:
+            if self._closed:
+                raise SessionError("session is closed")
+            if self._running:
+                raise SessionError("a run is already active; stop() it first")
+            if self._run_error is not None:
+                # A failed background run whose error was never retrieved via
+                # wait()/stop() must not be silently discarded.
+                error, self._run_error = self._run_error, None
+                raise error
+            if self.engine._drained:
+                raise SessionError(
+                    "session was drained (stop(drain=True) / run(flush=True) is "
+                    "end-of-stream): flushed windows would re-emit from their "
+                    "tail fragments — create a new session to keep processing"
+                )
+            positive_int(n, "tasks_per_query", SessionError)
+            if not self._handles:
+                raise SessionError("no queries submitted")
+            # Clear a stale stop *before* the run becomes stoppable, so a
+            # stop() issued after this point is never lost to a reset:
+            # stop() keys off _running, which flips true under this lock.
+            self.engine.clear_stop()
+            self._target += n
+            self._run_seq += 1
+            self._running = True
+            self._run_done.clear()
+        for handle in self._handles.values():
+            handle.backlog.open()
 
     def _run_engine(self, flush: bool = False) -> Report:
         report = self.engine.run(tasks_per_query=self._target, flush=flush)
@@ -519,7 +612,7 @@ class SaberSession:
             self._run_done.set()
             self._run_cond.notify_all()
         for handle in self._handles.values():
-            handle._wake()
+            handle.backlog.close()
 
     def _background(self) -> None:
         try:
@@ -621,7 +714,7 @@ class SaberSession:
         finally:
             self._closed = True
             for handle in self._handles.values():
-                handle._close_sinks()
+                handle._close()
             seen: "set[int]" = set()
             sources = list(self._streams.values())
             for run in self.engine.runs:

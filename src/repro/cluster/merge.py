@@ -35,7 +35,8 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis.lockdep import make_condition
+from ..analysis.lockdep import make_lock
+from ..api.session import ChunkBacklog
 from ..errors import ExecutionError, positive_int
 from ..relational.schema import TIMESTAMP_ATTRIBUTE
 from ..relational.tuples import TupleBatch
@@ -46,29 +47,29 @@ __all__ = ["MergeStage"]
 #: can exceed it, so a closed shard never gates emission.
 _CLOSED_FRONTIER = 1 << 62
 
-#: consumer wait re-check interval (every merge/finish notifies).
-_RESULTS_WAIT = 0.05
-
 
 class MergeStage:
     """K-way ordered merge of per-shard window results.
 
     Thread-safe: shards report concurrently from their engines' worker
-    threads (or transport pump threads); consumers iterate
-    :meth:`results` or read :meth:`output` after :attr:`done`.
+    threads (or transport pump threads); merged windows queue in
+    :attr:`backlog` for a consumer, and :meth:`output` holds them all
+    once :attr:`done`.
     """
 
     def __init__(self, shards: int, group_columns: "list[str]") -> None:
         self.shards = positive_int(shards, "shards", ExecutionError)
         self.group_columns = list(group_columns)
-        self._cond = make_condition("cluster.merge.MergeStage._cond")
+        self._lock = make_lock("cluster.merge.MergeStage._lock")
         self._epochs = [0] * shards
         self._frontiers = [-1] * shards
         #: monotonic time of each slot's last report this epoch.
         self._reported = [0.0] * shards
         self._pending: "dict[int, dict[int, TupleBatch]]" = {}
         self._settled = -1
-        self._backlog: "list[TupleBatch]" = []
+        #: merged windows awaiting a consumer, tagged with their ids;
+        #: closed once every shard has closed, or to unblock consumers.
+        self.backlog = ChunkBacklog()
         self._emitted: "list[TupleBatch]" = []
         self._done = False
         #: merged windows / rows, for stats and the cluster metrics.
@@ -79,23 +80,23 @@ class MergeStage:
 
     def epoch(self, shard: int) -> int:
         """The slot's current epoch (bind it into the shard's sink)."""
-        with self._cond:
+        with self._lock:
             return self._epochs[shard]
 
     def closed(self, shard: int) -> bool:
         """Whether the slot has reported end-of-stream this epoch."""
-        with self._cond:
+        with self._lock:
             return self._frontiers[shard] >= _CLOSED_FRONTIER
 
     def last_report(self, shard: int) -> float:
         """Monotonic time the slot last reported a window this epoch
         (replayed windows count), or was reset."""
-        with self._cond:
+        with self._lock:
             return self._reported[shard]
 
     def lag(self, shard: int) -> int:
         """Windows this shard trails the furthest shard by."""
-        with self._cond:
+        with self._lock:
             lead = max(
                 (f for f in self._frontiers if f < _CLOSED_FRONTIER),
                 default=-1,
@@ -105,7 +106,7 @@ class MergeStage:
 
     def backlog_windows(self) -> int:
         """Windows buffered awaiting slower shards' frontiers."""
-        with self._cond:
+        with self._lock:
             return len(self._pending)
 
     def on_window(
@@ -116,7 +117,7 @@ class MergeStage:
         Reports from a stale epoch (a killed shard's engine draining, or
         a replacement replaying already-settled windows) are discarded.
         """
-        with self._cond:
+        with self._lock:
             if self._done or epoch != self._epochs[shard]:
                 return
             self._reported[shard] = time.monotonic()
@@ -134,14 +135,14 @@ class MergeStage:
 
     def close_shard(self, shard: int, epoch: int) -> None:
         """The shard's stream ended: it will report no further windows."""
-        with self._cond:
+        with self._lock:
             if epoch != self._epochs[shard]:
                 return
             self._frontiers[shard] = _CLOSED_FRONTIER
             self._advance()
             if all(f >= _CLOSED_FRONTIER for f in self._frontiers):
                 self._done = True
-                self._cond.notify_all()
+                self.backlog.close()
 
     def reset_shard(self, shard: int) -> int:
         """Forget a dead shard's unsettled state; returns the slot's new
@@ -151,13 +152,12 @@ class MergeStage:
         replay reproduces them byte-identically, so the emitted prefix
         stays exact; everything unsettled is re-reported by the
         replacement."""
-        with self._cond:
+        with self._lock:
             self._epochs[shard] += 1
             self._frontiers[shard] = self._settled
             self._reported[shard] = time.monotonic()
             for contributions in self._pending.values():
                 contributions.pop(shard, None)
-            self._done = False
             return self._epochs[shard]
 
     # -- the merge -------------------------------------------------------------
@@ -173,10 +173,9 @@ class MergeStage:
             merged = self._merge_window(contributions)
             self.merged_windows += 1
             self.merged_rows += len(merged)
-            self._backlog.append(merged)
+            self.backlog.append(wid, merged)
             self._emitted.append(merged)
         self._settled = horizon
-        self._cond.notify_all()
 
     def _merge_window(
         self, contributions: "dict[int, TupleBatch]"
@@ -200,53 +199,30 @@ class MergeStage:
     @property
     def done(self) -> bool:
         """Every shard closed and every buffered window merged."""
-        with self._cond:
+        with self._lock:
             return self._done
 
     def wait_done(self, timeout: "float | None" = None) -> bool:
-        """Block until every shard has closed (or the timeout lapses)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while not self._done:
-                if deadline is None:
-                    self._cond.wait(_RESULTS_WAIT)
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(min(_RESULTS_WAIT, remaining))
-        return True
-
-    def results(self):
-        """Consume merged windows in global order (single consumer);
-        blocks awaiting slower shards until every shard has closed."""
-        while True:
-            with self._cond:
-                while not self._backlog and not self._done:
-                    self._cond.wait(_RESULTS_WAIT)
-                if self._backlog:
-                    chunk = self._backlog.pop(0)
-                else:
-                    return
-            yield chunk
+        """Block until every shard has closed; ``False`` on timeout or
+        when :meth:`wake` unblocked the wait first."""
+        return self.backlog.wait_closed(timeout) and self.done
 
     def output(self) -> "TupleBatch | None":
         """The full merged output stream emitted so far, concatenated."""
-        with self._cond:
+        with self._lock:
             emitted = [e for e in self._emitted if len(e)]
         if not emitted:
             return None
         return TupleBatch.concat(emitted)
 
     def wake(self) -> None:
-        """Unblock consumers (cluster shutdown path)."""
-        with self._cond:
-            self._done = True
-            self._cond.notify_all()
+        """Unblock consumers (cluster shutdown and failure paths);
+        :attr:`done` keeps its meaning."""
+        self.backlog.close()
 
     def stats(self) -> "dict[str, Any]":
         """Point-in-time merge statistics."""
-        with self._cond:
+        with self._lock:
             return {
                 "merged_windows": self.merged_windows,
                 "merged_rows": self.merged_rows,

@@ -367,13 +367,14 @@ class ClusterSession:
 
     @property
     def done(self) -> bool:
-        """True once every window has been merged and emitted."""
+        """True once every shard closed and every window has been merged
+        and emitted; a cluster closed early or failed is not done."""
         return self._merge is not None and self._merge.done
 
     def results(self) -> "Iterator[TupleBatch]":
         """Consume merged windows in global order (single consumer);
         blocks awaiting slower shards until every shard has closed."""
-        return self._require_query().results()
+        return iter(self._require_query().backlog)
 
     def output(self) -> "TupleBatch | None":
         """The merged output stream emitted so far, concatenated —
@@ -641,7 +642,15 @@ class ClusterSession:
                 "execution": self._config.execution,
                 "partition_key": self._key,
             },
-            "shards": [s.stats() for s in shards],
+            "shards": [
+                {
+                    "shard": slot,
+                    "alive": shard.alive,
+                    "done": shard.done,
+                    "tuples_pushed": int(self._tuples_pushed.value(shard=str(slot))),
+                }
+                for slot, shard in enumerate(shards)
+            ],
             "retained_batches": retained,
             "merge": self._merge.stats() if self._merge is not None else None,
             "resubmits": self._resubmits.total(),

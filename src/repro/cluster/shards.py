@@ -7,12 +7,13 @@ merge stage.  Two transports implement the same small surface:
 * :class:`LocalShard` — an in-process
   :class:`~repro.api.SaberSession` (over the ``threads`` or
   ``processes`` engine backend) fed through a
-  :class:`~repro.io.PushSource`.  The window sink fires straight from
-  the shard engine's result stage;
+  :class:`~repro.io.PushSource`.  Windowed delivery
+  (:meth:`~repro.api.QueryHandle.deliver_windows`) hands each window
+  straight from the shard engine's result stage to the merge stage;
 * :class:`ProcessShard` — a ``repro serve`` daemon spawned as a child
   process, spoken to over the serve protocol's windows mode
   (``submit {"windows": true}``); a pump thread drains window-tagged
-  chunks back to the merge stage.  This is the remote-transport shape:
+  batches back to the merge stage.  This is the remote-transport shape:
   the child could equally be another machine.
 
 Both expose ``kill()`` for failure injection: the session's liveness
@@ -29,12 +30,11 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from ..api import SaberSession
 from ..errors import SaberError
 from ..io.push import PushSource
-from ..io.records import rows_to_batch
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 
@@ -53,8 +53,6 @@ _CAPACITY_TUPLES = 1 << 16
 class LocalShard:
     """One in-process shard engine behind a push-ingested session."""
 
-    transport = "local"
-
     def __init__(
         self,
         shard_id: int,
@@ -69,7 +67,6 @@ class LocalShard:
     ) -> None:
         self.shard_id = shard_id
         self.killed = False
-        self.tuples_pushed = 0
         self._failed = False
         self._on_eos = on_eos
         self._source = PushSource(schema, capacity_tuples=_CAPACITY_TUPLES)
@@ -82,12 +79,7 @@ class LocalShard:
         )
         self._session.register_stream(stream, self._source)
         self._handle = self._session.sql(cql, name=query_name)
-        # Per-window reporting: every window must surface with its id.
-        self._handle.query.force_assembly = True
-        self._handle.add_window_sink(on_window)
-        # The window sink carries every output row; a no-op row sink
-        # keeps the handle from buffering chunks nobody consumes.
-        self._handle.add_sink(lambda batch: None)
+        self._handle.deliver_windows(on_window)
         self._watcher: "threading.Thread | None" = None
 
     def start(self) -> None:
@@ -110,9 +102,7 @@ class LocalShard:
 
     def push(self, batch: TupleBatch) -> int:
         """Ingest one key-disjoint sub-batch; returns tuples accepted."""
-        accepted = self._source.push(batch)
-        self.tuples_pushed += accepted
-        return accepted
+        return self._source.push(batch)
 
     def close(self) -> None:
         """End-of-stream: queued data drains and tail windows flush."""
@@ -145,16 +135,6 @@ class LocalShard:
         except SaberError:
             pass
 
-    def stats(self) -> "dict[str, Any]":
-        """Shard liveness and ingest counters for cluster stats."""
-        return {
-            "shard": self.shard_id,
-            "transport": self.transport,
-            "alive": self.alive,
-            "done": self.done,
-            "tuples_pushed": self.tuples_pushed,
-        }
-
 
 class ProcessShard:
     """One shard served by a spawned ``repro serve`` daemon.
@@ -166,8 +146,6 @@ class ProcessShard:
     themselves) and window results come back as binary chunks, so the
     merged output stays byte-identical to a single-engine run.
     """
-
-    transport = "serve"
 
     def __init__(
         self,
@@ -188,10 +166,8 @@ class ProcessShard:
         self.stream = stream
         self.query_name = query_name
         self.killed = False
-        self.tuples_pushed = 0
         self._on_window = on_window
         self._on_eos = on_eos
-        self._schema = schema
         env = dict(os.environ)
         # The directory *containing* the repro package, so the child's
         # `-m repro` resolves even when the parent runs from a checkout
@@ -239,8 +215,7 @@ class ProcessShard:
                 )
             self._client, self._results_client = self._clients
             self._client.register(stream, schema.spec, capacity=_CAPACITY_TUPLES)
-            reply = self._client.submit(cql, name=query_name, windows=True)
-            self._output_schema = Schema.parse(reply["schema"], name=query_name)
+            self._client.submit(cql, name=query_name, windows=True)
         except BaseException:
             # A failed start leaves nothing behind: sockets closed, the
             # child killed *and* reaped, its pipe closed.
@@ -299,9 +274,7 @@ class ProcessShard:
             except (ProtocolError, OSError):
                 return  # child died (or was killed): the monitor recovers
             for wid, rows in chunks:
-                if wid is None:
-                    continue  # defensive: non-windows chunk
-                self._on_window(wid, rows_to_batch(self._output_schema, rows))
+                self._on_window(wid, rows)
             if done:
                 if not self.killed:
                     self._on_eos()
@@ -309,9 +282,7 @@ class ProcessShard:
 
     def push(self, batch: TupleBatch) -> int:
         """Ingest one sub-batch over the serve protocol (a binary push)."""
-        accepted = self._client.push(self.stream, batch)
-        self.tuples_pushed += accepted
-        return accepted
+        return self._client.push(self.stream, batch)
 
     def close(self) -> None:
         """End-of-stream: close the child's ingest stream."""
@@ -361,13 +332,3 @@ class ProcessShard:
                 client.close()
             except (ProtocolError, OSError):
                 pass
-
-    def stats(self) -> "dict[str, Any]":
-        """Shard liveness and ingest counters for cluster stats."""
-        return {
-            "shard": self.shard_id,
-            "transport": self.transport,
-            "alive": self.alive,
-            "done": self.done,
-            "tuples_pushed": self.tuples_pushed,
-        }

@@ -27,8 +27,10 @@ for binary ``chunk`` frames at ``hello`` and pushes every stream it
 registered itself as a binary ``push`` (rows packed in the stream's
 tuple layout).  Rows that do not pack, and streams registered on
 another connection, go as JSON rows, so the server validates them
-exactly as it validates any JSON client.  Binary chunks are decoded to
-the same dicts a JSON chunk carries.
+exactly as it validates any JSON client.  :meth:`ServeClient.results`
+decodes binary chunks to the same dicts a JSON chunk carries;
+:meth:`ServeClient.window_results` hands them over as the decoded
+batches themselves.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import socket
 from typing import Any
 
 from ..errors import SaberError
-from ..io.records import as_batch, batch_to_rows
+from ..io.records import as_batch, batch_to_rows, rows_to_batch
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from .protocol import (
@@ -69,6 +71,9 @@ class ServeClient:
         self._schemas: "dict[str, Schema]" = {}
         #: parsed ``schema`` specs of binary chunks seen so far.
         self._chunk_schemas: "dict[str, Schema]" = {}
+        #: output schemas of the queries submitted on this connection
+        #: (a JSON chunk names none).
+        self._query_schemas: "dict[str, Schema]" = {}
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._reader = self._sock.makefile("rb")
         self._closed = False
@@ -94,11 +99,11 @@ class ServeClient:
         if not isinstance(frame, dict) or "type" not in frame:
             raise ProtocolError("bad-frame", f"unintelligible server frame: {raw!r}")
         if frame["type"] == "chunk" and "bytes" in frame:
-            frame["rows"] = self._read_chunk_rows(frame)
+            frame["batch"] = self._read_chunk_batch(frame)
         return frame
 
-    def _read_chunk_rows(self, frame: "dict[str, Any]") -> "list[dict[str, Any]]":
-        """Read a binary chunk's payload and decode it to row dicts."""
+    def _read_chunk_batch(self, frame: "dict[str, Any]") -> TupleBatch:
+        """Read a binary chunk's payload and decode it to a batch."""
         size, spec = frame["bytes"], frame.get("schema")
         if not isinstance(size, int) or size < 0 or not isinstance(spec, str):
             raise ProtocolError("bad-frame", f"malformed binary chunk header: {frame!r}")
@@ -115,12 +120,12 @@ class ServeClient:
             except SaberError as exc:
                 raise ProtocolError("bad-frame", f"bad chunk schema: {exc}") from None
             self._chunk_schemas[spec] = schema
-        return batch_to_rows(decode_binary(schema, payload))
+        return decode_binary(schema, payload)
 
     def request(self, frame: "dict[str, Any]") -> "dict[str, Any]":
         """Send one frame and return the terminal ``ok`` frame's fields
         (raising :class:`ProtocolError` on an ``error`` frame).  Any
-        ``chunk`` frames are collected under the key ``"chunks"``."""
+        ``chunk`` frames are collected under the key ``"chunk_frames"``."""
         return self._exchange(encode_frame(frame))
 
     def _exchange(self, data: bytes) -> "dict[str, Any]":
@@ -128,23 +133,17 @@ class ServeClient:
         if self._closed:
             raise ProtocolError("closed", "client is closed")
         self._sock.sendall(data)
-        chunks: "list[list[dict[str, Any]]]" = []
-        windows: "list[int | None]" = []
+        chunks: "list[dict[str, Any]]" = []
         while True:
             reply = self._read_frame()
             if reply["type"] == "chunk":
-                chunks.append(reply["rows"])
-                windows.append(reply.get("window"))
+                chunks.append(reply)
                 continue
             if reply["type"] == "error":
                 raise ProtocolError(reply.get("code", "internal"), reply.get("message", ""))
             if reply["type"] == "ok":
                 if chunks:
-                    reply = {
-                        **reply,
-                        "chunks_rows": chunks,
-                        "chunks_windows": windows,
-                    }
+                    reply = {**reply, "chunk_frames": chunks}
                 return reply
             raise ProtocolError(
                 "bad-frame", f"unexpected server frame type {reply['type']!r}"
@@ -183,7 +182,11 @@ class ServeClient:
             frame["name"] = name
         if windows:
             frame["windows"] = True
-        return self.request(frame)
+        reply = self.request(frame)
+        self._query_schemas[reply["query"]] = Schema.parse(
+            reply["schema"], name=reply["query"]
+        )
+        return reply
 
     def push(self, stream: str, rows: "list[Any] | TupleBatch") -> int:
         """Push rows (or a batch) into a registered stream; returns
@@ -206,45 +209,55 @@ class ServeClient:
         reply = self.request({"type": "push", "stream": stream, "rows": rows})
         return int(reply["accepted"])
 
+    def _results(
+        self, query: str, max_chunks: int, timeout: float
+    ) -> "tuple[list[dict[str, Any]], bool]":
+        """One ``results`` request: its chunk frames and ``done``."""
+        reply = self.request(
+            {
+                "type": "results",
+                "query": query,
+                "max_chunks": max_chunks,
+                "timeout": timeout,
+            }
+        )
+        return reply.get("chunk_frames", []), bool(reply["done"])
+
     def results(
         self,
         query: str,
         max_chunks: int = 16,
         timeout: float = 5.0,
     ) -> "tuple[list[list[dict[str, Any]]], bool]":
-        """Drain up to ``max_chunks`` output chunks; returns
+        """Drain up to ``max_chunks`` output chunks as row dicts; returns
         ``(chunks, done)`` where ``done`` means the query can produce
         no further output."""
-        reply = self.request(
-            {
-                "type": "results",
-                "query": query,
-                "max_chunks": max_chunks,
-                "timeout": timeout,
-            }
-        )
-        return reply.get("chunks_rows", []), bool(reply["done"])
+        frames, done = self._results(query, max_chunks, timeout)
+        return [
+            batch_to_rows(f["batch"]) if "batch" in f else f["rows"] for f in frames
+        ], done
 
     def window_results(
         self,
         query: str,
         max_chunks: int = 16,
         timeout: float = 5.0,
-    ) -> "tuple[list[tuple[int | None, list[dict[str, Any]]]], bool]":
-        """Like :meth:`results` for windows-mode queries: returns
-        ``([(window_id, rows), ...], done)`` with each chunk's global
-        window id (``None`` for chunks of a non-windows query)."""
-        reply = self.request(
-            {
-                "type": "results",
-                "query": query,
-                "max_chunks": max_chunks,
-                "timeout": timeout,
-            }
-        )
-        rows = reply.get("chunks_rows", [])
-        windows = reply.get("chunks_windows", [None] * len(rows))
-        return list(zip(windows, rows)), bool(reply["done"])
+    ) -> "tuple[list[tuple[int | None, TupleBatch]], bool]":
+        """Like :meth:`results` for windows-mode queries, but as batches:
+        returns ``([(window_id, batch), ...], done)`` with each chunk's
+        global window id (``None`` for chunks of a non-windows query).
+        A binary chunk's batch is its decoded payload; a JSON chunk's
+        rows are packed into the output schema of a query submitted on
+        this connection."""
+        frames, done = self._results(query, max_chunks, timeout)
+        return [
+            (
+                f.get("window"),
+                f["batch"] if "batch" in f
+                else rows_to_batch(self._query_schemas[query], f["rows"]),
+            )
+            for f in frames
+        ], done
 
     def close_stream(self, stream: str) -> None:
         """Signal end-of-stream on one of this tenant's streams."""

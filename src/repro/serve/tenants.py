@@ -14,16 +14,17 @@ contract is surfaced as a tenant *lifecycle*:
 4. ``close`` per stream is end-of-stream: queued data drains, tail
    windows flush, and the tenant's queries complete (``done``).
 
-Results are delivered through per-query bounded backlogs: a sink
-callback appends every ordered output chunk as the engine's own
-:class:`~repro.relational.tuples.TupleBatch` (no copy: emitted batches
-are never reused) and ``results`` requests drain them; rows become
-dicts only when a chunk goes out to a JSON connection.  The backlog
-cap (:attr:`TenantQuotas.max_result_backlog_chunks`) bounds a slow
-consumer's memory; overflow drops the *oldest* chunk and
-counts it (``saber_result_backlog_dropped_total``) — under the
-``block`` ingest policy and a live consumer this never fires, which is
-exactly what the soak test asserts.
+Results wait in each query handle's own bounded backlog
+(:class:`~repro.api.session.ChunkBacklog`): every ordered output chunk
+queues there as the engine's own
+:class:`~repro.relational.tuples.TupleBatch` and ``results`` requests
+drain it; rows become dicts only when a chunk goes out to a JSON
+connection.  The backlog cap
+(:attr:`TenantQuotas.max_result_backlog_chunks`) bounds a slow
+consumer's memory; overflow drops the *oldest* chunk and counts it
+(``saber_result_backlog_dropped_total``) — under the ``block`` ingest
+policy and a live consumer this never fires, which is exactly what the
+soak test asserts.
 
 Metrics are read, not pushed: each tenant registers one collector with
 the server's registry (:meth:`Tenant._samples` — its engine's series
@@ -42,11 +43,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
 from typing import Any, Iterator
 
-from ..analysis.lockdep import make_condition, make_lock
-from ..api import SaberSession
+from ..analysis.lockdep import make_lock
+from ..api import QueryHandle, SaberSession
 from ..core.engine import ring_tasks, task_bytes, worker_count
 from ..errors import (
     BackpressureError,
@@ -66,11 +66,6 @@ from ..relational.tuples import TupleBatch
 from .protocol import ProtocolError, decode_binary
 
 __all__ = ["TenantQuotas", "Tenant"]
-
-#: belt-and-braces re-check interval for results() waits; every emitted
-#: chunk and every run transition notifies the condition.
-_RESULTS_WAIT = 0.05
-
 
 @dataclasses.dataclass(frozen=True)
 class TenantQuotas:
@@ -111,58 +106,6 @@ class TenantQuotas:
         check_fields(self, ValidationError)
 
 
-class _ResultQueue:
-    """Bounded backlog of one query's output chunks.
-
-    Entries are ``(window, rows)``: the global window id (windows-mode
-    queries only, else ``None``) and the chunk's batch.
-    """
-
-    def __init__(self, cap: int) -> None:
-        self._cond = make_condition("serve.tenants._ResultQueue._cond")
-        self._chunks: "deque[tuple[int | None, TupleBatch]]" = deque()
-        self._cap = cap
-        #: chunks discarded because the backlog hit its cap.
-        self.dropped = 0
-
-    def append(self, window: "int | None", rows: TupleBatch) -> None:
-        """Queue one chunk, dropping (and counting) the oldest when full."""
-        with self._cond:
-            if len(self._chunks) >= self._cap:
-                self._chunks.popleft()
-                self.dropped += 1
-            self._chunks.append((window, rows))
-            self._cond.notify_all()
-
-    def wake(self) -> None:
-        """Wake blocked drainers (used when the tenant shuts down)."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._chunks)
-
-    def drain(
-        self, max_chunks: int, timeout: float, done: Any
-    ) -> "list[tuple[int | None, TupleBatch]]":
-        """Up to ``max_chunks`` chunks, waiting ``timeout`` seconds for
-        the first one unless ``done()`` says the query has completed."""
-        deadline = time.monotonic() + timeout
-        chunks: "list[tuple[int | None, TupleBatch]]" = []
-        with self._cond:
-            while not self._chunks:
-                if done():
-                    return chunks
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return chunks
-                self._cond.wait(min(remaining, _RESULTS_WAIT))
-            while self._chunks and len(chunks) < max_chunks:
-                chunks.append(self._chunks.popleft())
-        return chunks
-
-
 class Tenant:
     """One tenant's session, streams, queries and result backlogs."""
 
@@ -186,7 +129,7 @@ class Tenant:
         )
         self._lock = make_lock("serve.tenants.Tenant._lock")
         self._streams: "dict[str, PushSource]" = {}
-        self._queries: "dict[str, _ResultQueue]" = {}
+        self._queries: "dict[str, QueryHandle]" = {}
         self._active = False
         self._closed = False
         #: monotonic timestamp of the last client frame touching this
@@ -252,11 +195,10 @@ class Tenant:
     ) -> "dict[str, Any]":
         """Compile and submit a CQL statement; returns ``ok`` fields.
 
-        ``windows=True`` switches the query to per-window delivery: the
-        engine routes every window through the result-stage assembly
-        path (:attr:`~repro.core.query.Query.force_assembly`) and the
-        backlog queues one chunk per finalised window, tagged with its
-        id, in strictly increasing window-id order.  The rows are
+        ``windows=True`` switches the query to per-window delivery
+        (:meth:`~repro.api.QueryHandle.deliver_windows`): the backlog
+        queues one chunk per finalised window, tagged with its id, in
+        strictly increasing window-id order.  The rows are
         byte-for-byte the same either way; this is the cluster
         session's remote-shard transport."""
         with self._lock:
@@ -278,25 +220,17 @@ class Tenant:
                 raise ProtocolError(
                     "bad-field", f"query {query_name!r} already exists"
                 )
-            backlog = _ResultQueue(self.quotas.max_result_backlog_chunks)
             try:
-                handle = self.session.sql(cql, name=query_name)
-            except CQLSyntaxError as exc:
-                raise ProtocolError("bad-cql", str(exc)) from None
-            except (QueryError, SchemaError, SessionError) as exc:
-                raise ProtocolError("bad-cql", str(exc)) from None
-            # Sinks run on the emitting worker thread: only enqueue there.
-            if windows:
-                handle.query.force_assembly = True
-                handle.add_window_sink(
-                    lambda wid, rows: backlog.append(int(wid), rows)
+                handle = self.session.sql(
+                    cql,
+                    name=query_name,
+                    max_buffered=self.quotas.max_result_backlog_chunks,
                 )
-                # The window sink carries every output row; a no-op row
-                # sink keeps the handle from double-buffering chunks.
-                handle.add_sink(lambda batch: None)
-            else:
-                handle.add_sink(lambda batch: backlog.append(None, batch))
-            self._queries[query_name] = backlog
+            except (CQLSyntaxError, QueryError, SchemaError, SessionError) as exc:
+                raise ProtocolError("bad-cql", str(exc)) from None
+            if windows:
+                handle.deliver_windows()
+            self._queries[query_name] = handle
             return {
                 "query": query_name,
                 "schema": handle.query.output_schema.spec,
@@ -333,23 +267,16 @@ class Tenant:
         one; returns ``(chunks, done)``."""
         with self._lock:
             self._check_open()
-            backlog = self._queries.get(query)
-            if backlog is None:
+            handle = self._queries.get(query)
+            if handle is None:
                 raise ProtocolError(
                     "unknown-query",
                     f"unknown query {query!r} "
                     f"(submitted: {sorted(self._queries) or 'none'})",
                 )
-            handle = self.session.handles[query]
         self._maybe_activate()
-        chunks = backlog.drain(max_chunks, timeout, lambda: self._done(handle))
-        return chunks, self._done(handle) and not len(backlog)
-
-    def _done(self, handle: Any) -> bool:
-        """The query can produce no further chunks."""
-        if self._closed:
-            return True
-        return handle.done or (self._active and not self.session.is_running)
+        chunks = handle.drain(max_chunks, timeout)
+        return chunks, handle.backlog.exhausted
 
     def close_stream(self, stream: str) -> None:
         """End-of-stream: queued data drains and tail windows flush."""
@@ -394,18 +321,16 @@ class Tenant:
                 }
                 for name, source in self._streams.items()
             }
-            queries = {
-                name: {
-                    "backlog_chunks": len(backlog),
-                    "dropped_chunks": backlog.dropped,
-                }
-                for name, backlog in self._queries.items()
-            }
+            handles = dict(self._queries)
             active = self._active
-        for name, backlog in queries.items():
-            handle = self.session.handles.get(name)
-            if handle is not None:
-                backlog["done"] = self._done(handle)
+        queries = {
+            name: {
+                "backlog_chunks": len(handle.backlog),
+                "dropped_chunks": handle.dropped_chunks,
+                "done": handle.backlog.exhausted,
+            }
+            for name, handle in handles.items()
+        }
         return {
             "tenant": self.name,
             "active": active,
@@ -443,21 +368,21 @@ class Tenant:
                 labels,
                 source.dropped_tuples,
             )
-        for query, backlog in queries:
+        for query, handle in queries:
             labels = {"tenant": self.name, "query": query}
             yield (
                 "saber_result_backlog_chunks",
                 "gauge",
                 "Output chunks queued awaiting results requests.",
                 labels,
-                len(backlog),
+                len(handle.backlog),
             )
             yield (
                 "saber_result_backlog_dropped_total",
                 "counter",
                 "Output chunks discarded because a result backlog was full.",
                 labels,
-                backlog.dropped,
+                handle.dropped_chunks,
             )
 
     def _check_open(self) -> None:
@@ -492,8 +417,6 @@ class Tenant:
                     self.session.wait(timeout=drain_timeout)
         finally:
             try:
-                self.session.close()
+                self.session.close()  # closes every handle's backlog
             finally:
                 self.registry.unregister_collector(self._collector)
-                for backlog in self._queries.values():
-                    backlog.wake()

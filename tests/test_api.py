@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import SaberSession, Stream, agg
+from repro.api.session import ChunkBacklog
 from repro.errors import BuilderError, QueryError, SaberError, SessionError
 from repro.operators.compose import FilteredWindows
 from repro.operators.distinct import DistinctProjection
@@ -469,7 +470,7 @@ class TestSession:
             handle = session.submit(agg_plan(SyntheticSource(seed=3)).build("agg"))
             session.run(tasks_per_query=6)
             first = list(handle.results())
-            assert first and not handle._chunks
+            assert first and not len(handle.backlog)
             assert list(handle.results()) == []
 
     def test_sinks_receive_full_rows_without_output_collection(self):
@@ -507,26 +508,39 @@ class TestSession:
                 sink=lambda rows: None,
             )
             session.run(tasks_per_query=6)
-            assert not handle._chunks            # sinks consumed everything
+            assert not len(handle.backlog)       # sinks consumed everything
             assert handle.output_rows > 0        # engine-side output intact
 
     def test_unconsumed_backlog_is_bounded(self):
-        # An unconsumed handle keeps at most max_buffered chunks; the
-        # oldest are dropped and counted, so long-lived runs stay bounded.
-        from repro.api.session import QueryHandle
+        # A backlog keeps at most its cap; the oldest entries are dropped
+        # and counted, so an unconsumed long-lived run stays bounded.
+        backlog = ChunkBacklog(2)
+        for window, rows in ((0, "a"), (None, "b"), (2, "c"), (None, "d")):
+            backlog.append(window, rows)
+        assert len(backlog) == 2 and backlog.dropped == 2
+        assert backlog.drain(8, timeout=0.0) == [(2, "c"), (None, "d")]
+        assert backlog.drain(8, timeout=0.0) == [] and not backlog.exhausted
+        backlog.close()
+        assert backlog.exhausted and list(backlog) == []
+        with pytest.raises(SessionError, match="max_buffered"):
+            ChunkBacklog(0)
 
+    def test_drain_waits_past_the_platform_timeout_cap(self):
+        backlog = ChunkBacklog()
+        threading.Timer(0.05, backlog.append, (None, "late")).start()
+        assert backlog.drain(1, timeout=1e12) == [(None, "late")]
+
+    def test_sql_caps_the_handle_backlog(self):
         with SaberSession(**session_config()) as session:
-            query = agg_plan(SyntheticSource(seed=3)).build("agg")
-            handle = QueryHandle(session, query, max_buffered=2)
-
-            class _Record:
-                def __init__(self, rows):
-                    self.rows = rows
-
-            for rows in ("a", "b", "c", "d"):
-                handle._on_emit(_Record(rows))
-            assert list(handle._chunks) == ["c", "d"]
-            assert handle.dropped_chunks == 2
+            session.register_stream("Syn", SyntheticSource(seed=3))
+            handle = session.sql(
+                "select timestamp, a2, sum(a1) as total from Syn "
+                "[rows 64 slide 64] group by a2",
+                max_buffered=2,
+            )
+            session.run(tasks_per_query=6)
+            assert handle.dropped_chunks > 0 and len(handle.backlog) == 2
+            assert len(handle.drain(8, timeout=0.0)) == 2
 
     def test_results_auto_runs_idle_session(self):
         with SaberSession(tasks_per_query=4, **session_config()) as session:

@@ -416,6 +416,46 @@ class TestShardFailureRecovery:
         assert stats["resubmits"] >= 1
 
 
+class TestDoneMeansComplete:
+    """``done`` and ``wait`` report a fully merged run only: closing the
+    cluster early or failing it wakes consumers without claiming it."""
+
+    def started(self, groupby_data):
+        session = ClusterSession(shards=2)
+        session.register_stream(
+            GROUP_BY.stream, PushSource(groupby_data.schema, capacity_tuples=1 << 16)
+        )
+        session.sql(GROUP_BY.cql, name=GROUP_BY.name)
+        session.start()
+        session.push(GROUP_BY.stream, groupby_data.slice(0, len(groupby_data) // 2))
+        deadline = time.monotonic() + 60.0
+        while session.stats()["merge"]["merged_windows"] < 1:
+            assert time.monotonic() < deadline, "no window merged"
+            time.sleep(0.01)
+        return session
+
+    def test_a_cluster_closed_early_is_not_done(self, groupby_data, groupby_reference):
+        session = self.started(groupby_data)
+        session.close()
+        merged = session.stats()["merge"]["merged_windows"]
+        assert 0 < merged < 8  # 8 windows in the whole stream
+        assert session.done is False
+        assert session.wait(0.1) is False
+        # The woken backlog hands over what merged, then ends.
+        assert len(list(session.results())) == merged
+        assert len(session.output()) < len(groupby_reference)
+
+    def test_a_failed_cluster_is_not_done(self, groupby_data):
+        session = self.started(groupby_data)
+        try:
+            session._fail("injected failure")
+            assert session.done is False
+            with pytest.raises(ExecutionError, match="injected failure"):
+                session.wait(5.0)
+        finally:
+            session.close()
+
+
 class TestCompletionTimeout:
     def test_timeout_shorter_than_the_replay_drain_ends_the_run(self):
         """A completion budget shorter than a replacement's re-drain of

@@ -1,7 +1,6 @@
 """Application-query oracle checks at engine level (time windows)."""
 
 import numpy as np
-import pytest
 
 import reference
 from repro.core.engine import SaberConfig, SaberEngine
@@ -11,50 +10,37 @@ from repro.workloads.linearroad import LinearRoadSource, lrb3_query
 from repro.workloads.smartgrid import SmartGridSource, sg1_query
 
 
-def test_cm1_grouped_time_window_oracle():
-    """CM1's per-category sums match naive evaluation of every window."""
-    tasks, task_tuples = 10, 512
-    query = cm1_query()
+def run_against_oracle(query, source, tasks, task_tuples):
+    """The engine's flushed output bytes and the fragment-aware oracle's
+    (``reference.grouped_by_window``) over the same task cut."""
     tuple_size = query.input_schemas[0].tuple_size
     engine = SaberEngine(
         SaberConfig(task_size_bytes=task_tuples * tuple_size, cpu_workers=3)
     )
-    engine.add_query(query, [ClusterMonitoringSource(seed=9, tuples_per_second=32)])
-    report = engine.run(tasks_per_query=tasks)
-    out = report.outputs[query.name]
-    data = reference.collect(
-        ClusterMonitoringSource(seed=9, tuples_per_second=32),
-        tasks * task_tuples, task_tuples,
+    engine.add_query(query, [source()])
+    out = engine.run(tasks_per_query=tasks, flush=True).outputs[query.name]
+    data = reference.collect(source(), tasks * task_tuples, task_tuples)
+    cut = reference.cut_tasks(data, query.windows[0], task_tuples)
+    chunks, __ = reference.grouped_by_window(query.operator, cut)
+    assert out is not None and len(out)
+    return out.data.tobytes(), b"".join(chunks)
+
+
+def test_cm1_grouped_time_window_oracle():
+    """CM1's per-category sums are bitwise the oracle's, window by window."""
+    produced, expected = run_against_oracle(
+        cm1_query(), lambda: ClusterMonitoringSource(seed=9, tuples_per_second=32),
+        tasks=10, task_tuples=512,
     )
-    expected = reference.grouped_aggregate(
-        WindowDefinition.time(60, 1), data, ["category"], "cpu", "sum"
-    )
-    assert len(out) == len(expected)
-    for i, (ts, key, value) in enumerate(expected):
-        assert int(out.column("category")[i]) == key[0]
-        assert out.column("totalCpu")[i] == pytest.approx(value, rel=1e-5)
+    assert produced == expected
 
 
 def test_sg1_global_average_oracle():
-    tasks, task_tuples = 16, 1024
-    query = sg1_query()
-    tuple_size = query.input_schemas[0].tuple_size
-    engine = SaberEngine(
-        SaberConfig(task_size_bytes=task_tuples * tuple_size, cpu_workers=3)
+    produced, expected = run_against_oracle(
+        sg1_query(), lambda: SmartGridSource(seed=4, tuples_per_second=3),
+        tasks=16, task_tuples=1024,
     )
-    engine.add_query(query, [SmartGridSource(seed=4, tuples_per_second=3)])
-    report = engine.run(tasks_per_query=tasks)
-    out = report.outputs[query.name]
-    data = reference.collect(
-        SmartGridSource(seed=4, tuples_per_second=3),
-        tasks * task_tuples, task_tuples,
-    )
-    expected = reference.sliding_aggregate(
-        WindowDefinition.time(3600, 1), data, "value", "avg"
-    )
-    assert len(out) == len(expected)
-    for i, (__, value) in enumerate(expected):
-        assert out.column("globalAvgLoad")[i] == pytest.approx(value, rel=1e-5)
+    assert produced == expected
 
 
 def test_lrb3_having_filters_congested_segments_only():

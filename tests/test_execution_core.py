@@ -407,6 +407,52 @@ def test_guard_sees_an_aggregation_use(tmp_path):
     }
 
 
+# -- one result backlog ------------------------------------------------------------
+
+
+def _backlog_sites(root):
+    """{name: sorted modules} for the deleted second and third chunk
+    queues and the hand-written windows-mode setup: their names, and any
+    ``force_assembly`` assignment outside the query handle."""
+    gone = {"_ResultQueue", "_RESULTS_WAIT", "add_window_sink"}
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.relative_to(root).as_posix()
+        named = set(_names(tree)) & gone
+        if module != "api/session.py" and any(
+            isinstance(target, ast.Attribute) and target.attr == "force_assembly"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+        ):
+            named.add("force_assembly=")
+        for name in named:
+            sites.setdefault(name, []).append(module)
+    return sites
+
+
+def test_output_chunks_wait_in_one_backlog():
+    """``ChunkBacklog`` is the one queue downstream of the result stage,
+    and windowed delivery is one handle call."""
+    assert _backlog_sites(SRC) == {}
+
+
+def test_guard_sees_a_second_backlog(tmp_path):
+    (tmp_path / "tenants.py").write_text(
+        "_RESULTS_WAIT = 0.05\nclass _ResultQueue: pass\n"
+    )
+    (tmp_path / "shards.py").write_text(
+        "handle.query.force_assembly = True\nhandle.add_window_sink(sink)\n"
+    )
+    assert _backlog_sites(tmp_path) == {
+        "_RESULTS_WAIT": ["tenants.py"],
+        "_ResultQueue": ["tenants.py"],
+        "force_assembly=": ["shards.py"],
+        "add_window_sink": ["shards.py"],
+    }
+
+
 # -- rows move as bytes: one rule, one owner --------------------------------------
 
 

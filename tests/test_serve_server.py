@@ -260,13 +260,12 @@ class TestGracefulShutdown:
         # closes it (end-of-stream), processes the queued tail and
         # flushes windows before releasing the engine.
         server.shutdown(drain=True)
-        tenant = server._tenants["acme"]
-        backlog = tenant._queries["q"]
+        handle = server._tenants["acme"].session.handles["q"]
+        assert handle.backlog.exhausted is False  # the flushed tail waits
         total = 0.0
-        while len(backlog):
-            for _window, batch in backlog.drain(64, 0.0, lambda: True):
-                total += sum(r["total"] for r in batch_to_rows(batch))
-        assert total == 256.0
+        for batch in handle.results():  # the closed backlog ends the loop
+            total += sum(r["total"] for r in batch_to_rows(batch))
+        assert total == 256.0 and handle.backlog.exhausted
 
     def test_shutdown_is_idempotent(self):
         server = SaberServer(ServeConfig(port=0)).start()
@@ -494,9 +493,9 @@ class TestWindowsMode:
         while not done:
             assert time.monotonic() < end, "windows-mode query never drained"
             chunks, done = client.window_results("q", timeout=2.0)
-            for wid, rows in chunks:
+            for wid, batch in chunks:
                 wids.append(wid)
-                total += sum(r["total"] for r in rows)
+                total += sum(r["total"] for r in batch_to_rows(batch))
         # 256 tuples through tumbling 64-row windows: four windows, in
         # strictly increasing window-id order, summing to every value.
         assert wids == sorted(wids) and len(set(wids)) == len(wids)

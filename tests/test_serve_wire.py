@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.io.records import rows_to_batch
+from repro.io.records import batch_to_rows, rows_to_batch
 from repro.relational.schema import Schema
 from repro.serve import (
     MAX_FRAME_BYTES,
@@ -120,6 +120,7 @@ def drain(client, query, windows=False, deadline=30.0):
         assert time.monotonic() < end, "query did not complete in time"
         if windows:
             chunks, done = client.window_results(query, timeout=2.0)
+            chunks = [(wid, batch_to_rows(batch)) for wid, batch in chunks]
         else:
             chunks, done = client.results(query, timeout=2.0)
         out.extend(chunks)

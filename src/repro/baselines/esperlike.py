@@ -10,8 +10,8 @@ not scale, and each tuple pays a fixed engine overhead on top of the
 operator's per-tuple work.
 
 The engine still produces *correct* results — it reuses the operator's
-batch function over slide-aligned mini-batches — so tests can compare its
-output against SABER's.
+batch function over slide-aligned mini-batches and the result stage's
+assembly — so tests can compare its output against SABER's.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.query import Query
+from ..core.result_stage import ResultStage
+from ..core.task import QueryTask
 from ..hardware.cpu import CpuModel
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
 from ..operators.base import StreamSlice
@@ -72,13 +74,11 @@ class EsperLikeEngine:
         elapsed = 0.0
         tuples = 0
         size_bytes = 0
-        outputs: list[TupleBatch] = []
+        stage = ResultStage(query)
         profile = query.operator.cost_profile()
         cursors = [0] * len(sources)
         prev_ts: "list[int | None]" = [None] * len(sources)
         processed = 0
-        pending: dict[int, object] = {}
-        closed: set[int] = set()
         while processed < total_tuples:
             n = min(chunk_tuples, total_tuples - processed)
             slices = []
@@ -98,24 +98,8 @@ class EsperLikeEngine:
                 slices.append(StreamSlice(batch, windows, cursors[i] - n))
             result = query.operator.process_batch(slices)
             if collect_output:
-                operator = query.operator
-                for wid in sorted(result.partials):
-                    payload = result.partials[wid]
-                    if wid in pending:
-                        payload = operator.merge_partials(pending.pop(wid), payload)
-                    pending[wid] = payload
-                closed.update(result.closed_ids)
-                for wid in sorted(list(pending)):
-                    ready = operator.window_ready(pending[wid])
-                    if ready is None:
-                        ready = wid in closed
-                    if ready:
-                        rows = operator.finalize_window(wid, pending.pop(wid))
-                        closed.discard(wid)
-                        if rows is not None and len(rows):
-                            outputs.append(rows)
-                if result.complete is not None and len(result.complete):
-                    outputs.append(result.complete)
+                task = QueryTask(query, processed // chunk_tuples, [], 0.0, 0)
+                stage.submit(task, result, 0.0)
             # Per-tuple charging: lock + dispatch + the operator's work,
             # with no short-circuit benefit lost (same CPU cost model),
             # and no parallelism.
@@ -126,5 +110,4 @@ class EsperLikeEngine:
             tuples += chunk_tuple_count
             size_bytes += chunk_size
             processed += n
-        output = TupleBatch.concat(outputs) if outputs else None
-        return EsperReport(tuples, size_bytes, elapsed, output)
+        return EsperReport(tuples, size_bytes, elapsed, stage.output())

@@ -457,7 +457,10 @@ class ClusterSession:
         except SaberError as exc:
             self._fail(f"cluster ingest failed: {exc}")
         finally:
-            self._finish_ingest()
+            # A close() interrupts ingest: that is no end-of-stream, so
+            # the shards must not drain and report the run complete.
+            if not self._stop.is_set():
+                self._finish_ingest()
 
     def _fan_out(self, batch: TupleBatch) -> None:
         assert self._key is not None

@@ -23,14 +23,13 @@ to this executor:
   :class:`~repro.gpu.accelerator.AcceleratorDevice`, whose movein copies
   the task out of the shared segment into the child's private memory;
 * workers send the :class:`~repro.operators.base.BatchResult` back over
-  a **completion queue** — window partials cross it as compact columnar
-  numpy payloads: a grouped task's boundary windows are
-  :class:`~repro.operators.groupby.GroupedWindowAccumulator` row
-  references into one :class:`~repro.operators.groupby.GroupBlock`,
-  which pickle's memo serialises once per task — what keeps slide-1
-  grouped windows from drowning in per-window pickle costs; the result
-  stage and HLS feedback run in the parent, from the completion
-  messages.
+  a **completion queue**; a task's boundary partials cross it as one
+  columnar :class:`~repro.operators.base.PartialRun` — a grouped task's
+  run is an int64 window-id array, its one boundary
+  :class:`~repro.operators.groupby.GroupBlock` and per-window row-bound
+  and timestamp arrays, so a slide-1 task pickles a handful of arrays
+  however many windows it touches; the result stage and HLS feedback
+  run in the parent, from the completion messages.
 
 Workers are forked (never spawned): operator graphs, closures and the
 engine object cross into the children by inheritance, so nothing needs

@@ -5,13 +5,16 @@ result in a slot of a circular result buffer (slot = task id modulo the
 slot count, with more slots than workers so a slot is always consumed
 before its reuse), then processes results *in task-id order*:
 
-1. **assembly** — the window-fragment payloads of boundary windows are
-   kept per window in task order; a window is ready when its closing
-   fragment's task has been processed (or, for multi-input operators,
-   when the merged payload reports ready), and every window a task
-   makes ready is merged and finalised by **one** call of the
-   operator's batched assembly function
-   (:meth:`~repro.operators.base.Operator.assemble_windows`);
+1. **assembly** — each task's boundary partials arrive as one columnar
+   :class:`~repro.operators.base.PartialRun` (ascending window ids plus
+   operator-owned columns), and the stage keeps the pending runs in task
+   order, with no per-window state.  The windows a task makes ready are
+   its closed-id array (or, for multi-input operators, the windows whose
+   merged payload reports ready); **one** call of the operator's batched
+   assembly function
+   (:meth:`~repro.operators.base.Operator.assemble_windows`) locates
+   them in every pending run, folds and finalises them.  A run is
+   dropped once every window it holds has been assembled;
 2. **output construction** — finalised window results are appended to the
    query's output stream in window order, followed by the task's locally
    complete results, preserving the total order the stream function
@@ -26,13 +29,14 @@ task order regardless of completion order.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
+
+import numpy as np
 
 from ..analysis.lockdep import make_lock
 from ..errors import ExecutionError
-from ..operators.base import BatchResult
+from ..operators.base import BatchResult, PartialRun
 from ..relational.tuples import TupleBatch
 from .query import Query
 from .task import QueryTask
@@ -60,8 +64,27 @@ class _Slot:
     completion_time: float
 
 
+@dataclass
+class _Pending:
+    """A task's run and which of its windows are still to be assembled."""
+
+    run: PartialRun
+    open: np.ndarray
+
+    @classmethod
+    def of(cls, run: PartialRun) -> "_Pending":
+        return cls(run, np.ones(len(run), dtype=bool))
+
+
 class ResultStage:
-    """Per-query result collection, assembly and ordering."""
+    """Per-query result collection, assembly and ordering.
+
+    Results wait in slots until their task id is next; each is then
+    processed in task order.  Boundary partials wait in ``_pending`` as
+    the tasks' runs (:class:`~repro.operators.base.PartialRun`), never
+    per window, and a task's ready windows are assembled by one
+    ``operator.assemble_windows(ready_ids, runs)`` call.
+    """
 
     def __init__(
         self,
@@ -87,10 +110,10 @@ class ResultStage:
         #: every completing worker of the query already takes.
         self.tasks_submitted = 0
         self._lock = make_lock("core.result_stage.ResultStage._lock")
-        #: window id -> fragment payloads in task order (multi-input
-        #: operators keep the list merged down to one payload).
-        self._pending: dict[int, list[Any]] = {}
-        self._closed_flags: set[int] = set()  # windows whose close was seen
+        #: boundary-partial runs of processed tasks, in task order, until
+        #: every window they hold is assembled (multi-input operators keep
+        #: them merged down to one run).
+        self._pending: list[_Pending] = []
         self.emitted: list[EmittedResult] = []
         #: ordered output chunks / rows / bytes emitted so far: written
         #: in :meth:`_emit` (under the stage lock while tasks are in
@@ -142,25 +165,20 @@ class ResultStage:
     def _process(self, slot: _Slot, now: float) -> "list[EmittedResult]":
         task, result = slot.task, slot.result
         operator = self.query.operator
-        ready: list[int] = []
-        self._closed_flags.update(result.closed_ids)
-        for wid in sorted(result.partials):
-            payloads = self._pending.setdefault(wid, [])
-            payloads.append(result.partials[wid])
-            if operator.requires_merged_ready:
-                # Multi-input operators decide closure from the merged
-                # state, so each task's payload is merged in immediately.
-                if len(payloads) > 1:
-                    payloads[:] = [operator.merge_partials(*payloads)]
-                if operator.window_ready(payloads[0]):
-                    ready.append(wid)
-            elif wid in self._closed_flags:
-                # Closure comes from closed_ids: the fragments stay a list
-                # until the window finalises, so long-lived (small-slide)
-                # windows cost O(1) per task instead of a merge per task.
-                ready.append(wid)
-        self._closed_flags.difference_update(ready)
-        assembled = self._assemble([(wid, self._pending.pop(wid)) for wid in ready])
+        if len(result.partials):
+            self._pending.append(_Pending.of(result.partials))
+        if operator.requires_merged_ready and len(self._pending) > 1:
+            # Closure is decided from the merged state, so each task's run
+            # is merged into the pending one immediately.
+            merged = operator.merge_runs([pending.run for pending in self._pending])
+            self._pending = [_Pending.of(merged)]
+        runs = [pending.run for pending in self._pending]
+        if operator.requires_merged_ready:
+            ready = self._merged_ready()
+        else:
+            ready = result.closed_ids
+            self._retire(ready)
+        assembled = self._assemble(ready, runs)
         chunks = [rows for rows in (assembled, result.complete) if rows is not None and len(rows)]
         emitted: list[EmittedResult] = []
         if chunks:
@@ -170,15 +188,38 @@ class ResultStage:
             self.on_release(task)
         return emitted
 
-    def _assemble(self, ready: "list[tuple[int, list[Any]]]") -> "TupleBatch | None":
+    def _merged_ready(self) -> np.ndarray:
+        """Ready windows of the one merged run, which keeps the rest."""
+        if not self._pending:
+            return np.zeros(0, dtype=np.int64)
+        run = self._pending[0].run
+        ready = self.query.operator.window_ready
+        done = np.fromiter((bool(ready(p)) for p in run.columns), dtype=bool, count=len(run))
+        if done.any():
+            kept = np.flatnonzero(~done)
+            rest = PartialRun(run.ids[kept], [run.columns[i] for i in kept])
+            self._pending = [_Pending.of(rest)] if len(rest) else []
+        return run.ids[done]
+
+    def _retire(self, ready: np.ndarray) -> None:
+        """Mark ``ready`` windows assembled; drop runs with none left open.
+
+        A window is assembled once: no fragment follows its closing one.
+        """
+        if not len(ready):
+            return
+        for pending in self._pending:
+            pending.open[pending.run.locate(ready)[1]] = False
+        self._pending = [pending for pending in self._pending if pending.open.any()]
+
+    def _assemble(self, ready: np.ndarray, runs: "list[PartialRun]") -> "TupleBatch | None":
         """Result rows of ``ready`` windows (ascending id), via the batched f_a."""
-        if not ready:
+        if not len(ready):
             return None
-        rows, offsets = self.query.operator.assemble_windows(ready)
+        rows, offsets = self.query.operator.assemble_windows(ready, runs)
         if self.on_window is not None and rows is not None:
-            for (wid, __), lo, hi in zip(ready, offsets[:-1], offsets[1:]):
-                if hi > lo:
-                    self.on_window(wid, rows.slice(lo, hi))
+            for i in np.flatnonzero(np.diff(offsets)):
+                self.on_window(int(ready[i]), rows.slice(offsets[i], offsets[i + 1]))
         return rows
 
     def _emit(
@@ -214,9 +255,12 @@ class ResultStage:
         finite inputs call this to drain the tail.
         """
         with self._lock:
-            pending = sorted(self._pending.items())
-            self._pending.clear()
-        rows = self._assemble(pending)
+            pending, self._pending = self._pending, []
+            if not pending:
+                return []
+            runs = [p.run for p in pending]
+            ready = np.unique(np.concatenate([p.run.ids[p.open] for p in pending]))
+        rows = self._assemble(ready, runs)
         if rows is None:
             return []
         return [self._emit(rows, self._next_task, now, now)]

@@ -1,10 +1,10 @@
 """Streaming relational operators with the fragment/assembly decomposition."""
 
-from .base import BatchResult, CostProfile, Operator, StreamSlice
+from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice
 from .aggregate_functions import AggregateSpec, SUPPORTED_FUNCTIONS
 from .projection import Projection, identity_projection
 from .selection import Selection
-from .groupby import GroupedAggregation, GroupedWindowAccumulator
+from .groupby import GroupedAggregation
 from .join import JoinPartial, ThetaJoin
 from .distinct import DistinctProjection
 from .compose import FilteredWindows, ProjectedWindows
@@ -14,6 +14,7 @@ __all__ = [
     "Operator",
     "StreamSlice",
     "BatchResult",
+    "PartialRun",
     "CostProfile",
     "AggregateSpec",
     "SUPPORTED_FUNCTIONS",
@@ -21,7 +22,6 @@ __all__ = [
     "identity_projection",
     "Selection",
     "GroupedAggregation",
-    "GroupedWindowAccumulator",
     "ThetaJoin",
     "JoinPartial",
     "DistinctProjection",

@@ -6,21 +6,24 @@ A query's operator function ``f^q`` is decomposed into
   that processes all window fragments of a stream batch at once, using
   incremental computation where possible;
 * an **assembly operator function** ``f_a`` that combines the fragment
-  results of windows spanning several query tasks.  Its pairwise form is
-  :meth:`Operator.merge_partials` + :meth:`Operator.finalize_window`; the
-  result stage calls the batched form, :meth:`Operator.assemble_windows`,
-  once per task with every window that became ready.  The default
-  batched form is the pairwise chain; operators whose payloads are
-  columnar override it with one vectorised fold and a single emit.
+  results of windows spanning several query tasks.  The result stage
+  calls it once per task, as :meth:`Operator.assemble_windows`, with
+  every window that became ready and the pending tasks' runs.  The
+  default locates each window's payloads and folds them pairwise
+  (:meth:`Operator.merge_partials` + :meth:`Operator.finalize_window`);
+  :class:`~repro.operators.groupby.GroupedAggregation`, whose run is
+  one columnar table, overrides it with one vectorised fold.
 
 ``process_batch`` returns a :class:`BatchResult`:
 
 * ``complete`` — final output rows for work wholly contained in this task
   (per-tuple IStream output of π/σ, and results of COMPLETE windows);
-* ``partials`` — per-window payloads for boundary windows (OPENING /
-  CLOSING / PENDING fragments) that the result stage merges across tasks;
-* ``closed_ids`` — boundary windows whose last fragment is in this task,
-  i.e. they can be finalised once all earlier partials are merged;
+* ``partials`` — one :class:`PartialRun` holding the boundary windows
+  (OPENING / CLOSING / PENDING fragments) that the result stage merges
+  across tasks; its length is the number of boundary windows;
+* ``closed_ids`` — ascending int64 ids of the boundary windows whose last
+  fragment is in this task, i.e. they can be finalised once all earlier
+  partials are merged;
 * ``stats`` — measured workload characteristics (selectivity, join pairs,
   group counts) consumed by the hardware cost models and by HLS.
 """
@@ -54,13 +57,43 @@ class StreamSlice:
     global_start: int = 0
 
 
+def _no_ids() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+@dataclass
+class PartialRun:
+    """One task's boundary-window partials as one columnar run.
+
+    ``ids`` are the task's boundary window ids, ascending int64.
+    ``columns`` belongs to the operator that built the run and is aligned
+    with ``ids``: a list of per-window payloads for operators that
+    assemble pairwise, one table of rows for ``GroupedAggregation``.
+    """
+
+    ids: np.ndarray = field(default_factory=_no_ids)
+    columns: Any = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def locate(self, window_ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Where the run holds ascending ``window_ids``: ``(positions in
+        window_ids, positions in the run)`` of the windows it holds."""
+        if not len(self.ids):
+            return _no_ids(), _no_ids()
+        at = np.searchsorted(self.ids, window_ids)
+        hit = np.flatnonzero(self.ids.take(at, mode="clip") == window_ids)
+        return hit, at[hit]
+
+
 @dataclass
 class BatchResult:
     """Output of a batch operator function for one query task."""
 
     complete: "TupleBatch | None"
-    partials: dict[int, Any] = field(default_factory=dict)
-    closed_ids: list[int] = field(default_factory=list)
+    partials: PartialRun = field(default_factory=PartialRun)
+    closed_ids: np.ndarray = field(default_factory=_no_ids)
     stats: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -122,8 +155,9 @@ class Operator:
     arity = 1
 
     #: True when :meth:`window_ready` must inspect the *merged* payload
-    #: (multi-input operators); the result stage then merges eagerly on
-    #: every task instead of deferring the merge chain to finalisation.
+    #: (multi-input operators); the result stage then merges every task's
+    #: run into the pending one (:meth:`merge_runs`) instead of deferring
+    #: the merge chain to finalisation.
     requires_merged_ready = False
 
     def __init__(self, input_schema: Schema) -> None:
@@ -149,20 +183,28 @@ class Operator:
         raise NotImplementedError
 
     def assemble_windows(
-        self, ready: "list[tuple[int, list[Any]]]"
+        self, ready: np.ndarray, runs: "list[PartialRun]"
     ) -> "tuple[TupleBatch | None, np.ndarray]":
-        """Batched f_a: merge and finalise every ready window of a task.
+        """Batched f_a: merge and finalise every ready window at once.
 
-        ``ready`` holds ``(window id, fragment payloads in task order)``
-        in ascending window id.  Returns the windows' result rows
-        concatenated in that order (``None`` when there are none) and
-        ``len(ready) + 1`` row offsets — window ``i`` owns rows
-        ``[offsets[i], offsets[i + 1])``.
+        ``ready`` holds ascending window ids and ``runs`` the pending
+        tasks' runs in task order.  Returns the windows' result rows
+        concatenated in ``ready`` order (``None`` when there are none)
+        and ``len(ready) + 1`` row offsets — window ``i`` owns rows
+        ``[offsets[i], offsets[i + 1])``.  This default is the one place
+        that walks payloads window by window: it left-folds each window's
+        payloads in task order with :meth:`merge_partials`.
         """
+        payloads: list[list[Any]] = [[] for __ in range(len(ready))]
+        for run in runs:
+            for at, row in zip(*run.locate(ready)):
+                payloads[at].append(run.columns[row])
         chunks: list[TupleBatch] = []
         offsets = np.zeros(len(ready) + 1, dtype=np.int64)
-        for i, (window_id, payloads) in enumerate(ready):
-            rows = self.finalize_window(window_id, reduce(self.merge_partials, payloads))
+        for i, (window_id, parts) in enumerate(zip(ready.tolist(), payloads)):
+            if not parts:
+                continue
+            rows = self.finalize_window(window_id, reduce(self.merge_partials, parts))
             if rows is not None and len(rows):
                 chunks.append(rows)
                 offsets[i + 1] = len(rows)
@@ -170,6 +212,18 @@ class Operator:
             return None, offsets
         np.cumsum(offsets, out=offsets)
         return (TupleBatch.concat(chunks) if len(chunks) > 1 else chunks[0]), offsets
+
+    def merge_runs(self, runs: "list[PartialRun]") -> PartialRun:
+        """Eager f_a for :attr:`requires_merged_ready` operators: one run
+        holding every window of ``runs`` (task order), payloads merged."""
+        merged: dict[int, Any] = {}
+        for run in runs:
+            for window_id, payload in zip(run.ids.tolist(), run.columns):
+                if window_id in merged:
+                    payload = self.merge_partials(merged[window_id], payload)
+                merged[window_id] = payload
+        ids = sorted(merged)
+        return PartialRun(np.asarray(ids, dtype=np.int64), [merged[w] for w in ids])
 
     def window_ready(self, payload: Any) -> "bool | None":
         """Whether a merged payload can be finalised.

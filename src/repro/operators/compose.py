@@ -38,7 +38,7 @@ from ..relational.expressions import Expression, Predicate
 from ..relational.schema import TIMESTAMP_ATTRIBUTE, Schema
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import WindowSet
-from .base import BatchResult, CostProfile, Operator, StreamSlice
+from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice
 from .distinct import DistinctProjection
 from .groupby import GroupedAggregation
 from .projection import Projection
@@ -133,19 +133,10 @@ class _Composed(Operator):
     def output_schema(self) -> Schema:
         return self.inner.output_schema
 
-    def merge_partials(self, first: Any, second: Any) -> Any:
-        return self.inner.merge_partials(first, second)
-
-    def finalize_window(self, window_id: int, payload: Any) -> "TupleBatch | None":
-        return self.inner.finalize_window(window_id, payload)
-
     def assemble_windows(
-        self, ready: "list[tuple[int, list[Any]]]"
+        self, ready: np.ndarray, runs: "list[PartialRun]"
     ) -> "tuple[TupleBatch | None, np.ndarray]":
-        return self.inner.assemble_windows(ready)
-
-    def window_ready(self, payload: Any) -> "bool | None":
-        return self.inner.window_ready(payload)
+        return self.inner.assemble_windows(ready, runs)
 
 
 class FilteredWindows(_Composed):

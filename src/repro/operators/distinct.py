@@ -16,7 +16,7 @@ from ..relational.expressions import Expression
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState
-from .base import BatchResult, CostProfile, Operator, StreamSlice
+from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice
 from .projection import Projection
 
 
@@ -57,7 +57,8 @@ class DistinctProjection(Operator):
         projected = self._projection.process_batch(inputs).complete
         windows = slice_.windows
         chunks: list[TupleBatch] = []
-        partials: dict[int, DistinctPartial] = {}
+        ids: list[int] = []
+        payloads: list[DistinctPartial] = []
         closed: list[int] = []
         for idx in range(len(windows)):
             start, stop = int(windows.starts[idx]), int(windows.ends[idx])
@@ -68,7 +69,8 @@ class DistinctProjection(Operator):
                 if len(rows):
                     chunks.append(TupleBatch(self.output_schema, rows))
             else:
-                partials[wid] = DistinctPartial(rows=rows)
+                ids.append(wid)
+                payloads.append(DistinctPartial(rows=rows))
                 if state == int(FragmentState.CLOSING):
                     closed.append(wid)
         complete = TupleBatch.concat(chunks) if chunks else TupleBatch.empty(self.output_schema)
@@ -77,7 +79,12 @@ class DistinctProjection(Operator):
             "fragments": float(len(windows)),
             "tuples": float(len(slice_.batch)),
         }
-        return BatchResult(complete=complete, partials=partials, closed_ids=closed, stats=stats)
+        return BatchResult(
+            complete=complete,
+            partials=PartialRun(np.asarray(ids, dtype=np.int64), payloads),
+            closed_ids=np.asarray(closed, dtype=np.int64),
+            stats=stats,
+        )
 
     def merge_partials(self, first: DistinctPartial, second: DistinctPartial) -> DistinctPartial:
         both = TupleBatch.concat(

@@ -40,11 +40,14 @@ the segmented pass.
 
 Fragments sharing a ``(start, stop)`` range (every PENDING window of a
 task) are computed once.  Boundary fragments (OPENING / CLOSING /
-PENDING) leave the task as :class:`GroupedWindowAccumulator` payloads —
-row references into one columnar :class:`GroupBlock` per task — which
-the assembly operator function folds across tasks for all ready windows
-at once (:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot
-runs this same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
+PENDING) leave the task as one :class:`~repro.operators.base.PartialRun`
+whose columns are :class:`BoundaryRows`: the task's one columnar
+:class:`GroupBlock` of boundary rows plus each window's row bounds and
+last timestamp as columns of one int64 array, with no Python object per
+window.  The assembly
+operator function folds all ready windows across the pending runs at
+once (:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot runs
+this same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
 
 HAVING re-uses the selection machinery: the predicate is evaluated over
 the emitted (timestamp, groups, aggregates) rows.
@@ -53,8 +56,6 @@ the emitted (timestamp, groups, aggregates) rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-
 import numpy as np
 
 from ..errors import QueryError
@@ -63,7 +64,7 @@ from ..relational.schema import Attribute, Schema, TIMESTAMP_ATTRIBUTE
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState
 from .aggregate_functions import AggregateSpec, finalize
-from .base import BatchResult, CostProfile, Operator, StreamSlice, concat_ranges
+from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice, concat_ranges
 
 #: flat (fragment, tuple) elements one pass of the segmented kernel
 #: reduces.  Bounds the transient arrays at ~5 live × 128 KiB, which also
@@ -214,19 +215,18 @@ class GroupBlock:
 
 
 @dataclass
-class GroupedWindowAccumulator:
-    """Partial group table of one window: rows ``[start, stop)`` of a block.
+class BoundaryRows:
+    """The columns of a grouped task's :class:`PartialRun`.
 
-    Payloads are immutable references — windows whose fragments coincide
-    share one payload object, and all boundary payloads of a task share
-    one :class:`GroupBlock`, which pickle's memo serialises once.  The
-    default instance is the empty table.
+    ``spans`` is a ``3 × windows`` int64 array ``(lo, hi, last_ts)``:
+    boundary window ``i`` of the run owns rows ``[lo[i], hi[i])`` of
+    ``block``, and its greatest timestamp in the task is ``last_ts[i]``
+    (0 for an empty fragment).  Windows whose fragments coincide share
+    rows, so a task ships its boundary tables once.
     """
 
-    block: "GroupBlock | None" = None
-    start: int = 0
-    stop: int = 0
-    last_timestamp: int = 0
+    block: GroupBlock
+    spans: np.ndarray
 
 
 class GroupedAggregation(Operator):
@@ -489,22 +489,16 @@ class GroupedAggregation(Operator):
             tables.take(concat_ranges(first_row[emitted], groups[emitted])),
         )
 
-        partials: dict[int, GroupedWindowAccumulator] = {}
-        shipped = np.unique(fragment[boundary])
-        if len(shipped):
+        ids = windows.window_ids[boundary]
+        shipped, slot = np.unique(fragment[boundary], return_inverse=True)
+        partials = PartialRun()
+        if len(ids):
             # COMPLETE rows are emitted and dropped; the boundary rows
-            # leave as one block that every payload references.
+            # leave as one block, located per window by row bounds.
             block = tables.take(concat_ranges(first_row[shipped], groups[shipped]))
-            bounds = np.concatenate(([0], np.cumsum(groups[shipped])))
-            payloads = [
-                GroupedWindowAccumulator(block, int(lo), int(hi), int(ts))
-                for lo, hi, ts in zip(bounds[:-1], bounds[1:], last_ts[shipped])
-            ]
-            slots = np.searchsorted(shipped, fragment[boundary])
-            partials = {
-                int(wid): payloads[slot]
-                for wid, slot in zip(windows.window_ids[boundary], slots)
-            }
+            hi = np.cumsum(groups[shipped])
+            spans = np.stack((hi - groups[shipped], hi, last_ts[shipped]))[:, slot]
+            partials = PartialRun(ids.astype(np.int64, copy=False), BoundaryRows(block, spans))
         closing = windows.window_ids[windows.states == int(FragmentState.CLOSING)]
         stats = {
             "selectivity": 1.0,
@@ -517,72 +511,50 @@ class GroupedAggregation(Operator):
         return BatchResult(
             complete=complete,
             partials=partials,
-            closed_ids=[int(wid) for wid in closing],
+            closed_ids=closing.astype(np.int64, copy=False),
             stats=stats,
         )
 
     # -- assembly operator function ---------------------------------------------
 
-    def _fold(
-        self, ready: "list[list[GroupedWindowAccumulator]]"
-    ) -> "tuple[GroupBlock, np.ndarray]":
-        """Left-fold each window's payloads (task order) into one table.
+    def assemble_windows(
+        self, ready: np.ndarray, runs: "list[PartialRun]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        """Fold every ready window's rows across ``runs`` into one table.
 
-        Returns the merged tables as one block — rows window-major, keys
-        ascending within a window — and each row's window position.
-        Every (window, group) cell adds its fragments' partials from 0.0
-        in task order, which is bitwise the pairwise merge chain.
+        Each run contributes the rows of the ready windows it holds,
+        located by one binary search; the rows are stacked run by run, so
+        every (window, group) cell adds its fragments' partials from 0.0
+        in task order — bitwise the pairwise merge chain.
         """
-        parts = [
-            (position, payload)
-            for position, payloads in enumerate(ready)
-            for payload in payloads
-            if payload.stop > payload.start
-        ]
-        if not parts:
-            return self._empty_block(), np.zeros(0, dtype=np.int64)
-        # Stack the distinct blocks the payloads reference (a window that
-        # spans k tasks touches k), then gather every payload's row range.
-        blocks = {id(payload.block): payload.block for __, payload in parts}
-        base = dict(zip(blocks, accumulate(map(len, blocks.values()), initial=0)))
-        window = np.asarray([position for position, __ in parts])
-        first = np.asarray([base[id(p.block)] + p.start for __, p in parts])
-        length = np.asarray([p.stop - p.start for __, p in parts])
-        rows = GroupBlock.concat(list(blocks.values())).take(concat_ranges(first, length))
-        distinct, codes = _encode_keys(rows.keys)
-        cells = _Cells(np.repeat(window, length), codes, len(ready), len(distinct))
+        offsets = np.zeros(len(ready) + 1, dtype=np.int64)
+        last_ts = np.full(len(ready), np.iinfo(np.int64).min)
+        windows, lengths, blocks = [], [], []
+        for run in runs:
+            at, row = run.locate(ready)
+            if not len(at):
+                continue
+            lo, hi, ts = run.columns.spans[:, row]
+            # A run holds a window once, so ``at`` has no repeats.
+            last_ts[at] = np.maximum(last_ts[at], ts)
+            windows.append(at)
+            lengths.append(hi - lo)
+            blocks.append(run.columns.block.take(concat_ranges(lo, hi - lo)))
+        if not blocks or not sum(map(len, blocks)):
+            return None, offsets
+        stacked = GroupBlock.concat(blocks)
+        window = np.repeat(np.concatenate(windows), np.concatenate(lengths))
+        distinct, codes = _encode_keys(stacked.keys)
+        cells = _Cells(window, codes, len(ready), len(distinct))
         merged = GroupBlock(
             distinct[cells.codes],
-            cells.reduce("sum", rows.counts),
+            cells.reduce("sum", stacked.counts),
             {
                 (kind, column): cells.reduce(kind, values)
-                for (kind, column), values in rows.partials.items()
+                for (kind, column), values in stacked.partials.items()
             },
         )
-        return merged, cells.segments
-
-    def assemble_windows(
-        self, ready: "list[tuple[int, list[GroupedWindowAccumulator]]]"
-    ) -> "tuple[TupleBatch | None, np.ndarray]":
-        merged, window = self._fold([payloads for __, payloads in ready])
-        last_ts = np.asarray(
-            [max(p.last_timestamp for p in payloads) for __, payloads in ready],
-            dtype=np.int64,
-        )
-        rows, keep = self._emit_rows(last_ts[window], merged)
-        if keep is not None:
-            window = window[keep]
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(window, minlength=len(ready)))))
+        rows, keep = self._emit_rows(last_ts[cells.segments], merged)
+        window = cells.segments if keep is None else cells.segments[keep]
+        np.cumsum(np.bincount(window, minlength=len(ready)), out=offsets[1:])
         return (rows if len(rows) else None), offsets
-
-    def merge_partials(
-        self, first: GroupedWindowAccumulator, second: GroupedWindowAccumulator
-    ) -> GroupedWindowAccumulator:
-        merged, __ = self._fold([[first, second]])
-        last = max(first.last_timestamp, second.last_timestamp)
-        return GroupedWindowAccumulator(merged, 0, len(merged), last)
-
-    def finalize_window(
-        self, window_id: int, payload: GroupedWindowAccumulator
-    ) -> "TupleBatch | None":
-        return self.assemble_windows([(window_id, [payload])])[0]

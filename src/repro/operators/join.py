@@ -58,7 +58,7 @@ from ..relational.expressions import And, Comparison, Expression, Predicate
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState, WindowSet
-from .base import BatchResult, CostProfile, Operator, StreamSlice, concat_ranges
+from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice, concat_ranges
 
 #: candidate pairs one block of the kernel expands, evaluates and
 #: compacts.  A block holds ~5 live int64 index arrays plus the
@@ -326,7 +326,7 @@ class ThetaJoin(Operator):
             partials=self._boundary_partials(
                 left.batch, right.batch, output, matches, ids, lw, rw, boundary
             ),
-            closed_ids=[int(w) for w in ids[boundary[(lw.done & rw.done)[boundary]]]],
+            closed_ids=ids[boundary[(lw.done & rw.done)[boundary]]].astype(np.int64),
             stats={
                 "selectivity": float(len(rows)) / pairs if pairs else 0.0,
                 "pairs": pairs,
@@ -345,25 +345,26 @@ class ThetaJoin(Operator):
         lw: "_Segments",
         rw: "_Segments",
         boundary: np.ndarray,
-    ) -> "dict[int, JoinPartial]":
-        """Payloads of the ``boundary`` segments — windows not COMPLETE
-        on both sides.
+    ) -> PartialRun:
+        """The run of the ``boundary`` segments — windows not COMPLETE
+        on both sides — with one payload per window.
 
         Each owns copies of its rows: a window pending across many tasks
         must not pin this task's batches and output array (threads), nor
         ship more than its rows over the completion queue (processes).
         """
         stops = np.cumsum(matches)
-        partials = {}
-        for s in boundary:
-            partials[int(ids[s])] = JoinPartial(
+        payloads = [
+            JoinPartial(
                 result=output.slice(stops[s] - matches[s], stops[s]).copy(),
                 left=left.slice(lw.start[s], lw.stop[s]).copy(),
                 right=right.slice(rw.start[s], rw.stop[s]).copy(),
                 left_done=bool(lw.done[s]),
                 right_done=bool(rw.done[s]),
             )
-        return partials
+            for s in boundary
+        ]
+        return PartialRun(ids[boundary].astype(np.int64), payloads)
 
     # -- assembly operator function ------------------------------------------------
 

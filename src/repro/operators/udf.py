@@ -23,7 +23,7 @@ from ..errors import ExecutionError
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState
-from .base import BatchResult, CostProfile, Operator, StreamSlice
+from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice
 
 
 @dataclass
@@ -72,7 +72,8 @@ class WindowUdf(Operator):
         ]
         window_ids = sorted(set().union(*[set(ix) for ix in indexes]))
         chunks: list[TupleBatch] = []
-        partials: dict[int, UdfPartial] = {}
+        ids: list[int] = []
+        payloads: list[UdfPartial] = []
         closed: list[int] = []
         for wid in window_ids:
             fragments: list[TupleBatch] = []
@@ -97,7 +98,8 @@ class WindowUdf(Operator):
                 if len(result):
                     chunks.append(result)
             else:
-                partials[wid] = UdfPartial(fragments=fragments, done=done)
+                ids.append(wid)
+                payloads.append(UdfPartial(fragments=fragments, done=done))
                 if all(done):
                     closed.append(wid)
         complete = (
@@ -110,7 +112,12 @@ class WindowUdf(Operator):
             "tuples": float(sum(len(s.batch) for s in inputs)),
             "fragments": float(len(window_ids)),
         }
-        return BatchResult(complete=complete, partials=partials, closed_ids=closed, stats=stats)
+        return BatchResult(
+            complete=complete,
+            partials=PartialRun(np.asarray(ids, dtype=np.int64), payloads),
+            closed_ids=np.asarray(closed, dtype=np.int64),
+            stats=stats,
+        )
 
     def merge_partials(self, first: UdfPartial, second: UdfPartial) -> UdfPartial:
         fragments = [

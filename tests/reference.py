@@ -21,6 +21,7 @@ from repro.errors import ValidationError
 from repro.operators.aggregate_functions import finalize
 from repro.operators.base import BatchResult, StreamSlice
 from repro.operators.compose import FilteredWindows, ProjectedWindows
+from repro.operators.groupby import BoundaryRows, GroupBlock, GroupedAggregation
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.windows.assigner import FragmentState, WindowSet, assign_windows
@@ -278,6 +279,118 @@ def run_engine_path(op, tasks, collect_output=True):
     stage.flush(0.0)
     return chunks, windows, stage
 
+
+
+# -- the retired per-window result stage, kept as the bitwise oracle ---------------
+#
+# ``ResultStage`` before a task's boundary partials left it as one run:
+# every window's payloads appended one at a time to a ``dict[wid, list]``,
+# closed ids remembered in a set, and each ready window's payloads
+# left-folded pairwise (``merge_partials``) and finalised on its own.  A
+# grouped window's payload was its rows of the task's block plus its last
+# timestamp, and a merge re-folded the stacked rows of two payloads from
+# 0.0.  The run-based stage must equal it byte for byte.
+
+
+def run_payloads(run) -> dict:
+    """``{window id: payload}`` of one run, one Python object per window."""
+    if isinstance(run.columns, BoundaryRows):
+        block = run.columns.block
+        return {
+            wid: (block.take(np.arange(lo, hi)), ts)
+            for wid, (lo, hi, ts) in zip(run.ids.tolist(), run.columns.spans.T.tolist())
+        }
+    return dict(zip(run.ids.tolist(), run.columns))
+
+
+def _grouped_operator(op) -> "GroupedAggregation | None":
+    while not isinstance(op, GroupedAggregation) and hasattr(op, "inner"):
+        op = op.inner
+    return op if isinstance(op, GroupedAggregation) else None
+
+
+def _fold_tables(payloads: list) -> tuple:
+    """One group table from grouped payloads: cells add from 0.0 in order."""
+    block = GroupBlock.concat([table for table, __ in payloads])
+    ts = max(ts for __, ts in payloads)
+    if len(block) == 0:
+        return block, ts
+    if block.keys.shape[1] == 0:
+        distinct, inverse = block.keys[:1], np.zeros(len(block), dtype=np.intp)
+    else:
+        distinct, inverse = np.unique(block.keys, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+    merged = GroupBlock(
+        distinct,
+        _scatter("sum", inverse, block.counts, len(distinct)),
+        {
+            (kind, column): _scatter(kind, inverse, values, len(distinct))
+            for (kind, column), values in block.partials.items()
+        },
+    )
+    return merged, ts
+
+
+def pairwise_stage(op, results: "list[BatchResult]", flush: bool = True) -> tuple:
+    """``results`` (in task order) through the one-window-at-a-time stage.
+
+    Returns the emitted chunks (per task with output: finalised windows
+    in id order, then the task's COMPLETE rows; a last chunk for the
+    flush) and the ``(window id, rows)`` of every finalised window with
+    rows, all as raw bytes — the shapes :func:`run_engine_path` returns.
+    """
+    grouped = _grouped_operator(op)
+    pending: dict = {}
+    closed: set = set()
+    chunks, finalised = [], []
+
+    def merge(first, second):
+        if grouped is not None:
+            return _fold_tables([first, second])
+        return op.merge_partials(first, second)
+
+    def close(wid: int, out: list) -> None:
+        payloads = pending.pop(wid)
+        merged = payloads[0]
+        for payload in payloads[1:]:
+            merged = merge(merged, payload)
+        if grouped is not None:
+            table, ts = _fold_tables([merged])
+            rows, __ = grouped._emit_rows(np.full(len(table), ts, dtype=np.int64), table)
+        else:
+            rows = op.finalize_window(wid, merged)
+        if rows is not None and len(rows):
+            finalised.append((wid, rows.data.tobytes()))
+            out.append(rows)
+
+    for result in results:
+        ready = []
+        closed.update(result.closed_ids.tolist())
+        for wid, payload in sorted(run_payloads(result.partials).items()):
+            payloads = pending.setdefault(wid, [])
+            payloads.append(payload)
+            if op.requires_merged_ready:
+                if len(payloads) > 1:
+                    payloads[:] = [merge(*payloads)]
+                if op.window_ready(payloads[0]):
+                    ready.append(wid)
+            elif wid in closed:
+                ready.append(wid)
+        closed.difference_update(ready)
+        out: list = []
+        for wid in ready:
+            close(wid, out)
+        if result.complete is not None and len(result.complete):
+            out.append(result.complete)
+        if out:
+            chunks.append(TupleBatch.concat(out).data.tobytes())
+    if flush:
+        out = []
+        for wid in sorted(pending):
+            close(wid, out)
+        if out:
+            chunks.append(TupleBatch.concat(out).data.tobytes())
+    return chunks, finalised
 
 
 # -- the retired per-window θ-join, kept as the bitwise oracle ---------------------

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import QueryError
 from repro.operators.aggregate_functions import AggregateSpec, finalize
-from repro.operators.groupby import GroupedAggregation, GroupedWindowAccumulator
-from repro.operators.base import StreamSlice
+from repro.operators.groupby import GroupedAggregation
+from repro.operators.base import PartialRun, StreamSlice
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.windows.assigner import assign_count_windows
@@ -27,6 +27,15 @@ def batch(start, stop):
 def run_window(op, window, start, stop):
     ws = assign_count_windows(window, start, stop)
     return op.process_batch([StreamSlice(batch(start, stop), ws, start)])
+
+
+def assemble(op, window_id, results):
+    """The rows of one window assembled from ``results``' runs, in task order."""
+    rows, offsets = op.assemble_windows(
+        np.array([window_id], dtype=np.int64), [r.partials for r in results]
+    )
+    assert rows is None or offsets.tolist() == [0, len(rows)]
+    return rows
 
 
 class TestAggregateSpec:
@@ -99,16 +108,15 @@ class TestFragmentsAndAssembly:
         result = run_window(op, w, 0, 10)
         # Window 0 [0,8) complete; window 1 [4,12) opening; window 2 [8,16) opening.
         assert len(result.complete) == 1
-        assert set(result.partials) == {1, 2}
-        assert result.closed_ids == []
+        assert result.partials.ids.tolist() == [1, 2] and len(result.partials) == 2
+        assert result.closed_ids.tolist() == []
 
     def test_cross_task_merge_equals_single_task(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])
         w = WindowDefinition.rows(8, 4)
         r1 = run_window(op, w, 0, 6)
         r2 = run_window(op, w, 6, 14)
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
-        rows = op.finalize_window(0, merged)
+        rows = assemble(op, 0, [r1, r2])
         assert rows.column("sum_v")[0] == pytest.approx(sum(range(8)))
         assert rows.column("max_v")[0] == 7.0
         assert rows.timestamps[0] == 7
@@ -121,18 +129,15 @@ class TestFragmentsAndAssembly:
 
     def test_finalize_empty_payload_returns_none(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
-        assert op.finalize_window(0, GroupedWindowAccumulator()) is None
+        rows, offsets = op.assemble_windows(np.array([0]), [PartialRun()])
+        assert rows is None and offsets.tolist() == [0, 0]
 
-    def test_merge_is_associative(self):
+    def test_assembly_over_three_tasks_equals_one_task(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("min", "v")])
         w = WindowDefinition.rows(12, 12)
-        parts = [run_window(op, w, a, b).partials[0] for a, b in [(0, 4), (4, 8), (8, 11)]]
-        left = op.merge_partials(op.merge_partials(parts[0], parts[1]), parts[2])
-        right = op.merge_partials(parts[0], op.merge_partials(parts[1], parts[2]))
-        a = op.finalize_window(0, left)
-        b = op.finalize_window(0, right)
-        assert np.allclose(a.column("sum_v"), b.column("sum_v"))
-        assert np.allclose(a.column("min_v"), b.column("min_v"))
+        parts = [run_window(op, w, a, b) for a, b in [(0, 4), (4, 8), (8, 12)]]
+        whole = run_window(op, w, 0, 12).complete
+        assert assemble(op, 0, parts).data.tobytes() == whole.data.tobytes()
 
     def test_empty_window_set(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])

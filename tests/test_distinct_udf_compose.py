@@ -30,6 +30,12 @@ def batch(start, stop, seed=0):
     )
 
 
+def first_payload(result):
+    """Window 0's payload: the first entry of the task's run."""
+    assert result.partials.ids[0] == 0
+    return result.partials.columns[0]
+
+
 def sl(data, window, start=0):
     ws = assign_count_windows(window, start, start + len(data))
     return StreamSlice(data, ws, start)
@@ -47,7 +53,7 @@ class TestDistinct:
         w = WindowDefinition.rows(6, 6)
         r1 = op.process_batch([sl(batch(0, 4), w)])
         r2 = op.process_batch([sl(batch(4, 6), w, start=4)])
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
+        merged = op.merge_partials(first_payload(r1), first_payload(r2))
         rows = op.finalize_window(0, merged)
         assert sorted(rows.column("k").tolist()) == [0, 1, 2]
 
@@ -56,7 +62,7 @@ class TestDistinct:
         w = WindowDefinition.rows(12, 12)
         r1 = op.process_batch([sl(batch(0, 6), w)])
         r2 = op.process_batch([sl(batch(6, 12), w, start=6)])
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
+        merged = op.merge_partials(first_payload(r1), first_payload(r2))
         assert len(op.finalize_window(0, merged)) == 3
 
 
@@ -84,8 +90,7 @@ class TestFilteredWindows:
         w = WindowDefinition.rows(10, 10)
         r1 = op.process_batch([sl(batch(0, 6), w)])
         r2 = op.process_batch([sl(batch(6, 10), w, start=6)])
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
-        rows = op.finalize_window(0, merged)
+        rows, __ = op.assemble_windows(np.array([0]), [r1.partials, r2.partials])
         idx = np.arange(10)
         assert rows.column("n")[0] == (idx % 3 == 1).sum()
 
@@ -124,7 +129,7 @@ class TestUdf:
         w = WindowDefinition.rows(8, 8)
         r1 = op.process_batch([sl(batch(0, 5), w)])
         r2 = op.process_batch([sl(batch(5, 8), w, start=5)])
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
+        merged = op.merge_partials(first_payload(r1), first_payload(r2))
         assert op.window_ready(merged)
         assert op.finalize_window(0, merged).column("n")[0] == 8
 

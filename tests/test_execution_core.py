@@ -354,10 +354,11 @@ def test_guard_sees_an_execution_operator_read(tmp_path):
 def _aggregation_sites(root):
     """{name: sorted modules} for the names of the deleted ungrouped path:
     its operator, payload and range aggregators, imports of its modules,
-    and the scalar ``Accumulator`` with its ``AggregateSpec.finalize``."""
+    the scalar ``Accumulator`` with its ``AggregateSpec.finalize``, and
+    the per-window grouped payload that boundary runs replaced."""
     gone = {
         "Aggregation", "WindowAccumulator", "PrefixRangeAggregator", "SparseTableRangeAggregator",
-        "Accumulator",
+        "Accumulator", "GroupedWindowAccumulator",
     }
     sites = {}
     for path in sorted(root.rglob("*.py")):
@@ -382,7 +383,9 @@ def _aggregation_sites(root):
 
 def test_aggregation_is_one_operator():
     """Ungrouped aggregation is ``GroupedAggregation`` over zero keys: the
-    second operator, its dict payload and the range aggregators stay gone."""
+    second operator, its dict payload and the range aggregators stay gone,
+    and grouped boundary partials leave a task as one run, never as one
+    payload object per window."""
     assert _aggregation_sites(SRC) == {}
     assert not (SRC / "operators" / "aggregation.py").exists()
     assert not (SRC / "windows" / "panes.py").exists()
@@ -404,6 +407,19 @@ def test_guard_sees_an_aggregation_use(tmp_path):
         "SparseTableRangeAggregator": ["window.py"],
         "Accumulator": ["functions.py"],
         "AggregateSpec.finalize": ["functions.py"],
+    }
+
+
+def test_guard_sees_a_per_window_grouped_payload(tmp_path):
+    (tmp_path / "groupby.py").write_text(
+        "class GroupedWindowAccumulator:\n    pass\n"
+    )
+    (tmp_path / "stage.py").write_text(
+        "from .groupby import GroupedWindowAccumulator as payload\n"
+        "empty = groupby.GroupedWindowAccumulator()\n"
+    )
+    assert _aggregation_sites(tmp_path) == {
+        "GroupedWindowAccumulator": ["groupby.py", "stage.py"],
     }
 
 

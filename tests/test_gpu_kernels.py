@@ -66,9 +66,9 @@ class TestKernelEquivalence:
             cpu = op.process_batch(slices)
             gpu = gpu_kernel(op, slices)
             assert len(cpu.complete) and cpu.complete.data.tobytes() == gpu.complete.data.tobytes()
-            assert len(cpu.partials) == 6 and list(cpu.partials) == list(gpu.partials)
-            for wid, partial in cpu.partials.items():
-                other = gpu.partials[wid]
+            assert len(cpu.partials) == 6
+            assert cpu.partials.ids.tolist() == gpu.partials.ids.tolist()
+            for partial, other in zip(cpu.partials.columns, gpu.partials.columns):
                 for name in ("result", "left", "right"):
                     assert (
                         getattr(partial, name).data.tobytes()
@@ -77,7 +77,8 @@ class TestKernelEquivalence:
                 assert (partial.left_done, partial.right_done) == (
                     other.left_done, other.right_done,
                 )
-            assert cpu.closed_ids == gpu.closed_ids and cpu.stats == gpu.stats
+            assert cpu.closed_ids.tolist() == gpu.closed_ids.tolist()
+            assert cpu.stats == gpu.stats
 
     def test_aggregation_path_matches(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])

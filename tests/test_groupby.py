@@ -124,8 +124,7 @@ class TestAssembly:
         w = WindowDefinition.rows(8, 8)
         r1 = run_window(op, w, 0, 5)
         r2 = run_window(op, w, 5, 8)
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
-        rows = op.finalize_window(0, merged)
+        rows, __ = op.assemble_windows(np.array([0]), [r1.partials, r2.partials])
         by_group = dict(zip(rows.column("g").tolist(), rows.column("sum_v").tolist()))
         idx = np.arange(8)
         for g in range(3):
@@ -136,15 +135,15 @@ class TestAssembly:
         w = WindowDefinition.rows(8, 8)
         r1 = run_window(op, w, 0, 2)   # groups 0,1 only
         r2 = run_window(op, w, 2, 8)
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
-        rows = op.finalize_window(0, merged)
+        rows, __ = op.assemble_windows(np.array([0]), [r1.partials, r2.partials])
         assert len(rows) == 3
 
     def test_finalize_empty_returns_none(self):
-        from repro.operators.groupby import GroupedWindowAccumulator
+        from repro.operators.base import PartialRun
 
         op = GroupedAggregation(SCHEMA, ["g"], [AggregateSpec("count", None)])
-        assert op.finalize_window(0, GroupedWindowAccumulator()) is None
+        rows, offsets = op.assemble_windows(np.array([0]), [PartialRun()])
+        assert rows is None and offsets.tolist() == [0, 0]
 
     def test_having_applies_to_assembled_windows_too(self):
         op = GroupedAggregation(
@@ -156,6 +155,5 @@ class TestAssembly:
         w = WindowDefinition.rows(8, 8)
         r1 = run_window(op, w, 0, 5)
         r2 = run_window(op, w, 5, 8)
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
-        rows = op.finalize_window(0, merged)
+        rows, __ = op.assemble_windows(np.array([0]), [r1.partials, r2.partials])
         assert (np.asarray(rows.column("total")) > 8.0).all()

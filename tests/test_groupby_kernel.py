@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import cut_tasks, grouped_by_window, run_engine_path
+from reference import cut_tasks, grouped_by_window, pairwise_stage, run_engine_path
 from repro.operators import groupby as groupby_module
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.base import StreamSlice
-from repro.operators.groupby import GroupedAggregation, GroupedWindowAccumulator
+from repro.operators.base import PartialRun, StreamSlice
+from repro.operators.groupby import BoundaryRows, GroupedAggregation
 from repro.relational.expressions import col
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -75,25 +75,9 @@ def make_operator(keys, aggregates, having=False) -> GroupedAggregation:
 
 
 def run_pairwise_path(op, tasks):
-    """Kernel + ``merge_partials`` / ``finalize_window`` called one window at a time."""
-    pending, closed, windows = {}, set(), []
-    for batch, window_set in tasks:
-        result = op.process_batch([StreamSlice(batch, window_set, 0)])
-        closed.update(result.closed_ids)
-        for wid, payload in result.partials.items():
-            if wid in pending:
-                payload = op.merge_partials(pending[wid], payload)
-            pending[wid] = payload
-        for wid in sorted(closed & set(pending)):
-            rows = op.finalize_window(wid, pending.pop(wid))
-            closed.discard(wid)
-            if rows is not None:
-                windows.append((wid, rows.data.tobytes()))
-    for wid in sorted(pending):
-        rows = op.finalize_window(wid, pending[wid])
-        if rows is not None:
-            windows.append((wid, rows.data.tobytes()))
-    return windows
+    """Kernel + the retired one-window-at-a-time stage: finalised windows."""
+    results = [op.process_batch([StreamSlice(batch, window_set, 0)]) for batch, window_set in tasks]
+    return pairwise_stage(op, results)[1]
 
 
 # -- differential property test ------------------------------------------------
@@ -133,7 +117,7 @@ def test_kernel_and_batched_assembly_equal_the_per_window_reference(case):
     chunks, windows, __ = run_engine_path(op, tasks)
     assert chunks == expected_chunks
     assert windows == expected_windows
-    # The pairwise f_a, called directly on the new payloads, still agrees.
+    # The pairwise stage, walking the new runs window by window, agrees.
     assert run_pairwise_path(op, tasks) == expected_windows
 
 
@@ -247,9 +231,14 @@ class TestMemoryShape:
         op = make_operator(["g"], [("sum", "w")])
         window = WindowDefinition.rows(400, 10)
         result = op.process_batch([StreamSlice(data, assign_windows(window, 200, 240), 200)])
-        pending = [result.partials[wid] for wid in range(0, 20)]  # span the whole batch
-        assert len({id(p) for p in pending}) == 1
-        assert len({id(p.block) for p in result.partials.values()}) == 1
+        run, rows = result.partials, result.partials.columns
+        at = np.searchsorted(run.ids, np.arange(20))  # span the whole batch
+        assert run.ids[at].tolist() == list(range(20))
+        lo, hi, __ = rows.spans
+        assert len(set(zip(lo[at].tolist(), hi[at].tolist()))) == 1
+        # Shared rows are stored once: the block is no longer than the
+        # distinct row ranges.
+        assert len(rows.block) == sum(b - a for a, b in set(zip(lo.tolist(), hi.tolist())))
 
     def test_tumbling_fragments_skip_the_gather(self, monkeypatch):
         def no_gather(*args):
@@ -331,42 +320,51 @@ class TestPayloads:
         windows = assign_windows(WindowDefinition.rows(256, 1), 512, 1024)
         return op, op.process_batch([StreamSlice(data, windows, 512)])
 
-    def test_partials_stay_a_dict_by_window_id(self):
+    def test_partials_are_one_run_by_window_id(self):
         __, result = self.slide_one_result()
-        assert len(result.partials) == 510
-        assert sorted(result.partials) == list(range(257, 512)) + list(range(769, 1024))
-        assert all(type(wid) is int for wid in result.partials)
-        assert result.closed_ids == list(range(257, 512))
+        run = result.partials
+        assert len(run) == 510 and run.ids.dtype == np.int64
+        assert run.ids.tolist() == list(range(257, 512)) + list(range(769, 1024))
+        assert result.closed_ids.dtype == np.int64
+        assert result.closed_ids.tolist() == list(range(257, 512))
 
     def test_completion_queue_pickle_ships_the_block_once(self):
         __, result = self.slide_one_result()
-        block = next(iter(result.partials.values())).block
+        run, rows = result.partials, result.partials.columns
+        block = rows.block
         columns = block.keys.nbytes + block.counts.nbytes
         columns += sum(column.nbytes for column in block.partials.values())
-        shipped = len(pickle.dumps(result.partials, protocol=pickle.HIGHEST_PROTOCOL))
-        assert shipped < columns + 64 * len(result.partials)
-        restored = pickle.loads(pickle.dumps(result.partials))
-        assert len({id(p.block) for p in restored.values()}) == 1
+        columns += run.ids.nbytes + rows.spans.nbytes
+        shipped = len(pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL))
+        # A handful of arrays: nothing per window.
+        assert shipped < columns + 1024
+        restored = pickle.loads(pickle.dumps(run))
+        assert pickle.dumps(restored) == pickle.dumps(run)
 
     def test_block_holds_boundary_rows_only(self):
         __, result = self.slide_one_result()
-        block = next(iter(result.partials.values())).block
+        rows = result.partials.columns
         # 510 boundary fragments × ≤ 8 groups; the 257 COMPLETE windows'
         # ~2000 rows were emitted and dropped.
-        assert len(block) == sum(p.stop - p.start for p in result.partials.values())
-        assert len(block) <= 510 * 8
+        assert len(rows.block) == int((rows.spans[1] - rows.spans[0]).sum())
+        assert len(rows.block) <= 510 * 8
 
     def test_empty_payload_finalises_to_nothing(self):
         op = make_operator(["g"], [("count", None)])
-        empty = GroupedWindowAccumulator()
-        assert op.finalize_window(0, empty) is None
-        rows, offsets = op.assemble_windows([(0, [empty]), (1, [empty, empty])])
-        assert rows is None and offsets.tolist() == [0, 0, 0]
+        zero = np.zeros((3, 2), dtype=np.int64)
+        empty = PartialRun(np.arange(2), BoundaryRows(op._empty_block(), zero))
+        ready = np.arange(2)
+        for runs in ([PartialRun()], [empty], [empty, empty]):
+            rows, offsets = op.assemble_windows(ready, runs)
+            assert rows is None and offsets.tolist() == [0, 0, 0]
 
-    def test_merge_never_mutates_its_operands(self):
+    def test_assembly_never_mutates_its_runs(self):
         op, result = self.slide_one_result()
-        first, second = result.partials[300], result.partials[900]
-        before = pickle.dumps((first, second))
-        merged = op.merge_partials(first, second)
-        assert pickle.dumps((first, second)) == before
-        assert merged.last_timestamp == max(first.last_timestamp, second.last_timestamp)
+        data = make_stream(6, 512, 8)
+        windows = assign_windows(WindowDefinition.rows(256, 1), 1024, 1536)
+        later = op.process_batch([StreamSlice(data, windows, 1024)])
+        runs = [result.partials, later.partials]
+        before = pickle.dumps(runs)
+        rows, offsets = op.assemble_windows(later.closed_ids, runs)
+        assert pickle.dumps(runs) == before
+        assert len(rows) == offsets[-1] and np.all(np.diff(offsets) > 0)

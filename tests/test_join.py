@@ -67,7 +67,7 @@ class TestWindowedJoin:
         w = WindowDefinition.rows(4, 4)
         result = op.process_batch(slices(w, 0, 8, 0, 8))
         # Windows 0 and 1 both complete: all matches local.
-        assert result.partials == {}
+        assert len(result.partials) == 0
         out = result.complete
         for x, y in zip(out.column("x"), out.column("y")):
             assert x < y
@@ -91,7 +91,7 @@ class TestWindowedJoin:
         # Split into two tasks at row 5:
         r1 = op.process_batch(slices(w, 0, 5, 0, 5))
         r2 = op.process_batch(slices(w, 5, 8, 5, 8))
-        merged = op.merge_partials(r1.partials[0], r2.partials[0])
+        merged = op.merge_partials(r1.partials.columns[0], r2.partials.columns[0])
         assert op.window_ready(merged)
         rows = op.finalize_window(0, merged)
 
@@ -104,7 +104,8 @@ class TestWindowedJoin:
         op = ThetaJoin(LEFT, RIGHT, col("x") < col("y"))
         w = WindowDefinition.rows(8, 8)
         r1 = op.process_batch(slices(w, 0, 5, 0, 5))
-        assert op.window_ready(r1.partials[0]) is False
+        assert r1.partials.ids[0] == 0
+        assert op.window_ready(r1.partials.columns[0]) is False
 
     def test_selectivity_stat(self):
         op = ThetaJoin(LEFT, RIGHT, col("x") < col("y"))

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import join_by_window, join_pairs_by_cross_product, join_stream_by_window
+from reference import (
+    join_by_window,
+    join_pairs_by_cross_product,
+    join_stream_by_window,
+    run_payloads,
+)
 from repro.core.engine import SaberConfig, SaberEngine
 from repro.core.query import Query
 from repro.core.result_stage import ResultStage
@@ -109,16 +114,17 @@ def assert_task_equals_reference(op, left, right, result=None):
     result = op.process_batch([left, right]) if result is None else result
     complete, partials, closed, stats = join_by_window(op, left, right)
     assert result.complete.data.tobytes() == complete
-    assert list(result.partials) == list(partials)
+    payloads = run_payloads(result.partials)
+    assert list(payloads) == list(partials)
     for wid, expected in partials.items():
-        assert partial_bytes(result.partials[wid]) == expected
-    assert result.closed_ids == closed
+        assert partial_bytes(payloads[wid]) == expected
+    assert result.closed_ids.tolist() == closed
     assert result.stats == stats
     return result
 
 
 def run_engine_path(op, tasks):
-    """Kernel + ``ResultStage`` (eager ``merge_partials``): chunks and windows."""
+    """Kernel + ``ResultStage`` (eager ``merge_runs``): chunks and windows."""
     query = Query("q", op, [WindowDefinition.rows(1, 1)] * 2)
     stage = ResultStage(query)
     chunks, windows = [], []
@@ -444,7 +450,7 @@ class TestMemoryShape:
         slices = [StreamSlice(b, assign_windows(window, 128, 640), 128) for b in (left, right)]
         result = op.process_batch(slices)
         assert len(result.partials) == 2 and len(result.complete) > 10_000
-        for partial in result.partials.values():
+        for partial in result.partials.columns:
             for batch in (partial.result, partial.left, partial.right):
                 assert batch.data.base is None or batch.data.base.nbytes == batch.data.nbytes
             rows = partial.result.size_bytes + partial.left.size_bytes + partial.right.size_bytes
@@ -470,7 +476,7 @@ class TestStatsDoNotDrift:
         ]
         result = assert_task_equals_reference(op, *slices)
         return result.stats, len(result.complete) + sum(
-            len(p.result) for p in result.partials.values()
+            len(p.result) for p in result.partials.columns
         )
 
     def test_tumbling(self):

@@ -70,7 +70,7 @@ class TestProjection:
 
     def test_no_partials(self):
         result = run(Projection(SCHEMA, [("b", col("b"))]), batch())
-        assert result.partials == {}
+        assert len(result.partials) == 0
         with pytest.raises(QueryError):
             Projection(SCHEMA, [("b", col("b"))]).merge_partials(None, None)
 

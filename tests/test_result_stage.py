@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import pairwise_stage
 from repro.core.query import Query
 from repro.core.result_stage import ResultStage
 from repro.core.task import QueryTask
@@ -196,22 +197,6 @@ def drive(op, window, edges, force_assembly=False, collect_output=True, flush=Tr
     return stage, windows, chunks, results
 
 
-def pairwise_windows(op, results):
-    """Every window's rows via the one-window-at-a-time f_a, as the old stage ran it."""
-    pending, out = {}, []
-    for result in results:
-        for wid, payload in sorted(result.partials.items()):
-            pending.setdefault(wid, []).append(payload)
-    for wid in sorted(pending):
-        merged = pending[wid][0]
-        for part in pending[wid][1:]:
-            merged = op.merge_partials(merged, part)
-        rows = op.finalize_window(wid, merged)
-        if rows is not None and len(rows):
-            out.append((wid, rows.data.tobytes()))
-    return out
-
-
 @pytest.mark.parametrize("name", ["groupby", "groupby-having", "aggregation", "distinct"])
 class TestBatchedAssemblyContract:
     WINDOW = WindowDefinition.rows(10, 3)
@@ -223,9 +208,9 @@ class TestBatchedAssemblyContract:
         ids = [wid for wid, __ in windows]
         assert ids == sorted(set(ids))  # strictly increasing: once each
         assert len(ids) >= 5
-        # Closed by submit, tail by flush — the same rows the pairwise
-        # assembly function yields window by window.
-        assert windows == pairwise_windows(op, results)
+        # Closed by submit, tail by flush — the same rows the retired
+        # one-window-at-a-time stage yields.
+        assert windows == pairwise_stage(op, results)[1]
 
     def test_force_assembly_surfaces_every_window(self, name):
         op = contract_operators()[name]
@@ -243,7 +228,7 @@ class TestBatchedAssemblyContract:
         by_wid = dict(windows)
         for task_id, rows in chunks:
             result = results[task_id]
-            closed = b"".join(by_wid.get(wid, b"") for wid in sorted(result.closed_ids))
+            closed = b"".join(by_wid.get(wid, b"") for wid in result.closed_ids.tolist())
             assert rows.data.tobytes() == closed + result.complete.data.tobytes()
 
     def test_without_collection_the_stage_retains_nothing(self, name):
@@ -255,7 +240,10 @@ class TestBatchedAssemblyContract:
         assert stage.emitted == [] and stage.output() is None
         assert stage.output_rows == sum(len(rows) for __, rows in chunks) > 0
         # Only windows still open at the last task are pending: O(range / slide).
-        assert len(stage._pending) <= 4 and not stage._closed_flags
+        ids = np.unique(np.concatenate([p.run.ids[p.open] for p in stage._pending]))
+        assert len(ids) <= 4 and len(stage._pending) <= 4
+        # No stale run: each pending run still holds a window to assemble.
+        assert all(p.open.any() for p in stage._pending)
 
 
 def test_a_window_pending_across_many_tasks_retains_boundary_rows_only():
@@ -268,10 +256,10 @@ def test_a_window_pending_across_many_tasks_retains_boundary_rows_only():
     stage, __, chunks, results = drive(
         op, window, list(range(0, task_tuples * tasks + 1, task_tuples)), flush=False
     )
-    assert chunks == [] and list(stage._pending) == [0]
-    payloads = stage._pending[0]
-    assert len(payloads) == tasks
+    runs = [p.run for p in stage._pending]
+    assert chunks == [] and len(runs) == tasks
+    assert all(run.ids.tolist() == [0] for run in runs)
     # One 3-group table per task (~100 B of columns), nothing per tuple.
-    assert all(len(p.block) == 3 for p in payloads)
+    assert all(len(run.columns.block) == 3 for run in runs)
     retained = len(pickle.dumps(stage._pending))
     assert retained < tasks * 400 < tasks * group_batch(0, task_tuples).size_bytes

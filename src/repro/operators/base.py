@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+import math
 from typing import Any, Callable
 
 import numpy as np
@@ -251,6 +252,46 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if len(ends) else 0
     return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def key_codes(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Distinct rows of the (rows × columns) integer ``keys`` in
+    lexicographic order, and every row's rank among them.
+
+    While the keys' bounding box — the product of the per-column spans —
+    holds no more cells than there are rows, each row is a mixed-radix
+    cell of the box and the ranks are one presence count and its prefix
+    sum, with no sort.  A wider box falls back to ``np.unique``.  With no
+    columns every row is in the one group.
+    """
+    rows, width = keys.shape
+    if width == 0:
+        return keys[:1], np.zeros(rows, dtype=np.intp)
+    if rows == 0:
+        return keys, np.zeros(0, dtype=np.intp)
+    lows, highs = keys.min(axis=0), keys.max(axis=0)
+    # Python ints: the span of int64 extremes overflows int64.
+    spans = [high - low + 1 for low, high in zip(lows.tolist(), highs.tolist())]
+    cells = math.prod(spans)
+    if cells > rows:
+        if width == 1:
+            distinct, codes = np.unique(keys[:, 0], return_inverse=True)
+            return distinct[:, None], codes
+        distinct, codes = np.unique(keys, axis=0, return_inverse=True)
+        return distinct, codes.ravel()
+    # Inside the box no difference exceeds ``rows``, so nothing overflows.
+    cell = keys[:, 0] - lows[0]
+    for j in range(1, width):
+        cell = cell * spans[j] + (keys[:, j] - lows[j])
+    present = np.bincount(cell, minlength=cells) > 0
+    rank = np.cumsum(present) - 1
+    occupied = np.flatnonzero(present)
+    distinct = np.empty((len(occupied), width), dtype=keys.dtype)
+    for j in range(width - 1, 0, -1):
+        occupied, digit = np.divmod(occupied, spans[j])
+        distinct[:, j] = digit + lows[j]
+    distinct[:, 0] = occupied + lows[0]
+    return distinct, rank[cell]
 
 
 def emit_order(window_ids: "np.ndarray | list[int]") -> np.ndarray:

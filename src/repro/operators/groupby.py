@@ -2,7 +2,13 @@
 
 One operator serves grouped and ungrouped queries: with no key columns
 every tuple falls in the one group, and the output schema is
-``timestamp`` plus the aggregates.
+``timestamp`` plus the aggregates.  Keys are integers — a float or
+double key column, read or derived, is a :class:`~repro.errors.QueryError`
+at construction — and are coded once per task, and once per assembly,
+by :func:`~repro.operators.base.key_codes`, the coder the θ-join shares:
+ranks of the keys' cells in their bounding box, from one presence count
+and its prefix sum while the box holds no more cells than there are
+rows, ``np.unique`` past it.
 
 The batch operator function computes the group tables of *all* window
 fragments of a query task at once, on one of two paths the data picks:
@@ -64,7 +70,15 @@ from ..relational.schema import Attribute, Schema, TIMESTAMP_ATTRIBUTE
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState
 from .aggregate_functions import AggregateSpec, finalize
-from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice, concat_ranges
+from .base import (
+    BatchResult,
+    CostProfile,
+    Operator,
+    PartialRun,
+    StreamSlice,
+    concat_ranges,
+    key_codes,
+)
 
 #: flat (fragment, tuple) elements one pass of the segmented kernel
 #: reduces.  Bounds the transient arrays at ~5 live × 128 KiB, which also
@@ -80,17 +94,6 @@ _TABLE_ELEMENTS = 1 << 20
 #: count, and the aggregate functions that need each.
 _ACCUMULATOR_OF = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}
 _FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
-
-
-def _encode_keys(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Distinct rows of ``keys`` in lexicographic order, and every row's rank."""
-    if keys.shape[1] == 0:  # ungrouped: every row is in the one group
-        return keys[:1], np.zeros(len(keys), dtype=np.intp)
-    if keys.shape[1] == 1:
-        distinct, codes = np.unique(keys[:, 0], return_inverse=True)
-        return distinct[:, None], codes
-    distinct, codes = np.unique(keys, axis=0, return_inverse=True)
-    return distinct, codes.ravel()
 
 
 def _certified(values: np.ndarray) -> bool:
@@ -249,7 +252,8 @@ class GroupedAggregation(Operator):
     ) -> None:
         """``derived_columns`` maps extra integer-valued key names to an
         ``(expression, type_name)`` pair evaluated per batch — e.g. LRB3's
-        ``segment = position / 5280`` grouping key."""
+        ``segment = position / 5280`` grouping key.  A float or double key,
+        read or derived, is a :class:`~repro.errors.QueryError`."""
         super().__init__(input_schema)
         if not specs:
             raise QueryError("aggregation needs at least one aggregate function")
@@ -271,8 +275,7 @@ class GroupedAggregation(Operator):
                 if s.column is not None and s.function in _ACCUMULATOR_OF
             }
         )
-        attributes = [Attribute(TIMESTAMP_ATTRIBUTE, "long")]
-        attributes += [
+        keys = [
             Attribute(
                 name,
                 self.derived_columns[name][1]
@@ -281,6 +284,13 @@ class GroupedAggregation(Operator):
             )
             for name in self.group_columns
         ]
+        for key in keys:
+            # An int64 key matrix would truncate 1.5 and 1.7 into one group.
+            if key.dtype.kind == "f":
+                raise QueryError(
+                    f"GROUP-BY key {key.name!r} is {key.type_name}; group keys must be integers"
+                )
+        attributes = [Attribute(TIMESTAMP_ATTRIBUTE, "long"), *keys]
         attributes += [Attribute(s.alias, s.output_type) for s in self.specs]
         suffix = "groupby" if self.group_columns else "agg"
         self._output_schema = Schema(
@@ -337,7 +347,7 @@ class GroupedAggregation(Operator):
         total = int(lengths.sum())
         if total == 0:
             return self._empty_block(), np.zeros(len(lengths), dtype=np.int64)
-        distinct, codes = _encode_keys(self._key_rows(batch))
+        distinct, codes = key_codes(self._key_rows(batch))
         values = {
             column: np.asarray(batch.column(column), dtype=np.float64)
             for column in {column for __, column in self._partials}
@@ -544,7 +554,7 @@ class GroupedAggregation(Operator):
             return None, offsets
         stacked = GroupBlock.concat(blocks)
         window = np.repeat(np.concatenate(windows), np.concatenate(lengths))
-        distinct, codes = _encode_keys(stacked.keys)
+        distinct, codes = key_codes(stacked.keys)
         cells = _Cells(window, codes, len(ready), len(distinct))
         merged = GroupBlock(
             distinct[cells.codes],

@@ -18,12 +18,17 @@ gathered once, for survivors only.  Candidates are
 * when the predicate's top-level ``And`` chain holds an equality between
   a left-only and a right-only expression of integer (or bool) type,
   only the **key-matched pairs**: both key expressions are evaluated
-  once per row, the right rows are stably sorted on ``(key, row)`` once
-  per task, and two binary searches per (window, left row) — with the
-  window's right range folded into the probe — bound its matches.  The
-  key only prunes; the unmodified predicate still decides, so there is
-  one join semantics.  Float keys (``NaN != NaN``, ``-0.0 == 0.0``) and
-  mixed keys numpy compares as floats take all pairs.
+  once per row and coded into one space of small dense codes
+  (:func:`~repro.operators.base.key_codes`, no sort while the keys'
+  span is no wider than the task), the right rows are ordered by
+  ``(code, row)`` with one radix sort of the codes, and each (window,
+  left row) reads its match range off one prefix count over ``codes ×
+  (right window boundaries + 1)`` cells.  A table larger than the task's
+  rows plus entries (many keys under slide-1 windows) gives way to two
+  binary searches per (window, left row) in a sorted ``(code, row)``
+  composite.  The key only prunes; the unmodified predicate still
+  decides, so there is one join semantics.  Float keys (``NaN != NaN``,
+  ``-0.0 == 0.0``) and mixed keys numpy compares as floats take all pairs.
 
 Which generator runs is fixed at construction from the predicate's
 shape and the key dtype.  Candidate counts are known before expansion,
@@ -58,7 +63,15 @@ from ..relational.expressions import And, Comparison, Expression, Predicate
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from ..windows.assigner import FragmentState, WindowSet
-from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice, concat_ranges
+from .base import (
+    BatchResult,
+    CostProfile,
+    Operator,
+    PartialRun,
+    StreamSlice,
+    concat_ranges,
+    key_codes,
+)
 
 #: candidate pairs one block of the kernel expands, evaluates and
 #: compacts.  A block holds ~5 live int64 index arrays plus the
@@ -178,7 +191,7 @@ class ThetaJoin(Operator):
         The first ``==`` of the top-level ``And`` chain whose two sides
         read one input each and compare as integers or bools: there
         ``l == r`` is exactly "equal after casting to the common dtype",
-        which sorting and binary search reproduce.
+        which equal key codes reproduce.
         """
         empty = _PairColumns(
             self._where,
@@ -205,35 +218,72 @@ class ThetaJoin(Operator):
         self,
         left: np.ndarray,
         right: np.ndarray,
+        segment: np.ndarray,
         row: np.ndarray,
-        r_start: np.ndarray,
-        r_stop: np.ndarray,
+        rs: np.ndarray,
+        re: np.ndarray,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Key-matched candidates of each (left row, right range) entry.
+        """Key-matched candidates of each (segment, left row) entry.
 
         Returns ``(lo, hi, order)``: entry *e* may only match right rows
-        ``order[lo[e]:hi[e]]`` — those of ``[r_start[e], r_stop[e])``
-        whose key equals left row ``row[e]``'s, ascending.
+        ``order[lo[e]:hi[e]]`` — those of ``[rs[s], re[s])``, ``s =
+        segment[e]``, whose key equals left row ``row[e]``'s, ascending.
+
+        Both sides' keys share one code space, ``order`` sorts the right
+        rows by (code, row), and ``lo`` / ``hi`` are read off a prefix
+        count over (code, window boundary) cells: a code's block in
+        ``order`` starts after every smaller code's rows, and its rows
+        before boundary ``b`` are those left of it.  A table with more
+        cells than the task has rows and entries (many keys under many
+        boundaries, as on slide-1 windows) is replaced by binary search.
         """
         l_key, r_key, dtype = self._equi
         view = _PairColumns(self._where, (left, right))
-        l_keys = np.asarray(l_key.evaluate(view)).astype(dtype, copy=False)
-        r_keys = np.asarray(r_key.evaluate(view)).astype(dtype, copy=False)
-        order = np.argsort(r_keys, kind="stable")  # by (key, row)
-        r_sorted = r_keys[order]
-        first = np.ones(len(order), dtype=bool)
-        np.not_equal(r_sorted[1:], r_sorted[:-1], out=first[1:])
-        distinct = r_sorted[first]
-        # One sorted composite holds (key code, row), so a range of rows
-        # within one key is a contiguous run found by two searches.
-        stride = len(right) + 1
-        composite = (np.cumsum(first) - 1) * stride + order
-        code = np.searchsorted(distinct, l_keys)
-        code[code == len(distinct)] = 0
-        base = code[row] * stride
+        keys = np.concatenate(
+            [np.asarray(key.evaluate(view)).astype(dtype, copy=False) for key in (l_key, r_key)]
+        )
+        # Equality is all a code keeps: a cast that wraps (uint64) or
+        # widens (bool) maps distinct keys to distinct int64s.
+        distinct, codes = key_codes(keys.astype(np.int64, copy=False)[:, None])
+        l_codes, r_codes = codes[: len(left)], codes[len(left):]
+        # By (code, row): a stable sort of the codes in their smallest
+        # unsigned type, which numpy radix-sorts up to 16 bits.
+        order = np.argsort(
+            r_codes.astype(np.min_scalar_type(len(distinct) - 1)), kind="stable"
+        )
+        # rank[p]: the window boundaries (segment starts and stops) at or
+        # before right position p, so row r lies after boundary rank[r] - 1.
+        rank = np.zeros(len(right) + 1, dtype=np.intp)
+        rank[rs] = rank[re] = 1
+        np.cumsum(rank, out=rank)
+        width = int(rank[-1]) + 1
+        if len(distinct) * width > len(left) + len(right) + len(row):
+            return self._search_ranges(l_codes[row], r_codes, order, rs[segment], re[segment])
+        cells = np.cumsum(
+            np.bincount(r_codes * width + rank[:-1], minlength=len(distinct) * width)
+        )
+        # Rows of code c before boundary b sit in cells up to (c, rank[b] - 1).
+        base = l_codes[row] * width - 1
+        return cells[base + rank[rs][segment]], cells[base + rank[re][segment]], order
+
+    @staticmethod
+    def _search_ranges(
+        l_codes: np.ndarray,
+        r_codes: np.ndarray,
+        order: np.ndarray,
+        r_start: np.ndarray,
+        r_stop: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """:meth:`_probe`'s ranges by binary search, for tables too large.
+
+        One sorted composite holds (code, row), so the rows of one code
+        within a right range are a contiguous run found by two searches.
+        """
+        stride = len(r_codes) + 1
+        composite = r_codes[order] * stride + order
+        base = l_codes * stride
         lo = np.searchsorted(composite, base + r_start)
-        hi = np.searchsorted(composite, base + r_stop)
-        return lo, np.where((distinct[code] == l_keys)[row], hi, lo), order
+        return lo, np.searchsorted(composite, base + r_stop), order
 
     def join_segments(
         self,
@@ -256,9 +306,10 @@ class ThetaJoin(Operator):
         # [lo, hi) of right rows, or of positions in `order` when pruned.
         segment = np.repeat(np.arange(len(ls)), n_left)
         row = concat_ranges(ls, n_left)
-        lo, hi, order = rs[segment], re[segment], None
         if self._equi is not None and len(row) and len(right):
-            lo, hi, order = self._probe(left, right, row, lo, hi)
+            lo, hi, order = self._probe(left, right, segment, row, rs, re)
+        else:
+            lo, hi, order = rs[segment], re[segment], None
         counts = hi - lo
         offsets = np.cumsum(counts) - counts
         cuts = np.searchsorted(offsets, np.arange(0, int(counts.sum()), _BLOCK_PAIRS))
@@ -403,14 +454,15 @@ class _Segments(NamedTuple):
         an empty segment and *not* done — its stream may not have reached
         it yet, so the result stage merges later tasks.
         """
-        index = np.full(count, len(windows), dtype=np.int64)
-        index[slot] = np.arange(len(windows))
-        start = np.append(windows.starts, 0)[index]
-        states = np.append(windows.states, int(FragmentState.PENDING))[index]
+        # (start, stop, state) by slot, pre-filled with an absent window's.
+        table = np.zeros((3, count), dtype=np.int64)
+        table[2] = int(FragmentState.PENDING)
+        table[:, slot] = windows.starts, windows.ends, windows.states
+        start, stop, states = table
         final = states == int(FragmentState.COMPLETE)
         return cls(
             start,
-            np.maximum(np.append(windows.ends, 0)[index], start),
+            np.maximum(stop, start),
             final | (states == int(FragmentState.CLOSING)),
             final,
         )

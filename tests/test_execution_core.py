@@ -423,6 +423,61 @@ def test_guard_sees_a_per_window_grouped_payload(tmp_path):
     }
 
 
+# -- one key coder -----------------------------------------------------------------
+
+
+def _key_coder_sites(root):
+    """{name: sorted modules} for the deleted sorting coder ``_encode_keys``,
+    and ``key_codes?`` for each keyed operator (``operators/groupby.py``,
+    ``operators/join.py``) that does not import and call
+    ``operators.base.key_codes``."""
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        named = set(_names(tree)) & {"_encode_keys"}
+        if module in ("operators/groupby.py", "operators/join.py"):
+            imported = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level, node.module) in ((1, "base"), (0, "repro.operators.base"))
+                for alias in node.names
+                if alias.name == "key_codes"
+            }
+            called = {
+                node.func.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            if not imported & called:
+                named.add("key_codes?")
+        for name in named:
+            sites.setdefault(name, []).append(module)
+    return sites
+
+
+def test_keyed_operators_share_one_key_coder():
+    """GROUP-BY and the equi-join code keys with ``operators.base.key_codes``;
+    the per-module sorting coder stays gone."""
+    assert _key_coder_sites(SRC) == {}
+
+
+def test_guard_sees_a_private_key_coder(tmp_path):
+    (tmp_path / "operators").mkdir()
+    (tmp_path / "operators" / "groupby.py").write_text(
+        "def _encode_keys(keys):\n    return np.unique(keys, return_inverse=True)\n"
+    )
+    (tmp_path / "operators" / "join.py").write_text(
+        "from .base import key_codes\ncodes = np.unique(keys, return_inverse=True)\n"
+    )
+    (tmp_path / "stage.py").write_text("from .operators.groupby import _encode_keys\n")
+    assert _key_coder_sites(tmp_path) == {
+        "_encode_keys": ["operators/groupby.py", "stage.py"],
+        "key_codes?": ["operators/groupby.py", "operators/join.py"],
+    }
+
+
 # -- one result backlog ------------------------------------------------------------
 
 

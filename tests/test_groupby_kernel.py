@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import cut_tasks, grouped_by_window, pairwise_stage, run_engine_path
-from repro.operators import groupby as groupby_module
+from repro.api import Stream, agg
+from repro.core.cql import compile_statement
+from repro.errors import CQLSyntaxError, QueryError
+from repro.operators import base as base_module, groupby as groupby_module
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.base import PartialRun, StreamSlice
+from repro.operators.base import PartialRun, StreamSlice, key_codes
 from repro.operators.groupby import BoundaryRows, GroupedAggregation
 from repro.relational.expressions import col
 from repro.relational.schema import Schema
@@ -368,3 +371,151 @@ class TestPayloads:
         rows, offsets = op.assemble_windows(later.closed_ids, runs)
         assert pickle.dumps(runs) == before
         assert len(rows) == offsets[-1] and np.all(np.diff(offsets) > 0)
+
+
+# -- key codes: a presence count inside the keys' box, np.unique past it --------------
+
+LONG_KEYS = Schema.with_timestamp("v:float, w:double, a:long, b:long, c:int")
+INT64 = np.iinfo(np.int64)
+EXTREMES = np.array([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max])
+
+
+def key_matrix(seed, rows, width, spread):
+    rng = np.random.default_rng(seed)
+    if spread == "extremes":
+        return EXTREMES[rng.integers(0, len(EXTREMES), (rows, width))]
+    low, high = {"dense": (0, 3), "negative": (-7, 2), "wide": (-10**12, 10**12)}[spread]
+    return rng.integers(low, high, (rows, width), dtype=np.int64)
+
+
+def unique_rows(keys):
+    """The sorting coder ``key_codes`` replaced."""
+    distinct, codes = np.unique(keys, axis=0, return_inverse=True)
+    return distinct, codes.ravel()
+
+
+class TestKeyCodes:
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 300),
+        width=st.integers(1, 3),
+        spread=st.sampled_from(["dense", "negative", "wide", "extremes"]),
+    )
+    def test_equal_to_np_unique(self, seed, rows, width, spread):
+        keys = key_matrix(seed, rows, width, spread)
+        distinct, codes = key_codes(keys)
+        expected_distinct, expected_codes = unique_rows(keys)
+        assert distinct.dtype == np.int64 and distinct.shape == expected_distinct.shape
+        assert distinct.tobytes() == expected_distinct.tobytes()
+        assert codes.tolist() == expected_codes.tolist()
+
+    @pytest.mark.parametrize(
+        "keys, sorts",
+        [
+            (np.array([[3], [1], [3], [2]]), False),  # box 3 ≤ 4 rows
+            (np.array([[0], [4], [0], [2]]), True),  # box 5 > 4 rows
+            (np.array([[-1, 5], [0, 5], [-1, 6], [0, 6]]), False),  # 2 × 2
+            (np.array([[-1, 5, 0], [0, 5, 1], [-1, 6, 0], [0, 6, 0]]), True),  # 2 × 2 × 2
+            (np.array([[INT64.min], [INT64.max]]), True),  # a span of 2**64
+            (np.array([[INT64.max], [INT64.max], [INT64.max - 1]]), False),
+            (np.array([[INT64.min, INT64.max], [INT64.min, INT64.max]]), False),
+        ],
+    )
+    def test_sorts_only_past_the_box(self, monkeypatch, keys, sorts):
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(base_module.np, "unique", counted)
+        distinct, codes = key_codes(keys)
+        monkeypatch.undo()
+        assert bool(calls) == sorts
+        expected_distinct, expected_codes = unique_rows(keys)
+        assert distinct.tobytes() == expected_distinct.tobytes()
+        assert codes.tolist() == expected_codes.tolist()
+
+    def test_no_columns_is_one_group_and_no_rows_no_groups(self):
+        distinct, codes = key_codes(np.zeros((5, 0), dtype=np.int64))
+        assert distinct.shape == (1, 0) and codes.tolist() == [0] * 5
+        distinct, codes = key_codes(np.zeros((0, 2), dtype=np.int64))
+        assert distinct.shape == (0, 2) and len(codes) == 0
+
+    @given(
+        seed=st.integers(0, 2**16),
+        keys=st.sampled_from([["a"], ["a", "b"], ["a", "b", "c"], ["c", "a"]]),
+        spread=st.sampled_from(["negative", "wide", "extremes"]),
+        window=st.sampled_from(
+            [
+                WindowDefinition.rows(16, 16),
+                WindowDefinition.rows(12, 1),
+                WindowDefinition.rows(40, 8),
+            ]
+        ),
+    )
+    def test_kernel_on_negative_wide_and_extreme_keys(self, seed, keys, spread, window):
+        n = 120
+        base = make_stream(seed, n, 4)
+        columns = key_matrix(seed, n, 3, spread)
+        data = TupleBatch.from_columns(
+            LONG_KEYS,
+            timestamp=base.timestamps,
+            v=base.column("v"),
+            w=base.column("w"),
+            a=columns[:, 0],
+            b=columns[:, 1],
+            c=np.clip(columns[:, 2], -(2**31), 2**31 - 1).astype(np.int32),
+        )
+        specs = [
+            AggregateSpec("count", None, "n"),
+            AggregateSpec("sum", "w", "s"),
+            AggregateSpec("max", "v", "m"),
+        ]
+        op = GroupedAggregation(LONG_KEYS, keys, specs)
+        tasks = cut_tasks(data, window, 50)
+        expected_chunks, expected_windows = grouped_by_window(op, tasks)
+        chunks, windows, __ = run_engine_path(op, tasks)
+        assert chunks == expected_chunks
+        assert windows == expected_windows
+
+
+class TestFloatKeysAreRejected:
+    """A float key used to be truncated into the int64 key matrix: 1.5 and
+    1.7 became one group and NaN became -2**63."""
+
+    FLOATS = Schema.with_timestamp("g:float, d:double, k:int, v:double", name="F")
+
+    @pytest.mark.parametrize("column", ["g", "d"])
+    def test_read_key(self, column):
+        with pytest.raises(QueryError, match=f"GROUP-BY key '{column}'"):
+            GroupedAggregation(self.FLOATS, ["k", column], [AggregateSpec("count", None, "n")])
+
+    @pytest.mark.parametrize("type_name", ["float", "double"])
+    def test_derived_key(self, type_name):
+        derived = {"half": (col("k") / 2, type_name)}
+        with pytest.raises(QueryError, match="GROUP-BY key 'half'"):
+            GroupedAggregation(
+                self.FLOATS, ["half"], [AggregateSpec("count", None, "n")],
+                derived_columns=derived,
+            )
+
+    def test_integer_keys_still_build(self):
+        derived = {"half": (col("k") / 2, "int")}
+        op = GroupedAggregation(
+            self.FLOATS, ["k", "half"], [AggregateSpec("sum", "v", "s")], derived_columns=derived
+        )
+        assert op.output_schema.attribute_names == ("timestamp", "k", "half", "s")
+
+    def test_builder_and_cql_fail_typed(self):
+        plan = Stream.named("F", self.FLOATS).window(rows=4)
+        with pytest.raises(QueryError, match="GROUP-BY key 'g'"):
+            plan.group_by("g", agg.sum("v")).build()
+        with pytest.raises(QueryError, match="GROUP-BY key 'seg'"):
+            plan.group_by(agg.sum("v"), seg=(col("v") / 4, "double")).build()
+        with pytest.raises(CQLSyntaxError, match="GROUP-BY key 'g'"):
+            compile_statement(
+                "select timestamp, g, sum(v) as s from F [rows 4] group by g",
+                {"F": self.FLOATS},
+            )

@@ -8,9 +8,11 @@ predicate rejects, and emission order (window, left row, right row) is
 part of the contract.
 """
 
+import contextlib
 import multiprocessing
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +53,8 @@ PREDICATES = {
     "two-equalities": (col("k").eq(col("r_k")) & col("u").eq(col("w")), True),
     "float-then-int-equality": (col("f").eq(col("g")) & col("u").eq(col("w")), True),
     "equi-and-not": (col("k").eq(col("r_k")) & ~(col("u") < col("w")), True),
+    # bool keys (a comparison of comparisons) code as 0 / 1
+    "bool-key": (Comparison("==", col("k") > 0, col("r_k") > 0), True),
     "theta": (col("u") * 2 < col("w"), False),
     "or": (col("k").eq(col("r_k")) | (col("f") > col("g")), False),
     "not": (~col("k").eq(col("r_k")), False),
@@ -520,3 +524,102 @@ def test_window_ids_need_not_be_sorted():
     assert_task_equals_reference(
         op, StreamSlice(left, l_windows, 0), StreamSlice(right, r_windows, 0)
     )
+
+
+# -- match ranges: a count table while it fits, binary search past it --------------
+
+INT64 = np.iinfo(np.int64)
+
+
+def synthetic_stream(seed, n):
+    """JOIN_r's input: ``a3`` uniform in [0, 1000), so ``a3 % 100`` has 100 keys."""
+    rng = np.random.default_rng(seed)
+    columns = {"timestamp": np.arange(n, dtype=np.int64)}
+    for attribute in SYNTHETIC_SCHEMA.attributes[1:]:
+        columns[attribute.name] = rng.integers(0, 1000, n).astype(attribute.dtype)
+    return TupleBatch.from_columns(SYNTHETIC_SCHEMA, **columns)
+
+
+@contextlib.contextmanager
+def counting_searches():
+    """Count :meth:`ThetaJoin._search_ranges` calls inside the block."""
+    calls = []
+    search = ThetaJoin._search_ranges
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return search(*args)
+
+    with mock.patch.object(ThetaJoin, "_search_ranges", staticmethod(counted)):
+        yield calls
+
+
+def one_task(op, window, n):
+    """One ``n``-tuple task per stream through the kernel, checked bitwise;
+    returns the result and the entries each binary search probed."""
+    slices = [
+        StreamSlice(synthetic_stream(seed, n), assign_windows(window, 0, n), 0)
+        for seed in (1, 2)
+    ]
+    with counting_searches() as searches:
+        result = op.process_batch(slices)
+    assert_task_equals_reference(op, *slices, result=result)
+    return result, searches
+
+
+class TestProbePaths:
+    def test_join1_tumbling_reads_the_count_table(self):
+        """The ``join-theta`` shape: 2048-tuple tasks, 16 windows of 128."""
+        window = WindowDefinition.rows(128, 128)
+        result, searches = one_task(join_query(1, window=window).operator, window, 2048)
+        assert searches == [] and len(result.complete) > 1000
+
+    def test_slide_one_with_many_keys_searches(self):
+        """100 keys × ~540 window boundaries outgrow the task's rows and entries."""
+        window = WindowDefinition.rows(32, 1)
+        result, searches = one_task(join_query(1, window=window).operator, window, 512)
+        assert len(searches) == 1 and len(result.complete) > 1000
+
+    @given(seed=st.integers(0, 2**16), window=st.sampled_from(sorted(WINDOWS)))
+    def test_keys_spread_over_int64_code_by_sorting(self, seed, window):
+        """Keys at both ends of int64: the box is wider than the rows, so
+        key coding falls back to ``np.unique``; outputs stay bitwise."""
+        extremes = np.array(
+            [INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max], dtype=np.int64
+        )
+        rng = np.random.default_rng(seed)
+        left, right = make_stream(LEFT, seed, 60, 3), make_stream(RIGHT, seed + 1, 60, 3)
+        left.data["u"] = extremes[rng.integers(0, len(extremes), 60)]
+        right.data["w"] = extremes[rng.integers(0, len(extremes), 60)]
+        op = ThetaJoin(LEFT, RIGHT, col("u").eq(col("w")) & (col("k") <= col("r_k")))
+        assert op._equi[0] == col("u")
+        tasks = cut_tasks(left, right, WINDOWS[window], 20, 20)
+        for pair in tasks:
+            assert_task_equals_reference(op, *pair)
+        assert run_engine_path(op, tasks)[0] == join_stream_by_window(op, tasks)[0]
+        keys = np.concatenate([left.column("u"), right.column("w")])
+        assert keys.min() == INT64.min and keys.max() == INT64.max
+
+    def test_bool_keys_match_by_truth(self):
+        op = ThetaJoin(LEFT, RIGHT, PREDICATES["bool-key"][0])
+        assert op._equi[2] == np.dtype(bool)
+        left, right = make_stream(LEFT, 7, 64, 6), make_stream(RIGHT, 8, 64, 6)
+        got = op.join_pairs(left, right)
+        expected = join_pairs_by_cross_product(op, left, right)
+        positive = (left.column("k") > 0).sum() * (right.column("k") > 0).sum()
+        negative = (left.column("k") <= 0).sum() * (right.column("k") <= 0).sum()
+        assert len(got) == positive + negative
+        assert got.data.tobytes() == expected.data.tobytes()
+
+    @given(seed=st.integers(0, 2**16), cardinality=st.sampled_from([40, 200]))
+    def test_slide_one_with_many_keys_equals_the_reference(self, seed, cardinality):
+        window = WindowDefinition.rows(6, 1)
+        op = ThetaJoin(LEFT, RIGHT, PREDICATES["equi-and-theta"][0])
+        left = make_stream(LEFT, seed, 90, cardinality)
+        right = make_stream(RIGHT, seed + 1, 90, cardinality)
+        tasks = cut_tasks(left, right, window, 45, 45)
+        with counting_searches() as searches:
+            for pair in tasks:
+                assert_task_equals_reference(op, *pair)
+        assert len(searches) == len(tasks)
+        assert run_engine_path(op, tasks)[0] == join_stream_by_window(op, tasks)[0]

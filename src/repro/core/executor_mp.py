@@ -24,12 +24,13 @@ to this executor:
   the task out of the shared segment into the child's private memory;
 * workers send the :class:`~repro.operators.base.BatchResult` back over
   a **completion queue**; a task's boundary partials cross it as one
-  columnar :class:`~repro.operators.base.PartialRun` — a grouped task's
-  run is an int64 window-id array, its one boundary
-  :class:`~repro.operators.groupby.GroupBlock` and per-window row-bound
-  and timestamp arrays, so a slide-1 task pickles a handful of arrays
-  however many windows it touches; the result stage and HLS feedback
-  run in the parent, from the completion messages.
+  columnar :class:`~repro.operators.base.PartialRun` — an int64
+  window-id array, per-input done flags and, per input, the task's
+  boundary rows (a :class:`~repro.operators.groupby.GroupBlock` for
+  GROUP-BY, raw tuples otherwise) with per-window row bounds, so a
+  slide-1 task pickles a handful of arrays, linear in its rows, however
+  many windows it touches; the result stage and HLS feedback run in the
+  parent, from the completion messages.
 
 Workers are forked (never spawned): operator graphs, closures and the
 engine object cross into the children by inheritance, so nothing needs

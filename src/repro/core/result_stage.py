@@ -6,15 +6,15 @@ slot count, with more slots than workers so a slot is always consumed
 before its reuse), then processes results *in task-id order*:
 
 1. **assembly** — each task's boundary partials arrive as one columnar
-   :class:`~repro.operators.base.PartialRun` (ascending window ids plus
-   operator-owned columns), and the stage keeps the pending runs in task
-   order, with no per-window state.  The windows a task makes ready are
-   its closed-id array (or, for multi-input operators, the windows whose
-   merged payload reports ready); **one** call of the operator's batched
-   assembly function
-   (:meth:`~repro.operators.base.Operator.assemble_windows`) locates
-   them in every pending run, folds and finalises them.  A run is
-   dropped once every window it holds has been assembled;
+   :class:`~repro.operators.base.PartialRun` (ascending window ids,
+   per-input done flags and each input's boundary rows), and the stage
+   keeps the pending runs in task order, with no per-window state.  A
+   window is ready once every input has a done fragment in some pending
+   run — one rule for every operator; **one** call of the operator's
+   batched assembly function
+   (:meth:`~repro.operators.base.Operator.assemble_windows`) locates the
+   task's ready windows in every pending run and assembles them.  A run
+   is dropped once every window it holds has been assembled;
 2. **output construction** — finalised window results are appended to the
    query's output stream in window order, followed by the task's locally
    complete results, preserving the total order the stream function
@@ -111,8 +111,7 @@ class ResultStage:
         self.tasks_submitted = 0
         self._lock = make_lock("core.result_stage.ResultStage._lock")
         #: boundary-partial runs of processed tasks, in task order, until
-        #: every window they hold is assembled (multi-input operators keep
-        #: them merged down to one run).
+        #: every window they hold is assembled.
         self._pending: list[_Pending] = []
         self.emitted: list[EmittedResult] = []
         #: ordered output chunks / rows / bytes emitted so far: written
@@ -164,20 +163,13 @@ class ResultStage:
 
     def _process(self, slot: _Slot, now: float) -> "list[EmittedResult]":
         task, result = slot.task, slot.result
-        operator = self.query.operator
-        if len(result.partials):
-            self._pending.append(_Pending.of(result.partials))
-        if operator.requires_merged_ready and len(self._pending) > 1:
-            # Closure is decided from the merged state, so each task's run
-            # is merged into the pending one immediately.
-            merged = operator.merge_runs([pending.run for pending in self._pending])
-            self._pending = [_Pending.of(merged)]
+        run = result.partials
+        ready = run.ids
+        if len(run):
+            ready = self._ready(run)
+            self._pending.append(_Pending.of(run))
         runs = [pending.run for pending in self._pending]
-        if operator.requires_merged_ready:
-            ready = self._merged_ready()
-        else:
-            ready = result.closed_ids
-            self._retire(ready)
+        self._retire(ready)
         assembled = self._assemble(ready, runs)
         chunks = [rows for rows in (assembled, result.complete) if rows is not None and len(rows)]
         emitted: list[EmittedResult] = []
@@ -188,18 +180,23 @@ class ResultStage:
             self.on_release(task)
         return emitted
 
-    def _merged_ready(self) -> np.ndarray:
-        """Ready windows of the one merged run, which keeps the rest."""
-        if not self._pending:
-            return np.zeros(0, dtype=np.int64)
-        run = self._pending[0].run
-        ready = self.query.operator.window_ready
-        done = np.fromiter((bool(ready(p)) for p in run.columns), dtype=bool, count=len(run))
-        if done.any():
-            kept = np.flatnonzero(~done)
-            rest = PartialRun(run.ids[kept], [run.columns[i] for i in kept])
-            self._pending = [_Pending.of(rest)] if len(rest) else []
-        return run.ids[done]
+    def _ready(self, run: PartialRun) -> np.ndarray:
+        """Windows of the next ``run`` that every input has now closed.
+
+        A window is ready once each input has a done fragment in some
+        pending run.  Only a window with a done fragment in ``run`` can
+        have become ready; the earlier runs are searched only for those
+        still open on another input.
+        """
+        ready = run.done.all(axis=0)
+        waiting = np.flatnonzero(run.done.any(axis=0) & ~ready)
+        if len(waiting):
+            done = run.done[:, waiting]
+            for pending in self._pending:
+                at, row = pending.run.locate(run.ids[waiting])
+                done[:, at] |= pending.run.done[:, row]
+            ready[waiting] = done.all(axis=0)
+        return run.ids[ready]
 
     def _retire(self, ready: np.ndarray) -> None:
         """Mark ``ready`` windows assembled; drop runs with none left open.

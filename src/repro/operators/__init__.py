@@ -5,7 +5,7 @@ from .aggregate_functions import AggregateSpec, SUPPORTED_FUNCTIONS
 from .projection import Projection, identity_projection
 from .selection import Selection
 from .groupby import GroupedAggregation
-from .join import JoinPartial, ThetaJoin
+from .join import ThetaJoin
 from .distinct import DistinctProjection
 from .compose import FilteredWindows, ProjectedWindows
 from .udf import WindowUdf, partition_join
@@ -23,7 +23,6 @@ __all__ = [
     "Selection",
     "GroupedAggregation",
     "ThetaJoin",
-    "JoinPartial",
     "DistinctProjection",
     "FilteredWindows",
     "ProjectedWindows",

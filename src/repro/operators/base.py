@@ -5,35 +5,33 @@ A query's operator function ``f^q`` is decomposed into
 * a **batch operator function** ``f_b`` (:meth:`Operator.process_batch`)
   that processes all window fragments of a stream batch at once, using
   incremental computation where possible;
-* an **assembly operator function** ``f_a`` that combines the fragment
-  results of windows spanning several query tasks.  The result stage
-  calls it once per task, as :meth:`Operator.assemble_windows`, with
-  every window that became ready and the pending tasks' runs.  The
-  default locates each window's payloads and folds them pairwise
-  (:meth:`Operator.merge_partials` + :meth:`Operator.finalize_window`);
-  :class:`~repro.operators.groupby.GroupedAggregation`, whose run is
-  one columnar table, overrides it with one vectorised fold.
+* an **assembly operator function** ``f_a`` that combines the fragments
+  of windows spanning several query tasks.  The result stage calls it
+  once per task, as :meth:`Operator.assemble_windows`, with every window
+  that became ready and the pending tasks' runs; each windowed operator
+  runs its kernel once over all of them.
 
 ``process_batch`` returns a :class:`BatchResult`:
 
 * ``complete`` — final output rows for work wholly contained in this task
   (per-tuple IStream output of π/σ, and results of COMPLETE windows);
 * ``partials`` — one :class:`PartialRun` holding the boundary windows
-  (OPENING / CLOSING / PENDING fragments) that the result stage merges
-  across tasks; its length is the number of boundary windows;
-* ``closed_ids`` — ascending int64 ids of the boundary windows whose last
-  fragment is in this task, i.e. they can be finalised once all earlier
-  partials are merged;
+  (OPENING / CLOSING / PENDING fragments on some input) that the result
+  stage assembles across tasks: arrays only, its length the number of
+  boundary windows;
 * ``stats`` — measured workload characteristics (selectivity, join pairs,
   group counts) consumed by the hardware cost models and by HLS.
+
+A window is ready once every input has a ``done`` fragment — COMPLETE
+or CLOSING — in some pending run; the result stage applies that one
+rule to every operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 import math
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from ..errors import ExecutionError
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
 from ..relational.expressions import Predicate
-from ..windows.assigner import WindowSet
+from ..windows.assigner import FragmentState, WindowSet
 
 
 @dataclass
@@ -62,18 +60,52 @@ def _no_ids() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
 
 
+def _no_done() -> np.ndarray:
+    return np.zeros((1, 0), dtype=bool)
+
+
+@dataclass
+class BoundaryRows:
+    """One input's boundary rows in a task's run, shipped once.
+
+    ``rows`` is the operator's row table — the input tuples for
+    DISTINCT, UDF and the join, a group table for GROUP-BY.  ``spans``
+    is int64 with one column per boundary window of the run: window
+    ``i`` owns ``rows[spans[0, i]:spans[1, i]]``; further span rows are
+    the operator's own (GROUP-BY's last timestamps).  Windows whose
+    fragments overlap share rows, so a run grows with the task's rows,
+    not with its windows' total length.
+    """
+
+    rows: Any
+    spans: np.ndarray
+
+
+def boundary_rows(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> BoundaryRows:
+    """The ``rows`` that ranges ``[starts[i], stops[i])`` cover, copied
+    once in order, with each range re-based onto the copy."""
+    size = len(rows) + 1
+    cover = np.bincount(starts, minlength=size) - np.bincount(stops, minlength=size)
+    kept = np.cumsum(cover[:-1]) > 0
+    rank = np.zeros(size, dtype=np.int64)
+    np.cumsum(kept, out=rank[1:])
+    return BoundaryRows(rows[kept], np.stack((rank[starts], rank[stops])))
+
+
 @dataclass
 class PartialRun:
-    """One task's boundary-window partials as one columnar run.
+    """One task's boundary windows as one columnar run.
 
     ``ids`` are the task's boundary window ids, ascending int64.
-    ``columns`` belongs to the operator that built the run and is aligned
-    with ``ids``: a list of per-window payloads for operators that
-    assemble pairwise, one table of rows for ``GroupedAggregation``.
+    ``done`` is ``arity × len(run)`` bool: input ``s``'s fragment of
+    window ``i`` is COMPLETE or CLOSING here, so no later task holds
+    more of that input's rows of it.  ``sides`` holds one
+    :class:`BoundaryRows` per input.
     """
 
     ids: np.ndarray = field(default_factory=_no_ids)
-    columns: Any = field(default_factory=list)
+    done: np.ndarray = field(default_factory=_no_done)
+    sides: "tuple[BoundaryRows, ...]" = ()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -88,13 +120,105 @@ class PartialRun:
         return hit, at[hit]
 
 
+def window_rows(
+    ready: np.ndarray, runs: "list[PartialRun]", side: int = 0
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Every ready window's rows of input ``side`` across ``runs``.
+
+    Returns ``(rows, starts, stops)``: window ``i`` owns
+    ``rows[starts[i]:stops[i]]``.  The runs' rows are concatenated in
+    task order; a window's fragments are consecutive in its stream and
+    every one of them is in some pending run, so they meet as one
+    range.  A window with no rows on this input has an empty range.
+    """
+    starts = np.full(len(ready), np.iinfo(np.int64).max)
+    stops = np.zeros(len(ready), dtype=np.int64)
+    chunks, offset = [], 0
+    for run in runs:
+        at, row = run.locate(ready)
+        if not len(at):
+            continue
+        boundary = run.sides[side]
+        lo, hi = boundary.spans[:2, row] + offset
+        held = hi > lo
+        at, lo, hi = at[held], lo[held], hi[held]
+        starts[at] = np.minimum(starts[at], lo)
+        stops[at] = np.maximum(stops[at], hi)
+        chunks.append(boundary.rows)
+        offset += len(boundary.rows)
+    np.minimum(starts, stops, out=starts)
+    rows = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    return rows, starts, stops
+
+
+class Fragments(NamedTuple):
+    """One input's share of every window of a task, by window slot."""
+
+    start: np.ndarray
+    stop: np.ndarray
+    #: closes here (COMPLETE / CLOSING)
+    done: np.ndarray
+    #: COMPLETE locally
+    final: np.ndarray
+
+    @classmethod
+    def of(cls, windows: WindowSet, slot: np.ndarray, count: int) -> "Fragments":
+        """``slot[i]`` is fragment *i*'s place among the task's ``count``
+        window ids.  A window with no fragment in this input's batch is
+        an empty range and *not* done — its stream may not have reached
+        it yet, so the window waits for later tasks.
+        """
+        # (start, stop, state) by slot, pre-filled with an absent window's.
+        table = np.zeros((3, count), dtype=np.int64)
+        table[2] = int(FragmentState.PENDING)
+        table[:, slot] = windows.starts, windows.ends, windows.states
+        start, stop, states = table
+        final = states == int(FragmentState.COMPLETE)
+        return cls(
+            start,
+            np.maximum(stop, start),
+            final | (states == int(FragmentState.CLOSING)),
+            final,
+        )
+
+
+def align_windows(inputs: "list[StreamSlice]") -> "tuple[np.ndarray, list[Fragments]]":
+    """The task's window ids over all inputs, ascending, and each
+    input's :class:`Fragments` of them."""
+    ids, slot = np.unique(
+        np.concatenate([s.windows.window_ids for s in inputs]), return_inverse=True
+    )
+    fragments, at = [], 0
+    for s in inputs:
+        count = len(s.windows)
+        fragments.append(Fragments.of(s.windows, slot[at : at + count], len(ids)))
+        at += count
+    return ids.astype(np.int64, copy=False), fragments
+
+
+def fragment_run(
+    ids: np.ndarray, boundary: np.ndarray, rows: "list[np.ndarray]", fragments: "list[Fragments]"
+) -> PartialRun:
+    """The run of windows ``ids[boundary]``: each input's rows shipped
+    once (:func:`boundary_rows`) and its done flags."""
+    if not boundary.any():
+        return PartialRun(ids[:0], np.zeros((len(fragments), 0), dtype=bool))
+    return PartialRun(
+        ids[boundary],
+        np.stack([f.done[boundary] for f in fragments]),
+        tuple(
+            boundary_rows(data, f.start[boundary], f.stop[boundary])
+            for data, f in zip(rows, fragments)
+        ),
+    )
+
+
 @dataclass
 class BatchResult:
     """Output of a batch operator function for one query task."""
 
     complete: "TupleBatch | None"
     partials: PartialRun = field(default_factory=PartialRun)
-    closed_ids: np.ndarray = field(default_factory=_no_ids)
     stats: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -155,12 +279,6 @@ class Operator:
     #: number of input streams the operator consumes.
     arity = 1
 
-    #: True when :meth:`window_ready` must inspect the *merged* payload
-    #: (multi-input operators); the result stage then merges every task's
-    #: run into the pending one (:meth:`merge_runs`) instead of deferring
-    #: the merge chain to finalisation.
-    requires_merged_ready = False
-
     def __init__(self, input_schema: Schema) -> None:
         self.input_schema = input_schema
 
@@ -175,66 +293,19 @@ class Operator:
         """Batch operator function f_b over one query task's inputs."""
         raise NotImplementedError
 
-    def merge_partials(self, first: Any, second: Any) -> Any:
-        """Assembly step f_a over two consecutive tasks' fragment payloads."""
-        raise NotImplementedError
-
-    def finalize_window(self, window_id: int, payload: Any) -> "TupleBatch | None":
-        """Turn a fully merged payload into the window's result rows."""
-        raise NotImplementedError
-
     def assemble_windows(
         self, ready: np.ndarray, runs: "list[PartialRun]"
     ) -> "tuple[TupleBatch | None, np.ndarray]":
-        """Batched f_a: merge and finalise every ready window at once.
+        """Batched f_a: assemble every ready window at once.
 
         ``ready`` holds ascending window ids and ``runs`` the pending
         tasks' runs in task order.  Returns the windows' result rows
         concatenated in ``ready`` order (``None`` when there are none)
         and ``len(ready) + 1`` row offsets — window ``i`` owns rows
-        ``[offsets[i], offsets[i + 1])``.  This default is the one place
-        that walks payloads window by window: it left-folds each window's
-        payloads in task order with :meth:`merge_partials`.
+        ``[offsets[i], offsets[i + 1])``.  Operators that leave no
+        boundary windows never get a call.
         """
-        payloads: list[list[Any]] = [[] for __ in range(len(ready))]
-        for run in runs:
-            for at, row in zip(*run.locate(ready)):
-                payloads[at].append(run.columns[row])
-        chunks: list[TupleBatch] = []
-        offsets = np.zeros(len(ready) + 1, dtype=np.int64)
-        for i, (window_id, parts) in enumerate(zip(ready.tolist(), payloads)):
-            if not parts:
-                continue
-            rows = self.finalize_window(window_id, reduce(self.merge_partials, parts))
-            if rows is not None and len(rows):
-                chunks.append(rows)
-                offsets[i + 1] = len(rows)
-        if not chunks:
-            return None, offsets
-        np.cumsum(offsets, out=offsets)
-        return (TupleBatch.concat(chunks) if len(chunks) > 1 else chunks[0]), offsets
-
-    def merge_runs(self, runs: "list[PartialRun]") -> PartialRun:
-        """Eager f_a for :attr:`requires_merged_ready` operators: one run
-        holding every window of ``runs`` (task order), payloads merged."""
-        merged: dict[int, Any] = {}
-        for run in runs:
-            for window_id, payload in zip(run.ids.tolist(), run.columns):
-                if window_id in merged:
-                    payload = self.merge_partials(merged[window_id], payload)
-                merged[window_id] = payload
-        ids = sorted(merged)
-        return PartialRun(np.asarray(ids, dtype=np.int64), [merged[w] for w in ids])
-
-    def window_ready(self, payload: Any) -> "bool | None":
-        """Whether a merged payload can be finalised.
-
-        ``None`` (the default) defers to the per-task ``closed_ids``
-        bookkeeping; multi-input operators override this when closure can
-        only be decided from the merged state (e.g. a join window that
-        closes on its two streams in different tasks).
-        """
-        return None
+        raise NotImplementedError
 
     # -- helpers -------------------------------------------------------------
 
@@ -293,7 +364,3 @@ def key_codes(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     distinct[:, 0] = occupied + lows[0]
     return distinct, rank[cell]
 
-
-def emit_order(window_ids: "np.ndarray | list[int]") -> np.ndarray:
-    """Sort helper: result emission follows ascending window ids."""
-    return np.argsort(np.asarray(window_ids), kind="stable")

@@ -47,11 +47,10 @@ the segmented pass.
 Fragments sharing a ``(start, stop)`` range (every PENDING window of a
 task) are computed once.  Boundary fragments (OPENING / CLOSING /
 PENDING) leave the task as one :class:`~repro.operators.base.PartialRun`
-whose columns are :class:`BoundaryRows`: the task's one columnar
-:class:`GroupBlock` of boundary rows plus each window's row bounds and
-last timestamp as columns of one int64 array, with no Python object per
-window.  The assembly
-operator function folds all ready windows across the pending runs at
+whose one side is a :class:`~repro.operators.base.BoundaryRows`: the
+task's one columnar :class:`GroupBlock` of boundary rows plus each
+window's row bounds and last timestamp as columns of one int64 array,
+with no Python object per window.  The assembly operator function folds all ready windows across the pending runs at
 once (:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot runs
 this same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
 
@@ -72,6 +71,7 @@ from ..windows.assigner import FragmentState
 from .aggregate_functions import AggregateSpec, finalize
 from .base import (
     BatchResult,
+    BoundaryRows,
     CostProfile,
     Operator,
     PartialRun,
@@ -215,21 +215,6 @@ class GroupBlock:
                 for name in blocks[0].partials
             },
         )
-
-
-@dataclass
-class BoundaryRows:
-    """The columns of a grouped task's :class:`PartialRun`.
-
-    ``spans`` is a ``3 × windows`` int64 array ``(lo, hi, last_ts)``:
-    boundary window ``i`` of the run owns rows ``[lo[i], hi[i])`` of
-    ``block``, and its greatest timestamp in the task is ``last_ts[i]``
-    (0 for an empty fragment).  Windows whose fragments coincide share
-    rows, so a task ships its boundary tables once.
-    """
-
-    block: GroupBlock
-    spans: np.ndarray
 
 
 class GroupedAggregation(Operator):
@@ -481,7 +466,7 @@ class GroupedAggregation(Operator):
         if len(windows) == 0:
             return BatchResult(complete=TupleBatch.empty(self._output_schema))
         # One table per distinct fragment range: the PENDING windows of a
-        # task all span the whole batch, and share one table and payload.
+        # task all span the whole batch, and share one table and its rows.
         span = len(batch) + 1
         ranges, fragment = np.unique(windows.starts * span + windows.ends, return_inverse=True)
         starts, stops = np.divmod(ranges, span)
@@ -508,22 +493,20 @@ class GroupedAggregation(Operator):
             block = tables.take(concat_ranges(first_row[shipped], groups[shipped]))
             hi = np.cumsum(groups[shipped])
             spans = np.stack((hi - groups[shipped], hi, last_ts[shipped]))[:, slot]
-            partials = PartialRun(ids.astype(np.int64, copy=False), BoundaryRows(block, spans))
-        closing = windows.window_ids[windows.states == int(FragmentState.CLOSING)]
+            partials = PartialRun(
+                ids.astype(np.int64, copy=False),
+                (windows.states[boundary] == int(FragmentState.CLOSING))[None],
+                (BoundaryRows(block, spans),),
+            )
         stats = {
             "selectivity": 1.0,
             "fragments": float(len(windows)),
-            # Tables built, per fragment: a shared payload counts once.
+            # Tables built, per fragment: shared rows count once.
             "groups": float(groups[emitted].sum() + groups[shipped].sum())
             / max(1, len(windows)),
             "tuples": float(len(batch)),
         }
-        return BatchResult(
-            complete=complete,
-            partials=partials,
-            closed_ids=closing.astype(np.int64, copy=False),
-            stats=stats,
-        )
+        return BatchResult(complete=complete, partials=partials, stats=stats)
 
     # -- assembly operator function ---------------------------------------------
 
@@ -544,12 +527,13 @@ class GroupedAggregation(Operator):
             at, row = run.locate(ready)
             if not len(at):
                 continue
-            lo, hi, ts = run.columns.spans[:, row]
+            (boundary,) = run.sides
+            lo, hi, ts = boundary.spans[:, row]
             # A run holds a window once, so ``at`` has no repeats.
             last_ts[at] = np.maximum(last_ts[at], ts)
             windows.append(at)
             lengths.append(hi - lo)
-            blocks.append(run.columns.block.take(concat_ranges(lo, hi - lo)))
+            blocks.append(boundary.rows.take(concat_ranges(lo, hi - lo)))
         if not blocks or not sum(map(len, blocks)):
             return None, offsets
         stacked = GroupBlock.concat(blocks)

@@ -39,22 +39,17 @@ never materialised for a non-matching pair.  The per-window
 ``repeat × tile`` algorithm this replaced is the test oracle in
 ``tests/reference.py``; outputs are byte-identical to it.
 
-Windows spanning several tasks use a non-trivial assembly
-decomposition: a fragment payload retains both the local join result
-*and* the raw left/right fragments, and merging payloads adds the two
-cross terms — each a one-segment call of the same kernel::
-
-    merge((r1, a1, b1), (r2, a2, b2)) =
-        (r1 + r2 + join(a1, b2) + join(a2, b1),  a1 + a2,  b1 + b2)
-
-which is exactly the paper's "more elaborate decompositions must be
-defined" case (§3).
+A task joins only the windows COMPLETE on both inputs.  Any other
+window leaves in the task's run as raw rows, each input's boundary rows
+shipped once; once both inputs have closed it, assembly joins its full
+left and right rows across the pending runs in one kernel call over all
+ready windows.  Every window therefore comes out in (left row, right
+row) order, whatever the task cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -62,15 +57,17 @@ from ..errors import ExecutionError, QueryError
 from ..relational.expressions import And, Comparison, Expression, Predicate
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
-from ..windows.assigner import FragmentState, WindowSet
 from .base import (
     BatchResult,
     CostProfile,
     Operator,
     PartialRun,
     StreamSlice,
+    align_windows,
     concat_ranges,
+    fragment_run,
     key_codes,
+    window_rows,
 )
 
 #: candidate pairs one block of the kernel expands, evaluates and
@@ -81,17 +78,6 @@ from .base import (
 #: 3.4 ms and 256 Ki at 5.0 ms (10 MiB transient); below 8 Ki the
 #: per-block Python overhead shows.
 _BLOCK_PAIRS = 1 << 14
-
-
-@dataclass
-class JoinPartial:
-    """Mergeable state of one window pair spanning several tasks."""
-
-    result: TupleBatch
-    left: TupleBatch
-    right: TupleBatch
-    left_done: bool
-    right_done: bool
 
 
 class _PairColumns:
@@ -143,7 +129,6 @@ class ThetaJoin(Operator):
     """
 
     arity = 2
-    requires_merged_ready = True
 
     def __init__(
         self,
@@ -355,114 +340,44 @@ class ThetaJoin(Operator):
     # -- batch operator function ------------------------------------------------
 
     def process_batch(self, inputs: "list[StreamSlice]") -> BatchResult:
-        """All window pairs of the task through one pass of the kernel."""
+        """The task's windows COMPLETE on both inputs through one pass of
+        the kernel; every other window leaves in the run."""
         if len(inputs) != 2:
             raise ExecutionError("ThetaJoin expects exactly two inputs")
         left, right = inputs
-        ids, slot = np.unique(
-            np.concatenate([left.windows.window_ids, right.windows.window_ids]),
-            return_inverse=True,
-        )
-        lw = _Segments.of(left.windows, slot[: len(left.windows)], len(ids))
-        rw = _Segments.of(right.windows, slot[len(left.windows):], len(ids))
-        rows, matches = self.join_segments(
-            left.batch.data, right.batch.data, lw.start, lw.stop, rw.start, rw.stop
-        )
+        ids, (lw, rw) = align_windows(inputs)
         final = lw.final & rw.final
-        boundary = np.flatnonzero(~final)
-        pairs = float(((lw.stop - lw.start) * (rw.stop - rw.start)).sum())
-        output = TupleBatch(self._output_schema, rows)
+        joined = np.flatnonzero(final)
+        rows, __ = self.join_segments(
+            left.batch.data,
+            right.batch.data,
+            lw.start[joined],
+            lw.stop[joined],
+            rw.start[joined],
+            rw.stop[joined],
+        )
+        sizes = (lw.stop - lw.start) * (rw.stop - rw.start)
+        evaluated = float(sizes[joined].sum())
         return BatchResult(
-            complete=output if final.all() else output.filter(np.repeat(final, matches)),
-            partials=self._boundary_partials(
-                left.batch, right.batch, output, matches, ids, lw, rw, boundary
-            ),
-            closed_ids=ids[boundary[(lw.done & rw.done)[boundary]]].astype(np.int64),
+            complete=TupleBatch(self._output_schema, rows),
+            partials=fragment_run(ids, ~final, [left.batch.data, right.batch.data], [lw, rw]),
             stats={
-                "selectivity": float(len(rows)) / pairs if pairs else 0.0,
-                "pairs": pairs,
+                "selectivity": float(len(rows)) / evaluated if evaluated else 0.0,
+                "pairs": float(sizes.sum()),
                 "tuples": float(len(left.batch) + len(right.batch)),
                 "fragments": float(len(ids)),
             },
         )
 
-    def _boundary_partials(
-        self,
-        left: TupleBatch,
-        right: TupleBatch,
-        output: TupleBatch,
-        matches: np.ndarray,
-        ids: np.ndarray,
-        lw: "_Segments",
-        rw: "_Segments",
-        boundary: np.ndarray,
-    ) -> PartialRun:
-        """The run of the ``boundary`` segments — windows not COMPLETE
-        on both sides — with one payload per window.
-
-        Each owns copies of its rows: a window pending across many tasks
-        must not pin this task's batches and output array (threads), nor
-        ship more than its rows over the completion queue (processes).
-        """
-        stops = np.cumsum(matches)
-        payloads = [
-            JoinPartial(
-                result=output.slice(stops[s] - matches[s], stops[s]).copy(),
-                left=left.slice(lw.start[s], lw.stop[s]).copy(),
-                right=right.slice(rw.start[s], rw.stop[s]).copy(),
-                left_done=bool(lw.done[s]),
-                right_done=bool(rw.done[s]),
-            )
-            for s in boundary
-        ]
-        return PartialRun(ids[boundary].astype(np.int64), payloads)
-
     # -- assembly operator function ------------------------------------------------
 
-    def merge_partials(self, first: JoinPartial, second: JoinPartial) -> JoinPartial:
-        cross_1 = self.join_pairs(first.left, second.right)
-        cross_2 = self.join_pairs(second.left, first.right)
-        return JoinPartial(
-            result=TupleBatch.concat([first.result, second.result, cross_1, cross_2]),
-            left=TupleBatch.concat([first.left, second.left]),
-            right=TupleBatch.concat([first.right, second.right]),
-            left_done=first.left_done or second.left_done,
-            right_done=first.right_done or second.right_done,
-        )
-
-    def finalize_window(self, window_id: int, payload: JoinPartial) -> "TupleBatch | None":
-        return payload.result if len(payload.result) else None
-
-    def window_ready(self, payload: JoinPartial) -> bool:
-        return payload.left_done and payload.right_done
-
-
-class _Segments(NamedTuple):
-    """One stream's share of every window of a task, by window slot."""
-
-    start: np.ndarray
-    stop: np.ndarray
-    #: closes here or closed earlier (COMPLETE / CLOSING)
-    done: np.ndarray
-    #: COMPLETE locally
-    final: np.ndarray
-
-    @classmethod
-    def of(cls, windows: WindowSet, slot: np.ndarray, count: int) -> "_Segments":
-        """``slot[i]`` is fragment *i*'s place among the task's ``count``
-        window ids.  A window with no fragment in this stream's batch is
-        an empty segment and *not* done — its stream may not have reached
-        it yet, so the result stage merges later tasks.
-        """
-        # (start, stop, state) by slot, pre-filled with an absent window's.
-        table = np.zeros((3, count), dtype=np.int64)
-        table[2] = int(FragmentState.PENDING)
-        table[:, slot] = windows.starts, windows.ends, windows.states
-        start, stop, states = table
-        final = states == int(FragmentState.COMPLETE)
-        return cls(
-            start,
-            np.maximum(stop, start),
-            final | (states == int(FragmentState.CLOSING)),
-            final,
-        )
+    def assemble_windows(
+        self, ready: np.ndarray, runs: "list[PartialRun]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        """Every ready window's full left and right rows through one
+        kernel call."""
+        (left, ls, le), (right, rs, re) = (window_rows(ready, runs, side) for side in (0, 1))
+        rows, matches = self.join_segments(left, right, ls, le, rs, re)
+        offsets = np.zeros(len(ready) + 1, dtype=np.int64)
+        np.cumsum(matches, out=offsets[1:])
+        return (TupleBatch(self._output_schema, rows) if len(rows) else None), offsets

@@ -11,8 +11,6 @@ slide (Fig. 11a).
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import QueryError
 from ..relational.expressions import Expression
 from ..relational.schema import Attribute, Schema
@@ -70,12 +68,6 @@ class Projection(Operator):
             **{name: expr.evaluate(batch) for name, expr in self._columns},
         )
         return BatchResult(complete=out, stats={"selectivity": 1.0})
-
-    def merge_partials(self, first: Any, second: Any) -> Any:
-        raise QueryError("projection has no window partials to merge")
-
-    def finalize_window(self, window_id: int, payload: Any) -> None:
-        raise QueryError("projection has no window partials to finalise")
 
 
 def identity_projection(schema: Schema) -> Projection:

@@ -10,8 +10,6 @@ powers the Fig. 16 adaptivity experiment.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import QueryError
 from ..relational.expressions import Predicate
 from ..relational.schema import Schema
@@ -52,9 +50,3 @@ class Selection(Operator):
         out = batch.filter(mask)
         selectivity = len(out) / len(batch) if len(batch) else 0.0
         return BatchResult(complete=out, stats={"selectivity": selectivity})
-
-    def merge_partials(self, first: Any, second: Any) -> Any:
-        raise QueryError("selection has no window partials to merge")
-
-    def finalize_window(self, window_id: int, payload: Any) -> None:
-        raise QueryError("selection has no window partials to finalise")

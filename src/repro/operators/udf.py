@@ -2,10 +2,11 @@
 
 A :class:`WindowUdf` wraps a per-window Python function
 ``f(windows: list[TupleBatch]) -> TupleBatch`` (one input batch per
-stream).  The generic fragment decomposition retains raw fragment tuples
-as the partial payload and applies the function once all fragments of a
-window are present — always correct, at the cost of buffering, which is
-the price the paper notes for functions without cheaper decompositions.
+stream).  The generic fragment decomposition ships a task's raw boundary
+rows, once per input, and applies the function once every input has
+closed the window, to slices of the window's rows across the pending
+runs — always correct, at the cost of buffering, which is the price the
+paper notes for functions without cheaper decompositions.
 
 :func:`partition_join` builds the paper's example n-ary partition-join UDF:
 it partitions every input window on a key column and joins corresponding
@@ -14,7 +15,6 @@ partitions — behaviour that a standard θ-join cannot express.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,22 +22,20 @@ import numpy as np
 from ..errors import ExecutionError
 from ..relational.schema import Schema
 from ..relational.tuples import TupleBatch
-from ..windows.assigner import FragmentState
-from .base import BatchResult, CostProfile, Operator, PartialRun, StreamSlice
-
-
-@dataclass
-class UdfPartial:
-    """Raw fragments of one window, per input stream."""
-
-    fragments: "list[TupleBatch]"
-    done: "list[bool]"
+from .base import (
+    BatchResult,
+    CostProfile,
+    Operator,
+    PartialRun,
+    StreamSlice,
+    align_windows,
+    fragment_run,
+    window_rows,
+)
 
 
 class WindowUdf(Operator):
     """Operator defined by an arbitrary per-window function."""
-
-    requires_merged_ready = True
 
     def __init__(
         self,
@@ -67,71 +65,52 @@ class WindowUdf(Operator):
             raise ExecutionError(
                 f"UDF expects {self.arity} input(s), got {len(inputs)}"
             )
-        indexes = [
-            {int(w): i for i, w in enumerate(s.windows.window_ids)} for s in inputs
-        ]
-        window_ids = sorted(set().union(*[set(ix) for ix in indexes]))
-        chunks: list[TupleBatch] = []
-        ids: list[int] = []
-        payloads: list[UdfPartial] = []
-        closed: list[int] = []
-        for wid in window_ids:
-            fragments: list[TupleBatch] = []
-            done: list[bool] = []
-            local: list[bool] = []
-            for s, index in zip(inputs, indexes):
-                idx = index.get(wid)
-                if idx is None:
-                    fragments.append(TupleBatch.empty(s.batch.schema))
-                    done.append(False)
-                    local.append(False)
-                    continue
-                start, stop = int(s.windows.starts[idx]), int(s.windows.ends[idx])
-                state = int(s.windows.states[idx])
-                fragments.append(s.batch.slice(start, stop))
-                done.append(
-                    state in (int(FragmentState.COMPLETE), int(FragmentState.CLOSING))
-                )
-                local.append(state == int(FragmentState.COMPLETE))
-            if all(local):
-                result = self._function(fragments)
-                if len(result):
-                    chunks.append(result)
-            else:
-                ids.append(wid)
-                payloads.append(UdfPartial(fragments=fragments, done=done))
-                if all(done):
-                    closed.append(wid)
-        complete = (
-            TupleBatch.concat(chunks)
-            if chunks
-            else TupleBatch.empty(self._output_schema)
+        ids, fragments = align_windows(inputs)
+        final = np.logical_and.reduce([f.final for f in fragments])
+        rows = [s.batch.data for s in inputs]
+        complete, __ = self._apply(
+            [(data, f.start[final], f.stop[final]) for data, f in zip(rows, fragments)]
         )
         stats = {
             "selectivity": 1.0,
             "tuples": float(sum(len(s.batch) for s in inputs)),
-            "fragments": float(len(window_ids)),
+            "fragments": float(len(ids)),
         }
         return BatchResult(
-            complete=complete,
-            partials=PartialRun(np.asarray(ids, dtype=np.int64), payloads),
-            closed_ids=np.asarray(closed, dtype=np.int64),
+            complete=complete if complete is not None else TupleBatch.empty(self._output_schema),
+            partials=fragment_run(ids, ~final, rows, fragments),
             stats=stats,
         )
 
-    def merge_partials(self, first: UdfPartial, second: UdfPartial) -> UdfPartial:
-        fragments = [
-            TupleBatch.concat([a, b]) for a, b in zip(first.fragments, second.fragments)
-        ]
-        done = [a or b for a, b in zip(first.done, second.done)]
-        return UdfPartial(fragments=fragments, done=done)
+    def assemble_windows(
+        self, ready: np.ndarray, runs: "list[PartialRun]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        return self._apply([window_rows(ready, runs, side) for side in range(self.arity)])
 
-    def finalize_window(self, window_id: int, payload: UdfPartial) -> "TupleBatch | None":
-        result = self._function(payload.fragments)
-        return result if len(result) else None
-
-    def window_ready(self, payload: UdfPartial) -> bool:
-        return all(payload.done)
+    def _apply(
+        self, sides: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]"
+    ) -> "tuple[TupleBatch | None, np.ndarray]":
+        """The function over every window, one call each: window ``i``
+        reads ``rows[starts[i]:stops[i]]`` of each ``(rows, starts,
+        stops)`` side.  Returns the results in window order and their
+        row offsets."""
+        count = len(sides[0][1])
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        chunks: list[TupleBatch] = []
+        for i in range(count):
+            result = self._function(
+                [
+                    TupleBatch(schema, rows[starts[i] : stops[i]])
+                    for schema, (rows, starts, stops) in zip(self.input_schemas, sides)
+                ]
+            )
+            if len(result):
+                chunks.append(result)
+                offsets[i + 1] = len(result)
+        np.cumsum(offsets, out=offsets)
+        if not chunks:
+            return None, offsets
+        return (TupleBatch.concat(chunks) if len(chunks) > 1 else chunks[0]), offsets
 
 
 def partition_join(

@@ -21,7 +21,9 @@ from repro.errors import ValidationError
 from repro.operators.aggregate_functions import finalize
 from repro.operators.base import BatchResult, StreamSlice
 from repro.operators.compose import FilteredWindows, ProjectedWindows
-from repro.operators.groupby import BoundaryRows, GroupBlock, GroupedAggregation
+from repro.operators.distinct import DistinctProjection
+from repro.operators.groupby import GroupBlock, GroupedAggregation
+from repro.operators.udf import WindowUdf
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
 from repro.windows.assigner import FragmentState, WindowSet, assign_windows
@@ -284,29 +286,44 @@ def run_engine_path(op, tasks, collect_output=True):
 # -- the retired per-window result stage, kept as the bitwise oracle ---------------
 #
 # ``ResultStage`` before a task's boundary partials left it as one run:
-# every window's payloads appended one at a time to a ``dict[wid, list]``,
-# closed ids remembered in a set, and each ready window's payloads
-# left-folded pairwise (``merge_partials``) and finalised on its own.  A
-# grouped window's payload was its rows of the task's block plus its last
-# timestamp, and a merge re-folded the stacked rows of two payloads from
-# 0.0.  The run-based stage must equal it byte for byte.
+# every window's payloads appended one at a time to a dict keyed by
+# window id, each window's payloads left-folded pairwise and finalised on
+# its own once every input had closed it.  A grouped window's payload was
+# its rows of the task's block plus its last timestamp, and a merge
+# re-folded the stacked rows of two payloads from 0.0; a DISTINCT window's
+# was its fragment's ``np.unique`` rows, merged by ``np.unique`` of both;
+# a UDF window's was its raw fragment rows per input, concatenated.  The
+# run-based stage must equal it byte for byte (DISTINCT keeps the first of
+# rows that compare equal where ``np.unique`` keeps any, so the two agree
+# on rows without ``-0.0``).
 
 
 def run_payloads(run) -> dict:
-    """``{window id: payload}`` of one run, one Python object per window."""
-    if isinstance(run.columns, BoundaryRows):
-        block = run.columns.block
+    """``{window id: (payload, done per input)}`` of one run, one Python
+    object per window: a grouped window's payload is its rows of the
+    run's block and its last timestamp, any other window's its fragment
+    rows per input."""
+    if not run.sides:
+        return {}
+    ids, done = run.ids.tolist(), run.done.T.tolist()
+    block = run.sides[0].rows
+    if isinstance(block, GroupBlock):
+        spans = run.sides[0].spans.T.tolist()
         return {
-            wid: (block.take(np.arange(lo, hi)), ts)
-            for wid, (lo, hi, ts) in zip(run.ids.tolist(), run.columns.spans.T.tolist())
+            wid: ((block.take(np.arange(lo, hi)), ts), flags)
+            for wid, (lo, hi, ts), flags in zip(ids, spans, done)
         }
-    return dict(zip(run.ids.tolist(), run.columns))
+    return {
+        wid: ([side.rows[side.spans[0, i] : side.spans[1, i]] for side in run.sides], flags)
+        for i, (wid, flags) in enumerate(zip(ids, done))
+    }
 
 
-def _grouped_operator(op) -> "GroupedAggregation | None":
-    while not isinstance(op, GroupedAggregation) and hasattr(op, "inner"):
+def _terminal(op):
+    """The operator that owns the runs: composers hand them to their inner one."""
+    while hasattr(op, "inner"):
         op = op.inner
-    return op if isinstance(op, GroupedAggregation) else None
+    return op
 
 
 def _fold_tables(payloads: list) -> tuple:
@@ -331,6 +348,38 @@ def _fold_tables(payloads: list) -> tuple:
     return merged, ts
 
 
+def _retired_fold(op) -> tuple:
+    """``(local, merge, finalize)`` of the retired per-window protocol:
+    a task's payload, two consecutive payloads folded, and a window's
+    result rows (``None`` for none)."""
+    terminal = _terminal(op)
+    if isinstance(terminal, GroupedAggregation):
+
+        def finalize_grouped(payload):
+            table, ts = _fold_tables([payload])
+            rows, __ = terminal._emit_rows(np.full(len(table), ts, dtype=np.int64), table)
+            return rows
+
+        return (lambda payload: payload), (lambda a, b: _fold_tables([a, b])), finalize_grouped
+    if isinstance(terminal, DistinctProjection):
+        schema = terminal.output_schema
+        return (
+            lambda fragments: np.unique(fragments[0]),
+            lambda a, b: np.unique(np.concatenate([a, b])),
+            lambda rows: TupleBatch(schema, rows) if len(rows) else None,
+        )
+    if isinstance(terminal, WindowUdf):
+        schemas = terminal.input_schemas
+        return (
+            lambda fragments: fragments,
+            lambda a, b: [np.concatenate([x, y]) for x, y in zip(a, b)],
+            lambda fragments: terminal._function(
+                [TupleBatch(schema, rows) for schema, rows in zip(schemas, fragments)]
+            ),
+        )
+    raise TypeError(f"no retired fold for {type(terminal).__name__}")
+
+
 def pairwise_stage(op, results: "list[BatchResult]", flush: bool = True) -> tuple:
     """``results`` (in task order) through the one-window-at-a-time stage.
 
@@ -339,44 +388,27 @@ def pairwise_stage(op, results: "list[BatchResult]", flush: bool = True) -> tupl
     flush) and the ``(window id, rows)`` of every finalised window with
     rows, all as raw bytes — the shapes :func:`run_engine_path` returns.
     """
-    grouped = _grouped_operator(op)
+    local, merge, finalize = _retired_fold(op)
     pending: dict = {}
-    closed: set = set()
     chunks, finalised = [], []
 
-    def merge(first, second):
-        if grouped is not None:
-            return _fold_tables([first, second])
-        return op.merge_partials(first, second)
-
     def close(wid: int, out: list) -> None:
-        payloads = pending.pop(wid)
-        merged = payloads[0]
-        for payload in payloads[1:]:
-            merged = merge(merged, payload)
-        if grouped is not None:
-            table, ts = _fold_tables([merged])
-            rows, __ = grouped._emit_rows(np.full(len(table), ts, dtype=np.int64), table)
-        else:
-            rows = op.finalize_window(wid, merged)
+        rows = finalize(pending.pop(wid)[0])
         if rows is not None and len(rows):
             finalised.append((wid, rows.data.tobytes()))
             out.append(rows)
 
     for result in results:
         ready = []
-        closed.update(result.closed_ids.tolist())
-        for wid, payload in sorted(run_payloads(result.partials).items()):
-            payloads = pending.setdefault(wid, [])
-            payloads.append(payload)
-            if op.requires_merged_ready:
-                if len(payloads) > 1:
-                    payloads[:] = [merge(*payloads)]
-                if op.window_ready(payloads[0]):
-                    ready.append(wid)
-            elif wid in closed:
+        for wid, (payload, done) in sorted(run_payloads(result.partials).items()):
+            payload = local(payload)
+            if wid in pending:
+                merged, closed = pending[wid]
+                payload = merge(merged, payload)
+                done = [a or b for a, b in zip(closed, done)]
+            pending[wid] = (payload, done)
+            if all(done):
                 ready.append(wid)
-        closed.difference_update(ready)
         out: list = []
         for wid in ready:
             close(wid, out)
@@ -399,7 +431,7 @@ def pairwise_stage(op, results: "list[BatchResult]", flush: bool = True) -> tupl
 # ``repeat × tile`` cross product as combined rows, evaluate the
 # predicate over them, filter — the algorithm ``ThetaJoin`` ran before
 # its one-pass-per-task kernel.  The kernel must equal it byte for byte,
-# in ``complete``, in every partial and in ``closed_ids`` and ``stats``.
+# in ``complete``, in every window of the run and in ``stats``.
 
 
 def join_pairs_by_cross_product(op, left: TupleBatch, right: TupleBatch) -> TupleBatch:
@@ -420,8 +452,9 @@ def join_by_window(op, left, right) -> tuple:
     """One task through the per-window algorithm.
 
     ``left`` / ``right`` are ``StreamSlice``-likes (``batch``, ``windows``).
-    Returns ``(complete bytes, {wid: (result, left, right, left_done,
-    right_done)}, closed ids, stats)`` with rows as raw bytes.
+    Windows COMPLETE on both sides are joined; every other window is
+    kept as its fragments.  Returns ``(complete bytes, {wid: (left rows,
+    right rows, left_done, right_done)}, stats)`` with rows as raw bytes.
     """
     done_states = (int(FragmentState.COMPLETE), int(FragmentState.CLOSING))
 
@@ -436,29 +469,26 @@ def join_by_window(op, left, right) -> tuple:
     l_index = {int(w): i for i, w in enumerate(left.windows.window_ids)}
     r_index = {int(w): i for i, w in enumerate(right.windows.window_ids)}
     window_ids = sorted(set(l_index) | set(r_index))
-    complete, partials, closed = [], {}, []
-    pairs = matched = 0.0
+    complete, partials = [], {}
+    pairs = joined = matched = 0.0
     for wid in window_ids:
         l_rows, l_done, l_final = fragment(left, l_index.get(wid))
         r_rows, r_done, r_final = fragment(right, r_index.get(wid))
-        local = join_pairs_by_cross_product(op, l_rows, r_rows)
         pairs += len(l_rows) * len(r_rows)
-        matched += len(local)
         if l_final and r_final:
+            local = join_pairs_by_cross_product(op, l_rows, r_rows)
+            joined += len(l_rows) * len(r_rows)
+            matched += len(local)
             complete.append(local.data.tobytes())
             continue
-        partials[wid] = (
-            local.data.tobytes(), l_rows.data.tobytes(), r_rows.data.tobytes(), l_done, r_done,
-        )
-        if l_done and r_done:
-            closed.append(wid)
+        partials[wid] = (l_rows.data.tobytes(), r_rows.data.tobytes(), l_done, r_done)
     stats = {
-        "selectivity": matched / pairs if pairs else 0.0,
+        "selectivity": matched / joined if joined else 0.0,
         "pairs": pairs,
         "tuples": float(len(left.batch) + len(right.batch)),
         "fragments": float(len(window_ids)),
     }
-    return b"".join(complete), partials, closed, stats
+    return b"".join(complete), partials, stats
 
 
 def join_stream_by_window(
@@ -466,13 +496,14 @@ def join_stream_by_window(
 ) -> "tuple[list[bytes], list[tuple[int, bytes]]]":
     """Run ``[(left slice, right slice), ...]`` through the per-window join.
 
-    The result stage's contract, spelt out: a boundary window's payload
-    ``(result, left rows, right rows)`` is merged into the pending one
-    task by task — ``r1 + r2 + a1 ⋈ b2 + a2 ⋈ b1`` — and the window is
-    finalised once both sides have closed.  Returns the emitted chunks
-    (per task: finalised windows in id order, then the task's COMPLETE
-    windows; a last chunk for the flush) and the ``(window id, rows)`` of
-    every finalised window with rows, all as raw bytes.
+    The result stage's contract, spelt out: a boundary window's left and
+    right fragments are appended task by task, and once both sides have
+    closed, its whole left rows are joined with its whole right rows —
+    so a window's output does not depend on how tasks cut it.  Returns
+    the emitted chunks (per task: finalised windows in id order, then
+    the task's COMPLETE windows; a last chunk for the flush) and the
+    ``(window id, rows)`` of every finalised window with rows, all as
+    raw bytes.
     """
     pending: dict = {}
     chunks, finalised = [], []
@@ -481,28 +512,24 @@ def join_stream_by_window(
         return TupleBatch(schema, np.frombuffer(raw, dtype=schema.dtype))
 
     def close(wid: int, out: list) -> None:
-        result = pending.pop(wid)[0]
+        l_rows, r_rows, __, __ = pending.pop(wid)
+        result = join_pairs_by_cross_product(
+            op, as_batch(op.left_schema, l_rows), as_batch(op.right_schema, r_rows)
+        ).data.tobytes()
         if result:
             finalised.append((wid, result))
             out.append(result)
 
     for left, right in tasks:
-        complete, partials, __, __ = join_by_window(op, left, right)
+        complete, partials, __ = join_by_window(op, left, right)
         ready = []
         for wid in sorted(partials):
-            result, l_rows, r_rows, l_done, r_done = partials[wid]
+            l_rows, r_rows, l_done, r_done = partials[wid]
             if wid in pending:
-                old_result, old_l, old_r, old_l_done, old_r_done = pending[wid]
-                cross_1 = join_pairs_by_cross_product(
-                    op, as_batch(op.left_schema, old_l), as_batch(op.right_schema, r_rows)
-                )
-                cross_2 = join_pairs_by_cross_product(
-                    op, as_batch(op.left_schema, l_rows), as_batch(op.right_schema, old_r)
-                )
-                result = old_result + result + cross_1.data.tobytes() + cross_2.data.tobytes()
+                old_l, old_r, old_l_done, old_r_done = pending[wid]
                 l_rows, r_rows = old_l + l_rows, old_r + r_rows
                 l_done, r_done = old_l_done or l_done, old_r_done or r_done
-            pending[wid] = (result, l_rows, r_rows, l_done, r_done)
+            pending[wid] = (l_rows, r_rows, l_done, r_done)
             if l_done and r_done:
                 ready.append(wid)
         out: list = []

@@ -331,14 +331,14 @@ def test_hybrid_repeated_runs_shake_out_races():
 # -- HLS feedback under a skewed device ----------------------------------------
 
 
-def _hybrid_counts(throttle_seconds, execution, seed=31, n_tasks=40):
+def _hybrid_counts(throttle_seconds, execution, seed=31, n_tasks=40, **config):
     _needs_fork(execution)
     engine = SaberEngine(
         SaberConfig(
             execution=execution,
             task_size_bytes=128 * TUPLE_SIZE,
             cpu_workers=2,
-            queue_capacity=8,
+            **{"queue_capacity": 8, **config},
         )
     )
     # The skew knob lives on the device, not in the engine configuration
@@ -393,11 +393,25 @@ def test_hls_migrates_off_throttled_accelerator_on_processes():
 
 
 def test_unthrottled_hybrid_keeps_device_productive(execution="threads"):
-    """Without skew, sustained load reaches the accelerator too."""
-    out, engine, gpu_tasks = _hybrid_counts(0.0, execution, n_tasks=60)
+    """Without skew, sustained load reaches the accelerator too.
+
+    Alg. 1 guarantees it through the switch threshold, whatever order
+    the workers poll in: after ``st`` consecutive CPU tasks line 6
+    refuses the CPU and offers the next task to the device, and only a
+    taken task resets the CPU's count (line 7).  The line-12 fallback
+    could take that turn away — a CPU worker taking the last queued task
+    resets the count too — but it needs ``fallback_backlog`` queued
+    tasks, and a queue of 3 never holds that many.  At the default
+    threshold (1000) the device got work only when it happened to poll
+    during a backlog, which thread wake-up order decided.
+    """
+    n_tasks, threshold, capacity = 60, 8, 3
+    out, engine, gpu_tasks = _hybrid_counts(
+        0.0, execution, n_tasks=n_tasks, switch_threshold=threshold, queue_capacity=capacity
+    )
     assert out is not None
-    # The backlog fallback alone guarantees the device sees work under
-    # sustained dispatch; zero would mean the GPGPU slot is dead.
+    assert threshold < n_tasks and capacity < engine.scheduler.fallback_backlog
+    # Zero would mean the GPGPU slot is dead.
     assert gpu_tasks > 0
     assert engine.accelerator.stats.snapshot()["tasks"] == gpu_tasks
 

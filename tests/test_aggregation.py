@@ -109,7 +109,7 @@ class TestFragmentsAndAssembly:
         # Window 0 [0,8) complete; window 1 [4,12) opening; window 2 [8,16) opening.
         assert len(result.complete) == 1
         assert result.partials.ids.tolist() == [1, 2] and len(result.partials) == 2
-        assert result.closed_ids.tolist() == []
+        assert not result.partials.done.any()
 
     def test_cross_task_merge_equals_single_task(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v"), AggregateSpec("max", "v")])
@@ -121,11 +121,11 @@ class TestFragmentsAndAssembly:
         assert rows.column("max_v")[0] == 7.0
         assert rows.timestamps[0] == 7
 
-    def test_closed_ids_on_closing_fragment(self):
+    def test_done_flag_on_closing_fragment(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])
         w = WindowDefinition.rows(8, 4)
         r2 = run_window(op, w, 6, 14)
-        assert 0 in r2.closed_ids
+        assert 0 in r2.partials.ids[r2.partials.done[0]]
 
     def test_finalize_empty_payload_returns_none(self):
         op = GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "v")])

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.operators.base import StreamSlice
 from repro.operators.compose import FilteredWindows
-from repro.operators.distinct import DistinctProjection
+from repro.operators.distinct import DistinctProjection, distinct_rows
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.groupby import GroupedAggregation
 from repro.operators.udf import WindowUdf, partition_join
@@ -30,10 +31,11 @@ def batch(start, stop, seed=0):
     )
 
 
-def first_payload(result):
-    """Window 0's payload: the first entry of the task's run."""
-    assert result.partials.ids[0] == 0
-    return result.partials.columns[0]
+def assemble_first(op, *results):
+    """Window 0 assembled across the tasks' runs."""
+    assert all(result.partials.ids[0] == 0 for result in results)
+    rows, __ = op.assemble_windows(np.array([0]), [result.partials for result in results])
+    return rows
 
 
 def sl(data, window, start=0):
@@ -53,17 +55,44 @@ class TestDistinct:
         w = WindowDefinition.rows(6, 6)
         r1 = op.process_batch([sl(batch(0, 4), w)])
         r2 = op.process_batch([sl(batch(4, 6), w, start=4)])
-        merged = op.merge_partials(first_payload(r1), first_payload(r2))
-        rows = op.finalize_window(0, merged)
-        assert sorted(rows.column("k").tolist()) == [0, 1, 2]
+        rows = assemble_first(op, r1, r2)
+        assert rows.column("k").tolist() == [0, 1, 2]
 
-    def test_duplicates_removed_in_merge(self):
+    def test_duplicates_removed_across_tasks(self):
         op = DistinctProjection(SCHEMA, [("k", col("k"))])
         w = WindowDefinition.rows(12, 12)
         r1 = op.process_batch([sl(batch(0, 6), w)])
         r2 = op.process_batch([sl(batch(6, 12), w, start=6)])
-        merged = op.merge_partials(first_payload(r1), first_payload(r2))
-        assert len(op.finalize_window(0, merged)) == 3
+        assert len(assemble_first(op, r1, r2)) == 3
+
+
+FLOATS = np.array([0.0, -0.0, 1.5, np.nan, -2.0], dtype=np.float32)
+PAIR = np.dtype([("k", np.int32), ("f", np.float32)])
+
+
+@given(
+    values=st.lists(st.tuples(st.integers(0, 3), st.integers(0, len(FLOATS) - 1)), max_size=60),
+    ranges=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=5),
+)
+def test_distinct_rows_keep_the_first_of_equal_rows(values, ranges):
+    """Per range, a row is kept unless an earlier kept row equals it field
+    by field (``-0.0 == 0.0``, NaN equals nothing); the kept rows come out
+    sorted, ties in stream order."""
+    rows = np.array([(k, FLOATS[f]) for k, f in values], dtype=PAIR)
+    ranges = [tuple(sorted(min(x, len(rows)) for x in pair)) for pair in ranges]
+    starts = np.array([a for a, __ in ranges], dtype=np.int64)
+    stops = np.array([b for __, b in ranges], dtype=np.int64)
+    got, counts = distinct_rows(rows, starts, stops)
+    expected = []
+    for a, b in ranges:
+        kept = []
+        for row in rows[a:b]:
+            if not any(row["k"] == other["k"] and row["f"] == other["f"] for other in kept):
+                kept.append(row)
+        kept = np.array(kept, dtype=PAIR)
+        expected.append(kept[np.argsort(kept, kind="stable")])
+    assert counts.tolist() == [len(rows) for rows in expected]
+    assert got.tobytes() == b"".join(rows.tobytes() for rows in expected)
 
 
 class TestFilteredWindows:
@@ -129,9 +158,8 @@ class TestUdf:
         w = WindowDefinition.rows(8, 8)
         r1 = op.process_batch([sl(batch(0, 5), w)])
         r2 = op.process_batch([sl(batch(5, 8), w, start=5)])
-        merged = op.merge_partials(first_payload(r1), first_payload(r2))
-        assert op.window_ready(merged)
-        assert op.finalize_window(0, merged).column("n")[0] == 8
+        assert r2.partials.done.tolist() == [[True]]
+        assert assemble_first(op, r1, r2).column("n")[0] == 8
 
     def test_partition_join(self):
         out_schema = Schema.parse("k:long, total:double")

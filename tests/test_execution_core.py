@@ -423,6 +423,51 @@ def test_guard_sees_a_per_window_grouped_payload(tmp_path):
     }
 
 
+# -- one columnar run, one readiness rule -----------------------------------------
+
+
+def _payload_protocol_sites(root):
+    """{name: sorted modules} for the names of the retired per-window
+    payload protocol: its fold and readiness hooks, the per-task closed
+    ids, the three payload classes and the dead emission-order helper."""
+    gone = {
+        "merge_partials", "finalize_window", "window_ready", "merge_runs",
+        "requires_merged_ready", "_merged_ready", "closed_ids",
+        "DistinctPartial", "UdfPartial", "JoinPartial", "emit_order",
+    }
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        for name in set(_names(ast.parse(path.read_text()))) & gone:
+            sites.setdefault(name, []).append(path.relative_to(root).as_posix())
+    return sites
+
+
+def test_every_windowed_operator_ships_one_columnar_run():
+    """DISTINCT, UDF and the join ship arrays like GROUP-BY does, and the
+    result stage decides readiness from the runs' done flags alone: no
+    payload object, pairwise fold or per-operator readiness hook is left."""
+    assert _payload_protocol_sites(SRC) == {}
+
+
+def test_guard_sees_the_payload_protocol(tmp_path):
+    (tmp_path / "join.py").write_text(
+        "class JoinPartial:\n    pass\n"
+        "class ThetaJoin:\n    requires_merged_ready = True\n"
+        "    def merge_partials(self, a, b): pass\n"
+    )
+    (tmp_path / "stage.py").write_text(
+        "ready = result.closed_ids\nop.window_ready(payload)\nhook = 'merge_runs'\n"
+    )
+    assert _payload_protocol_sites(tmp_path) == {
+        "JoinPartial": ["join.py"],
+        "requires_merged_ready": ["join.py"],
+        "merge_partials": ["join.py"],
+        "closed_ids": ["stage.py"],
+        "window_ready": ["stage.py"],
+        "merge_runs": ["stage.py"],
+    }
+
+
 # -- one key coder -----------------------------------------------------------------
 
 

@@ -68,16 +68,10 @@ class TestKernelEquivalence:
             assert len(cpu.complete) and cpu.complete.data.tobytes() == gpu.complete.data.tobytes()
             assert len(cpu.partials) == 6
             assert cpu.partials.ids.tolist() == gpu.partials.ids.tolist()
-            for partial, other in zip(cpu.partials.columns, gpu.partials.columns):
-                for name in ("result", "left", "right"):
-                    assert (
-                        getattr(partial, name).data.tobytes()
-                        == getattr(other, name).data.tobytes()
-                    )
-                assert (partial.left_done, partial.right_done) == (
-                    other.left_done, other.right_done,
-                )
-            assert cpu.closed_ids.tolist() == gpu.closed_ids.tolist()
+            assert cpu.partials.done.tolist() == gpu.partials.done.tolist()
+            for side, other in zip(cpu.partials.sides, gpu.partials.sides):
+                assert side.rows.tobytes() == other.rows.tobytes()
+                assert side.spans.tolist() == other.spans.tolist()
             assert cpu.stats == gpu.stats
 
     def test_aggregation_path_matches(self):

@@ -18,8 +18,8 @@ from repro.core.cql import compile_statement
 from repro.errors import CQLSyntaxError, QueryError
 from repro.operators import base as base_module, groupby as groupby_module
 from repro.operators.aggregate_functions import AggregateSpec
-from repro.operators.base import PartialRun, StreamSlice, key_codes
-from repro.operators.groupby import BoundaryRows, GroupedAggregation
+from repro.operators.base import BoundaryRows, PartialRun, StreamSlice, key_codes
+from repro.operators.groupby import GroupedAggregation
 from repro.relational.expressions import col
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -234,14 +234,14 @@ class TestMemoryShape:
         op = make_operator(["g"], [("sum", "w")])
         window = WindowDefinition.rows(400, 10)
         result = op.process_batch([StreamSlice(data, assign_windows(window, 200, 240), 200)])
-        run, rows = result.partials, result.partials.columns
+        run, (rows,) = result.partials, result.partials.sides
         at = np.searchsorted(run.ids, np.arange(20))  # span the whole batch
         assert run.ids[at].tolist() == list(range(20))
         lo, hi, __ = rows.spans
         assert len(set(zip(lo[at].tolist(), hi[at].tolist()))) == 1
         # Shared rows are stored once: the block is no longer than the
         # distinct row ranges.
-        assert len(rows.block) == sum(b - a for a, b in set(zip(lo.tolist(), hi.tolist())))
+        assert len(rows.rows) == sum(b - a for a, b in set(zip(lo.tolist(), hi.tolist())))
 
     def test_tumbling_fragments_skip_the_gather(self, monkeypatch):
         def no_gather(*args):
@@ -328,16 +328,16 @@ class TestPayloads:
         run = result.partials
         assert len(run) == 510 and run.ids.dtype == np.int64
         assert run.ids.tolist() == list(range(257, 512)) + list(range(769, 1024))
-        assert result.closed_ids.dtype == np.int64
-        assert result.closed_ids.tolist() == list(range(257, 512))
+        assert run.done.shape == (1, 510) and run.done.dtype == bool
+        assert run.ids[run.done[0]].tolist() == list(range(257, 512))
 
     def test_completion_queue_pickle_ships_the_block_once(self):
         __, result = self.slide_one_result()
-        run, rows = result.partials, result.partials.columns
-        block = rows.block
+        run, (rows,) = result.partials, result.partials.sides
+        block = rows.rows
         columns = block.keys.nbytes + block.counts.nbytes
         columns += sum(column.nbytes for column in block.partials.values())
-        columns += run.ids.nbytes + rows.spans.nbytes
+        columns += run.ids.nbytes + run.done.nbytes + rows.spans.nbytes
         shipped = len(pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL))
         # A handful of arrays: nothing per window.
         assert shipped < columns + 1024
@@ -346,16 +346,18 @@ class TestPayloads:
 
     def test_block_holds_boundary_rows_only(self):
         __, result = self.slide_one_result()
-        rows = result.partials.columns
+        (rows,) = result.partials.sides
         # 510 boundary fragments × ≤ 8 groups; the 257 COMPLETE windows'
         # ~2000 rows were emitted and dropped.
-        assert len(rows.block) == int((rows.spans[1] - rows.spans[0]).sum())
-        assert len(rows.block) <= 510 * 8
+        assert len(rows.rows) == int((rows.spans[1] - rows.spans[0]).sum())
+        assert len(rows.rows) <= 510 * 8
 
     def test_empty_payload_finalises_to_nothing(self):
         op = make_operator(["g"], [("count", None)])
         zero = np.zeros((3, 2), dtype=np.int64)
-        empty = PartialRun(np.arange(2), BoundaryRows(op._empty_block(), zero))
+        empty = PartialRun(
+            np.arange(2), np.zeros((1, 2), dtype=bool), (BoundaryRows(op._empty_block(), zero),)
+        )
         ready = np.arange(2)
         for runs in ([PartialRun()], [empty], [empty, empty]):
             rows, offsets = op.assemble_windows(ready, runs)
@@ -368,7 +370,7 @@ class TestPayloads:
         later = op.process_batch([StreamSlice(data, windows, 1024)])
         runs = [result.partials, later.partials]
         before = pickle.dumps(runs)
-        rows, offsets = op.assemble_windows(later.closed_ids, runs)
+        rows, offsets = op.assemble_windows(later.partials.ids[later.partials.done[0]], runs)
         assert pickle.dumps(runs) == before
         assert len(rows) == offsets[-1] and np.all(np.diff(offsets) > 0)
 

@@ -91,21 +91,19 @@ class TestWindowedJoin:
         # Split into two tasks at row 5:
         r1 = op.process_batch(slices(w, 0, 5, 0, 5))
         r2 = op.process_batch(slices(w, 5, 8, 5, 8))
-        merged = op.merge_partials(r1.partials.columns[0], r2.partials.columns[0])
-        assert op.window_ready(merged)
-        rows = op.finalize_window(0, merged)
+        rows, offsets = op.assemble_windows(np.array([0]), [r1.partials, r2.partials])
+        # The whole window is joined at once: the bytes of the one-task join.
+        assert rows.data.tobytes() == whole.data.tobytes()
+        assert offsets.tolist() == [0, len(whole)]
 
-        def key(b):
-            return sorted(zip(b.column("x").tolist(), b.column("y").tolist()))
-
-        assert key(rows) == key(whole)
-
-    def test_window_ready_requires_both_sides(self):
+    def test_done_flags_per_side(self):
         op = ThetaJoin(LEFT, RIGHT, col("x") < col("y"))
         w = WindowDefinition.rows(8, 8)
         r1 = op.process_batch(slices(w, 0, 5, 0, 5))
-        assert r1.partials.ids[0] == 0
-        assert op.window_ready(r1.partials.columns[0]) is False
+        r2 = op.process_batch(slices(w, 5, 8, 5, 8))
+        assert r1.partials.ids.tolist() == [0] == r2.partials.ids.tolist()
+        assert r1.partials.done.tolist() == [[False], [False]]
+        assert r2.partials.done.tolist() == [[True], [True]]
 
     def test_selectivity_stat(self):
         op = ThetaJoin(LEFT, RIGHT, col("x") < col("y"))

@@ -71,8 +71,6 @@ class TestProjection:
     def test_no_partials(self):
         result = run(Projection(SCHEMA, [("b", col("b"))]), batch())
         assert len(result.partials) == 0
-        with pytest.raises(QueryError):
-            Projection(SCHEMA, [("b", col("b"))]).merge_partials(None, None)
 
 
 class TestSelection:

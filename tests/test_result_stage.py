@@ -166,14 +166,13 @@ def contract_operators():
     from repro.relational.expressions import col
 
     return {
-        # overrides assemble_windows (vectorised fold, single emit)
+        # one vectorised fold, single emit
         "groupby": GroupedAggregation(GROUP_SCHEMA, ["k"], [AggregateSpec("sum", "v", "s")]),
         "groupby-having": GroupedAggregation(
             GROUP_SCHEMA, ["k"], [AggregateSpec("sum", "v", "s")], having=col("s") > 20.0
         ),
-        # overrides it (merge chain + one vectorised finalise)
         "aggregation": GroupedAggregation(GROUP_SCHEMA, [], [AggregateSpec("avg", "v", "a")]),
-        # base-class default: merge_partials chain + finalize_window loop
+        # one dedup pass over (window, row)
         "distinct": DistinctProjection(GROUP_SCHEMA, [("k", col("k"))]),
     }
 
@@ -228,7 +227,8 @@ class TestBatchedAssemblyContract:
         by_wid = dict(windows)
         for task_id, rows in chunks:
             result = results[task_id]
-            closed = b"".join(by_wid.get(wid, b"") for wid in result.closed_ids.tolist())
+            run = result.partials
+            closed = b"".join(by_wid.get(wid, b"") for wid in run.ids[run.done[0]].tolist())
             assert rows.data.tobytes() == closed + result.complete.data.tobytes()
 
     def test_without_collection_the_stage_retains_nothing(self, name):
@@ -260,6 +260,6 @@ def test_a_window_pending_across_many_tasks_retains_boundary_rows_only():
     assert chunks == [] and len(runs) == tasks
     assert all(run.ids.tolist() == [0] for run in runs)
     # One 3-group table per task (~100 B of columns), nothing per tuple.
-    assert all(len(run.columns.block) == 3 for run in runs)
+    assert all(len(run.sides[0].rows) == 3 for run in runs)
     retained = len(pickle.dumps(stage._pending))
     assert retained < tasks * 400 < tasks * group_batch(0, task_tuples).size_bytes

@@ -4,8 +4,7 @@ Each task's boundary partials reach ``ResultStage`` as one
 ``PartialRun``; the stage keeps the runs in task order and assembles
 every ready window with one ``operator.assemble_windows`` call.
 ``tests/reference.py::pairwise_stage`` is the stage it replaced: a
-``dict[wid, list[payload]]`` filled window by window and folded
-pairwise.  Everything here compares raw bytes — chunks as the sink sees
+``dict[wid, payload]`` filled window by window and folded pairwise.  Everything here compares raw bytes — chunks as the sink sees
 them and ``(window id, rows)`` as ``on_window`` sees them.
 """
 
@@ -75,9 +74,8 @@ OPERATORS = {
     "groupby": grouped,
     "groupby-having": lambda: grouped(having=True),
     "ungrouped": lambda: grouped(keys=()),
-    # payload runs: the base-class pairwise assembly ...
+    # raw boundary rows: one dedup pass, one function call per window
     "distinct": lambda: DistinctProjection(SCHEMA, [("k", col("k"))]),
-    # ... and the merged-ready path
     "udf": count_udf,
 }
 
@@ -230,19 +228,20 @@ class TestPartialsCount:
     def test_slide_one_task(self):
         windows, result = self.run(WindowDefinition.rows(256, 1), 512, 1024)
         assert len(result.partials) == self.boundary(windows) == 510
-        assert result.closed_ids.tolist() == list(range(257, 512))
+        closed = result.partials.ids[result.partials.done[0]]
+        assert closed.tolist() == list(range(257, 512))
 
     def test_all_complete_tumbling_task(self):
         windows, result = self.run(WindowDefinition.rows(64, 64), 512, 1024)
         assert self.boundary(windows) == 0 and len(result.partials) == 0
-        assert len(result.closed_ids) == 0 and len(result.complete) > 0
+        assert len(result.partials.done[0]) == 0 and len(result.complete) > 0
 
     def test_pending_only_task(self):
         windows, result = self.run(WindowDefinition.rows(4096, 64), 2050, 2110)
         assert (windows.states == int(FragmentState.PENDING)).all()
         assert len(result.partials) == self.boundary(windows) == len(windows) > 30
         # Every PENDING window spans the whole batch: one table shared.
-        lo, hi, __ = result.partials.columns.spans
+        lo, hi, __ = result.partials.sides[0].spans
         assert len(set(zip(lo.tolist(), hi.tolist()))) == 1
 
 

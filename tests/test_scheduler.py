@@ -152,6 +152,30 @@ class TestHls:
         assert hls.select(queue, GPU) == 0
         assert hls.select(queue, GPU) == len(queue) - 1
 
+    def test_device_turn_survives_cpu_polls_below_the_fallback_backlog(self, queries):
+        """After st CPU tasks only the device may take the next one: a CPU
+        poll with fewer queued tasks than the line-12 fallback needs
+        returns None and keeps the count, so the turn waits for the device."""
+        hls = HlsScheduler(ThroughputMatrix(), switch_threshold=3)  # ties prefer the CPU
+        queue = [task(queries["q1"], i) for i in range(hls.fallback_backlog - 1)]
+        for __ in range(3):
+            assert hls.select(queue, CPU) == 0
+        for __ in range(5):
+            assert hls.select(queue, CPU) is None
+        assert hls.state.count("q1", CPU) == 3
+        assert hls.select(queue, GPU) == 0
+        assert (hls.state.count("q1", CPU), hls.state.count("q1", GPU)) == (0, 1)
+
+    def test_fallback_at_the_backlog_takes_the_device_turn(self, queries):
+        """At ``fallback_backlog`` queued tasks a CPU poll takes the last one
+        and resets its own count: the device's turn is gone."""
+        hls = HlsScheduler(ThroughputMatrix(), switch_threshold=3)
+        queue = [task(queries["q1"], i) for i in range(hls.fallback_backlog)]
+        for __ in range(3):
+            assert hls.select(queue, CPU) == 0
+        assert hls.select(queue, CPU) == len(queue) - 1
+        assert hls.state.count("q1", CPU) == 1
+
     def test_returns_none_on_empty_queue(self, queries):
         hls = HlsScheduler(ThroughputMatrix())
         assert hls.select([], CPU) is None

@@ -234,11 +234,6 @@ class Project:
             target = imported
         return None
 
-    def resolve_class(self, module: str, name: str) -> "ClassInfo | None":
-        """Resolve ``name`` in ``module`` to a :class:`ClassInfo`."""
-        key = self.resolve_name(module, name)
-        return self.classes.get(key) if key else None
-
     def mro(self, class_key: str) -> "list[ClassInfo]":
         """The class plus its resolvable project bases, nearest first."""
         result: list[ClassInfo] = []

@@ -27,7 +27,6 @@ from ..errors import INT64_MAX, SimulationError, boolean, check_fields, checked,
 from ..errors import instance_of, int_range, non_negative_finite, optional, positive_finite
 from ..errors import positive_int
 from ..gpu.accelerator import AcceleratorDevice
-from ..gpu.kernels import gpu_kernel
 from ..hardware.slots import EXECUTIONS, DeviceSlot, device_slots
 from ..hardware.specs import DEFAULT_SPEC, HardwareSpec
 from ..io.base import POLICIES
@@ -209,13 +208,9 @@ class SaberEngine:
         self._runs_by_query: "dict[int, QueryRun]" = {}
         slots = self.device_slots()
         #: the executable accelerator on a real substrate's GPGPU slot;
-        #: None under ``sim`` (the cost model times the bare kernels).
+        #: None under ``sim`` (the cost model times the operator itself).
         self.accelerator = (
             AcceleratorDevice() if any(slot.kind == "accelerator" for slot in slots) else None
-        )
-        #: what a task claimed by the GPGPU slot runs through.
-        self._gpu_device = (
-            self.accelerator.execute if self.accelerator is not None else gpu_kernel
         )
         self.scheduler = self._build_scheduler()
         self._last_elapsed = 0.0
@@ -402,8 +397,9 @@ class SaberEngine:
     ) -> "BatchResult | None":
         """Run ``task``'s batch operator function on ``processor``'s device:
         read its buffer ranges, assign windows, hand the slices to the
-        operator itself (CPU) or the GPGPU slot's device.  Returns
-        ``None`` in simulation-only runs (``execute_data=False``).
+        operator itself — through the accelerator's movein and moveout
+        when a real substrate's GPGPU slot claimed it.  Returns ``None``
+        in simulation-only runs (``execute_data=False``).
 
         ``copy=False`` reads task batches as zero-copy views of the
         circular buffers — the worker-process path, where the buffer is a
@@ -433,10 +429,9 @@ class SaberEngine:
                     force_assembly=query.force_assembly,
                 )
             slices.append(StreamSlice(batch, windows, ref.start))
-        operator = query.operator
-        if processor == GPU:
-            return self._gpu_device(operator, slices)
-        return operator.process_batch(slices)
+        if processor == GPU and self.accelerator is not None:
+            return self.accelerator.execute(query.operator, slices)
+        return query.operator.process_batch(slices)
 
     def complete(
         self,

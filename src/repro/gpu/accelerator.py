@@ -1,9 +1,11 @@
-"""The executable accelerator device: whole-batch kernels + transfer stage.
+"""The executable accelerator device: the operator behind a transfer stage.
 
-:mod:`repro.gpu.kernels` defines what a task computes on the GPGPU
-slot; this module is the **executable** device around those kernels: it
-really runs each query task's operator as whole-batch numpy operations
-behind an explicit host↔device transfer stage standing in for PCIe.
+SABER runs one batch operator function on either processor, and its
+results must not depend on which ran it; only the cost differs, and
+that comes from the GPGPU cost model (:mod:`repro.hardware.gpu`).  This
+module is the **executable** device on the GPGPU slot: it runs each
+query task's ``operator.process_batch`` behind an explicit host↔device
+transfer stage standing in for PCIe.
 
 One :class:`AcceleratorDevice` occupies the engine's GPGPU worker slot
 on every real substrate (``execution="threads"`` or ``"processes"``
@@ -16,10 +18,9 @@ feedback.  Its :meth:`~AcceleratorDevice.execute` is the per-task path:
   transfer), and the modelled PCIe cost of the same bytes
   (:meth:`~repro.gpu.pcie.PcieBus.transfer_seconds`) is recorded next
   to the measured copy time;
-* **kernel** — :func:`repro.gpu.kernels.gpu_kernel`, the same dispatch
-  the simulated GPGPU slot runs — which is what keeps outputs **bitwise
-  identical** to the sim backend and the CPU workers (float reductions
-  are never re-ordered);
+* **kernel** — the operator's own ``process_batch`` over the staged
+  copies, the call a CPU worker makes — which is what keeps outputs
+  **bitwise identical** to the sim backend and the CPU workers;
 * **moveout** — complete output rows are copied back out of the staged
   storage, with the modelled PCIe cost of the output bytes recorded
   alongside.
@@ -43,7 +44,6 @@ import time
 from ..analysis.lockdep import make_lock
 from ..errors import non_negative_finite
 from ..operators.base import BatchResult, Operator, StreamSlice
-from .kernels import gpu_kernel
 from .pcie import DEFAULT_PCIE, PcieBus
 
 __all__ = ["AcceleratorDevice", "AcceleratorStats"]
@@ -128,7 +128,7 @@ class AcceleratorDevice:
         movein_measured = time.perf_counter() - t0
 
         k0 = time.perf_counter()
-        result = gpu_kernel(operator, staged)
+        result = operator.process_batch(staged)
         kernel_seconds = time.perf_counter() - k0
 
         m0 = time.perf_counter()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gpu.device import DEFAULT_GPU, GpuDeviceSpec
 from ..gpu.pcie import DEFAULT_PCIE, PcieBus
 from ..operators.base import CostProfile
 from .specs import DEFAULT_SPEC, HardwareSpec
@@ -27,7 +26,6 @@ class GpuModel:
     """Analytic execution-time model for the simulated GPGPU."""
 
     spec: HardwareSpec = DEFAULT_SPEC
-    device: GpuDeviceSpec = DEFAULT_GPU
     pcie: PcieBus = DEFAULT_PCIE
 
     def kernel_seconds(
@@ -47,7 +45,7 @@ class GpuModel:
             tuples
             * profile.ops_per_tuple
             * s.gpu_memory_op
-            / self.device.cores
+            / s.gpu_cores
         )
         atomic_seconds = 0.0
         if profile.kind == "aggregation":
@@ -57,7 +55,7 @@ class GpuModel:
                 # mean heavy contention (GROUP-BY1 fully serialises).
                 groups = max(1.0, float(stats.get("groups", 16.0)))
                 atomic_seconds = (
-                    tuples * s.gpu_atomic_seconds / min(groups, self.device.cores)
+                    tuples * s.gpu_atomic_seconds / min(groups, s.gpu_cores)
                 )
         elif profile.kind == "join":
             pairs = float(stats.get("pairs", 0.0))
@@ -71,8 +69,8 @@ class GpuModel:
             fragments = float(stats.get("fragments", 0.0))
             fragment_cost = fragments * s.gpu_fragment_launch
         return (
-            self.device.kernel_launch_seconds
-            + ops * self.device.seconds_per_core_op / self.device.cores
+            s.gpu_kernel_launch_seconds
+            + ops * s.gpu_seconds_per_core_op / s.gpu_cores
             + memory_seconds
             + atomic_seconds
             + fragment_cost

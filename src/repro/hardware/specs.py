@@ -63,7 +63,13 @@ class HardwareSpec:
     #: slowdown per excess worker beyond the physical cores (Fig. 14 plateau)
     cpu_oversubscription_penalty: float = 0.03
 
-    # -- GPGPU kernel costs (seconds; `*_ops` in GpuDeviceSpec core ops) -----------
+    # -- GPGPU kernel costs (seconds; `*_ops` in core ops of gpu_seconds_per_core_op) --
+    #: the evaluation GPGPU, an NVIDIA Quadro K5200 (§6.1): its cores
+    #: share each task's kernel work, at this sustained rate per core op.
+    gpu_cores: int = 2304
+    gpu_seconds_per_core_op: float = 1.0e-9
+    #: fixed kernel-launch overhead per query task (driver + dispatch).
+    gpu_kernel_launch_seconds: float = 20e-6
     gpu_tuple_base_ops: float = 4.0         # load/deserialise ops per tuple
     gpu_aggregate_ops: float = 6.0          # reduction-tree ops per tuple
     #: projection arithmetic reads/writes tuple attributes in global

@@ -52,7 +52,8 @@ task's one columnar :class:`GroupBlock` of boundary rows plus each
 window's row bounds and last timestamp as columns of one int64 array,
 with no Python object per window.  The assembly operator function folds all ready windows across the pending runs at
 once (:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot runs
-this same implementation (:func:`repro.gpu.kernels.gpu_kernel`).
+this same implementation; the sim prices it with the GPGPU cost model
+(:mod:`repro.hardware.gpu`).
 
 HAVING re-uses the selection machinery: the predicate is evaluated over
 the emitted (timestamp, groups, aggregates) rows.
@@ -173,7 +174,8 @@ class _Cells:
         else:
             ufunc, identity = _FOLDS[kind]
             table = np.full(self._size, identity)
-            ufunc.at(table, self._index, values)
+            with np.errstate(invalid="ignore"):  # a NaN value folds to NaN
+                ufunc.at(table, self._index, values)
         return table[self._occupied]
 
 

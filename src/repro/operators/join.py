@@ -329,14 +329,6 @@ class ThetaJoin(Operator):
         matches = np.bincount(segment[entries], minlength=len(ls))
         return out.view(self._output_schema.dtype), matches
 
-    def join_pairs(self, left: TupleBatch, right: TupleBatch) -> TupleBatch:
-        """Join of two tuple sequences: the kernel over one segment."""
-        zero = np.zeros(1, dtype=np.int64)
-        rows, __ = self.join_segments(
-            left.data, right.data, zero, zero + len(left), zero, zero + len(right)
-        )
-        return TupleBatch(self._output_schema, rows)
-
     # -- batch operator function ------------------------------------------------
 
     def process_batch(self, inputs: "list[StreamSlice]") -> BatchResult:

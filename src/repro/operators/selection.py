@@ -1,11 +1,12 @@
 """Selection operator σ (§5.3).
 
 Stateless, like projection: a single scan evaluating the predicate per
-tuple, forwarding the byte representation of selected tuples.  The CPU
-implementation short-circuits compound predicates; the GPGPU kernel
-evaluates every atomic comparison for every tuple (SIMD lanes cannot
-diverge) and compacts survivors with a prefix-sum — the asymmetry that
-powers the Fig. 16 adaptivity experiment.
+tuple, forwarding the byte representation of selected tuples.  Both
+processors run this one implementation; what differs is the cost.  A
+CPU short-circuits compound predicates, while a GPGPU's SIMD lanes
+evaluate every atomic comparison for every tuple — the asymmetry the
+cost models price (:mod:`repro.hardware.cpu`, :mod:`repro.hardware.gpu`)
+and that powers the Fig. 16 adaptivity experiment.
 """
 
 from __future__ import annotations

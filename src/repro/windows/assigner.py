@@ -57,10 +57,6 @@ class WindowSet:
     def __len__(self) -> int:
         return len(self.window_ids)
 
-    @property
-    def fragment_count(self) -> int:
-        return len(self.window_ids)
-
     def mask(self, state: FragmentState) -> np.ndarray:
         return self.states == int(state)
 

@@ -434,6 +434,16 @@ def pairwise_stage(op, results: "list[BatchResult]", flush: bool = True) -> tupl
 # in ``complete``, in every window of the run and in ``stats``.
 
 
+def join_pairs(op, left: TupleBatch, right: TupleBatch) -> TupleBatch:
+    """``op``'s kernel (``ThetaJoin.join_segments``) over one segment: all
+    of ``left`` against all of ``right``."""
+    zero = np.zeros(1, dtype=np.int64)
+    rows, __ = op.join_segments(
+        left.data, right.data, zero, zero + len(left), zero, zero + len(right)
+    )
+    return TupleBatch(op.output_schema, rows)
+
+
 def join_pairs_by_cross_product(op, left: TupleBatch, right: TupleBatch) -> TupleBatch:
     """Every (left row, right row) combined, then filtered by the predicate."""
     nl, nr = len(left), len(right)

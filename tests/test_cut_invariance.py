@@ -73,12 +73,13 @@ def summary_udf():
 
 def grouped():
     specs = [AggregateSpec("count", None, "n"), AggregateSpec("sum", "f", "s"),
-             AggregateSpec("max", "u", "m")]
+             AggregateSpec("max", "u", "m"), AggregateSpec("max", "f", "fm")]
     return GroupedAggregation(LEFT, ["k"], specs)
 
 
 def ungrouped():
-    return GroupedAggregation(LEFT, [], [AggregateSpec("avg", "u", "a"), AggregateSpec("min", "u")])
+    specs = [AggregateSpec("avg", "u", "a"), AggregateSpec("min", "u"), AggregateSpec("min", "f")]
+    return GroupedAggregation(LEFT, [], specs)
 
 
 def distinct():

@@ -214,8 +214,9 @@ class TestModes:
         engine.add_query(select_query(8))
         report = engine.run(tasks_per_query=20)
         assert report.throughput_bytes > 0
-        assert report.outputs[select_query(8).name.replace("x", "x")] is None \
-            or True  # outputs are None in simulation-only mode
+        # no data runs, so nothing is collected and no row is counted
+        assert report.outputs == {"SELECT8": None}
+        assert report.output_rows == {"SELECT8": 0}
 
     def test_simulation_only_requires_stat_model(self):
         from repro.core.query import Query

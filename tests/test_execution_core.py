@@ -627,3 +627,59 @@ def test_guard_sees_a_private_row_dtype_and_a_fieldwise_copy():
     assert _opaque_row_spellings(tree) == [1, 2, 2]
     assert _fieldwise_batch_copies(tree) == [3, 4]
     assert _opaque_row_spellings(ast.parse("zero.copy(); x = 'V'; y = f'{v}V'")) == []
+
+
+# -- the GPGPU slot runs the operator itself ----------------------------------------
+
+
+def _gpu_shim_sites(root):
+    """{name: sorted modules} for the deleted GPGPU kernel dispatch and
+    device description: their names, the engine's per-slot dispatch
+    attribute, the device's unread members, and imports of the two
+    deleted modules (``gpu.kernels``, ``gpu.device``)."""
+    gone = {
+        "gpu_kernel", "gpu_selection", "_gpu_device", "GpuDeviceSpec", "DEFAULT_GPU",
+        "streaming_multiprocessors", "work_group_size", "cores_per_sm",
+    }
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = set(_names(tree)) & gone
+        named |= {
+            f"import {node.module}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module
+            and node.module.rsplit(".", 1)[-1] in ("kernels", "device")
+        }
+        for name in named:
+            sites.setdefault(name, []).append(path.relative_to(root).as_posix())
+    return sites
+
+
+def test_the_gpgpu_slot_runs_the_operator_itself():
+    """Every slot calls ``operator.process_batch`` — through the
+    accelerator's transfer stage on a real substrate — and the device is
+    described once, by ``HardwareSpec``: no kernel dispatch or device
+    class is left."""
+    assert _gpu_shim_sites(SRC) == {}
+    assert not (SRC / "gpu" / "kernels.py").exists()
+    assert not (SRC / "gpu" / "device.py").exists()
+
+
+def test_guard_sees_a_gpu_kernel_dispatch(tmp_path):
+    (tmp_path / "engine.py").write_text(
+        "from ..gpu.kernels import gpu_kernel\n"
+        "self._gpu_device = accelerator.execute if accelerator else gpu_kernel\n"
+    )
+    (tmp_path / "gpu.py").write_text(
+        "from ..gpu.device import DEFAULT_GPU\nlanes = spec.cores_per_sm\n"
+    )
+    assert _gpu_shim_sites(tmp_path) == {
+        "import gpu.kernels": ["engine.py"],
+        "gpu_kernel": ["engine.py"],
+        "_gpu_device": ["engine.py"],
+        "import gpu.device": ["gpu.py"],
+        "DEFAULT_GPU": ["gpu.py"],
+        "cores_per_sm": ["gpu.py"],
+    }

@@ -8,9 +8,9 @@ over the same seeded source through both backends and demands identical
 window results.
 
 All operators must match bitwise even with the GPGPU worker enabled:
-``gpu_kernel`` either uses a kernel defined to produce identical
-rows (selection, join) or shares the CPU implementation (aggregation,
-GROUP-BY), so processor assignment is invisible at the bit level.
+the accelerator runs the operator's own ``process_batch`` between its
+movein and moveout copies, so processor assignment is invisible at the
+bit level.
 
 Races do not show up deterministically: the stress tests repeat runs
 with several workers and a small queue to vary interleavings.
@@ -127,11 +127,11 @@ def test_aggregate_functions_equivalence_cpu(function):
 def test_aggregation_equivalence_hybrid():
     """Hybrid aggregation is bitwise identical across backends.
 
-    ``gpu_kernel`` routes aggregation through the same vectorised
-    implementation as the CPU path, so which processor ran a task is
-    invisible even at the bit level.  If a future GPGPU aggregation
-    kernel introduces a genuinely different float reduction order, relax
-    this to a tolerance — consciously.
+    The accelerator runs the same vectorised implementation as the CPU
+    path, so which processor ran a task is invisible even at the bit
+    level.  If a future GPGPU aggregation kernel introduces a genuinely
+    different float reduction order, relax this to a tolerance —
+    consciously.
     """
 
     def make():

@@ -109,7 +109,7 @@ class TestGpuModel:
     def test_kernel_launch_floor(self):
         profile = CostProfile(kind="projection")
         assert self.gpu.kernel_seconds(profile, 0, {}) >= (
-            self.gpu.device.kernel_launch_seconds
+            self.gpu.spec.gpu_kernel_launch_seconds
         )
 
 

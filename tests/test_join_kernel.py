@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 
 from reference import (
     join_by_window,
+    join_pairs,
     join_pairs_by_cross_product,
     join_stream_by_window,
     run_payloads,
@@ -229,10 +230,10 @@ def test_arbitrary_window_sets(seed, predicate, fragments):
     sizes=st.tuples(st.integers(0, 30), st.integers(0, 30)),
 )
 def test_join_pairs_is_the_kernel_over_one_segment(seed, predicate, sizes):
-    """``join_pairs`` is the kernel over one segment."""
+    """The kernel over one segment equals the filtered cross product."""
     op = ThetaJoin(LEFT, RIGHT, PREDICATES[predicate][0])
     left, right = make_stream(LEFT, seed, sizes[0], 3), make_stream(RIGHT, seed + 1, sizes[1], 3)
-    got = op.join_pairs(left, right)
+    got = join_pairs(op, left, right)
     assert got.data.tobytes() == join_pairs_by_cross_product(op, left, right).data.tobytes()
     assert got.data.dtype == op.output_schema.dtype
 
@@ -305,7 +306,7 @@ class TestKeyEligibility:
         )
         for name in ("float-key", "double-key"):
             op = ThetaJoin(LEFT, RIGHT, PREDICATES[name][0])
-            got = op.join_pairs(left, right)
+            got = join_pairs(op, left, right)
             assert got.data.tobytes() == join_pairs_by_cross_product(op, left, right).data.tobytes()
             # ±0.0 match each other (4 pairs) and 1.5 itself; NaN matches nothing
             assert len(got) == 5
@@ -314,7 +315,7 @@ class TestKeyEligibility:
         op = ThetaJoin(LEFT, RIGHT, PREDICATES["equi-arithmetic"][0])
         left, right = make_stream(LEFT, 5, 64, 40), make_stream(RIGHT, 6, 64, 40)
         assert (left.column("k") < 0).any() and (right.column("w") < 0).any()
-        got = op.join_pairs(left, right)
+        got = join_pairs(op, left, right)
         expected = join_pairs_by_cross_product(op, left, right)
         assert len(got) and got.data.tobytes() == expected.data.tobytes()
 
@@ -598,7 +599,7 @@ class TestProbePaths:
         op = ThetaJoin(LEFT, RIGHT, PREDICATES["bool-key"][0])
         assert op._equi[2] == np.dtype(bool)
         left, right = make_stream(LEFT, 7, 64, 6), make_stream(RIGHT, 8, 64, 6)
-        got = op.join_pairs(left, right)
+        got = join_pairs(op, left, right)
         expected = join_pairs_by_cross_product(op, left, right)
         positive = (left.column("k") > 0).sum() * (right.column("k") > 0).sum()
         negative = (left.column("k") <= 0).sum() * (right.column("k") <= 0).sum()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError
-from repro.gpu.kernels import gpu_selection
+from repro.gpu.accelerator import AcceleratorDevice
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.groupby import GroupedAggregation
 from repro.operators.base import StreamSlice
@@ -116,7 +116,7 @@ class TestSelectivityIsTheSurvivorShare:
 
     KERNELS = {
         "selection": lambda p, s: Selection(SCHEMA, p).process_batch(s),
-        "gpu_selection": lambda p, s: gpu_selection(Selection(SCHEMA, p), s),
+        "accelerator": lambda p, s: AcceleratorDevice().execute(Selection(SCHEMA, p), s),
         "filtered_windows": lambda p, s: FilteredWindows(
             p, GroupedAggregation(SCHEMA, [], [AggregateSpec("sum", "a")])
         ).process_batch(s),

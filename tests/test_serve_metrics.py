@@ -287,8 +287,9 @@ def _golden_engine():
     the parent commit, through the old pushed-instrument bundle attached
     between the two ``add_query`` calls.  Virtual time, so the latency
     sums and HLS matrix cells are deterministic; an idle accelerator is
-    hung on the sim engine so the ``saber_accel_*`` families carry
-    series as well."""
+    hung on the sim engine after the run (the GPGPU slot runs tasks
+    through whatever device is hung there) so the ``saber_accel_*``
+    families carry series as well."""
     engine = SaberEngine(
         SaberConfig(
             execution="sim",
@@ -297,10 +298,10 @@ def _golden_engine():
             matrix_refresh_seconds=0.0,
         )
     )
-    engine.accelerator = AcceleratorDevice()
     engine.add_query(select_query(4, pass_rate=0.5), [SyntheticSource(seed=3)])
     engine.add_query(agg_query(["sum", "count"]), [SyntheticSource(seed=4)])
     engine.run(tasks_per_query=24)
+    engine.accelerator = AcceleratorDevice()
     return engine
 
 

@@ -26,8 +26,9 @@ to this executor:
   a **completion queue**; a task's boundary partials cross it as one
   columnar :class:`~repro.operators.base.PartialRun` — an int64
   window-id array, per-input done flags and, per input, the task's
-  boundary rows (a :class:`~repro.operators.groupby.GroupBlock` for
-  GROUP-BY, raw tuples otherwise) with per-window row bounds, so a
+  boundary rows (a :class:`~repro.operators.groupby.GroupTable` of
+  group cells for GROUP-BY — dense rows, one cell per task key, on its
+  prefix path — raw tuples otherwise) with per-window row bounds, so a
   slide-1 task pickles a handful of arrays, linear in its rows, however
   many windows it touches; the result stage and HLS feedback run in the
   parent, from the completion messages.

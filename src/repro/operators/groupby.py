@@ -4,27 +4,32 @@ One operator serves grouped and ungrouped queries: with no key columns
 every tuple falls in the one group, and the output schema is
 ``timestamp`` plus the aggregates.  Keys are integers — a float or
 double key column, read or derived, is a :class:`~repro.errors.QueryError`
-at construction — and are coded once per task, and once per assembly,
-by :func:`~repro.operators.base.key_codes`, the coder the θ-join shares:
+at construction — and are coded once per task by
+:func:`~repro.operators.base.key_codes`, the coder the θ-join shares:
 ranks of the keys' cells in their bounding box, from one presence count
 and its prefix sum while the box holds no more cells than there are
 rows, ``np.unique`` past it.
 
 The batch operator function computes the group tables of *all* window
-fragments of a query task at once, on one of two paths the data picks:
+fragments of a query task at once, as one :class:`GroupTable`, on one
+of two paths the data picks:
 
 * **Prefix tables** — the paper's incremental computation.  Per group,
   one ``(n + 1)``-long prefix table of counts and one of each summed
   column, then every (fragment, group) cell is ``P[g, stop] −
   P[g, start]``: O(1) per cell however long the window.  min / max read
-  a per-group sparse table (two overlapping power-of-two blocks).
+  a per-group sparse table (two overlapping power-of-two blocks).  The
+  ``fragments × groups`` count and partial matrices are read off
+  without compaction and form a *dense* table: every cell, empty ones
+  included, keyed on the task's distinct keys.
 * **Segmented pass** — every distinct fragment range laid out
   fragment-major in tuple order and reduced on ``bin = fragment · G +
   code`` with ``np.bincount`` (count / sum) and ``ufunc.at`` (min / max),
   in blocks of about :data:`_BLOCK_ELEMENTS` flat elements; fragments
   that tile the batch (tumbling windows) skip the gather, and a dense
   ``fragments × groups`` table is only allocated when it is no larger
-  than the block it reduces.
+  than the block it reduces.  Its output is a *sparse* table: the
+  non-empty cells, one key row each.
 
 Both paths are bitwise those of the naive per-window algorithm (a
 sequential fold per fragment, kept as the test oracle in
@@ -38,20 +43,25 @@ an integer below ``2**53`` times a power of two — exactly representable,
 so no prefix, no difference and no sequential fold ever rounds.  Counts
 are integer prefixes, and min / max pick an element (the last of equal
 ones, as ``ufunc.at`` does), so neither needs a certificate.  The
-prefix path runs when every summed column is certified and its tables
+prefix path runs when every summed column is certified, its tables
 hold no more elements than the segmented pass would reduce (nor than
-:data:`_TABLE_ELEMENTS`); anything else — NaN / inf, a wide dynamic
-range, tumbling tasks whose fragments touch every tuple once — takes
-the segmented pass.
+:data:`_TABLE_ELEMENTS`) and its dense cells are no more than the rows
+they reduce — ``_Cells``' rule for a dense table; anything else — NaN /
+inf, a wide dynamic range, tumbling tasks whose fragments touch every
+tuple once, many keys — takes the segmented pass.
 
 Fragments sharing a ``(start, stop)`` range (every PENDING window of a
-task) are computed once.  Boundary fragments (OPENING / CLOSING /
-PENDING) leave the task as one :class:`~repro.operators.base.PartialRun`
-whose one side is a :class:`~repro.operators.base.BoundaryRows`: the
-task's one columnar :class:`GroupBlock` of boundary rows plus each
-window's row bounds and last timestamp as columns of one int64 array,
-with no Python object per window.  The assembly operator function folds all ready windows across the pending runs at
-once (:meth:`GroupedAggregation.assemble_windows`).  The GPGPU slot runs
+task) are computed once.  COMPLETE fragments emit their non-empty cells.
+Boundary fragments (OPENING / CLOSING / PENDING) leave the task as one
+:class:`~repro.operators.base.PartialRun` whose one side is a
+:class:`~repro.operators.base.BoundaryRows`: the task's boundary cells
+as one :class:`GroupTable` — dense rows or sparse cells, as the path
+left them — plus each window's cell bounds and last timestamp as
+columns of one int64 array, with no Python object per window.  The
+assembly operator function folds all ready windows across the pending
+runs at once (:meth:`GroupedAggregation.assemble_windows`): one
+``key_codes`` call over the runs' distinct keys, then aligned adds into
+one ``ready × keys`` accumulator, run by run.  The GPGPU slot runs
 this same implementation; the sim prices it with the GPGPU cost model
 (:mod:`repro.hardware.gpu`).
 
@@ -143,6 +153,14 @@ def _range_fold(
     return out
 
 
+def _as_slice(index: np.ndarray) -> "np.ndarray | slice":
+    """``index`` as a slice when it counts up by one, else itself."""
+    first, last = int(index[0]), int(index[-1])
+    if last - first == len(index) - 1 and (np.diff(index) == 1).all():
+        return slice(first, last + 1)
+    return index
+
+
 class _Cells:
     """The occupied (segment, code) cells of a row set, in (segment, code) order.
 
@@ -180,15 +198,19 @@ class _Cells:
 
 
 @dataclass
-class GroupBlock:
-    """Columnar group-table rows: one row per (fragment or window, group).
+class GroupTable:
+    """Group-table cells, one per (fragment or window, group).
 
-    ``keys`` is (rows × key columns) int64, ``counts`` the per-row tuple
+    Cell ``c``'s key row is ``keys[c % len(keys)]``, which gives the
+    table one of two shapes.  A **dense** table lists the task's
+    distinct keys once, ascending, and its cells in rows of one per key,
+    in key order; a cell may then be empty (count 0, each partial its
+    fold's identity).  A **sparse** table has one key row per cell and
+    holds non-empty cells only.  ``counts`` are the per-cell tuple
     counts and ``partials`` maps ``(kind, column)`` — kind one of
-    ``sum`` / ``min`` / ``max`` — to one float64 partial per row.  A
-    task's boundary fragments share one block (rows fragment-major,
-    keys ascending within a fragment), so the processes backend ships
-    a handful of arrays per task over its completion queue.
+    ``sum`` / ``min`` / ``max`` — to one float64 partial per cell.  A
+    task's boundary fragments share one table, so the processes backend
+    ships a handful of arrays per task over its completion queue.
     """
 
     keys: np.ndarray
@@ -198,24 +220,31 @@ class GroupBlock:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def take(self, rows: np.ndarray) -> "GroupBlock":
-        return GroupBlock(
-            self.keys[rows],
-            self.counts[rows],
-            {name: column[rows] for name, column in self.partials.items()},
-        )
+    @property
+    def dense(self) -> bool:
+        """Whether cells come in rows of one per key (a one-row dense
+        table reads the same either way)."""
+        return len(self.keys) < len(self)
 
-    @classmethod
-    def concat(cls, blocks: "list[GroupBlock]") -> "GroupBlock":
-        if len(blocks) == 1:
-            return blocks[0]
-        return cls(
-            np.concatenate([b.keys for b in blocks]),
-            np.concatenate([b.counts for b in blocks]),
-            {
-                name: np.concatenate([b.partials[name] for b in blocks])
-                for name in blocks[0].partials
-            },
+    def key_rows(self, cells: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Key rows that cover ``cells``, and each cell's row among them."""
+        if self.dense:
+            return self.keys, cells % len(self.keys)
+        return self.keys[cells], np.arange(len(cells))
+
+    def range_cells(self, first: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """The cells ``[first[i], first[i] + size[i])``, concatenated."""
+        if self.dense:  # whole rows
+            return (first[:, None] + np.arange(len(self.keys))).ravel()
+        return concat_ranges(first, size)
+
+    def take(self, cells: np.ndarray) -> "GroupTable":
+        """The table of ``cells``: any cells of a sparse table, whole rows
+        of a dense one."""
+        return GroupTable(
+            self.keys if self.dense else self.keys[cells],
+            self.counts[cells],
+            {name: column[cells] for name, column in self.partials.items()},
         )
 
 
@@ -315,8 +344,8 @@ class GroupedAggregation(Operator):
                     keys[:, j] = batch.column(name)
         return keys
 
-    def _empty_block(self) -> GroupBlock:
-        return GroupBlock(
+    def _empty_table(self) -> GroupTable:
+        return GroupTable(
             np.zeros((0, len(self.group_columns)), dtype=np.int64),
             np.zeros(0, dtype=np.float64),
             {partial: np.zeros(0, dtype=np.float64) for partial in self._partials},
@@ -324,30 +353,35 @@ class GroupedAggregation(Operator):
 
     def _fragment_tables(
         self, batch: TupleBatch, starts: np.ndarray, stops: np.ndarray
-    ) -> "tuple[GroupBlock, np.ndarray]":
+    ) -> "tuple[GroupTable, np.ndarray]":
         """Group tables of batch ranges ``[starts[i], stops[i])`` in one pass.
 
-        Returns the tables as one block — rows fragment-major, keys
-        ascending within a fragment — and the row count per fragment.
+        Returns the tables as one :class:`GroupTable` — cells range-major,
+        keys ascending within a range — and the cell count per range.
         """
         lengths = np.maximum(stops - starts, 0)
         total = int(lengths.sum())
         if total == 0:
-            return self._empty_block(), np.zeros(len(lengths), dtype=np.int64)
+            return self._empty_table(), np.zeros(len(lengths), dtype=np.int64)
         distinct, codes = key_codes(self._key_rows(batch))
         values = {
             column: np.asarray(batch.column(column), dtype=np.float64)
             for column in {column for __, column in self._partials}
         }
         # The tables hold G × (n + 1) elements, times the sparse tables'
-        # levels for min / max; the segmented pass reduces ``total``.
+        # levels for min / max, and their dense output ranges × G cells;
+        # the segmented pass reduces ``total``.
         extrema = any(kind != "sum" for kind, __ in self._partials)
         levels = 1 + len(batch).bit_length() if extrema else 1
         tables = len(distinct) * (len(batch) + 1) * levels
-        if tables <= min(total, _TABLE_ELEMENTS) and all(
-            _certified(values[column]) for kind, column in self._partials if kind == "sum"
+        cells = len(distinct) * len(starts)
+        if (
+            tables <= min(total, _TABLE_ELEMENTS)
+            and cells <= total
+            and all(_certified(values[column]) for kind, column in self._partials if kind == "sum")
         ):
-            return self._prefix_tables(distinct, codes, values, starts, starts + lengths)
+            table = self._prefix_tables(distinct, codes, values, starts, starts + lengths)
+            return table, np.full(len(starts), len(distinct))
         return self._segmented_tables(distinct, codes, values, starts, lengths)
 
     def _prefix_tables(
@@ -357,30 +391,31 @@ class GroupedAggregation(Operator):
         values: "dict[str, np.ndarray]",
         starts: np.ndarray,
         stops: np.ndarray,
-    ) -> "tuple[GroupBlock, np.ndarray]":
-        """:meth:`_fragment_tables` read off per-group prefix and sparse tables.
+    ) -> GroupTable:
+        """:meth:`_fragment_tables` read off per-group prefix and sparse
+        tables, as the dense table of every (range, group) cell.
 
         Group ``g``'s table is row ``g`` of one flat ``G × (n + 1)``
         array — its slot ``i + 1`` holds tuple ``i`` if the tuple is in
         the group — so each table is built by one 1-D pass.  A prefix
         then also counts the rows before ``g``, which every difference
         cancels exactly: the counts are integers, and the sums are
-        certified, so no partial sum of any subset of them rounds.
+        certified, so no partial sum of any subset of them rounds.  An
+        empty cell's sum is ``x − x = +0.0``.
         """
         width = len(codes) + 1
         base = np.arange(len(distinct)) * width
+        # Every cell's bounds in the flat tables, ranges × G.
+        lo, hi = base + starts[:, None], base + stops[:, None]
         if len(distinct) == 1:  # every tuple is in the one group
             slot = slice(1, None)
-            rows = (stops - starts)[:, None]
+            counts = hi - lo
         else:
             slot = codes * width + np.arange(1, width)
             prefix = np.zeros(len(distinct) * width, dtype=np.int64)
             prefix[slot] = 1
             np.cumsum(prefix, out=prefix)
-            rows = prefix[base + stops[:, None]] - prefix[base + starts[:, None]]
-        # Row-major over (fragment, group): fragment-major, keys ascending.
-        fragment, group = np.nonzero(rows)
-        lo, hi = base[group] + starts[fragment], base[group] + stops[fragment]
+            counts = prefix[hi] - prefix[lo]
         partials = {}
         for kind, column in self._partials:
             if kind == "sum":
@@ -389,16 +424,20 @@ class GroupedAggregation(Operator):
                 table = np.zeros(len(distinct) * width)
                 table[slot] = values[column]
                 np.cumsum(table, out=table)
-                partials[kind, column] = table[hi] - table[lo]
+                partials[kind, column] = (table[hi] - table[lo]).ravel()
             else:
-                # Other groups' slots hold the fold's identity.
-                table = np.full(len(distinct) * width, _FOLDS[kind][1])
+                # Other groups' slots hold the identity, and so does an
+                # empty range's cell, which is never folded: an empty range
+                # at the batch end would start one slot past the table.
+                identity = _FOLDS[kind][1]
+                table = np.full(len(distinct) * width, identity)
                 table[slot] = values[column]
-                partials[kind, column] = _range_fold(kind, table, lo + 1, hi - lo)
-        block = GroupBlock(
-            distinct[group], rows[fragment, group].astype(np.float64), partials
-        )
-        return block, np.bincount(fragment, minlength=len(starts))
+                length = (hi - lo).ravel()
+                held = length > 0
+                folded = np.full(len(length), identity)
+                folded[held] = _range_fold(kind, table, lo.ravel()[held] + 1, length[held])
+                partials[kind, column] = folded
+        return GroupTable(distinct, counts.ravel().astype(np.float64), partials)
 
     def _segmented_tables(
         self,
@@ -407,8 +446,9 @@ class GroupedAggregation(Operator):
         values: "dict[str, np.ndarray]",
         starts: np.ndarray,
         lengths: np.ndarray,
-    ) -> "tuple[GroupBlock, np.ndarray]":
-        """:meth:`_fragment_tables` by one segmented reduction per block."""
+    ) -> "tuple[GroupTable, np.ndarray]":
+        """:meth:`_fragment_tables` by one segmented reduction per block,
+        as the sparse table of the non-empty cells."""
         stops = starts + lengths
         offsets = np.cumsum(lengths) - lengths
         cuts = np.searchsorted(offsets, np.arange(0, int(lengths.sum()), _BLOCK_ELEMENTS))
@@ -431,28 +471,30 @@ class GroupedAggregation(Operator):
             counts.append(cells.rows)
             for kind, column in self._partials:
                 partials[kind, column].append(cells.reduce(kind, values[column][rows]))
-        block = GroupBlock(
+        table = GroupTable(
             distinct[np.concatenate(group_codes)],
             np.concatenate(counts).astype(np.float64),
             {partial: np.concatenate(chunks) for partial, chunks in partials.items()},
         )
-        return block, np.bincount(np.concatenate(fragments), minlength=len(lengths))
+        return table, np.bincount(np.concatenate(fragments), minlength=len(lengths))
 
     def _emit_rows(
-        self, timestamps: np.ndarray, groups: GroupBlock
+        self, timestamps: np.ndarray, table: GroupTable, cells: np.ndarray
     ) -> "tuple[TupleBatch, np.ndarray | None]":
-        """Output rows of finished group-table rows, and the HAVING mask."""
+        """Output rows of ``table``'s finished ``cells``, and the HAVING mask."""
         columns = {TIMESTAMP_ATTRIBUTE: timestamps}
+        keys, local = table.key_rows(cells)
         for j, name in enumerate(self.group_columns):
-            columns[name] = groups.keys[:, j]
-        partial = groups.partials.get
+            columns[name] = keys[local, j]
+        counts = table.counts[cells]
+        partials = {name: column[cells] for name, column in table.partials.items()}
         for spec in self.specs:
             columns[spec.alias] = finalize(
                 spec.function,
-                partial(("sum", spec.column)),
-                groups.counts,
-                partial(("min", spec.column)),
-                partial(("max", spec.column)),
+                partials.get(("sum", spec.column)),
+                counts,
+                partials.get(("min", spec.column)),
+                partials.get(("max", spec.column)),
             )
         out = TupleBatch.from_columns(self._output_schema, **columns)
         if self.having is None:
@@ -468,44 +510,50 @@ class GroupedAggregation(Operator):
         if len(windows) == 0:
             return BatchResult(complete=TupleBatch.empty(self._output_schema))
         # One table per distinct fragment range: the PENDING windows of a
-        # task all span the whole batch, and share one table and its rows.
+        # task all span the whole batch, and share one table and its cells.
         span = len(batch) + 1
         ranges, fragment = np.unique(windows.starts * span + windows.ends, return_inverse=True)
         starts, stops = np.divmod(ranges, span)
-        tables, groups = self._fragment_tables(batch, starts, stops)
-        first_row = np.cumsum(groups) - groups
+        tables, size = self._fragment_tables(batch, starts, stops)
+        first = np.cumsum(size) - size
         nonempty = stops > starts
         last_ts = np.zeros(len(ranges), dtype=np.int64)
         if nonempty.any():
             last_ts[nonempty] = np.asarray(batch.timestamps)[stops[nonempty] - 1]
 
+        # COMPLETE windows emit their non-empty cells, and drop the rest.
         boundary = windows.states != int(FragmentState.COMPLETE)
         emitted = fragment[~boundary & nonempty[fragment]]
+        cells = tables.range_cells(first[emitted], size[emitted])
+        held = tables.counts[cells] > 0
         complete, __ = self._emit_rows(
-            np.repeat(last_ts[emitted], groups[emitted]),
-            tables.take(concat_ranges(first_row[emitted], groups[emitted])),
+            np.repeat(last_ts[emitted], size[emitted])[held], tables, cells[held]
         )
+        groups = np.count_nonzero(held)
 
         ids = windows.window_ids[boundary]
-        shipped, slot = np.unique(fragment[boundary], return_inverse=True)
         partials = PartialRun()
         if len(ids):
-            # COMPLETE rows are emitted and dropped; the boundary rows
-            # leave as one block, located per window by row bounds.
-            block = tables.take(concat_ranges(first_row[shipped], groups[shipped]))
-            hi = np.cumsum(groups[shipped])
-            spans = np.stack((hi - groups[shipped], hi, last_ts[shipped]))[:, slot]
+            # The boundary windows' cells leave as one table, located per
+            # window by cell bounds: ranges shipped, and each window's rank.
+            kept = np.zeros(len(ranges), dtype=bool)
+            kept[fragment[boundary]] = True
+            shipped = np.flatnonzero(kept)
+            slot = (np.cumsum(kept) - 1)[fragment[boundary]]
+            table = tables.take(tables.range_cells(first[shipped], size[shipped]))
+            hi = np.cumsum(size[shipped])
+            spans = np.stack((hi - size[shipped], hi, last_ts[shipped]))[:, slot]
             partials = PartialRun(
                 ids.astype(np.int64, copy=False),
                 (windows.states[boundary] == int(FragmentState.CLOSING))[None],
-                (BoundaryRows(block, spans),),
+                (BoundaryRows(table, spans),),
             )
+            groups += np.count_nonzero(table.counts)
         stats = {
             "selectivity": 1.0,
             "fragments": float(len(windows)),
-            # Tables built, per fragment: shared rows count once.
-            "groups": float(groups[emitted].sum() + groups[shipped].sum())
-            / max(1, len(windows)),
+            # Non-empty cells built, per fragment: shared cells count once.
+            "groups": float(groups) / max(1, len(windows)),
             "tuples": float(len(batch)),
         }
         return BatchResult(complete=complete, partials=partials, stats=stats)
@@ -515,42 +563,80 @@ class GroupedAggregation(Operator):
     def assemble_windows(
         self, ready: np.ndarray, runs: "list[PartialRun]"
     ) -> "tuple[TupleBatch | None, np.ndarray]":
-        """Fold every ready window's rows across ``runs`` into one table.
+        """Fold every ready window's cells across ``runs`` into one table.
 
-        Each run contributes the rows of the ready windows it holds,
-        located by one binary search; the rows are stacked run by run, so
-        every (window, group) cell adds its fragments' partials from 0.0
-        in task order — bitwise the pairwise merge chain.
+        Each run contributes the cells of the ready windows it holds,
+        located by one binary search: a dense table one row per window, a
+        sparse one each window's cells.  One :func:`key_codes` call maps
+        the runs' key rows — a dense table's distinct keys, a sparse
+        one's located cells' — into their union, and each run's cells are
+        added into one ``ready × keys`` accumulator, run by run, with row
+        and key slices wherever they line up.  Every (window, group) cell
+        so folds its fragments' partials from 0.0 (from the identity for
+        min / max) in task order — bitwise the pairwise merge chain, since
+        an empty dense cell adds ``+0.0`` or the identity, which changes
+        no partial.  Every cell with a tuple count above 0 is emitted.
         """
         offsets = np.zeros(len(ready) + 1, dtype=np.int64)
         last_ts = np.full(len(ready), np.iinfo(np.int64).min)
-        windows, lengths, blocks = [], [], []
+        parts, key_sets = [], []
         for run in runs:
             at, row = run.locate(ready)
             if not len(at):
                 continue
             (boundary,) = run.sides
+            table = boundary.rows
             lo, hi, ts = boundary.spans[:, row]
             # A run holds a window once, so ``at`` has no repeats.
             last_ts[at] = np.maximum(last_ts[at], ts)
-            windows.append(at)
-            lengths.append(hi - lo)
-            blocks.append(boundary.rows.take(concat_ranges(lo, hi - lo)))
-        if not blocks or not sum(map(len, blocks)):
+            if table.dense:  # a window is one row
+                parts.append((table, _as_slice(at), _as_slice(lo // len(table.keys))))
+                key_sets.append(table.keys)
+            else:
+                cells = concat_ranges(lo, hi - lo)
+                parts.append((table, np.repeat(at, hi - lo), cells))
+                key_sets.append(table.keys[cells])
+        if not parts:
             return None, offsets
-        stacked = GroupBlock.concat(blocks)
-        window = np.repeat(np.concatenate(windows), np.concatenate(lengths))
-        distinct, codes = key_codes(stacked.keys)
-        cells = _Cells(window, codes, len(ready), len(distinct))
-        merged = GroupBlock(
-            distinct[cells.codes],
-            cells.reduce("sum", stacked.counts),
-            {
-                (kind, column): cells.reduce(kind, values)
-                for (kind, column), values in stacked.partials.items()
-            },
+        distinct, codes = key_codes(np.concatenate(key_sets))
+        shape = (len(ready), len(distinct))
+        counts = np.zeros(shape)
+        partials = {
+            (kind, column): np.full(shape, 0.0 if kind == "sum" else _FOLDS[kind][1])
+            for kind, column in self._partials
+        }
+        folds = [(np.add, None, counts)] + [
+            (np.add if kind == "sum" else _FOLDS[kind][0], (kind, column), folded)
+            for (kind, column), folded in partials.items()
+        ]
+        coded = 0
+        for (table, window, cells), keys in zip(parts, key_sets):
+            columns = slice(None)  # a dense run holding every key
+            if not (table.dense and len(keys) == len(distinct)):
+                columns = codes[coded : coded + len(keys)]
+                if table.dense and not isinstance(window, slice):
+                    window = window[:, None]
+            coded += len(keys)
+            into = (window, columns)
+            aligned = isinstance(window, slice) and isinstance(columns, slice)
+            view = (-1, len(keys)) if table.dense else (-1,)
+            # Like ``bincount``, the fold is silent on NaN and inf - inf.
+            with np.errstate(invalid="ignore"):
+                for ufunc, name, folded in folds:
+                    values = (table.counts if name is None else table.partials[name])
+                    values = values.reshape(view)[cells]
+                    if aligned:  # a view: fold in place
+                        target = folded[into]
+                        ufunc(target, values, out=target)
+                    else:
+                        folded[into] = ufunc(folded[into], values)
+        merged = GroupTable(
+            distinct, counts.ravel(), {name: folded.ravel() for name, folded in partials.items()}
         )
-        rows, keep = self._emit_rows(last_ts[cells.segments], merged)
-        window = cells.segments if keep is None else cells.segments[keep]
+        cells = np.flatnonzero(merged.counts > 0)
+        window = cells // len(distinct)
+        rows, keep = self._emit_rows(last_ts[window], merged, cells)
+        if keep is not None:
+            window = window[keep]
         np.cumsum(np.bincount(window, minlength=len(ready)), out=offsets[1:])
         return (rows if len(rows) else None), offsets

@@ -9,6 +9,7 @@ first principles.
 from __future__ import annotations
 
 import timeit
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.operators.aggregate_functions import finalize
 from repro.operators.base import BatchResult, StreamSlice
 from repro.operators.compose import FilteredWindows, ProjectedWindows
 from repro.operators.distinct import DistinctProjection
-from repro.operators.groupby import GroupBlock, GroupedAggregation
+from repro.operators.groupby import GroupedAggregation, GroupTable
 from repro.operators.udf import WindowUdf
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -150,7 +151,8 @@ def _scatter(kind: str, inverse: np.ndarray, values: np.ndarray, groups: int) ->
     if kind in _FOLD:
         ufunc, identity = _FOLD[kind]
         out = np.full(groups, identity)
-        ufunc.at(out, inverse, values)
+        with np.errstate(invalid="ignore"):  # a NaN value folds to NaN
+            ufunc.at(out, inverse, values)
         return out
     return np.bincount(inverse, weights=values, minlength=groups)
 
@@ -298,21 +300,48 @@ def run_engine_path(op, tasks, collect_output=True):
 # on rows without ``-0.0``).
 
 
+@dataclass
+class RowBlock:
+    """The retired grouped payload: one key row, count and partial per group."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+    partials: dict
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @classmethod
+    def concat(cls, blocks: list) -> "RowBlock":
+        return cls(
+            np.concatenate([b.keys for b in blocks]),
+            np.concatenate([b.counts for b in blocks]),
+            {name: np.concatenate([b.partials[name] for b in blocks]) for name in blocks[0].partials},
+        )
+
+
 def run_payloads(run) -> dict:
     """``{window id: (payload, done per input)}`` of one run, one Python
-    object per window: a grouped window's payload is its rows of the
-    run's block and its last timestamp, any other window's its fragment
-    rows per input."""
+    object per window: a grouped window's payload is a :class:`RowBlock`
+    of its non-empty cells of the run's table and its last timestamp,
+    any other window's its fragment rows per input."""
     if not run.sides:
         return {}
     ids, done = run.ids.tolist(), run.done.T.tolist()
-    block = run.sides[0].rows
-    if isinstance(block, GroupBlock):
+    table = run.sides[0].rows
+    if isinstance(table, GroupTable):
         spans = run.sides[0].spans.T.tolist()
-        return {
-            wid: ((block.take(np.arange(lo, hi)), ts), flags)
-            for wid, (lo, hi, ts), flags in zip(ids, spans, done)
-        }
+        payloads = {}
+        for wid, (lo, hi, ts), flags in zip(ids, spans, done):
+            cells = np.arange(lo, hi)
+            cells = cells[table.counts[cells] > 0]
+            rows = RowBlock(
+                table.keys[cells % max(1, len(table.keys))],
+                table.counts[cells],
+                {name: column[cells] for name, column in table.partials.items()},
+            )
+            payloads[wid] = ((rows, ts), flags)
+        return payloads
     return {
         wid: ([side.rows[side.spans[0, i] : side.spans[1, i]] for side in run.sides], flags)
         for i, (wid, flags) in enumerate(zip(ids, done))
@@ -328,7 +357,7 @@ def _terminal(op):
 
 def _fold_tables(payloads: list) -> tuple:
     """One group table from grouped payloads: cells add from 0.0 in order."""
-    block = GroupBlock.concat([table for table, __ in payloads])
+    block = RowBlock.concat([table for table, __ in payloads])
     ts = max(ts for __, ts in payloads)
     if len(block) == 0:
         return block, ts
@@ -337,7 +366,7 @@ def _fold_tables(payloads: list) -> tuple:
     else:
         distinct, inverse = np.unique(block.keys, axis=0, return_inverse=True)
         inverse = inverse.ravel()
-    merged = GroupBlock(
+    merged = RowBlock(
         distinct,
         _scatter("sum", inverse, block.counts, len(distinct)),
         {
@@ -357,7 +386,9 @@ def _retired_fold(op) -> tuple:
 
         def finalize_grouped(payload):
             table, ts = _fold_tables([payload])
-            rows, __ = terminal._emit_rows(np.full(len(table), ts, dtype=np.int64), table)
+            cells = np.arange(len(table))
+            table = GroupTable(table.keys, table.counts, table.partials)
+            rows, __ = terminal._emit_rows(np.full(len(table), ts, dtype=np.int64), table, cells)
             return rows
 
         return (lambda payload: payload), (lambda a, b: _fold_tables([a, b])), finalize_grouped

@@ -683,3 +683,71 @@ def test_guard_sees_a_gpu_kernel_dispatch(tmp_path):
         "DEFAULT_GPU": ["gpu.py"],
         "cores_per_sm": ["gpu.py"],
     }
+
+
+# -- grouped assembly adds tables, never re-codes stacked rows ---------------------
+
+
+def _stacked_assembly_sites(root):
+    """{name: sorted modules} for the retired stacked-row assembly: the
+    per-row ``GroupBlock``, a ``concat`` on a group table, and — inside
+    any ``assemble_windows`` — a ``_Cells`` re-binning or a ``key_codes``
+    call on a table's ``.keys`` (every stacked row's key)."""
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = set(_names(tree)) & {"GroupBlock"}
+        named |= {
+            f"{node.name}.concat"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name.startswith("Group")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "concat"
+        }
+        for function in ast.walk(tree):
+            if not (isinstance(function, ast.FunctionDef) and function.name == "assemble_windows"):
+                continue
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                if node.func.id == "_Cells":
+                    named.add("assemble_windows: _Cells")
+                if node.func.id == "key_codes" and any(
+                    isinstance(arg, ast.Attribute) and arg.attr == "keys" for arg in node.args
+                ):
+                    named.add("assemble_windows: key_codes(.keys)")
+        for name in named:
+            sites.setdefault(name, []).append(path.relative_to(root).as_posix())
+    return sites
+
+
+def test_grouped_assembly_adds_tables_and_codes_only_their_keys():
+    """A grouped run ships a ``GroupTable``, and assembly maps the runs'
+    few key rows into their union and adds cells into one accumulator:
+    no per-row block, table concatenation or re-coding of stacked rows."""
+    assert _stacked_assembly_sites(SRC) == {}
+
+
+def test_guard_sees_a_stacked_row_assembly(tmp_path):
+    (tmp_path / "groupby.py").write_text(
+        "class GroupBlock:\n"
+        "    @classmethod\n    def concat(cls, blocks): pass\n"
+        "class GroupTable:\n"
+        "    def concat(self, other): pass\n"
+        "class GroupedAggregation:\n"
+        "    def assemble_windows(self, ready, runs):\n"
+        "        stacked = GroupBlock.concat(blocks)\n"
+        "        distinct, codes = key_codes(stacked.keys)\n"
+        "        cells = _Cells(window, codes, len(ready), len(distinct))\n"
+    )
+    (tmp_path / "reader.py").write_text(
+        "def assemble_windows(ready, runs):\n"
+        "    return key_codes(np.concatenate(key_sets))\n"
+    )
+    assert _stacked_assembly_sites(tmp_path) == {
+        "GroupBlock": ["groupby.py"],
+        "GroupBlock.concat": ["groupby.py"],
+        "GroupTable.concat": ["groupby.py"],
+        "assemble_windows: _Cells": ["groupby.py"],
+        "assemble_windows: key_codes(.keys)": ["groupby.py"],
+    }

@@ -66,6 +66,24 @@ def make_stream(seed: int, n: int, cardinality: int) -> TupleBatch:
     )
 
 
+def certified_stream(seed: int, n: int, cardinality: int, nan_in_v: bool, ragged: bool):
+    """Quarter-integer values (every prefix sum exact: the prefix path and
+    its dense tables), ``±0.0`` ties in both columns, NaN in ``v`` when
+    ``nan_in_v``; with ``ragged`` the second half is :func:`make_stream`'s
+    uncertified values."""
+    rng = np.random.default_rng(seed)
+    data = make_stream(seed, n, cardinality).data.copy()
+    head = n if not ragged else n // 2
+    data["v"][:head] = rng.integers(-20, 20, head) / 4
+    data["w"][:head] = rng.integers(-2000, 2000, head) / 4
+    for name in ("v", "w"):
+        zeros = np.flatnonzero(rng.random(n) < 0.2)
+        data[name][zeros] = np.where(rng.random(len(zeros)) < 0.5, 0.0, -0.0)
+    if nan_in_v:
+        data["v"][rng.integers(0, n, 3)] = np.nan
+    return TupleBatch(SCHEMA, data)
+
+
 def make_operator(keys, aggregates, having=False) -> GroupedAggregation:
     specs = [AggregateSpec(fn, column, f"a{i}") for i, (fn, column) in enumerate(aggregates)]
     return GroupedAggregation(
@@ -89,12 +107,16 @@ def run_pairwise_path(op, tasks):
 @st.composite
 def cases(draw):
     n = draw(st.sampled_from([40, 150, 400]))
-    size = draw(st.sampled_from([1, 3, 16, 64, 300]))
+    size = draw(st.sampled_from([1, 3, 16, 48, 64, 150, 300]))
     slide = draw(st.sampled_from([s for s in (1, 2, 16, 64, 300) if s <= size]))
     time_based = draw(st.booleans())
     picks = draw(
         st.lists(st.integers(0, len(AGGREGATES) - 1), min_size=1, max_size=4, unique=True)
     )
+    keys = draw(st.sampled_from(KEY_SETS + [[]]))
+    # make_stream's values take the segmented pass, certified ones the
+    # prefix path and its dense tables, a ragged stream both in one run
+    values = draw(st.sampled_from(["uncertified", "certified", "ragged"]))
     return dict(
         seed=draw(st.integers(0, 2**16)),
         n=n,
@@ -104,16 +126,29 @@ def cases(draw):
         window=(WindowDefinition.time if time_based else WindowDefinition.rows)(size, slide),
         # one task holds the whole stream … a window spans ≥ 3 tasks
         task_size=draw(st.sampled_from([5, 32, 100, n])),
-        keys=draw(st.sampled_from(KEY_SETS)),
+        keys=keys,
         aggregates=[AGGREGATES[i] for i in picks],
         having=draw(st.booleans()),
         force_assembly=draw(st.booleans()),
+        values=values,
+        # NaN in min / max columns needs no certificate (a NaN bucket key
+        # would be an invalid cast)
+        nan_in_v=values != "uncertified" and "bucket" not in keys and draw(st.booleans()),
+    )
+
+
+def case_stream(case) -> TupleBatch:
+    if case["values"] == "uncertified":
+        return make_stream(case["seed"], case["n"], case["cardinality"])
+    return certified_stream(
+        case["seed"], case["n"], case["cardinality"], case["nan_in_v"], case["values"] == "ragged"
     )
 
 
 @given(case=cases())
+@settings(max_examples=settings.default.max_examples * 3 // 2)
 def test_kernel_and_batched_assembly_equal_the_per_window_reference(case):
-    data = make_stream(case["seed"], case["n"], case["cardinality"])
+    data = case_stream(case)
     op = make_operator(case["keys"], case["aggregates"], case["having"])
     tasks = cut_tasks(data, case["window"], case["task_size"], case["force_assembly"])
     expected_chunks, expected_windows = grouped_by_window(op, tasks)
@@ -124,26 +159,43 @@ def test_kernel_and_batched_assembly_equal_the_per_window_reference(case):
     assert run_pairwise_path(op, tasks) == expected_windows
 
 
-@given(
-    seed=st.integers(0, 2**16),
-    ranges=st.lists(
-        st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(0, 3)),
-        min_size=1,
-        max_size=40,
-    ),
-)
-@settings(max_examples=settings.default.max_examples * 2 // 3)
-def test_arbitrary_fragment_sets(seed, ranges):
-    """Gaps (slide > range), overlaps, duplicates and empty fragments."""
-    data = make_stream(seed, 60, 5)
+def assert_fragment_set_matches(data, ranges, op):
     starts = np.array([min(a, b) for a, b, __ in ranges], dtype=np.int64)
     stops = np.array([max(a, b) for a, b, __ in ranges], dtype=np.int64)
     states = np.array([state for __, __, state in ranges], dtype=np.int64)
     windows = WindowSet(np.arange(len(ranges), dtype=np.int64), starts, stops, states)
-    op = make_operator(["g", "h"], [("sum", "w"), ("count", None), ("min", "v")])
     tasks = [(data, windows)]
     chunks, finalised, __ = run_engine_path(op, tasks)
     assert (chunks, finalised) == grouped_by_window(op, tasks)
+
+
+FRAGMENT_RANGES = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(0, 3)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(seed=st.integers(0, 2**16), ranges=FRAGMENT_RANGES)
+@settings(max_examples=settings.default.max_examples * 2 // 3)
+def test_arbitrary_fragment_sets(seed, ranges):
+    """Gaps (slide > range), overlaps, duplicates and empty fragments."""
+    data = make_stream(seed, 60, 5)
+    op = make_operator(["g", "h"], [("sum", "w"), ("count", None), ("min", "v")])
+    assert_fragment_set_matches(data, ranges, op)
+
+
+@given(seed=st.integers(0, 2**16), ranges=FRAGMENT_RANGES, keys=st.sampled_from([[], ["h"]]))
+@settings(max_examples=settings.default.max_examples // 3)
+def test_arbitrary_fragment_sets_on_the_prefix_path(seed, ranges, keys):
+    """The same sets over certified values and few groups, with 30 long
+    fragments to pay for the prefix tables, and an empty fragment at the
+    batch end (a filter's remap makes those): min / max fold no slot
+    past the table."""
+    data = certified_stream(seed, 60, 5, nan_in_v=False, ragged=False)
+    ranges = ranges + [(start, 60, 0) for start in range(30)] + [(60, 60, 0)]
+    op = make_operator(keys, [("count", None), ("sum", "w"), ("min", "v"), ("max", "w")])
+    assert_fragment_set_matches(data, ranges, op)
 
 
 def test_assembly_folds_fragments_in_task_order():
@@ -160,6 +212,35 @@ def test_assembly_folds_fragments_in_task_order():
     tasks = cut_tasks(data, WindowDefinition.rows(3, 3), 1)
     chunks, windows, stage = run_engine_path(op, tasks)
     assert stage.output().column("a0").tolist() == [0.0]
+    assert (chunks, windows) == grouped_by_window(op, tasks)
+    assert run_pairwise_path(op, tasks) == windows
+
+
+# -- dense runs: certified tasks ship every (window, group) cell ------------------
+
+
+def table_forms(op, tasks) -> "set[str]":
+    shapes = set()
+    for batch, window_set in tasks:
+        run = op.process_batch([StreamSlice(batch, window_set, 0)]).partials
+        if len(run):
+            table = run.sides[0].rows
+            shapes.add("dense" if len(table.keys) < len(table) else "sparse")
+    return shapes
+
+
+def test_slide_one_tasks_ship_dense_tables():
+    """GROUP-BY8 at slide 1 over certified values: every task's run is a
+    dense table, 8 cells per boundary range."""
+    data = certified_stream(7, 2048, 8, nan_in_v=False, ragged=False)
+    op = make_operator(["g"], [("count", None), ("sum", "w")])
+    tasks = cut_tasks(data, WindowDefinition.rows(256, 1), 512)
+    assert table_forms(op, tasks) == {"dense"}
+    result = op.process_batch([StreamSlice(*tasks[1], 0)])
+    table = result.partials.sides[0].rows
+    assert table.keys.tolist() == [[k] for k in range(-4, 4)]
+    assert len(table) == 8 * len(np.unique(result.partials.sides[0].spans[0]))
+    chunks, windows, __ = run_engine_path(op, tasks)
     assert (chunks, windows) == grouped_by_window(op, tasks)
     assert run_pairwise_path(op, tasks) == windows
 
@@ -356,7 +437,7 @@ class TestPayloads:
         op = make_operator(["g"], [("count", None)])
         zero = np.zeros((3, 2), dtype=np.int64)
         empty = PartialRun(
-            np.arange(2), np.zeros((1, 2), dtype=bool), (BoundaryRows(op._empty_block(), zero),)
+            np.arange(2), np.zeros((1, 2), dtype=bool), (BoundaryRows(op._empty_table(), zero),)
         )
         ready = np.arange(2)
         for runs in ([PartialRun()], [empty], [empty, empty]):

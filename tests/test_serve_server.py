@@ -443,12 +443,19 @@ class TestIdleEviction:
         with SaberServer(config) as srv:
             refs = []
             for i in range(50):
+                # Eviction may already run between admissions (they can take
+                # longer than the timeout), but it only unregisters: the
+                # registry's token count says how many collectors each
+                # admission registered, whatever was evicted meanwhile.
+                registered = srv.registry._next_token
                 tenant = srv.admit(f"churn{i}")
                 tenant.register("s", SCHEMA)
                 tenant.submit(SUM_CQL.format(stream="s"), name="q")
+                assert srv.registry._next_token == registered + 1
+                assert tenant._collector == registered + 1
                 refs += [weakref.ref(tenant), weakref.ref(tenant.session)]
             del tenant
-            assert len(srv.registry._collectors) == 51
+            assert srv.registry._next_token == 51
             deadline = time.monotonic() + 30.0
             while (
                 srv.tenants_evicted.total() < 50 or len(srv.registry._collectors) > 1

@@ -355,14 +355,10 @@ class SaberEngine:
         outputs: dict[str, TupleBatch | None] = {}
         output_rows: dict[str, int] = {}
         for run in self.runs:
-            if self.config.execute_data and not flush and run.finished and not run.eos_flushed:
+            if self.config.execute_data and (flush or (run.finished and not run.eos_flushed)):
+                self._drained |= flush  # flush is end-of-stream
                 run.result_stage.flush(elapsed)
-                run.eos_flushed = True
-            if flush and self.config.execute_data:
-                self._drained = True  # flush is end-of-stream
-                run.result_stage.flush(elapsed)
-                if run.finished:
-                    run.eos_flushed = True
+                run.eos_flushed |= run.finished
             outputs[run.query.name] = (
                 run.result_stage.output() if self.config.collect_output else None
             )

@@ -15,12 +15,11 @@ up.  What is specific to this executor:
   scheduling discipline — ``Scheduler.select`` runs under the queue
   lock, since it both inspects the queue and mutates the
   switch-threshold counters;
-* the sim executor's *scheduled* starvation guard is replaced by
-  condition-variable wakeups: workers sleep on the queue condition and
-  are woken whenever a task arrives, a task completes, or the dispatcher
-  finishes/blocks — the forced-FCFS escape fires only when nothing is in
-  flight and the dispatcher cannot make progress, mirroring the sim
-  semantics exactly;
+* workers sleep on the queue condition and are woken whenever a task
+  arrives, a task completes, or the dispatcher finishes; every claim is
+  a ``select`` pick — at queue position 0 Alg. 1 gives the head to
+  exactly one processor, so a queued task never waits on a worker that
+  may not take it;
 * timing is wall-clock (``time.perf_counter`` relative to run start), so
   reported throughput is the real machine's — not the paper server's.
   The *modelled* dispatch bandwidth is deliberately not applied, but a
@@ -79,7 +78,6 @@ class ThreadedExecutor:
         self.queue: "list[QueryTask]" = []
         self._inflight = 0
         self._dispatch_done = False
-        self._dispatch_waiting = False
         self._failure: "BaseException | None" = None
         self._t0 = time.perf_counter() - self._elapsed
 
@@ -162,14 +160,7 @@ class ThreadedExecutor:
                             if action == "shed":
                                 shed = True
                                 break
-                        if not self._dispatch_waiting:
-                            self._dispatch_waiting = True
-                            # One wakeup on the transition so idle workers
-                            # re-check the starvation guard; notifying every
-                            # tick would thundering-herd the queue lock.
-                            self._cond.notify_all()
                         self._cond.wait(_WAIT_TIMEOUT)
-                    self._dispatch_waiting = False
                     if not shed:
                         # Reserve the slot before leaving the lock; only this
                         # thread creates tasks, so the cursors stay coherent.
@@ -246,13 +237,7 @@ class ThreadedExecutor:
         # a supported ablation hook, and complete() feeds that same object.
         index = self.engine.scheduler.select(self.queue, processor)
         if index is None:
-            # Condition-variable starvation guard: when nothing is in
-            # flight and the dispatcher is blocked or done, no future
-            # event would ever satisfy the lookahead — take the head.
-            if self._inflight == 0 and (self._dispatch_done or self._dispatch_waiting):
-                index = 0
-            else:
-                return None
+            return None
         task = self.queue.pop(index)
         self._cond.notify_all()  # queue space freed; backlog changed
         return task

@@ -26,12 +26,13 @@ to this executor:
   a **completion queue**; a task's boundary partials cross it as one
   columnar :class:`~repro.operators.base.PartialRun` — an int64
   window-id array, per-input done flags and, per input, the task's
-  boundary rows (a :class:`~repro.operators.groupby.GroupTable` of
-  group cells for GROUP-BY — dense rows, one cell per task key, on its
-  prefix path — raw tuples otherwise) with per-window row bounds, so a
-  slide-1 task pickles a handful of arrays, linear in its rows, however
-  many windows it touches; the result stage and HLS feedback run in the
-  parent, from the completion messages.
+  boundary rows (for GROUP-BY a
+  :class:`~repro.operators.groupby.GroupTable`: key rows and one matrix
+  of cell counts and partials, dense rows of one cell per task key on
+  its prefix path; raw tuples otherwise) with per-window row bounds, so
+  a slide-1 task pickles a handful of arrays, linear in its rows,
+  however many windows it touches; the result stage and HLS feedback
+  run in the parent, from the completion messages.
 
 Workers are forked (never spawned): operator graphs, closures and the
 engine object cross into the children by inheritance, so nothing needs
@@ -83,7 +84,7 @@ class ProcessExecutor(ThreadedExecutor):
     Subclasses :class:`ThreadedExecutor` for the parent-side machinery it
     shares verbatim — the dispatcher loop (single-writer buffer inserts,
     backpressure, ingest pacing, round-robin across queries) and the
-    locked task claim with its starvation guard — and replaces the worker
+    locked task claim — and replaces the worker
     threads with forked processes fed over multiprocessing queues.
     """
 

@@ -13,9 +13,11 @@ which is what makes laptop-scale runs reproduce the paper's shapes:
 * one **GPGPU worker** that computes window boundaries on the host and
   feeds the five-stage :class:`~repro.gpu.pipeline.MovementPipeline`
   (§5.2) — it is free to accept the next task before the previous one
-  leaves the pipeline;
-* a *scheduled* starvation guard where the real executors use
-  condition-variable wakeups.
+  leaves the pipeline.
+
+Every claim is a ``select`` pick: at queue position 0 Alg. 1 gives the
+head to exactly one processor, and each pick is followed by a
+completion that wakes every idle worker again.
 
 Virtual time is cumulative across incremental runs (``loop.now``).
 """
@@ -127,14 +129,12 @@ class SimExecutor:
         ]
         self._tasks_per_query = 0
         self._dispatch_blocked = False
-        self._dispatch_active = False
         self._inflight = 0
         self._rr_index = 0
 
     def run(self, tasks_per_query: int) -> float:
         """Execute ``tasks_per_query`` tasks per query; returns virtual s."""
         self._tasks_per_query = tasks_per_query
-        self._dispatch_active = True
         self.loop.schedule(0.0, self._dispatch_next)
         self.loop.run()
         if self.queue or self._inflight:
@@ -149,7 +149,6 @@ class SimExecutor:
     def _dispatch_next(self) -> None:
         pending = self.engine.pending_runs(self._tasks_per_query)
         if not pending or self.engine.stop_requested:
-            self._dispatch_active = False
             return
         if len(self.queue) >= self.config.queue_capacity:
             self._dispatch_blocked = True
@@ -181,7 +180,6 @@ class SimExecutor:
         try:
             run.dispatcher.shed_task()
         except IngestInterrupted:
-            self._dispatch_active = False
             return
         self._dispatch_next()
 
@@ -191,12 +189,9 @@ class SimExecutor:
         except IngestInterrupted:
             # Stop requested during a blocking source pull; pulled data
             # stays staged in the dispatcher for the next run.
-            self._dispatch_active = False
             return
         if task is None:
-            # End of stream with no residual data: the query is done
-            # dispatching; idle workers may need a starvation re-check.
-            self._wake_workers()
+            # End of stream with no residual data: the query is done.
             self._dispatch_next()
             return
         run.tasks_dispatched += 1
@@ -223,13 +218,7 @@ class SimExecutor:
         # a supported ablation hook, and complete() feeds that same object.
         index = self.engine.scheduler.select(self.queue, worker.processor)
         if index is None:
-            # Starvation guard: HLS may legitimately leave a worker idle
-            # (lookahead).  But if no task is in flight and the
-            # dispatcher is blocked or done, nothing would ever wake the
-            # workers again — take the queue head instead.
-            if self._inflight or (self._dispatch_active and not self._dispatch_blocked):
-                return
-            index = 0
+            return
         task = self.queue.pop(index)
         self._unblock_dispatcher()
         worker.busy = True

@@ -37,6 +37,9 @@ CPU = "CPU"
 GPU = "GPGPU"
 PROCESSORS = (CPU, GPU)
 
+#: queued tasks below which HLS's line-12 fallback leaves a worker idle.
+FALLBACK_BACKLOG = 4
+
 
 class ThroughputMatrix:
     """The query-task throughput matrix C with periodic refresh.
@@ -132,7 +135,7 @@ class HlsScheduler(Scheduler):
     ``tests/test_paper_shapes.py``).
 
     The fallback only fires against a real backlog
-    (``fallback_backlog`` queued tasks): with a near-empty queue the
+    (:data:`FALLBACK_BACKLOG` queued tasks): with a near-empty queue the
     task's preferred processor is about to pick it up itself, and letting
     the other processor race for it would destroy the preferred routing
     the moment the system is under-loaded (visible as the Fig. 16
@@ -144,12 +147,10 @@ class HlsScheduler(Scheduler):
         matrix: "ThroughputMatrix | None" = None,
         switch_threshold: int = 10,
         strict_lookahead: bool = False,
-        fallback_backlog: int = 4,
     ) -> None:
         self.matrix = matrix or ThroughputMatrix()
         self.switch_threshold = positive_int(switch_threshold, "switch_threshold", SchedulingError)
         self.strict_lookahead = strict_lookahead
-        self.fallback_backlog = fallback_backlog
         self.state = SchedulerState()
 
     def select(self, queue: "list[QueryTask]", processor: str) -> "int | None":
@@ -177,7 +178,7 @@ class HlsScheduler(Scheduler):
             delay += 1.0 / matrix.value(q, preferred)  # line 10
         if not queue or self.strict_lookahead:
             return None
-        if len(queue) < self.fallback_backlog:
+        if len(queue) < FALLBACK_BACKLOG:
             return None  # the preferred processor will take it shortly
         # Line 12: the walk ended without a selection — take the task at
         # the final position so the worker stays work-conserving.

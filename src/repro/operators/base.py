@@ -70,10 +70,11 @@ class BoundaryRows:
 
     ``rows`` is the operator's row table — the input tuples for
     DISTINCT, UDF and the join; for GROUP-BY a
-    :class:`~repro.operators.groupby.GroupTable` of group cells, either
-    dense (one row of a cell per task key for every boundary range, empty
-    cells included, keyed on the task's sorted distinct keys) or sparse
-    (the non-empty cells, one key row each).  ``spans`` is int64 with one
+    :class:`~repro.operators.groupby.GroupTable` of group cells — key
+    rows plus one ``(1 + P) × cells`` matrix of counts and partials —
+    either dense (one row of a cell per task key for every boundary
+    range, empty cells included, keyed on the task's sorted distinct
+    keys) or sparse (the non-empty cells, one key row each).  ``spans`` is int64 with one
     column per boundary window of the run: window ``i`` owns
     ``rows[spans[0, i]:spans[1, i]]`` — for a dense table exactly one
     row; further span rows are the operator's own (GROUP-BY's last

@@ -11,24 +11,30 @@ and its prefix sum while the box holds no more cells than there are
 rows, ``np.unique`` past it.
 
 The batch operator function computes the group tables of *all* window
-fragments of a query task at once, as one :class:`GroupTable`, on one
-of two paths the data picks:
+fragments of a query task at once, as one :class:`GroupTable`: key rows
+plus one float64 ``(1 + P) × cells`` matrix whose row 0 counts each
+cell's tuples and whose other rows are the ``P`` partials the specs
+need, sums first, then mins, then maxes — so each fold kind is one
+contiguous row slice, and every take, fold, pickle and emit touches the
+matrix once.  Two paths, picked by the data, fill it:
 
 * **Prefix tables** — the paper's incremental computation.  Per group,
-  one ``(n + 1)``-long prefix table of counts and one of each summed
-  column, then every (fragment, group) cell is ``P[g, stop] −
-  P[g, start]``: O(1) per cell however long the window.  min / max read
-  a per-group sparse table (two overlapping power-of-two blocks).  The
-  ``fragments × groups`` count and partial matrices are read off
-  without compaction and form a *dense* table: every cell, empty ones
-  included, keyed on the task's distinct keys.
+  one ``(n + 1)``-long prefix of counts and of each summed column — the
+  rows of one 2-D ``cumsum`` — then every (fragment, group) cell is
+  ``T[:, stop] − T[:, start]``: O(1) per cell however long the window.
+  min / max read per-group sparse tables (two overlapping power-of-two
+  blocks), one fold per level for all of a kind's rows.  The
+  ``fragments × groups`` cells are read off without compaction and form
+  a *dense* table: every cell, empty ones included, keyed on the task's
+  distinct keys.
 * **Segmented pass** — every distinct fragment range laid out
   fragment-major in tuple order and reduced on ``bin = fragment · G +
   code`` with ``np.bincount`` (count / sum) and ``ufunc.at`` (min / max),
   in blocks of about :data:`_BLOCK_ELEMENTS` flat elements; fragments
   that tile the batch (tumbling windows) skip the gather, and a dense
   ``fragments × groups`` table is only allocated when it is no larger
-  than the block it reduces.  Its output is a *sparse* table: the
+  than the block it reduces.  Each block's counts and partials stack
+  into matrix columns, and its output is a *sparse* table: the
   non-empty cells, one key row each.
 
 Both paths are bitwise those of the naive per-window algorithm (a
@@ -41,14 +47,15 @@ task and summed column: every value is finite and a multiple of
 is then a multiple of ``2**(E - 53)`` below ``2**E`` in magnitude, i.e.
 an integer below ``2**53`` times a power of two — exactly representable,
 so no prefix, no difference and no sequential fold ever rounds.  Counts
-are integer prefixes, and min / max pick an element (the last of equal
-ones, as ``ufunc.at`` does), so neither needs a certificate.  The
-prefix path runs when every summed column is certified, its tables
-hold no more elements than the segmented pass would reduce (nor than
-:data:`_TABLE_ELEMENTS`) and its dense cells are no more than the rows
-they reduce — ``_Cells``' rule for a dense table; anything else — NaN /
-inf, a wide dynamic range, tumbling tasks whose fragments touch every
-tuple once, many keys — takes the segmented pass.
+are integers below ``2**53``, exact in float64, and min / max pick an
+element (the last of equal ones, as ``ufunc.at`` does), so neither
+needs a certificate.  The prefix path runs when every summed column is
+certified, its tables hold no more elements than the segmented pass
+would reduce (nor than :data:`_TABLE_ELEMENTS`) and its dense cells
+are no more than the rows they reduce — ``_Cells``' rule for a dense
+table; anything else — NaN / inf, a wide dynamic range, tumbling tasks
+whose fragments touch every tuple once, many keys — takes the
+segmented pass.
 
 Fragments sharing a ``(start, stop)`` range (every PENDING window of a
 task) are computed once.  COMPLETE fragments emit their non-empty cells.
@@ -60,10 +67,10 @@ left them — plus each window's cell bounds and last timestamp as
 columns of one int64 array, with no Python object per window.  The
 assembly operator function folds all ready windows across the pending
 runs at once (:meth:`GroupedAggregation.assemble_windows`): one
-``key_codes`` call over the runs' distinct keys, then aligned adds into
-one ``ready × keys`` accumulator, run by run.  The GPGPU slot runs
-this same implementation; the sim prices it with the GPGPU cost model
-(:mod:`repro.hardware.gpu`).
+``key_codes`` call over the runs' distinct keys, then one ufunc call per
+fold kind and run into one ``(1 + P) × ready × keys`` accumulator.  The
+GPGPU slot runs this same implementation; the sim prices it with the
+GPGPU cost model (:mod:`repro.hardware.gpu`).
 
 HAVING re-uses the selection machinery: the predicate is evaluated over
 the emitted (timestamp, groups, aggregates) rows.
@@ -104,7 +111,8 @@ _TABLE_ELEMENTS = 1 << 20
 #: partial aggregates kept per (window, group) cell besides the tuple
 #: count, and the aggregate functions that need each.
 _ACCUMULATOR_OF = {"sum": "sum", "avg": "sum", "min": "min", "max": "max"}
-_FOLDS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
+#: each partial kind's fold and identity, in the kinds' matrix-row order.
+_FOLDS = {"sum": (np.add, 0.0), "min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 
 
 def _certified(values: np.ndarray) -> bool:
@@ -132,25 +140,27 @@ def _certified(values: np.ndarray) -> bool:
 def _range_fold(
     kind: str, rows: np.ndarray, first: np.ndarray, length: np.ndarray
 ) -> np.ndarray:
-    """min / max of ``rows[first[i] : first[i] + length[i]]`` for every i.
+    """min / max of ``rows[..., first[i] : first[i] + length[i]]`` for every i.
 
-    A sparse table: level ``k`` folds ``2**k`` consecutive rows, and a
-    range folds the two level-``floor(log2(length))`` blocks that cover
-    it.  Every length must be positive.
+    A sparse table along the last axis: level ``k`` folds ``2**k``
+    consecutive elements, of every row at once, and a range folds the
+    two level-``floor(log2(length))`` blocks that cover it.  The levels
+    lie end to end in one array, so each block is read by one gather.
+    Every length must be positive.
     """
     ufunc = _FOLDS[kind][0]
     depth = np.frexp(length)[1] - 1  # floor(log2), exact for integers
-    asked = np.bincount(depth) > 0
-    out = np.empty(len(first))
-    level = rows
-    for k in range(len(asked)):
-        if k:
-            half = 1 << (k - 1)
-            level = ufunc(level[:-half], level[half:])
-        if asked[k]:
-            at = np.flatnonzero(depth == k)
-            out[at] = ufunc(level[first[at]], level[first[at] + length[at] - (1 << k)])
-    return out
+    # Level k holds 2**k - 1 fewer elements than the rows, and lies in
+    # table[..., bounds[k] : bounds[k + 1]].
+    sizes = rows.shape[-1] + 1 - (1 << np.arange(int(depth.max(initial=0)) + 1))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    table = np.empty(rows.shape[:-1] + (int(bounds[-1]),))
+    table[..., : bounds[1]] = rows
+    for k in range(1, len(sizes)):
+        below, half = table[..., bounds[k - 1] : bounds[k]], 1 << (k - 1)
+        ufunc(below[..., :-half], below[..., half:], out=table[..., bounds[k] : bounds[k + 1]])
+    at = bounds[depth] + first
+    return ufunc(table.take(at, axis=-1), table.take(at + length - (1 << depth), axis=-1))
 
 
 def _as_slice(index: np.ndarray) -> "np.ndarray | slice":
@@ -206,19 +216,19 @@ class GroupTable:
     distinct keys once, ascending, and its cells in rows of one per key,
     in key order; a cell may then be empty (count 0, each partial its
     fold's identity).  A **sparse** table has one key row per cell and
-    holds non-empty cells only.  ``counts`` are the per-cell tuple
-    counts and ``partials`` maps ``(kind, column)`` — kind one of
-    ``sum`` / ``min`` / ``max`` — to one float64 partial per cell.  A
-    task's boundary fragments share one table, so the processes backend
-    ships a handful of arrays per task over its completion queue.
+    holds non-empty cells only.  ``matrix`` is float64, ``(1 + P) ×
+    cells``: column ``c`` is cell ``c``, row 0 its tuple count and the
+    other rows its partials in the operator's order (sums, then mins,
+    then maxes).  A task's boundary fragments share one table, so the
+    processes backend ships two arrays per task over its completion
+    queue.
     """
 
     keys: np.ndarray
-    counts: np.ndarray
-    partials: "dict[tuple[str, str], np.ndarray]"
+    matrix: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.matrix.shape[1]
 
     @property
     def dense(self) -> bool:
@@ -241,11 +251,8 @@ class GroupTable:
     def take(self, cells: np.ndarray) -> "GroupTable":
         """The table of ``cells``: any cells of a sparse table, whole rows
         of a dense one."""
-        return GroupTable(
-            self.keys if self.dense else self.keys[cells],
-            self.counts[cells],
-            {name: column[cells] for name, column in self.partials.items()},
-        )
+        keys = self.keys if self.dense else self.keys[cells]
+        return GroupTable(keys, self.matrix.take(cells, axis=1))
 
 
 class GroupedAggregation(Operator):
@@ -283,14 +290,24 @@ class GroupedAggregation(Operator):
         self.group_columns = list(group_columns)
         self.specs = list(specs)
         self.having = having
-        #: the (kind, column) partials a cell carries — only what a spec needs.
+        #: the (kind, column) partials a cell carries — only what a spec
+        #: needs — in matrix-row order from row 1: sums, mins, maxes.
         self._partials = sorted(
             {
                 (_ACCUMULATOR_OF[s.function], s.column)
                 for s in self.specs
                 if s.column is not None and s.function in _ACCUMULATOR_OF
-            }
+            },
+            key=lambda partial: (list(_FOLDS).index(partial[0]), partial[1]),
         )
+        #: (kind, matrix rows) per fold kind present: the count row folds
+        #: with the sums, by addition from 0.0.
+        kinds = [kind for kind, __ in self._partials] + ["sum"]
+        ends = np.cumsum([0] + [kinds.count(kind) for kind in _FOLDS]).tolist()
+        self._folds = [
+            (kind, slice(a, b)) for kind, a, b in zip(_FOLDS, ends, ends[1:]) if b > a
+        ]
+        self._identity = np.array([0.0] + [_FOLDS[kind][1] for kind, __ in self._partials])
         keys = [
             Attribute(
                 name,
@@ -347,8 +364,7 @@ class GroupedAggregation(Operator):
     def _empty_table(self) -> GroupTable:
         return GroupTable(
             np.zeros((0, len(self.group_columns)), dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-            {partial: np.zeros(0, dtype=np.float64) for partial in self._partials},
+            np.zeros((len(self._identity), 0)),
         )
 
     def _fragment_tables(
@@ -364,86 +380,79 @@ class GroupedAggregation(Operator):
         if total == 0:
             return self._empty_table(), np.zeros(len(lengths), dtype=np.int64)
         distinct, codes = key_codes(self._key_rows(batch))
-        values = {
+        columns = {
             column: np.asarray(batch.column(column), dtype=np.float64)
             for column in {column for __, column in self._partials}
         }
+        # What each tuple adds to each matrix row: 1 to the count.
+        inputs = [1.0] + [columns[column] for __, column in self._partials]
         # The tables hold G × (n + 1) elements, times the sparse tables'
         # levels for min / max, and their dense output ranges × G cells;
         # the segmented pass reduces ``total``.
-        extrema = any(kind != "sum" for kind, __ in self._partials)
+        extrema = len(self._folds) > 1
         levels = 1 + len(batch).bit_length() if extrema else 1
         tables = len(distinct) * (len(batch) + 1) * levels
         cells = len(distinct) * len(starts)
         if (
             tables <= min(total, _TABLE_ELEMENTS)
             and cells <= total
-            and all(_certified(values[column]) for kind, column in self._partials if kind == "sum")
+            and all(_certified(values) for values in inputs[1 : self._folds[0][1].stop])
         ):
-            table = self._prefix_tables(distinct, codes, values, starts, starts + lengths)
+            table = self._prefix_tables(distinct, codes, inputs, starts, starts + lengths)
             return table, np.full(len(starts), len(distinct))
-        return self._segmented_tables(distinct, codes, values, starts, lengths)
+        return self._segmented_tables(distinct, codes, inputs, starts, lengths)
 
     def _prefix_tables(
         self,
         distinct: np.ndarray,
         codes: np.ndarray,
-        values: "dict[str, np.ndarray]",
+        inputs: "list",
         starts: np.ndarray,
         stops: np.ndarray,
     ) -> GroupTable:
         """:meth:`_fragment_tables` read off per-group prefix and sparse
         tables, as the dense table of every (range, group) cell.
 
-        Group ``g``'s table is row ``g`` of one flat ``G × (n + 1)``
-        array — its slot ``i + 1`` holds tuple ``i`` if the tuple is in
-        the group — so each table is built by one 1-D pass.  A prefix
-        then also counts the rows before ``g``, which every difference
-        cancels exactly: the counts are integers, and the sums are
-        certified, so no partial sum of any subset of them rounds.  An
-        empty cell's sum is ``x − x = +0.0``.
+        Row ``r`` of one ``(1 + P) × G(n + 1)`` array holds matrix row
+        ``r``'s tables, group ``g``'s in column block ``g``: slot ``i + 1``
+        holds tuple ``i``'s input if the tuple is in the group, else the
+        identity.  A prefix then also counts the rows before ``g``, which
+        every difference cancels exactly: the counts are integers, and the
+        sums are certified, so no partial sum of any subset of them
+        rounds.  An empty cell's count and sum are ``x − x = +0.0``.
         """
         width = len(codes) + 1
         base = np.arange(len(distinct)) * width
-        # Every cell's bounds in the flat tables, ranges × G.
-        lo, hi = base + starts[:, None], base + stops[:, None]
-        if len(distinct) == 1:  # every tuple is in the one group
-            slot = slice(1, None)
-            counts = hi - lo
-        else:
-            slot = codes * width + np.arange(1, width)
-            prefix = np.zeros(len(distinct) * width, dtype=np.int64)
-            prefix[slot] = 1
-            np.cumsum(prefix, out=prefix)
-            counts = prefix[hi] - prefix[lo]
-        partials = {}
-        for kind, column in self._partials:
+        # Every cell's bounds in the tables, range-major.
+        lo = (base + starts[:, None]).ravel()
+        hi = (base + stops[:, None]).ravel()
+        # With one group every tuple is in it: its slots are one slice.
+        slot = codes * width + np.arange(1, width) if len(distinct) > 1 else slice(1, None)
+        table = np.empty((len(inputs), len(distinct) * width))
+        table[...] = self._identity[:, None]
+        for row, values in zip(table, inputs):
+            row[slot] = values
+        matrix = np.empty((len(inputs), len(lo)))
+        for kind, rows in self._folds:
             if kind == "sum":
                 # Accumulated from a leading +0.0, no prefix and so no
                 # difference is ever -0.0, just as no fold from 0.0 is.
-                table = np.zeros(len(distinct) * width)
-                table[slot] = values[column]
-                np.cumsum(table, out=table)
-                partials[kind, column] = (table[hi] - table[lo]).ravel()
+                sums = table[rows]
+                np.cumsum(sums, axis=1, out=sums)
+                matrix[rows] = sums.take(hi, axis=1) - sums.take(lo, axis=1)
             else:
-                # Other groups' slots hold the identity, and so does an
-                # empty range's cell, which is never folded: an empty range
-                # at the batch end would start one slot past the table.
-                identity = _FOLDS[kind][1]
-                table = np.full(len(distinct) * width, identity)
-                table[slot] = values[column]
-                length = (hi - lo).ravel()
-                held = length > 0
-                folded = np.full(len(length), identity)
-                folded[held] = _range_fold(kind, table, lo.ravel()[held] + 1, length[held])
-                partials[kind, column] = folded
-        return GroupTable(distinct, counts.ravel().astype(np.float64), partials)
+                # An empty range folds its first slot, inside the table even
+                # at the batch end, and reads back as the identity.
+                held = hi > lo
+                folded = _range_fold(kind, table[rows], lo + held, np.maximum(hi - lo, 1))
+                matrix[rows] = np.where(held, folded, _FOLDS[kind][1])
+        return GroupTable(distinct, matrix)
 
     def _segmented_tables(
         self,
         distinct: np.ndarray,
         codes: np.ndarray,
-        values: "dict[str, np.ndarray]",
+        inputs: "list",
         starts: np.ndarray,
         lengths: np.ndarray,
     ) -> "tuple[GroupTable, np.ndarray]":
@@ -453,8 +462,7 @@ class GroupedAggregation(Operator):
         offsets = np.cumsum(lengths) - lengths
         cuts = np.searchsorted(offsets, np.arange(0, int(lengths.sum()), _BLOCK_ELEMENTS))
         cuts = np.append(cuts, len(lengths))
-        fragments, group_codes, counts = [], [], []
-        partials = {partial: [] for partial in self._partials}
+        fragments, group_codes, blocks = [], [], []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if lo == hi:
                 continue
@@ -468,13 +476,13 @@ class GroupedAggregation(Operator):
             cells = _Cells(segments, codes[rows], hi - lo, len(distinct))
             fragments.append(cells.segments + lo)
             group_codes.append(cells.codes)
-            counts.append(cells.rows)
-            for kind, column in self._partials:
-                partials[kind, column].append(cells.reduce(kind, values[column][rows]))
+            block = np.empty((len(inputs), len(cells.rows)))
+            block[0] = cells.rows
+            for row, (kind, __) in enumerate(self._partials, 1):
+                block[row] = cells.reduce(kind, inputs[row][rows])
+            blocks.append(block)
         table = GroupTable(
-            distinct[np.concatenate(group_codes)],
-            np.concatenate(counts).astype(np.float64),
-            {partial: np.concatenate(chunks) for partial, chunks in partials.items()},
+            distinct[np.concatenate(group_codes)], np.concatenate(blocks, axis=1)
         )
         return table, np.bincount(np.concatenate(fragments), minlength=len(lengths))
 
@@ -486,13 +494,13 @@ class GroupedAggregation(Operator):
         keys, local = table.key_rows(cells)
         for j, name in enumerate(self.group_columns):
             columns[name] = keys[local, j]
-        counts = table.counts[cells]
-        partials = {name: column[cells] for name, column in table.partials.items()}
+        values = table.matrix.take(cells, axis=1)
+        partials = dict(zip(self._partials, values[1:]))
         for spec in self.specs:
             columns[spec.alias] = finalize(
                 spec.function,
                 partials.get(("sum", spec.column)),
-                counts,
+                values[0],
                 partials.get(("min", spec.column)),
                 partials.get(("max", spec.column)),
             )
@@ -525,7 +533,7 @@ class GroupedAggregation(Operator):
         boundary = windows.states != int(FragmentState.COMPLETE)
         emitted = fragment[~boundary & nonempty[fragment]]
         cells = tables.range_cells(first[emitted], size[emitted])
-        held = tables.counts[cells] > 0
+        held = tables.matrix[0, cells] > 0
         complete, __ = self._emit_rows(
             np.repeat(last_ts[emitted], size[emitted])[held], tables, cells[held]
         )
@@ -548,7 +556,7 @@ class GroupedAggregation(Operator):
                 (windows.states[boundary] == int(FragmentState.CLOSING))[None],
                 (BoundaryRows(table, spans),),
             )
-            groups += np.count_nonzero(table.counts)
+            groups += np.count_nonzero(table.matrix[0])
         stats = {
             "selectivity": 1.0,
             "fragments": float(len(windows)),
@@ -569,11 +577,11 @@ class GroupedAggregation(Operator):
         located by one binary search: a dense table one row per window, a
         sparse one each window's cells.  One :func:`key_codes` call maps
         the runs' key rows — a dense table's distinct keys, a sparse
-        one's located cells' — into their union, and each run's cells are
-        added into one ``ready × keys`` accumulator, run by run, with row
-        and key slices wherever they line up.  Every (window, group) cell
-        so folds its fragments' partials from 0.0 (from the identity for
-        min / max) in task order — bitwise the pairwise merge chain, since
+        one's located cells' — into their union, and each run's matrix
+        folds into one ``(1 + P) × ready × keys`` accumulator, one ufunc
+        call per fold kind, with window and key slices wherever they line
+        up.  Every (window, group) cell so folds its fragments' partials
+        from 0.0 (from the identity for min / max) in task order — bitwise the pairwise merge chain, since
         an empty dense cell adds ``+0.0`` or the identity, which changes
         no partial.  Every cell with a tuple count above 0 is emitted.
         """
@@ -599,16 +607,8 @@ class GroupedAggregation(Operator):
         if not parts:
             return None, offsets
         distinct, codes = key_codes(np.concatenate(key_sets))
-        shape = (len(ready), len(distinct))
-        counts = np.zeros(shape)
-        partials = {
-            (kind, column): np.full(shape, 0.0 if kind == "sum" else _FOLDS[kind][1])
-            for kind, column in self._partials
-        }
-        folds = [(np.add, None, counts)] + [
-            (np.add if kind == "sum" else _FOLDS[kind][0], (kind, column), folded)
-            for (kind, column), folded in partials.items()
-        ]
+        folded = np.empty((len(self._identity), len(ready), len(distinct)))
+        folded[...] = self._identity[:, None, None]
         coded = 0
         for (table, window, cells), keys in zip(parts, key_sets):
             columns = slice(None)  # a dense run holding every key
@@ -617,23 +617,20 @@ class GroupedAggregation(Operator):
                 if table.dense and not isinstance(window, slice):
                     window = window[:, None]
             coded += len(keys)
-            into = (window, columns)
             aligned = isinstance(window, slice) and isinstance(columns, slice)
-            view = (-1, len(keys)) if table.dense else (-1,)
+            view = (len(folded), -1, len(keys)) if table.dense else (len(folded), -1)
+            values = table.matrix.reshape(view)[:, cells]
             # Like ``bincount``, the fold is silent on NaN and inf - inf.
             with np.errstate(invalid="ignore"):
-                for ufunc, name, folded in folds:
-                    values = (table.counts if name is None else table.partials[name])
-                    values = values.reshape(view)[cells]
+                for kind, rows in self._folds:
+                    ufunc, into = _FOLDS[kind][0], (rows, window, columns)
                     if aligned:  # a view: fold in place
                         target = folded[into]
-                        ufunc(target, values, out=target)
+                        ufunc(target, values[rows], out=target)
                     else:
-                        folded[into] = ufunc(folded[into], values)
-        merged = GroupTable(
-            distinct, counts.ravel(), {name: folded.ravel() for name, folded in partials.items()}
-        )
-        cells = np.flatnonzero(merged.counts > 0)
+                        folded[into] = ufunc(folded[into], values[rows])
+        merged = GroupTable(distinct, folded.reshape(len(folded), -1))
+        cells = np.flatnonzero(merged.matrix[0] > 0)
         window = cells // len(distinct)
         rows, keep = self._emit_rows(last_ts[window], merged, cells)
         if keep is not None:

@@ -187,28 +187,16 @@ def select_query(
     """
     positive_int(n, "n", ValueError)
     attrs = ["a3", "a4", "a5", "a6"]
-    predicates: list[Predicate] = []
-    for k in range(n - 1):
-        predicates.append(col(attrs[k % len(attrs)]) < VALUE_RANGE + k)
-    predicates.append(col("a2") < VALUE_RANGE)  # calibrated by source groups
-    predicate = conjunction(predicates)
+    predicates: list[Predicate] = [
+        col(attrs[k % len(attrs)]) < VALUE_RANGE + k for k in range(n - 1)
+    ]
+    # The final conjunct passes a pass_rate fraction of the uniform a5.
+    predicates.append(_pass_rate_predicate(pass_rate))
     operator = Selection(
         SYNTHETIC_SCHEMA,
-        predicate,
+        conjunction(predicates),
         cpu_evals_fn=lambda __sel, n=n: float(n),
     )
-    # pass_rate is realised by the source: a2 < groups*pass_rate would be
-    # data-dependent; the final conjunct above passes all tuples, so the
-    # measured selectivity is ~1 unless callers tighten it.
-    if pass_rate < 1.0:
-        threshold = int(VALUE_RANGE * pass_rate)
-        predicates[-1] = col("a5") < threshold
-        predicate = conjunction(predicates)
-        operator = Selection(
-            SYNTHETIC_SCHEMA,
-            predicate,
-            cpu_evals_fn=lambda __sel, n=n: float(n),
-        )
     w = window or _window(32 << 10, 32 << 10)
     return Query(
         name=name or f"SELECT{n}",

@@ -320,25 +320,28 @@ class RowBlock:
         )
 
 
-def run_payloads(run) -> dict:
+def run_payloads(run, op=None) -> dict:
     """``{window id: (payload, done per input)}`` of one run, one Python
     object per window: a grouped window's payload is a :class:`RowBlock`
-    of its non-empty cells of the run's table and its last timestamp,
-    any other window's its fragment rows per input."""
+    of its non-empty cells of the run's table (whose matrix rows ``op``
+    names) and its last timestamp, any other window's its fragment rows
+    per input."""
     if not run.sides:
         return {}
     ids, done = run.ids.tolist(), run.done.T.tolist()
     table = run.sides[0].rows
     if isinstance(table, GroupTable):
         spans = run.sides[0].spans.T.tolist()
+        names = _terminal(op)._partials
         payloads = {}
         for wid, (lo, hi, ts), flags in zip(ids, spans, done):
             cells = np.arange(lo, hi)
-            cells = cells[table.counts[cells] > 0]
+            cells = cells[table.matrix[0, cells] > 0]
+            counts, *partials = table.matrix[:, cells]
             rows = RowBlock(
                 table.keys[cells % max(1, len(table.keys))],
-                table.counts[cells],
-                {name: column[cells] for name, column in table.partials.items()},
+                counts,
+                dict(zip(names, partials)),
             )
             payloads[wid] = ((rows, ts), flags)
         return payloads
@@ -385,9 +388,10 @@ def _retired_fold(op) -> tuple:
     if isinstance(terminal, GroupedAggregation):
 
         def finalize_grouped(payload):
-            table, ts = _fold_tables([payload])
+            block, ts = _fold_tables([payload])
+            partials = [block.partials[name] for name in terminal._partials]
+            table = GroupTable(block.keys, np.vstack([block.counts, *partials]))
             cells = np.arange(len(table))
-            table = GroupTable(table.keys, table.counts, table.partials)
             rows, __ = terminal._emit_rows(np.full(len(table), ts, dtype=np.int64), table, cells)
             return rows
 
@@ -431,7 +435,7 @@ def pairwise_stage(op, results: "list[BatchResult]", flush: bool = True) -> tupl
 
     for result in results:
         ready = []
-        for wid, (payload, done) in sorted(run_payloads(result.partials).items()):
+        for wid, (payload, done) in sorted(run_payloads(result.partials, op).items()):
             payload = local(payload)
             if wid in pending:
                 merged, closed = pending[wid]

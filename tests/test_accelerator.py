@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SaberConfig, SaberEngine
-from repro.core.scheduler import CPU, GPU
+from repro.core.scheduler import CPU, FALLBACK_BACKLOG, GPU
 from repro.errors import SimulationError
 from repro.gpu.accelerator import AcceleratorDevice
 from repro.hardware.slots import DeviceSlot, device_slots
@@ -483,7 +483,7 @@ def test_unthrottled_hybrid_keeps_device_productive(execution="threads"):
     refuses the CPU and offers the next task to the device, and only a
     taken task resets the CPU's count (line 7).  The line-12 fallback
     could take that turn away — a CPU worker taking the last queued task
-    resets the count too — but it needs ``fallback_backlog`` queued
+    resets the count too — but it needs ``FALLBACK_BACKLOG`` queued
     tasks, and a queue of 3 never holds that many.  At the default
     threshold (1000) the device got work only when it happened to poll
     during a backlog, which thread wake-up order decided.
@@ -493,9 +493,10 @@ def test_unthrottled_hybrid_keeps_device_productive(execution="threads"):
         0.0, execution, n_tasks=n_tasks, switch_threshold=threshold, queue_capacity=capacity
     )
     assert out is not None
-    assert threshold < n_tasks and capacity < engine.scheduler.fallback_backlog
-    # Zero would mean the GPGPU slot is dead.
-    assert gpu_tasks > 0
+    assert threshold < n_tasks and capacity < FALLBACK_BACKLOG
+    # Every claim is a ``select`` pick, so after each st CPU tasks of a
+    # query the next one goes to the device: at least one task in st + 1.
+    assert gpu_tasks >= n_tasks // (threshold + 1)
     assert engine.accelerator.stats.snapshot()["tasks"] == gpu_tasks
 
 

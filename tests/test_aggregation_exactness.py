@@ -149,6 +149,26 @@ def test_range_fold_keeps_the_last_of_equal_zeros():
 
 
 @pytest.mark.parametrize("keys", [[], ["g"]])
+def test_short_ranges_fold_inside_the_prefix_tables(keys):
+    """Ranges of at most one tuple build no sparse-table level past the
+    first, so nothing lies beyond the tables: an empty range at the batch
+    end must fold inside them and read back as the identity."""
+    data = make_data("small-integers", 3, 16, 2)
+    op = make_operator(keys, ["count", "min", "max"])
+    distinct, codes = groupby_module.key_codes(op._key_rows(data))
+    inputs = [1.0] + [np.asarray(data.column("v"), dtype=np.float64)] * 2
+    starts, stops = np.array([0, 7, 15, 16]), np.array([1, 8, 16, 16])
+    table = op._prefix_tables(distinct, codes, inputs, starts, stops)
+    v, g = np.asarray(data.column("v")), np.asarray(data.column("g"))
+    for cell, (start, stop) in enumerate(np.repeat(np.c_[starts, stops], len(distinct), 0)):
+        group = g[start:stop] == distinct[cell % len(distinct)] if keys else slice(None)
+        held = v[start:stop][group]
+        assert table.matrix[:, cell].tolist() == [
+            len(held), held.min(initial=np.inf), held.max(initial=-np.inf)
+        ]
+
+
+@pytest.mark.parametrize("keys", [[], ["g"]])
 def test_a_sum_of_negative_zeros_is_positive_zero(keys):
     """A fold from 0.0 never yields -0.0; nor may a prefix difference,
     even for a window that starts at the task's first row."""

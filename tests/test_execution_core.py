@@ -15,7 +15,8 @@ import re
 import pytest
 
 from repro.core.engine import SaberConfig, SaberEngine
-from repro.core.scheduler import FcfsScheduler, HlsScheduler
+from repro.core.scheduler import CPU, GPU, FcfsScheduler, HlsScheduler
+from repro.core.task import QueryTask
 from repro.hardware.slots import EXECUTIONS
 from repro.hardware.specs import HardwareSpec
 from repro.workloads.synthetic import TUPLE_SIZE, SyntheticSource, select_query
@@ -116,6 +117,37 @@ def test_scheduler_swapped_after_construction_selects_and_gets_feedback(executio
         engine.shutdown()
     assert swapped.selected >= TASKS
     assert swapped.finished == TASKS
+
+
+@pytest.mark.parametrize("execution", ["sim", "threads"])
+def test_every_claim_is_a_select_pick(execution):
+    """One queued task that prefers the device, below the line-12
+    fallback backlog, nothing in flight and dispatch done: Alg. 1 leaves
+    the CPU idle and gives the task to the device, and the executor may
+    not hand the head to whichever worker asks first."""
+    engine = _engine(execution)
+    query = select_query(4, pass_rate=0.5)
+    engine.add_query(query, [SyntheticSource(seed=3)])
+    matrix = engine.scheduler.matrix
+    matrix.observe(query.name, GPU, 2 * matrix.initial)
+    matrix.maybe_refresh(1.0)
+    assert matrix.preferred(query.name) == GPU
+    executor, queued = engine._executor, QueryTask(query, 0, [], 0.0, 1024)
+    executor.queue.append(queued)
+    try:
+        if execution == "threads":
+            executor._dispatch_done = True
+            with executor._cond:
+                assert executor._claim(CPU) is None
+                assert executor._claim(GPU) is queued
+        else:
+            started = []
+            executor._start = lambda worker, task: started.append((worker.processor, task))
+            for processor in (CPU, GPU):
+                executor._worker_try(next(w for w in executor.workers if w.processor == processor))
+            assert started == [(GPU, queued)]
+    finally:
+        engine.shutdown()
 
 
 # -- layering guard ------------------------------------------------------------

@@ -6,6 +6,7 @@ kernel claims the *same float additions in the same order*, so any
 rounding difference is a bug.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.errors import CQLSyntaxError, QueryError
 from repro.operators import base as base_module, groupby as groupby_module
 from repro.operators.aggregate_functions import AggregateSpec
 from repro.operators.base import BoundaryRows, PartialRun, StreamSlice, key_codes
-from repro.operators.groupby import GroupedAggregation
+from repro.operators.groupby import GroupedAggregation, GroupTable
 from repro.relational.expressions import col
 from repro.relational.schema import Schema
 from repro.relational.tuples import TupleBatch
@@ -348,7 +349,18 @@ class TestMemoryShape:
 
     def test_only_needed_partials_are_kept(self):
         op = make_operator(["g"], [("count", None), ("sum", "v"), ("min", "w")])
-        assert op._partials == [("min", "w"), ("sum", "v")]
+        # Matrix rows from 1, grouped by fold kind: sums, then mins.
+        assert op._partials == [("sum", "v"), ("min", "w")]
+        assert op._folds == [("sum", slice(0, 2)), ("min", slice(2, 3))]
+
+    def test_a_group_table_is_keys_and_one_matrix(self):
+        assert [f.name for f in dataclasses.fields(GroupTable)] == ["keys", "matrix"]
+        data = make_stream(4, 512, 8)
+        op = make_operator(["g"], [("count", None), ("max", "v"), ("avg", "w"), ("min", "w")])
+        windows = assign_windows(WindowDefinition.rows(256, 1), 512, 1024)
+        (rows,) = op.process_batch([StreamSlice(data, windows, 512)]).partials.sides
+        table = rows.rows
+        assert table.matrix.dtype == np.float64 and table.matrix.shape == (4, len(table))
 
 
 # -- BatchResult.stats feed the sim cost model: pinned ----------------------------
@@ -416,8 +428,7 @@ class TestPayloads:
         __, result = self.slide_one_result()
         run, (rows,) = result.partials, result.partials.sides
         block = rows.rows
-        columns = block.keys.nbytes + block.counts.nbytes
-        columns += sum(column.nbytes for column in block.partials.values())
+        columns = block.keys.nbytes + block.matrix.nbytes
         columns += run.ids.nbytes + run.done.nbytes + rows.spans.nbytes
         shipped = len(pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL))
         # A handful of arrays: nothing per window.

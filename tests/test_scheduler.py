@@ -1,11 +1,14 @@
 """Unit tests for HLS (Alg. 1), FCFS, Static and the throughput matrix."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.query import Query
 from repro.core.scheduler import (
     CPU,
+    FALLBACK_BACKLOG,
     GPU,
+    PROCESSORS,
     FcfsScheduler,
     HlsScheduler,
     SchedulerState,
@@ -157,7 +160,7 @@ class TestHls:
         poll with fewer queued tasks than the line-12 fallback needs
         returns None and keeps the count, so the turn waits for the device."""
         hls = HlsScheduler(ThroughputMatrix(), switch_threshold=3)  # ties prefer the CPU
-        queue = [task(queries["q1"], i) for i in range(hls.fallback_backlog - 1)]
+        queue = [task(queries["q1"], i) for i in range(FALLBACK_BACKLOG - 1)]
         for __ in range(3):
             assert hls.select(queue, CPU) == 0
         for __ in range(5):
@@ -167,14 +170,40 @@ class TestHls:
         assert (hls.state.count("q1", CPU), hls.state.count("q1", GPU)) == (0, 1)
 
     def test_fallback_at_the_backlog_takes_the_device_turn(self, queries):
-        """At ``fallback_backlog`` queued tasks a CPU poll takes the last one
+        """At ``FALLBACK_BACKLOG`` queued tasks a CPU poll takes the last one
         and resets its own count: the device's turn is gone."""
         hls = HlsScheduler(ThroughputMatrix(), switch_threshold=3)
-        queue = [task(queries["q1"], i) for i in range(hls.fallback_backlog)]
+        queue = [task(queries["q1"], i) for i in range(FALLBACK_BACKLOG)]
         for __ in range(3):
             assert hls.select(queue, CPU) == 0
         assert hls.select(queue, CPU) == len(queue) - 1
         assert hls.state.count("q1", CPU) == 1
+
+    @given(
+        rates=st.lists(st.one_of(st.none(), st.floats(1e-3, 1e6)), min_size=6, max_size=6),
+        counts=st.lists(st.integers(0, 7), min_size=6, max_size=6),
+        threshold=st.integers(1, 6),
+        names=st.lists(st.sampled_from(["q1", "q2", "q3"]), min_size=1, max_size=6),
+        strict=st.booleans(),
+    )
+    def test_exactly_one_processor_takes_the_head(self, rates, counts, threshold, names, strict):
+        """At position 0 the delay is 0, so line 6 admits exactly one
+        processor: the preferred one below the threshold, else the other.
+        The executors claim only through ``select``, and rely on this to
+        never strand a queued task."""
+        keys = [(q, p) for q in ("q1", "q2", "q3") for p in PROCESSORS]
+        picks = {}
+        for processor in PROCESSORS:
+            m = ThroughputMatrix(refresh_seconds=0.0)
+            for key, rate in zip(keys, rates):
+                if rate is not None:
+                    m.observe(*key, rate)
+            m.maybe_refresh(1.0)
+            hls = HlsScheduler(m, switch_threshold=threshold, strict_lookahead=strict)
+            hls.state.counts = dict(zip(keys, counts))
+            queue = [task(make_query(name), i) for i, name in enumerate(names)]
+            picks[processor] = hls.select(queue, processor)
+        assert [pick == 0 for pick in picks.values()].count(True) == 1, picks
 
     def test_returns_none_on_empty_queue(self, queries):
         hls = HlsScheduler(ThroughputMatrix())
